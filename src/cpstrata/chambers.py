@@ -192,74 +192,23 @@ def simplest_in_open(a: Fraction, b: Fraction) -> Fraction:
     return fa + Fraction(1) / simplest_in_open(Fraction(1) / (b - fa), Fraction(1) / (a - fa))
 
 
-def _pick_value(lo, lo_strict, hi, hi_strict) -> Fraction:
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return Fraction(hi if not hi_strict else _floor(hi) - (1 if _floor(hi) == hi else 0))
-    if hi is None:
-        return Fraction(lo if not lo_strict else _floor(lo) + 1)
-    if lo == hi:
-        if lo_strict or hi_strict:
-            raise ArithmeticError("empty interval surfaced during refinement")
-        return lo
-    if lo > hi:
-        raise ArithmeticError("inconsistent interval surfaced during refinement")
-    return simplest_in_open(lo, hi)
-
-
 def _holds_all(ineqs: list[_Ineq], point: Sequence[Fraction]) -> bool:
     return all(_holds(row, point) for row in ineqs)
 
 
-def _wiggle(point: Sequence[Fraction], ineqs: list[_Ineq], nvars: int):
-    """One sweep of per-coordinate simplification with the others held fixed.
-
-    Each coordinate moves to the smallest-denominator rational in the interval
-    the remaining rows allow, so the point stays feasible throughout.
-    """
-    pt = list(point)
-    for k in range(nvars):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for coeffs, rhs, strict in ineqs:
-            a = coeffs[k]
-            if a == 0:
-                continue
-            rest = sum(coeffs[j] * pt[j] for j in range(nvars) if j != k)
-            bound = (rhs - rest) / a
-            if a > 0:
-                if hi is None or bound < hi or (bound == hi and strict):
-                    hi, hi_strict = bound, strict
-            else:
-                if lo is None or bound > lo or (bound == lo and strict):
-                    lo, lo_strict = bound, strict
-        pt[k] = _pick_value(lo, lo_strict, hi, hi_strict)
-    return tuple(pt)
-
-
-def _simplify_point(
-    point: tuple[Fraction, ...], ineqs: list[_Ineq], nvars: int
-) -> tuple[Fraction, ...]:
+def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fraction, ...]:
     """Small-denominator feasible point near the given deep point.
 
     The slack-maximizing point sits away from every boundary, so snapping all
     coordinates to a common small denominator usually stays inside; the first
-    q whose rounding passes the exact membership check wins.  If no q does,
-    fall back to coordinate-wise simplification, and keep whichever candidate
-    has the smallest worst denominator.
+    q whose rounding passes the exact membership check wins.  If no q <= 64
+    does, the exact point itself is kept.
     """
-    best = point
     for q in range(1, 65):
         cand = tuple(Fraction(round(x * q), q) for x in point)
         if _holds_all(ineqs, cand):
-            best = cand
-            break
-    else:
-        wiggled = _wiggle(point, ineqs, nvars)
-        if max(x.denominator for x in wiggled) < max(x.denominator for x in best):
-            best = wiggled
-    return best
+            return cand
+    return point
 
 
 def feasible(sys: LinearConstraintSystem) -> bool:
@@ -275,7 +224,7 @@ def witness(sys: LinearConstraintSystem) -> Optional[tuple[Fraction, ...]]:
     point = feasible_point(rows, sys.nvars)
     if point is None:
         return None
-    result = _simplify_point(point, rows, sys.nvars)
+    result = _simplify_point(point, rows)
     assert _satisfies(sys, result)
     return result
 
@@ -414,7 +363,7 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
             assert deduped is not None
             deep = feasible_point(deduped, n)
             assert deep is not None
-        pt = _simplify_point(deep, deduped, n)
+        pt = _simplify_point(deep, deduped)
         cap = Capacities(pt)
         margin = cap.volume_margin()
         if margin < 0 or (interior and margin == 0):

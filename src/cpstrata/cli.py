@@ -226,16 +226,18 @@ def _cmd_conf_stratify(args, cfg) -> int:
 def _cmd_verify(args, cfg) -> int:
     reports = run_suites(args.suite)
     payload = report_json(reports)
+    # with --json, stdout carries the canonical payload alone
+    log = sys.stderr if args.json else sys.stdout
     for r in reports:
         for c in r.checks:
             mark = "pass" if c.passed else "FAIL"
-            print(f"[{mark}] {r.suite}: {c.name}")
+            print(f"[{mark}] {r.suite}: {c.name}", file=log)
             if not c.passed:
-                print(f"       expected {c.expected}")
-                print(f"       computed {c.computed}")
+                print(f"       expected {c.expected}", file=log)
+                print(f"       computed {c.computed}", file=log)
     total = sum(len(r.checks) for r in reports)
     good = sum(1 for r in reports for c in r.checks if c.passed)
-    print(f"{good}/{total} checks passed")
+    print(f"{good}/{total} checks passed", file=log)
     out = args.out or cfg.output
     if out:
         Path(out).write_text(canonical_json(payload))

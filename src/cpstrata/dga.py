@@ -160,53 +160,6 @@ def check_ideal_stability(D: DgaSpec) -> CheckResult:
     return CheckResult(True)
 
 
-# ----------------------------------------------------- rational linear algebra
-
-
-def _rref(rows: list[list[Fraction]], ncols: int):
-    """In-place reduced row echelon; returns (echelon rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        hit = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if hit is None:
-            continue
-        work[r], work[hit] = work[hit], work[r]
-        piv = work[r][c]
-        if piv != 1:
-            work[r] = [v / piv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
-def _nullspace(columns: list[tuple], nrows: int) -> list[list[Fraction]]:
-    """Kernel basis of the matrix whose j-th column is columns[j]."""
-    ncols = len(columns)
-    if ncols == 0:
-        return []
-    rows = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
-    echelon, pivots = _rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, p in zip(echelon, pivots):
-            v[p] = -row[free]
-        basis.append(v)
-    return basis
-
-
 # ----------------------------------------------------------------- cohomology
 
 
@@ -253,12 +206,22 @@ class CohomologyReport:
 
 
 class _QuotientDifferential:
-    """Matrices of d on the quotient complement bases, built lazily."""
+    """Matrices of d on the quotient complement bases, eliminated lazily.
+
+    Each degree q is eliminated once.  Column j of d_q enters one
+    SparseReducer as its target coordinates, keyed (1, i), plus a tag
+    (0, j).  Tags sort below every target key, so a row keeps a target pivot
+    exactly when its column is independent of the earlier ones; those rows,
+    tags stripped, span im(d_q).  A dependent column reduces to tags alone
+    with its own tag as pivot: the unique relation writing it through the
+    earlier independent columns, scaled to a kernel vector with entry j = 1.
+    """
 
     def __init__(self, D: DgaSpec):
         self.D = D
         self._columns: dict[int, list[tuple]] = {}
-        self._boundaries: dict[int, SparseReducer] = {}
+        self._kernels: dict[int, list[dict]] = {}
+        self._boundaries: dict[int, SparseReducer] = {0: SparseReducer()}
 
     def columns(self, q: int) -> list[tuple]:
         """One coordinate column per complement monomial of degree q."""
@@ -277,19 +240,36 @@ class _QuotientDifferential:
             self._columns[q] = cols
         return cols
 
-    def rank(self, q: int) -> int:
-        return self.boundary_reducer(q + 1).rank
+    def _eliminate(self, q: int) -> None:
+        red = SparseReducer()
+        kernel = []
+        for j, col in enumerate(self.columns(q)):
+            row = {(1, i): c for i, c in enumerate(col) if c}
+            row[(0, j)] = 1
+            pivot = red.insert(row)
+            if pivot[0] == 0:
+                tagged = red.rows[pivot]
+                lead = tagged[pivot]
+                kernel.append({k: Fraction(v, lead) for (_, k), v in tagged.items()})
+        image = SparseReducer()
+        for (side, _), row in red.rows.items():
+            if side:
+                # distinct pivots: each insert stores the row without reducing
+                image.insert({i: v for (s, i), v in row.items() if s})
+        self._kernels[q] = kernel
+        self._boundaries[q + 1] = image
+
+    def kernel(self, q: int) -> list[dict]:
+        """Basis of ker(d_q) as sparse degree-q complement coordinates."""
+        if q not in self._kernels:
+            self._eliminate(q)
+        return self._kernels[q]
 
     def boundary_reducer(self, q: int) -> SparseReducer:
         """Row space of im(d_{q-1}) in degree-q complement coordinates."""
-        red = self._boundaries.get(q)
-        if red is None:
-            red = SparseReducer()
-            if q >= 1:
-                for col in self.columns(q - 1):
-                    red.insert({i: c for i, c in enumerate(col) if c != 0})
-            self._boundaries[q] = red
-        return red
+        if q not in self._boundaries:
+            self._eliminate(q - 1)
+        return self._boundaries[q]
 
     def is_coboundary(self, q: int, coords) -> bool:
         row = {i: c for i, c in enumerate(coords) if c != 0}
@@ -303,6 +283,11 @@ def _normalize_leading(p: GPolynomial) -> GPolynomial:
 
 def cohomology_ranks(D: DgaSpec) -> CohomologyReport:
     """Degreewise cohomology of the quotient DGA through the cap."""
+    return _cohomology(_QuotientDifferential(D))
+
+
+def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
+    D = quot.D
     sq = check_d_squared(D)
     if not sq:
         raise DifferentialError(f"d^2 fails on generator {sq.offender}: {sq.detail}")
@@ -311,14 +296,11 @@ def cohomology_ranks(D: DgaSpec) -> CohomologyReport:
         raise DifferentialError(f"ideal not d-stable at relation {st.offender}")
 
     A = D.algebra
-    quot = _QuotientDifferential(D)
     ranks: dict[int, int] = {}
     reps: dict[int, list[GPolynomial]] = {}
     for q in range(D.degree_cap + 1):
         frame = A.graded_basis(q)
-        dim_q = frame.quotient_dimension
-        cols = quot.columns(q)
-        kernel = _nullspace(cols, len(A.graded_basis(q + 1).complement))
+        kernel = quot.kernel(q)
         boundary = quot.boundary_reducer(q)
         rank_q = len(kernel) - boundary.rank
         ranks[q] = rank_q
@@ -327,7 +309,7 @@ def cohomology_ranks(D: DgaSpec) -> CohomologyReport:
         for row in boundary.rows.values():
             scratch.insert(dict(row))
         for v in kernel:
-            residue = scratch.residue({i: c for i, c in enumerate(v) if c != 0})
+            residue = scratch.residue(v)
             if not residue:
                 continue
             scratch.insert(residue)
@@ -471,7 +453,7 @@ def verify_presentation(
             )
             break
 
-    report = cohomology_ranks(D)
+    report = _cohomology(quot)
     dims = []
     for q in range(D.degree_cap + 1):
         dp = P.quotient_dimension(q)

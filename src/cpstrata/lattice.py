@@ -23,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-import numpy as np
-
 MAX_BLOWUPS = 8
 
 
@@ -167,21 +165,31 @@ def is_exceptional_numerical(u: H2Element) -> bool:
 def enumerate_exceptional(n: int) -> tuple[H2Element, ...]:
     """All exceptional classes with a in [0,6], r_i in [-1,3], lexicographic.
 
-    Vectorized scan over the full integer box (7 * 5^n candidates); the
-    surviving classes are re-checked in exact integer arithmetic.
+    Depth-first search over the integer box for sum r_i = 3a - 1 and
+    sum r_i^2 = a^2 + 1, pruned by what the remaining entries can still add;
+    the surviving classes are re-checked in exact integer arithmetic.
     """
     _check_n(n)
-    grids = np.meshgrid(*([np.arange(-1, 4)] * n), indexing="ij")
-    rvecs = np.stack([g.ravel() for g in grids], axis=1)  # (5^n, n)
-    rsum = rvecs.sum(axis=1)
-    rsq = (rvecs * rvecs).sum(axis=1)
     found: list[H2Element] = []
-    for a in range(0, 7):
-        mask = (a * a - rsq == -1) & (3 * a - rsum == 1)
-        for row in rvecs[mask]:
-            cand = H2Element(a, tuple(int(x) for x in row))
+
+    def extend(a: int, prefix: list[int], rsum: int, rsq: int) -> None:
+        # rsum, rsq: what the entries after prefix must add up to.  Over
+        # r in [-1,3] one has |r| <= r^2 <= 3r + 4, hence the bounds.
+        left = n - len(prefix)
+        if not (-left <= rsum <= 3 * left and abs(rsum) <= rsq <= 3 * rsum + 4 * left):
+            return
+        if left == 0:
+            cand = H2Element(a, tuple(prefix))
             assert is_exceptional_numerical(cand)
             found.append(cand)
+            return
+        for r in range(-1, 4):
+            prefix.append(r)
+            extend(a, prefix, rsum - r, rsq - r * r)
+            prefix.pop()
+
+    for a in range(0, 7):
+        extend(a, [], 3 * a - 1, a * a + 1)
     return tuple(sorted(found))
 
 

@@ -260,10 +260,10 @@ class TestVerify:
         assert "4/4 checks passed" in out
 
     def test_json_report_shape(self, capsys):
-        code, out, _ = run(capsys, "verify", "eq75", "--json")
+        code, out, err = run(capsys, "verify", "eq75", "--json")
         assert code == 0
-        tail = out[out.index("{"):]
-        payload = json.loads(tail)
+        payload = json.loads(out)
+        assert "checks passed" in err
         assert payload["pass"] is True
         assert set(payload["suites"]) == {"eq75"}
         assert "timings" in payload

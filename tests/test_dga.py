@@ -30,6 +30,8 @@ from cpstrata.dga import (
     substitute,
     verify_presentation,
 )
+from cpstrata.ballmodels import iemb_model
+from cpstrata.kriz import KrizParams, kriz_model
 
 FLAG_T = GeneratorTable(names=("T1", "T2", "beta", "gamma"), degrees=(2, 2, 3, 5))
 
@@ -63,6 +65,62 @@ def two_point_model():
         {"G12": P(table, "x1^2 + x1*x2 + x2^2")},
         degree_cap=10,
     )
+
+
+# name -> (model builder, degree cap, rank list, nonempty representatives)
+FROZEN_REPORTS = {
+    "kriz(2,3)": (
+        lambda: kriz_model(KrizParams(2, 3)),
+        10,
+        [1, 0, 3, 0, 3, 0, 1, 1, 0, 1, 0],
+        {
+            0: ["1"],
+            2: ["x3", "x2", "x1"],
+            4: ["x3^2", "x2*x3", "x1*x3"],
+            6: ["x2*x3^2"],
+            7: [
+                "x1*x3*G23 - x2*x3*G12 + x2*x3*G13 - 2*x3^2*G12 "
+                "+ 2*x3^2*G13 + 2*x3^2*G23"
+            ],
+            9: ["x1*x3^2*G23 - x2*x3^2*G12 + x2*x3^2*G13"],
+        },
+    ),
+    "iemb(4,C_4)": (
+        lambda: iemb_model(4, "C_4"),
+        12,
+        [1, 0, 4, 0, 3, 1, 0, 4, 0, 3, 0, 0, 0],
+        {
+            0: ["1"],
+            2: ["T4", "T3", "T2", "T1"],
+            4: ["T4^2", "T3^2", "T2^2"],
+            5: ["T1*beta + T2*beta + T3*beta + T4*beta - 3/2*gamma"],
+            7: [
+                "T4^2*beta - 3/2*T4*gamma",
+                "T3^2*beta - 3/2*T3*gamma",
+                "T2^2*beta - 3/2*T2*gamma",
+                "T1^2*beta - 3/2*T1*gamma",
+            ],
+            9: [
+                "T4^3*beta - 3/2*T4^2*gamma",
+                "T3^3*beta - 3/2*T3^2*gamma",
+                "T2^3*beta - 3/2*T2^2*gamma",
+            ],
+        },
+    ),
+    "iemb(3,small,(2,3))": (
+        lambda: iemb_model(3, "small", [(2, 3)]),
+        12,
+        [1, 0, 3, 0, 3, 0, 1, 1, 0, 1, 0, 0, 0],
+        {
+            0: ["1"],
+            2: ["T3", "T2", "T1"],
+            4: ["T3^2", "T2^2", "T1*T2"],
+            6: ["T1*T2^2"],
+            7: ["T3^2*beta - 19/30*T3*gamma"],
+            9: ["T3^3*beta - 19/30*T3^2*gamma"],
+        },
+    ),
+}
 
 
 class TestConstruction:
@@ -267,6 +325,19 @@ class TestCohomologyRanks:
         assert data["d_squared_ok"] is True
         assert data["ranks"]["4"] == 2
         assert isinstance(data["representatives"]["2"], list)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
+    def test_report_frozen(self, name):
+        # the whole payload, representative text included, is what
+        # `cpstrata model cohomology --json` prints
+        build, cap, ranks, reps = FROZEN_REPORTS[name]
+        assert cohomology_ranks(build()).to_json_dict() == {
+            "degree_cap": cap,
+            "d_squared_ok": True,
+            "ideal_stable_ok": True,
+            "ranks": {str(q): r for q, r in enumerate(ranks)},
+            "representatives": {str(q): reps.get(q, []) for q in range(cap + 1)},
+        }
 
 
 class TestDifferentialMatrix:

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cpstrata
 from cpstrata.lattice import (
     Capacities,
     DimensionMismatchError,
@@ -111,6 +116,17 @@ class TestExceptional:
         for n in range(1, 9):
             c = Capacities([eps] * n)
             assert all(area(c, u) > 0 for u in enumerate_exceptional(n))
+
+    def test_command_line_loads_no_numpy(self):
+        # the package has no runtime dependency; a fresh interpreter shows
+        # what importing the command-line module actually pulls in
+        src = str(Path(cpstrata.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, cpstrata.cli; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestWallClasses:
