@@ -2,8 +2,10 @@
 
 A chamber is a maximal region of the admissible cone on which the signs
 of all negative wall classes are constant.  Feasibility of each sign
-pattern is decided by exact Fourier-Motzkin elimination, and each
-feasible pattern comes with a rational witness vector.
+pattern is decided by an exact simplex on an integer tableau, and each
+feasible pattern comes with a rational witness vector.  Enumeration
+stops at n = 5: beyond it the linearized volume bound is not known to be
+exact.
 """
 
 from cpstrata.chambers import enumerate_chambers

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Literal, Optional, Sequence, Union
 
+from .exactlp import Ineq as _Ineq, Rational
 from .exactlp import feasible_point
 from .lattice import (
     Capacities,
@@ -30,8 +32,8 @@ from .lattice import (
 Relation = Literal["<", "<=", ">", ">="]
 Boundary = Literal["strict", "inclusive"]
 
-# internal inequality: (coeffs, rhs, strict) means sum a_i x_i < rhs (or <=)
-_Ineq = tuple[tuple[Fraction, ...], Fraction, bool]
+# largest n whose chamber count enumerate_chambers can vouch for
+MAX_ENUMERATE_N = 5
 
 
 class AdmissibilityError(ValueError):
@@ -128,16 +130,12 @@ class LinearConstraintSystem:
         return out
 
 
-def _primitive_key(coeffs: tuple[Fraction, ...], rhs: Fraction):
+def _primitive_key(coeffs: Sequence[Rational], rhs: Rational):
     """Scale (coeffs, rhs) to a primitive integer vector for deduplication."""
-    from math import gcd, lcm
-
-    denoms = [x.denominator for x in coeffs] + [rhs.denominator]
-    mult = lcm(*denoms) if denoms else 1
-    ints = [int(x * mult) for x in coeffs] + [int(rhs * mult)]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    vals = (*coeffs, rhs)
+    mult = lcm(*(x.denominator for x in vals))
+    ints = [x.numerator * (mult // x.denominator) for x in vals]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints[:-1]), ints[-1]
@@ -145,7 +143,7 @@ def _primitive_key(coeffs: tuple[Fraction, ...], rhs: Fraction):
 
 def _dedupe(ineqs: Iterable[_Ineq]):
     """Merge duplicates (strict wins) and resolve constant rows; None = infeasible."""
-    merged: dict[tuple, tuple[tuple[Fraction, ...], Fraction, bool]] = {}
+    merged: dict[tuple, _Ineq] = {}
     for coeffs, rhs, strict in ineqs:
         if all(a == 0 for a in coeffs):
             if rhs < 0 or (strict and rhs == 0):
@@ -225,7 +223,8 @@ def witness(sys: LinearConstraintSystem) -> Optional[tuple[Fraction, ...]]:
     if point is None:
         return None
     result = _simplify_point(point, rows)
-    assert _satisfies(sys, result)
+    if not _satisfies(sys, result):
+        raise ArithmeticError(f"witness {result} violates the system {sys.constraints}")
     return result
 
 
@@ -294,40 +293,41 @@ def _is_pair_class(u: H2Element) -> bool:
 def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
     """Open admissibility region intersected with the sorted cone c_1 >= ... >= c_n > 0.
 
-    The volume bound is quadratic; for n in 2..5 it is implied by the strict
+    Every row is integral, so coefficients and right-hand sides are ints.  The
+    volume bound is quadratic; for n in 2..5 it is implied by the strict
     linear constraints (the supremum of sum c_i^2 over the closed linear
     region is 1, attained only on excluded faces), and for n=1 it linearizes
     exactly to c_1 < 1.  Witnesses are volume-checked after the fact, so a
     hypothetical n >= 6 failure would surface as an error, not a wrong answer.
     """
     ineqs: list[_Ineq] = []
-    zero = [Fraction(0)] * n
+    zero = [0] * n
 
     def row(coeffs, rhs, strict):
-        ineqs.append((tuple(coeffs), Fraction(rhs), strict))
+        ineqs.append((tuple(coeffs), rhs, strict))
 
     for i in range(n - 1):  # c_i >= c_{i+1}  <=>  c_{i+1} - c_i <= 0
         co = zero.copy()
-        co[i + 1], co[i] = Fraction(1), Fraction(-1)
+        co[i + 1], co[i] = 1, -1
         row(co, 0, False)
     co = zero.copy()
-    co[n - 1] = Fraction(-1)  # c_n > 0
+    co[n - 1] = -1  # c_n > 0
     row(co, 0, True)
     for u in enumerate_exceptional(n):
         if u.degree_a == 0:
             continue  # basis classes: area = c_i > 0 already follows
         strict = not (boundary == "inclusive" and _is_pair_class(u))
-        row([Fraction(r) for r in u.multiplicities], u.degree_a, strict)
+        row(u.multiplicities, u.degree_a, strict)
     if n == 1:
-        row([Fraction(1)], 1, True)  # exact linearization of the volume bound
+        row([1], 1, True)  # exact linearization of the volume bound
     return ineqs
 
 
 def _wall_ineq(u: H2Element, positive: bool) -> _Ineq:
-    coeffs = tuple(Fraction(r) for r in u.multiplicities)
+    coeffs = tuple(u.multiplicities)
     if positive:  # area > 0  <=>  sum r_i c_i < a
-        return (coeffs, Fraction(u.degree_a), True)
-    return (tuple(-a for a in coeffs), Fraction(-u.degree_a), False)
+        return (coeffs, u.degree_a, True)
+    return (tuple(-a for a in coeffs), -u.degree_a, False)
 
 
 def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRecord, ...]:
@@ -342,7 +342,15 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     witnesses are always drawn from the strictly admissible part of a pattern
     when it is nonempty (for n <= 5 it always is), so they round-trip through
     chamber_signature in either mode.
+
+    Only n in 1..5 is supported: for n >= 6 the linearized volume bound is
+    not known to be exact, so no count there is trusted.
     """
+    if not 1 <= n <= MAX_ENUMERATE_N:
+        raise ValueError(
+            f"chamber enumeration supports n in 1..{MAX_ENUMERATE_N}, got {n}: for "
+            f"n >= 6 the linearized volume bound is not known to be exact"
+        )
     walls = negative_wall_classes(n)
     base = _admissibility_ineqs(n, boundary)
     strict_base = base if boundary == "strict" else _admissibility_ineqs(n, "strict")
@@ -354,15 +362,19 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     bits: list[bool] = []
 
     def leaf() -> None:
+        sig = ChamberSignature(walls, tuple(bits))
         wall_rows = rows[len(base):]
         deduped = _dedupe(strict_base + wall_rows)
         deep = None if deduped is None else feasible_point(deduped, n)
         interior = deep is not None
         if not interior:  # pattern lives only on the relaxed boundary
             deduped = _dedupe(rows)
-            assert deduped is not None
-            deep = feasible_point(deduped, n)
-            assert deep is not None
+            deep = None if deduped is None else feasible_point(deduped, n)
+            if deep is None:
+                raise ArithmeticError(
+                    f"sign pattern {sig.bit_string()} at n={n} ({boundary}) was "
+                    f"feasible on descent but its leaf system is not"
+                )
         pt = _simplify_point(deep, deduped)
         cap = Capacities(pt)
         margin = cap.volume_margin()
@@ -371,7 +383,6 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
                 f"witness {pt} violates the volume bound; the linear relaxation "
                 f"is not exact for n={n}"
             )
-        sig = ChamberSignature(walls, tuple(bits))
         label = _label_from_signature(n, sig) if n <= 4 else None
         found.append(ChamberRecord(sig, cap, label))
 

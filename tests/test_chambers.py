@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpstrata import chambers
 from cpstrata.chambers import (
     AdmissibilityError,
     LinearConstraintSystem,
@@ -18,6 +19,7 @@ from cpstrata.chambers import (
     simplest_in_open,
     witness,
 )
+from cpstrata.exactlp import feasible_point
 from cpstrata.lattice import Capacities, area, enumerate_exceptional
 
 F = Fraction
@@ -55,6 +57,12 @@ class TestFeasibility:
         # same hyperplane appearing both ways must stay strict
         sys = LinearConstraintSystem(1, [((1,), 1, "<="), ((2,), 2, "<"), ((1,), 1, ">=")])
         assert not feasible(sys)
+
+    def test_bad_witness_raises_arithmetic_error(self, monkeypatch):
+        sys = LinearConstraintSystem(1, [((1,), 1, "<")])
+        monkeypatch.setattr(chambers, "_simplify_point", lambda point, rows: (F(2),))
+        with pytest.raises(ArithmeticError, match="violates the system"):
+            witness(sys)
 
     def test_negative_region(self):
         sys = LinearConstraintSystem(2, [((1, 0), -3, "<="), ((0, 1), -4, "<")])
@@ -210,6 +218,118 @@ class TestClassification:
         assert chamber_label(Capacities((F(2, 5),) * 4)) == "C_0"
 
 
+# (bits, witness) of every record enumerate_chambers(n, boundary) returns, in
+# order; `chamber enumerate --json` prints these, so they must not drift
+FROZEN_WITNESSES = {
+    (1, "strict"): [
+        ("", ["1/2"]),
+    ],
+    (2, "strict"): [
+        ("", ["1/3", "1/3"]),
+    ],
+    (3, "strict"): [
+        ("T", ["1/4", "1/4", "1/4"]),
+        ("F", ["1/3", "1/3", "1/3"]),
+    ],
+    (4, "strict"): [
+        ("TTTTT", ["1/5", "1/5", "1/5", "1/5"]),
+        ("TTTTF", ["1/4", "1/4", "1/4", "1/4"]),
+        ("TTTFF", ["1/3", "1/3", "1/3", "1/6"]),
+        ("TTFFF", ["2/5", "2/5", "1/5", "1/5"]),
+        ("TFFFF", ["1/2", "1/4", "1/4", "1/4"]),
+        ("FFFFF", ["1/3", "1/3", "1/3", "1/3"]),
+    ],
+    (5, "strict"): [
+        ("TTTTTTTTTTTTTTTT", ["1/6", "1/6", "1/6", "1/6", "1/6"]),
+        ("TTTTTTTTTTTTTTTF", ["1/5", "1/5", "1/5", "1/5", "1/5"]),
+        ("TTTTTTTTTTTTTTFF", ["1/4", "1/4", "1/4", "1/4", "1/8"]),
+        ("TTTTTTTTTTTTTFFF", ["2/7", "2/7", "2/7", "1/7", "1/7"]),
+        ("TTTTTTTTTTTTFFFF", ["1/3", "1/3", "1/3", "1/9", "1/9"]),
+        ("TTTTTTTTTTTFTFFF", ["1/3", "1/3", "1/6", "1/6", "1/6"]),
+        ("TTTTTTTTTTTFFFFF", ["3/8", "3/8", "1/4", "1/8", "1/8"]),
+        ("TTTTTTTTTTFFFFFF", ["2/5", "2/5", "1/5", "1/5", "1/10"]),
+        ("TTTTTTTTTFFFFFFF", ["3/7", "3/7", "1/7", "1/7", "1/7"]),
+        ("TTTTTTTTFTTFTFFF", ["2/5", "1/5", "1/5", "1/5", "1/5"]),
+        ("TTTTTTTTFTTFFFFF", ["3/7", "2/7", "2/7", "1/7", "1/7"]),
+        ("TTTTTTTTFTFFFFFF", ["4/9", "1/3", "2/9", "2/9", "1/9"]),
+        ("TTTTTTTTFFFFFFFF", ["1/2", "1/3", "1/6", "1/6", "1/6"]),
+        ("TTTTTTTFFTFFFFFF", ["1/2", "1/4", "1/4", "1/4", "1/8"]),
+        ("TTTTTTTFFFFFFFFF", ["5/9", "1/3", "2/9", "2/9", "1/9"]),
+        ("TTTTTTFFFFFFFFFF", ["4/7", "2/7", "2/7", "1/7", "1/7"]),
+        ("TTTTTFFFFFFFFFFF", ["3/5", "1/5", "1/5", "1/5", "1/5"]),
+        ("TTTTFTTTFTTFTFFF", ["1/4", "1/4", "1/4", "1/4", "1/4"]),
+        ("TTTTFTTTFTTFFFFF", ["1/3", "1/3", "1/3", "1/6", "1/6"]),
+        ("TTTTFTTTFTFFFFFF", ["3/8", "3/8", "1/4", "1/4", "1/8"]),
+        ("TTTTFTTTFFFFFFFF", ["2/5", "2/5", "1/5", "1/5", "1/5"]),
+        ("TTTTFTTFFTFFFFFF", ["3/7", "2/7", "2/7", "2/7", "1/7"]),
+        ("TTTTFTTFFFFFFFFF", ["1/2", "3/8", "1/4", "1/4", "1/8"]),
+        ("TTTTFTFFFFFFFFFF", ["1/2", "1/3", "1/3", "1/6", "1/6"]),
+        ("TTTTFFFFFFFFFFFF", ["1/2", "1/4", "1/4", "1/4", "1/4"]),
+        ("TTTFFTTFFTFFFFFF", ["1/3", "1/3", "1/3", "1/3", "1/6"]),
+        ("TTTFFTTFFFFFFFFF", ["3/7", "3/7", "2/7", "2/7", "1/7"]),
+        ("TTTFFTFFFFFFFFFF", ["1/2", "3/8", "3/8", "1/4", "1/8"]),
+        ("TTTFFFFFFFFFFFFF", ["1/2", "1/3", "1/3", "1/3", "1/6"]),
+        ("TTFFFTFFFFFFFFFF", ["2/5", "2/5", "2/5", "1/5", "1/5"]),
+        ("TTFFFFFFFFFFFFFF", ["1/2", "3/8", "3/8", "1/4", "1/4"]),
+        ("TFFFFFFFFFFFFFFF", ["3/7", "3/7", "2/7", "2/7", "2/7"]),
+        ("FFFFFFFFFFFFFFFF", ["1/3", "1/3", "1/3", "1/3", "1/3"]),
+    ],
+    (1, "inclusive"): [
+        ("", ["1/2"]),
+    ],
+    (2, "inclusive"): [
+        ("", ["1/3", "1/3"]),
+    ],
+    (3, "inclusive"): [
+        ("T", ["1/4", "1/4", "1/4"]),
+        ("F", ["1/3", "1/3", "1/3"]),
+    ],
+    (4, "inclusive"): [
+        ("TTTTT", ["1/5", "1/5", "1/5", "1/5"]),
+        ("TTTTF", ["1/4", "1/4", "1/4", "1/4"]),
+        ("TTTFF", ["1/3", "1/3", "1/3", "1/6"]),
+        ("TTFFF", ["2/5", "2/5", "1/5", "1/5"]),
+        ("TFFFF", ["1/2", "1/4", "1/4", "1/4"]),
+        ("FFFFF", ["1/3", "1/3", "1/3", "1/3"]),
+    ],
+    (5, "inclusive"): [
+        ("TTTTTTTTTTTTTTTT", ["1/6", "1/6", "1/6", "1/6", "1/6"]),
+        ("TTTTTTTTTTTTTTTF", ["1/5", "1/5", "1/5", "1/5", "1/5"]),
+        ("TTTTTTTTTTTTTTFF", ["1/4", "1/4", "1/4", "1/4", "1/8"]),
+        ("TTTTTTTTTTTTTFFF", ["2/7", "2/7", "2/7", "1/7", "1/7"]),
+        ("TTTTTTTTTTTTFFFF", ["1/3", "1/3", "1/3", "1/9", "1/9"]),
+        ("TTTTTTTTTTTFTFFF", ["1/3", "1/3", "1/6", "1/6", "1/6"]),
+        ("TTTTTTTTTTTFFFFF", ["3/8", "3/8", "1/4", "1/8", "1/8"]),
+        ("TTTTTTTTTTFFFFFF", ["2/5", "2/5", "1/5", "1/5", "1/10"]),
+        ("TTTTTTTTTFFFFFFF", ["3/7", "3/7", "1/7", "1/7", "1/7"]),
+        ("TTTTTTTTFTTFTFFF", ["2/5", "1/5", "1/5", "1/5", "1/5"]),
+        ("TTTTTTTTFTTFFFFF", ["3/7", "2/7", "2/7", "1/7", "1/7"]),
+        ("TTTTTTTTFTFFFFFF", ["4/9", "1/3", "2/9", "2/9", "1/9"]),
+        ("TTTTTTTTFFFFFFFF", ["1/2", "1/3", "1/6", "1/6", "1/6"]),
+        ("TTTTTTTFFTFFFFFF", ["1/2", "1/4", "1/4", "1/4", "1/8"]),
+        ("TTTTTTTFFFFFFFFF", ["5/9", "1/3", "2/9", "2/9", "1/9"]),
+        ("TTTTTTFFFFFFFFFF", ["4/7", "2/7", "2/7", "1/7", "1/7"]),
+        ("TTTTTFFFFFFFFFFF", ["3/5", "1/5", "1/5", "1/5", "1/5"]),
+        ("TTTTFTTTFTTFTFFF", ["1/4", "1/4", "1/4", "1/4", "1/4"]),
+        ("TTTTFTTTFTTFFFFF", ["1/3", "1/3", "1/3", "1/6", "1/6"]),
+        ("TTTTFTTTFTFFFFFF", ["3/8", "3/8", "1/4", "1/4", "1/8"]),
+        ("TTTTFTTTFFFFFFFF", ["2/5", "2/5", "1/5", "1/5", "1/5"]),
+        ("TTTTFTTFFTFFFFFF", ["3/7", "2/7", "2/7", "2/7", "1/7"]),
+        ("TTTTFTTFFFFFFFFF", ["1/2", "3/8", "1/4", "1/4", "1/8"]),
+        ("TTTTFTFFFFFFFFFF", ["1/2", "1/3", "1/3", "1/6", "1/6"]),
+        ("TTTTFFFFFFFFFFFF", ["1/2", "1/4", "1/4", "1/4", "1/4"]),
+        ("TTTFFTTFFTFFFFFF", ["1/3", "1/3", "1/3", "1/3", "1/6"]),
+        ("TTTFFTTFFFFFFFFF", ["3/7", "3/7", "2/7", "2/7", "1/7"]),
+        ("TTTFFTFFFFFFFFFF", ["1/2", "3/8", "3/8", "1/4", "1/8"]),
+        ("TTTFFFFFFFFFFFFF", ["1/2", "1/3", "1/3", "1/3", "1/6"]),
+        ("TTFFFTFFFFFFFFFF", ["2/5", "2/5", "2/5", "1/5", "1/5"]),
+        ("TTFFFFFFFFFFFFFF", ["1/2", "3/8", "3/8", "1/4", "1/4"]),
+        ("TFFFFFFFFFFFFFFF", ["3/7", "3/7", "2/7", "2/7", "2/7"]),
+        ("FFFFFFFFFFFFFFFF", ["1/3", "1/3", "1/3", "1/3", "1/3"]),
+    ],
+}
+
+
 class TestEnumeration:
     def test_counts_small(self):
         assert len(enumerate_chambers(1)) == 1
@@ -227,6 +347,36 @@ class TestEnumeration:
 
     def test_inclusive_count_five_pinned(self):
         assert len(enumerate_chambers(5, "inclusive")) == 33
+
+    @pytest.mark.parametrize("n,boundary", sorted(FROZEN_WITNESSES))
+    def test_witnesses_frozen(self, n, boundary):
+        got = [
+            (rec.signature.bit_string(), rec.witness.to_json_list())
+            for rec in enumerate_chambers(n, boundary)
+        ]
+        assert got == FROZEN_WITNESSES[n, boundary]
+
+    @pytest.mark.parametrize("n", [0, 6, 7])
+    def test_unsupported_n_fails_before_any_lp_call(self, n, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("LP called")
+
+        monkeypatch.setattr(chambers, "feasible_point", no_lp)
+        with pytest.raises(ValueError, match=r"1\.\.5.*volume bound"):
+            enumerate_chambers(n)
+
+    def test_leaf_inconsistency_raises_arithmetic_error(self, monkeypatch):
+        # n=1 has no walls: one call for the root, then the leaf's two calls
+        calls = []
+
+        def root_only(ineqs, nvars):
+            calls.append(nvars)
+            return feasible_point(ineqs, nvars) if len(calls) == 1 else None
+
+        monkeypatch.setattr(chambers, "feasible_point", root_only)
+        with pytest.raises(ArithmeticError, match="sign pattern  at n=1"):
+            enumerate_chambers(1)
+        assert len(calls) == 3
 
     def test_four_ball_labels_cover_table(self):
         records = enumerate_chambers(4)

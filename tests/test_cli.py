@@ -1,6 +1,7 @@
 """Command-line interface: parsing, payload shapes, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -109,6 +110,11 @@ class TestChamberClassify:
         assert "bits" in payload
         assert "label" not in payload
 
+    def test_six_balls_still_classified(self, capsys):
+        payload = run_json(capsys, "chamber", "classify", "--capacities", ",".join(["1/4"] * 6))
+        assert payload["admissible"] is True
+        assert len(payload["bits"]) > 0
+
     def test_malformed_capacities_exit_two(self, capsys):
         code, _, err = run(capsys, "chamber", "classify", "--capacities", "1/2,oops")
         assert code == 2
@@ -122,6 +128,14 @@ class TestChamberEnumerate:
         assert payload["boundary"] == "strict"
         labels = {c["label"] for c in payload["chambers"]}
         assert labels == {"big", "small"}
+
+    def test_six_balls_fail_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "chamber", "enumerate", "--n", "6")
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "1..5" in err
 
     def test_inclusive_boundary_flag(self, capsys):
         payload = run_json(
