@@ -330,6 +330,44 @@ def _wall_ineq(u: H2Element, positive: bool) -> _Ineq:
     return (tuple(-a for a in coeffs), -u.degree_a, False)
 
 
+def _leaf_record(
+    n: int,
+    boundary: Boundary,
+    walls: Sequence[H2Element],
+    strict_base: list[_Ineq],
+    rows: list[_Ineq],
+    bits: tuple[bool, ...],
+) -> ChamberRecord:
+    """The record of a feasible full sign pattern, with a simplified witness.
+
+    rows are the admissibility rows of the boundary mode followed by one
+    row per wall.
+    """
+    sig = ChamberSignature(walls, bits)
+    wall_rows = rows[len(rows) - len(walls):]
+    deduped = _dedupe(strict_base + wall_rows)
+    deep = None if deduped is None else feasible_point(deduped, n)
+    interior = deep is not None
+    if not interior:  # pattern lives only on the relaxed boundary
+        deduped = _dedupe(rows)
+        deep = None if deduped is None else feasible_point(deduped, n)
+        if deep is None:
+            raise ArithmeticError(
+                f"sign pattern {sig.bit_string()} at n={n} ({boundary}) was "
+                f"feasible on descent but its leaf system is not"
+            )
+    pt = _simplify_point(deep, deduped)
+    cap = Capacities(pt)
+    margin = cap.volume_margin()
+    if margin < 0 or (interior and margin == 0):
+        raise ArithmeticError(
+            f"witness {pt} violates the volume bound; the linear relaxation "
+            f"is not exact for n={n}"
+        )
+    label = _label_from_signature(n, sig) if n <= 4 else None
+    return ChamberRecord(sig, cap, label)
+
+
 def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRecord, ...]:
     """All feasible wall signatures over the sorted admissible cone, with witnesses.
 
@@ -358,50 +396,21 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     if start is None:
         return ()
     found: list[ChamberRecord] = []
-    rows: list[_Ineq] = list(base)
-    bits: list[bool] = []
-
-    def leaf() -> None:
-        sig = ChamberSignature(walls, tuple(bits))
-        wall_rows = rows[len(base):]
-        deduped = _dedupe(strict_base + wall_rows)
-        deep = None if deduped is None else feasible_point(deduped, n)
-        interior = deep is not None
-        if not interior:  # pattern lives only on the relaxed boundary
-            deduped = _dedupe(rows)
-            deep = None if deduped is None else feasible_point(deduped, n)
-            if deep is None:
-                raise ArithmeticError(
-                    f"sign pattern {sig.bit_string()} at n={n} ({boundary}) was "
-                    f"feasible on descent but its leaf system is not"
-                )
-        pt = _simplify_point(deep, deduped)
-        cap = Capacities(pt)
-        margin = cap.volume_margin()
-        if margin < 0 or (interior and margin == 0):
-            raise ArithmeticError(
-                f"witness {pt} violates the volume bound; the linear relaxation "
-                f"is not exact for n={n}"
-            )
-        label = _label_from_signature(n, sig) if n <= 4 else None
-        found.append(ChamberRecord(sig, cap, label))
-
-    def descend(idx: int, point: tuple[Fraction, ...]) -> None:
-        if idx == len(walls):
-            leaf()
-            return
-        for positive in (True, False):
-            extra = _wall_ineq(walls[idx], positive)
-            rows.append(extra)
-            bits.append(positive)
-            if _holds(extra, point):
-                descend(idx + 1, point)
-            else:
-                moved = _solve(rows, n)
-                if moved is not None:
-                    descend(idx + 1, moved)
-            rows.pop()
-            bits.pop()
-
-    descend(0, start)
+    # Depth first with an explicit stack, so no closure refers to itself and
+    # the search leaves no cyclic garbage.  An entry is a node: its bits,
+    # its rows and its parent's point, which satisfies every row but maybe
+    # the last.  The False child is pushed first, so True is explored first.
+    stack = [((), list(base), start)]
+    while stack:
+        bits, rows, point = stack.pop()
+        if bits and not _holds(rows[-1], point):
+            point = _solve(rows, n)
+            if point is None:
+                continue
+        if len(bits) == len(walls):
+            found.append(_leaf_record(n, boundary, walls, strict_base, rows, bits))
+            continue
+        for positive in (False, True):
+            extra = _wall_ineq(walls[len(bits)], positive)
+            stack.append((bits + (positive,), rows + [extra], point))
     return tuple(sorted(found, key=lambda rec: rec.signature.bits, reverse=True))

@@ -143,10 +143,19 @@ def _cmd_chamber_enumerate(args, cfg) -> int:
     return 0
 
 
+def _degree_cap(args, cfg) -> Optional[int]:
+    """--cap if given, else the config's degree_cap; both must be at least 2."""
+    if args.cap is None:
+        return cfg.degree_cap
+    if args.cap < 2:
+        raise ValueError(f"--cap must be at least 2, got {args.cap}")
+    return args.cap
+
+
 def _resolve_model(args, cfg):
     weights_text = args.weights if args.weights is not None else cfg.weights
     w = parse_weights(weights_text) if weights_text is not None else None
-    cap = args.cap or cfg.degree_cap
+    cap = _degree_cap(args, cfg)
     kwargs = {} if cap is None else {"degree_cap": cap}
     return iemb_model(args.n, args.chamber, w, **kwargs)
 
@@ -191,8 +200,7 @@ def _cmd_model_cohomology(args, cfg) -> int:
 
 
 def _cmd_kriz(args, cfg) -> int:
-    cap = args.cap or cfg.degree_cap
-    D = kriz_model(KrizParams(args.m, args.k), degree_cap=cap)
+    D = kriz_model(KrizParams(args.m, args.k), degree_cap=_degree_cap(args, cfg))
     report = cohomology_ranks(D)
     payload = {
         "m": args.m,

@@ -140,7 +140,10 @@ def stratum(points) -> str:
     # Two collinear triples of distinct points share two points, hence a
     # line, hence force all four onto it.  So a lone triple is all that
     # can remain; anything else means broken input handling upstream.
-    assert len(triples) == 1, "impossible collinearity pattern for distinct points"
+    if len(triples) != 1:
+        raise ArithmeticError(
+            f"collinear triples {triples} cannot occur for distinct points"
+        )
     i, j, k = triples[0]
     return f"F_{i}{j}{k}"
 

@@ -25,9 +25,11 @@ from .gradedalg import (
     GPolynomial,
     GeneratorTable,
     InhomogeneousError,
+    Monomial,
     PresentedAlgebra,
     SparseReducer,
     TableMismatchError,
+    _merge_monomials,
     algebra_to_json,
 )
 
@@ -86,41 +88,66 @@ class DgaSpec:
         self.table = table
         self.values = values
         self.degree_cap = int(degree_cap)
-        self._dcache: dict[tuple, GPolynomial] = {}
+        # generator values by table index, and d of each monomial met so far
+        self._dterms = tuple(
+            values[name].terms if name in values else {} for name in table.names
+        )
+        self._dcache: dict[Monomial, dict[Monomial, Fraction]] = {}
 
     def generator_value(self, name: str) -> GPolynomial:
         self.table.index(name)
         return self.values.get(name, GPolynomial.zero(self.table))
 
 
-def _monomial_differential(D: DgaSpec, mono) -> GPolynomial:
+def _monomial_differential(D: DgaSpec, mono: Monomial) -> dict[Monomial, Fraction]:
+    """Terms of d(mono), by the graded Leibniz rule on the exponent vector.
+
+    Write mono = P g^e S with P, S the generators before and after g.  The
+    Leibniz term of g is (-1)^|P| P (e g^(e-1) dg) S; moving dg to the
+    front past P g^(e-1) turns it into e (-1)^(|P| |g|) dg (mono / g).  So
+    the sign flips only for an odd g behind an odd number of odd generators,
+    and each term of dg meets mono / g in one merge.
+    """
     cached = D._dcache.get(mono)
-    if cached is not None:
-        return cached
-    table = D.table
-    word = [name for name, e in zip(table.names, mono) for _ in range(e)]
-    total = GPolynomial.zero(table)
-    sign = 1
-    for j, name in enumerate(word):
-        dg = D.values.get(name)
-        if dg is not None:
-            prefix = GPolynomial.from_word(table, word[:j])
-            suffix = GPolynomial.from_word(table, word[j + 1 :])
-            total = total + sign * (prefix * dg * suffix)
-        if table.degrees[table.index(name)] % 2:
-            sign = -sign
-    D._dcache[mono] = total
-    return total
+    if cached is None:
+        table = D.table
+        cached = {}
+        behind_odd = False
+        for i, e in enumerate(mono):
+            if not e:
+                continue
+            odd = table.is_odd(i)
+            if D._dterms[i]:
+                rest = mono[:i] + (e - 1,) + mono[i + 1 :]
+                factor = -e if odd and behind_odd else e
+                for t, c in D._dterms[i].items():
+                    merged = _merge_monomials(table, t, rest)
+                    if merged is None:
+                        continue
+                    sign, m = merged
+                    s = cached.get(m, 0) + sign * factor * c
+                    if s:
+                        cached[m] = s
+                    else:
+                        del cached[m]
+            if odd:
+                behind_odd = not behind_odd
+        D._dcache[mono] = cached
+    return cached
 
 
 def differential(D: DgaSpec, p: GPolynomial) -> GPolynomial:
     """Leibniz extension of the generator values; linear over the rationals."""
     if p.table != D.table:
         raise TableMismatchError("polynomial over a different generator table")
-    out = GPolynomial.zero(D.table)
-    for mono, coeff in p.terms.items():
-        out = out + coeff * _monomial_differential(D, mono)
-    return out
+    return GPolynomial(
+        D.table,
+        (
+            (m, coeff * c)
+            for mono, coeff in p.terms.items()
+            for m, c in _monomial_differential(D, mono).items()
+        ),
+    )
 
 
 def check_d_squared(D: DgaSpec) -> CheckResult:
@@ -230,13 +257,11 @@ class _QuotientDifferential:
             A = self.D.algebra
             frame = A.graded_basis(q)
             target = A.graded_basis(q + 1)
+            index = target.index
             cols = []
             for mono in frame.complement:
-                image = differential(self.D, GPolynomial.monomial(A.table, mono))
-                if image.is_zero:
-                    cols.append(tuple(Fraction(0) for _ in target.complement))
-                else:
-                    cols.append(target.coordinates(image))
+                image = _monomial_differential(self.D, mono)
+                cols.append(target.row_coordinates({index[m]: c for m, c in image.items()}))
             self._columns[q] = cols
         return cols
 

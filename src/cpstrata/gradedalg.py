@@ -8,6 +8,15 @@ polynomials are sparse rational combinations, and every per-degree question
 answered by exact integer row reduction over the finite monomial basis of
 that degree.  No Groebner machinery: all computations live below a small
 degree cap, where spanning sets {relation x monomial} are already complete.
+
+Monomials are validated once, where they enter from outside (the public
+GPolynomial constructor, parse, from_word).  Inside, the monomial kernel
+_merge_monomials multiplies two valid monomials against the exponent caps
+and odd flags the GeneratorTable computed at construction, so its result is
+valid by construction: products, sums and negations wrap their terms
+without re-checking them, and a graded frame inserts each {relation x
+monomial} product as an integer row of monomial indices without building
+a polynomial at all.
 """
 
 from __future__ import annotations
@@ -18,11 +27,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_ZERO = Fraction(0)
 
 
 class TableMismatchError(ValueError):
@@ -45,6 +56,12 @@ class GeneratorTable:
     names: tuple[str, ...]
     degrees: tuple[int, ...]
     nilpotence: tuple[Optional[int], ...]
+    # Derived once from the three fields above, for the monomial kernel:
+    # each generator's exponent cap (None if unbounded) and odd flag, and
+    # the odd generator indices in descending order.
+    _caps: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
+    _odd: tuple[bool, ...] = field(init=False, repr=False, compare=False)
+    _odd_descending: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -66,9 +83,21 @@ class GeneratorTable:
             raise ValueError("generator degrees must be positive")
         if any(b is not None and b < 1 for b in nil):
             raise ValueError("nilpotence bounds must be >= 1")
+        odd = tuple(d % 2 == 1 for d in degrees)
+        caps = []
+        for is_odd, bound in zip(odd, nil):
+            cap = None if bound is None else bound - 1
+            if is_odd:
+                cap = 1 if cap is None else min(cap, 1)
+            caps.append(cap)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "nilpotence", nil)
+        object.__setattr__(self, "_caps", tuple(caps))
+        object.__setattr__(self, "_odd", odd)
+        object.__setattr__(
+            self, "_odd_descending", tuple(i for i in reversed(range(len(odd))) if odd[i])
+        )
 
     @property
     def n(self) -> int:
@@ -81,16 +110,11 @@ class GeneratorTable:
             raise ValueError(f"unknown generator {name!r}") from None
 
     def is_odd(self, i: int) -> bool:
-        return self.degrees[i] % 2 == 1
+        return self._odd[i]
 
     def max_exponent(self, i: int) -> Optional[int]:
         """Largest allowed exponent for generator i, or None if unbounded."""
-        cap = None
-        if self.nilpotence[i] is not None:
-            cap = self.nilpotence[i] - 1
-        if self.is_odd(i):
-            cap = 1 if cap is None else min(cap, 1)
-        return cap
+        return self._caps[i]
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(e * d for e, d in zip(mono, self.degrees))
@@ -98,10 +122,9 @@ class GeneratorTable:
     def validate_monomial(self, mono: Monomial) -> None:
         if len(mono) != self.n:
             raise ValueError(f"monomial length {len(mono)} != {self.n} generators")
-        for i, e in enumerate(mono):
+        for i, (e, cap) in enumerate(zip(mono, self._caps)):
             if e < 0:
                 raise ValueError("negative exponent")
-            cap = self.max_exponent(i)
             if cap is not None and e > cap:
                 raise ValueError(
                     f"exponent {e} of {self.names[i]} exceeds its nilpotence bound"
@@ -122,22 +145,19 @@ def monomials_of_degree(table: GeneratorTable, q: int) -> tuple[Monomial, ...]:
     """All normal-form monomials of total degree q, ascending lexicographic."""
     if q < 0:
         return ()
-
-    def rec(i: int, remaining: int) -> list[Monomial]:
-        if i == table.n:
-            return [()] if remaining == 0 else []
-        out: list[Monomial] = []
-        d = table.degrees[i]
-        top = remaining // d
-        cap = table.max_exponent(i)
-        if cap is not None:
-            top = min(top, cap)
+    # tails[r]: the monomials of degree r <= q in the generators taken so
+    # far, from the last one back; each list stays ascending because the
+    # exponent of the generator just taken is the outer loop
+    tails: dict[int, list[Monomial]] = {0: [()]}
+    for d, cap in zip(reversed(table.degrees), reversed(table._caps)):
+        top = q // d if cap is None else min(q // d, cap)
+        grown: dict[int, list[Monomial]] = {}
         for e in range(top + 1):
-            for rest in rec(i + 1, remaining - e * d):
-                out.append((e,) + rest)
-        return out
-
-    return tuple(rec(0, q))
+            for r, rests in tails.items():
+                if r + e * d <= q:
+                    grown.setdefault(r + e * d, []).extend([(e,) + rest for rest in rests])
+        tails = grown
+    return tuple(tails.get(q, ()))
 
 
 def normal_form(
@@ -168,17 +188,24 @@ def normal_form(
 def _merge_monomials(
     table: GeneratorTable, m1: Monomial, m2: Monomial
 ) -> Optional[tuple[int, Monomial]]:
-    """Product of two normal monomials: combined exponents and Koszul sign."""
-    merged = tuple(a + b for a, b in zip(m1, m2))
-    for i, e in enumerate(merged):
-        cap = table.max_exponent(i)
+    """Product of two normal monomials: combined exponents and Koszul sign.
+
+    Returns None when an exponent passes its cap, so a returned monomial is
+    valid whenever m1 and m2 are.  The sign is the parity of the pairs of
+    odd generators that the merge swaps: one of m2 and one of m1 with a
+    larger index.  A single pass down the odd indices counts them.
+    """
+    merged = tuple(map(add, m1, m2))
+    for e, cap in zip(merged, table._caps):
         if cap is not None and e > cap:
             return None
-    inversions = 0
-    for j in range(table.n):
-        if m2[j] and table.is_odd(j):
-            inversions += sum(1 for i in range(j + 1, table.n) if m1[i] and table.is_odd(i))
-    return (-1 if inversions % 2 else 1, merged)
+    parity = above = 0  # above: parity of m1's odd generators seen so far
+    for i in table._odd_descending:
+        if m2[i]:
+            parity ^= above
+        if m1[i]:
+            above ^= 1
+    return (-1 if parity else 1, merged)
 
 
 class GPolynomial:
@@ -207,8 +234,20 @@ class GPolynomial:
     # ---- constructors
 
     @classmethod
+    def _wrap(cls, table: GeneratorTable, terms: dict[Monomial, Fraction]) -> "GPolynomial":
+        """Adopt terms that are already valid, skipping the public checks.
+
+        Only for terms built from valid monomials by _merge_monomials or
+        taken from existing polynomials, with nonzero Fraction coefficients.
+        """
+        p = object.__new__(cls)
+        p.table = table
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, table: GeneratorTable) -> "GPolynomial":
-        return cls(table)
+        return cls._wrap(table, {})
 
     @classmethod
     def constant(cls, table: GeneratorTable, value) -> "GPolynomial":
@@ -284,9 +323,9 @@ class GPolynomial:
         return degs.pop()
 
     def homogeneous_part(self, q: int) -> "GPolynomial":
-        return GPolynomial(
+        return GPolynomial._wrap(
             self.table,
-            [(m, c) for m, c in self.terms.items() if self.table.monomial_degree(m) == q],
+            {m: c for m, c in self.terms.items() if self.table.monomial_degree(m) == q},
         )
 
     def _check(self, other: "GPolynomial") -> None:
@@ -299,18 +338,18 @@ class GPolynomial:
         self._check(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
+            s = out.get(mono, _ZERO) + c
             if s:
                 out[mono] = s
             elif mono in out:
                 del out[mono]
-        return GPolynomial(self.table, out)
+        return GPolynomial._wrap(self.table, out)
 
     def __sub__(self, other: "GPolynomial") -> "GPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "GPolynomial":
-        return GPolynomial(self.table, {m: -c for m, c in self.terms.items()})
+        return GPolynomial._wrap(self.table, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, GPolynomial):
@@ -322,13 +361,16 @@ class GPolynomial:
                     if merged is None:
                         continue
                     sign, mono = merged
-                    s = out.get(mono, Fraction(0)) + sign * c1 * c2
+                    s = out.get(mono, _ZERO) + sign * c1 * c2
                     if s:
                         out[mono] = s
                     elif mono in out:
                         del out[mono]
-            return GPolynomial(self.table, out)
-        return GPolynomial(self.table, {m: c * Fraction(other) for m, c in self.terms.items()})
+            return GPolynomial._wrap(self.table, out)
+        f = Fraction(other)
+        if not f:
+            return GPolynomial.zero(self.table)
+        return GPolynomial._wrap(self.table, {m: c * f for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -405,51 +447,62 @@ class SparseReducer:
         return row
 
     @staticmethod
-    def _integerize(row: Mapping) -> dict:
-        clean = {c: Fraction(v) for c, v in row.items() if v}
-        if not clean:
-            return {}
-        mult = lcm(*(v.denominator for v in clean.values()))
-        return {c: int(v * mult) for c, v in clean.items()}
+    def _clear(r: dict, pivot_row: dict, c) -> int:
+        """Cancel entry c of the integer row r against pivot_row, in place.
+
+        Returns the factor r was scaled by first: 1 when the pivot entry
+        (positive) divides r[c], else the pivot entry itself.
+        """
+        a, b = pivot_row[c], r[c]
+        f, rem = divmod(b, a)
+        if rem:
+            for k in r:
+                r[k] *= a
+            f = b
+        for k, v in pivot_row.items():
+            s = r.get(k, 0) - f * v
+            if s:
+                r[k] = s
+            else:
+                del r[k]
+        return a if rem else 1
+
+    @staticmethod
+    def _integerize(row: Mapping) -> tuple[int, dict]:
+        """(m, m * row) for m the lcm of the denominators of the nonzero
+        int or Fraction entries; the scaled row keeps only those entries."""
+        clean = [(c, v) for c, v in row.items() if v]
+        mult = lcm(*(v.denominator for _, v in clean))
+        return mult, {c: v.numerator * (mult // v.denominator) for c, v in clean}
 
     def insert(self, row: Mapping):
         """Reduce the row and adjoin it; returns its pivot, or None if dependent."""
-        r = self._integerize(row)
+        _, r = self._integerize(row)
         while r:
             p = max(r)
             existing = self.rows.get(p)
             if existing is None:
                 self.rows[p] = self._primitive(r)
                 return p
-            a, b = existing[p], r[p]
-            merged = {}
-            for c in set(r) | set(existing):
-                v = r.get(c, 0) * a - existing.get(c, 0) * b
-                if v:
-                    merged[c] = v
-            r = merged
+            # a positive rescaling of r leaves the stored primitive row as is
+            self._clear(r, existing, p)
         return None
 
     def residue(self, row: Mapping) -> dict:
         """Canonical representative of the row modulo the row space.
 
         Pivot columns are cleared from the largest down; the result is the
-        unique coset member supported on pivot-free columns.
+        unique coset member supported on pivot-free columns.  The work is
+        done on integers over one common denominator, which grows only when
+        a pivot entry does not divide the entry it clears.
         """
-        r = {c: Fraction(v) for c, v in row.items() if v}
+        den, r = self._integerize(row)
         while True:
             hits = [c for c in r if c in self.rows]
             if not hits:
-                return r
+                return {c: Fraction(v, den) for c, v in r.items()}
             c = max(hits)
-            pivot_row = self.rows[c]
-            f = r[c] / pivot_row[c]
-            for cc, vv in pivot_row.items():
-                s = r.get(cc, Fraction(0)) - f * vv
-                if s:
-                    r[cc] = s
-                elif cc in r:
-                    del r[cc]
+            den *= self._clear(r, self.rows[c], c)
 
     def member(self, row: Mapping) -> bool:
         return not self.residue(row)
@@ -461,7 +514,8 @@ class GradedBasis:
 
     monomials: every ambient normal-form monomial of degree q (ascending lex);
     complement: the pivot-free monomials, a basis of the quotient in degree q;
-    the reducer holds the row space of {relation x monomial} products.
+    the reducer holds the row space of {relation x monomial} products, over
+    the positions that index gives each monomial in monomials.
     """
 
     degree: int
@@ -470,16 +524,14 @@ class GradedBasis:
     ideal_dimension: int
     table: GeneratorTable = field(compare=False)
     reducer: SparseReducer = field(compare=False, repr=False)
+    index: Mapping[Monomial, int] = field(compare=False, repr=False)
 
     @property
     def quotient_dimension(self) -> int:
         return len(self.complement)
 
-    def _index(self) -> dict[Monomial, int]:
-        return {m: i for i, m in enumerate(self.monomials)}
-
     def to_row(self, p: GPolynomial) -> dict[int, Fraction]:
-        index = self._index()
+        index = self.index
         row = {}
         for mono, c in p.terms.items():
             if mono not in index:
@@ -502,8 +554,13 @@ class GradedBasis:
 
     def coordinates(self, p: GPolynomial) -> tuple[Fraction, ...]:
         """Coefficients of reduce(p) over the complement basis."""
-        reduced = self.reduce(p)
-        return tuple(reduced.terms.get(m, Fraction(0)) for m in self.complement)
+        return self.row_coordinates(self.to_row(p))
+
+    def row_coordinates(self, row: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
+        """coordinates() of a row over the positions of monomials."""
+        reduced = self.reducer.residue(row)
+        index = self.index
+        return tuple(reduced.get(index[m], _ZERO) for m in self.complement)
 
     def contains(self, p: GPolynomial) -> bool:
         return self.reduce(p).is_zero
@@ -524,6 +581,12 @@ class PresentedAlgebra:
             rels.append(r)
         self.table = table
         self.relations = tuple(rels)
+        # (degree, integer terms) per relation: a frame row is a relation
+        # times a monomial, and a nonzero scale leaves the reducer's
+        # primitive rows unchanged
+        self._relation_rows = tuple(
+            (r.degree(), tuple(SparseReducer._integerize(r.terms)[1].items())) for r in rels
+        )
         self._frames: dict[int, GradedBasis] = {}
 
     def graded_basis(self, q: int) -> GradedBasis:
@@ -534,20 +597,24 @@ class PresentedAlgebra:
         return frame
 
     def _build_frame(self, q: int) -> GradedBasis:
-        monos = monomials_of_degree(self.table, q)
+        table = self.table
+        monos = monomials_of_degree(table, q)
         index = {m: i for i, m in enumerate(monos)}
         reducer = SparseReducer()
-        for rel in self.relations:
-            d = rel.degree()
-            if d is None or d > q:
+        for d, terms in self._relation_rows:
+            if d > q:
                 continue
-            for shift in monomials_of_degree(self.table, q - d):
-                product = rel * GPolynomial.monomial(self.table, shift)
-                if product.is_zero:
-                    continue
-                reducer.insert({index[m]: c for m, c in product.terms.items()})
+            for shift in monomials_of_degree(table, q - d):
+                # distinct terms give distinct products, so nothing cancels
+                row = {}
+                for mono, c in terms:
+                    merged = _merge_monomials(table, mono, shift)
+                    if merged is not None:
+                        row[index[merged[1]]] = merged[0] * c
+                if row:
+                    reducer.insert(row)
         complement = tuple(m for i, m in enumerate(monos) if i not in reducer.rows)
-        return GradedBasis(q, monos, complement, reducer.rank, self.table, reducer)
+        return GradedBasis(q, monos, complement, reducer.rank, table, reducer, index)
 
     def quotient_dimension(self, q: int) -> int:
         return self.graded_basis(q).quotient_dimension

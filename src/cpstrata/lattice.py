@@ -180,7 +180,8 @@ def enumerate_exceptional(n: int) -> tuple[H2Element, ...]:
             return
         if left == 0:
             cand = H2Element(a, tuple(prefix))
-            assert is_exceptional_numerical(cand)
+            if not is_exceptional_numerical(cand):
+                raise ArithmeticError(f"class {cand} passed the search but is not exceptional")
             found.append(cand)
             return
         for r in range(-1, 4):

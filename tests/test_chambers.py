@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -355,6 +356,19 @@ class TestEnumeration:
             for rec in enumerate_chambers(n, boundary)
         ]
         assert got == FROZEN_WITNESSES[n, boundary]
+
+    def test_leaves_no_cyclic_garbage(self):
+        enumerate_chambers(4)  # warm the per-n caches of the lattice layer
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            enumerate_chambers(4)
+            gc.collect()
+            unreachable = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert unreachable == []
 
     @pytest.mark.parametrize("n", [0, 6, 7])
     def test_unsupported_n_fails_before_any_lp_call(self, n, monkeypatch):

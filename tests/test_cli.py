@@ -2,10 +2,16 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from cpstrata.cli import RunConfig, canonical_json, main, parse_weights
+from cpstrata.verify import IEMB_ROWS
+
+# stdout of each command, frozen before the monomial kernel replaced the
+# per-product polynomial path
+PAYLOADS = json.loads((Path(__file__).parent / "data" / "cli_payloads.json").read_text())
 
 
 def run(capsys, *argv):
@@ -204,6 +210,15 @@ class TestModel:
             "0,1", "1,0", "2,1", "3,0", "4,1", "5,0", "6,0",
         ]
 
+    @pytest.mark.parametrize("cap", ["0", "1", "-3"])
+    def test_cap_below_two_rejected(self, capsys, cap):
+        code, out, err = run(
+            capsys, "model", "cohomology", "--n", "1", "--chamber", "C_unique", "--cap", cap
+        )
+        assert code == 2
+        assert out == ""
+        assert "--cap" in err
+
     def test_bad_chamber_exit_two(self, capsys):
         code, _, err = run(capsys, "model", "build", "--n", "4", "--chamber", "C_9")
         assert code == 2
@@ -228,6 +243,26 @@ class TestKriz:
         assert payload["degree_cap"] == 5
         assert payload["ranks"] == [1, 0, 1, 0, 0, 0]
         assert payload["euler_characteristic"] == 2
+
+    @pytest.mark.parametrize("cap", ["0", "1", "-3"])
+    def test_cap_below_two_rejected(self, capsys, cap):
+        code, out, err = run(capsys, "kriz", "--m", "1", "--k", "2", "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert "--cap" in err
+
+
+class TestFrozenPayloads:
+    def test_every_iemb_row_and_kriz_case_is_frozen(self):
+        assert set(PAYLOADS) == {
+            f"model cohomology --n {n} --chamber {c} --json" for n, c in IEMB_ROWS
+        } | {f"kriz --m {m} --k {k} --json" for m in (1, 2, 3) for k in (2, 3, 4)}
+
+    @pytest.mark.parametrize("command", sorted(PAYLOADS))
+    def test_stdout_byte_identical(self, capsys, command):
+        code, out, err = run(capsys, *command.split())
+        assert code == 0, err
+        assert out == PAYLOADS[command]
 
 
 class TestConfStratify:

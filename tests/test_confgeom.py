@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cpstrata import confgeom
 from cpstrata.confgeom import (
     ExtendedRatio,
     ProjectivePoint,
@@ -133,6 +134,13 @@ class TestStratum:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
             stratum([E1, E2])
+
+    def test_impossible_triples_raise_arithmetic_error(self, monkeypatch):
+        # distinct points never give two collinear triples; if the triple
+        # listing ever did, the label must fail loudly, even under -O
+        monkeypatch.setattr(confgeom, "collinear_triples", lambda pts: [(1, 2, 3), (1, 2, 4)])
+        with pytest.raises(ArithmeticError, match=r"\(1, 2, 3\), \(1, 2, 4\)"):
+            stratum([E1, E2, E3, GENERIC])
 
     def test_order_independence_up_to_relabeling(self):
         rng = random.Random(7)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cpstrata
+from cpstrata import lattice
 from cpstrata.lattice import (
     Capacities,
     DimensionMismatchError,
@@ -110,6 +111,14 @@ class TestExceptional:
         for n in (5, 8):
             for u in enumerate_exceptional(n):
                 assert u.degree_a == 0 or matches_negative_shape(u)
+
+    def test_failed_recheck_raises_arithmetic_error(self, monkeypatch):
+        # the search's candidates are re-checked exactly; a failing re-check
+        # must fail loudly, even under -O.  __wrapped__ skips the lru_cache,
+        # so no cached tuple hides the search or is polluted by it.
+        monkeypatch.setattr(lattice, "is_exceptional_numerical", lambda u: False)
+        with pytest.raises(ArithmeticError, match=r"class E1 .*not exceptional"):
+            enumerate_exceptional.__wrapped__(2)
 
     def test_small_balls_always_have_positive_area(self):
         eps = Fraction(1, 100)

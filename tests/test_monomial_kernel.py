@@ -1,0 +1,324 @@
+"""The monomial kernel against the word-based path it replaced.
+
+The references below are the older, slower formulations, kept here as
+test-local code: monomials enumerated over the whole exponent box,
+products sorted by normal_form from concatenated generator words, frames
+spanned by those products in a reducer that cross-multiplies whole rows,
+residues taken over Fractions, and the Leibniz differential applied one
+generator letter of a word at a time.  Every table is drawn from a seed
+and mixes odd, even and nilpotent generators in a shuffled order.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+
+from cpstrata.dga import DgaSpec, _QuotientDifferential, differential
+from cpstrata.gradedalg import (
+    GeneratorTable,
+    GPolynomial,
+    PresentedAlgebra,
+    _merge_monomials,
+    monomials_of_degree,
+    normal_form,
+)
+
+SEEDS = range(12)
+TOP = 7  # frames and differential columns are compared in degrees 0..TOP
+
+
+# ------------------------------------------------------------- references
+
+
+def reference_cap(table, i):
+    cap = None if table.nilpotence[i] is None else table.nilpotence[i] - 1
+    if table.degrees[i] % 2:
+        cap = 1 if cap is None else min(cap, 1)
+    return cap
+
+
+def reference_monomials(table, q):
+    tops = []
+    for i, d in enumerate(table.degrees):
+        cap = reference_cap(table, i)
+        tops.append(q // d if cap is None else min(q // d, cap))
+    return tuple(
+        m
+        for m in itertools.product(*(range(t + 1) for t in tops))
+        if sum(e * d for e, d in zip(m, table.degrees)) == q
+    )
+
+
+def word(table, mono):
+    return [name for name, e in zip(table.names, mono) for _ in range(e)]
+
+
+def reference_product(table, p, q):
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            nf = normal_form(table, word(table, m1) + word(table, m2))
+            if nf is not None:
+                sign, m = nf
+                out[m] = out.get(m, 0) + sign * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_monomial_differential(D, mono):
+    table = D.table
+    letters = word(table, mono)
+    out = {}
+    sign = 1
+    for j, name in enumerate(letters):
+        dg = D.values.get(name)
+        if dg is not None:
+            for t, c in dg.terms.items():
+                nf = normal_form(table, letters[:j] + word(table, t) + letters[j + 1 :])
+                if nf is not None:
+                    s, m = nf
+                    out[m] = out.get(m, 0) + sign * s * c
+        if table.degrees[table.index(name)] % 2:
+            sign = -sign
+    return {m: c for m, c in out.items() if c}
+
+
+class ReferenceReducer:
+    """Row reduction that cross-multiplies whole rows and clears over Fractions."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def insert(self, row):
+        clean = {c: Fraction(v) for c, v in row.items() if v}
+        if not clean:
+            return None
+        mult = lcm(*(v.denominator for v in clean.values()))
+        r = {c: int(v * mult) for c, v in clean.items()}
+        while r:
+            p = max(r)
+            existing = self.rows.get(p)
+            if existing is None:
+                g = 0
+                for v in r.values():
+                    g = gcd(g, v)
+                r = {c: v // g for c, v in r.items()}
+                if r[p] < 0:
+                    r = {c: -v for c, v in r.items()}
+                self.rows[p] = r
+                return p
+            a, b = existing[p], r[p]
+            merged = {}
+            for c in set(r) | set(existing):
+                v = r.get(c, 0) * a - existing.get(c, 0) * b
+                if v:
+                    merged[c] = v
+            r = merged
+        return None
+
+    def residue(self, row):
+        r = {c: Fraction(v) for c, v in row.items() if v}
+        while True:
+            hits = [c for c in r if c in self.rows]
+            if not hits:
+                return r
+            c = max(hits)
+            pivot_row = self.rows[c]
+            f = r[c] / pivot_row[c]
+            for cc, vv in pivot_row.items():
+                s = r.get(cc, Fraction(0)) - f * vv
+                if s:
+                    r[cc] = s
+                elif cc in r:
+                    del r[cc]
+
+
+def reference_frame(table, relations, q):
+    """(monomials, reducer) of degree q, spanned by relation x monomial words."""
+    monos = reference_monomials(table, q)
+    index = {m: i for i, m in enumerate(monos)}
+    red = ReferenceReducer()
+    for rel in relations:
+        d = rel.degree()
+        if d > q:
+            continue
+        for shift in reference_monomials(table, q - d):
+            product = reference_product(table, rel, GPolynomial.monomial(table, shift))
+            if product:
+                red.insert({index[m]: c for m, c in product.items()})
+    return monos, red
+
+
+# ----------------------------------------------------------- random input
+
+
+def random_table(rng):
+    """Shuffled generators: an odd one, a nilpotent even one, and 1-4 more."""
+    gens = [(rng.choice((1, 3)), None), (rng.choice((2, 4)), rng.choice((2, 3)))]
+    for _ in range(rng.randint(1, 4)):
+        gens.append((rng.randint(1, 4), rng.choice((None, None, 1, 2, 3, 4))))
+    rng.shuffle(gens)
+    return GeneratorTable(
+        [f"g{i}" for i in range(len(gens))],
+        [d for d, _ in gens],
+        [b for _, b in gens],
+    )
+
+
+def random_coefficient(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+
+def random_homogeneous(rng, table, q, terms):
+    monos = reference_monomials(table, q)
+    if not monos:
+        return GPolynomial.zero(table)
+    picked = rng.sample(monos, min(terms, len(monos)))
+    return GPolynomial(table, [(m, random_coefficient(rng)) for m in picked])
+
+
+def random_algebra(seed):
+    rng = random.Random(seed)
+    table = random_table(rng)
+    relations = [
+        random_homogeneous(rng, table, rng.randint(2, 5), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 2))
+    ]
+    return rng, PresentedAlgebra(table, relations)
+
+
+def random_dga(seed):
+    rng, A = random_algebra(seed)
+    table = A.table
+    values = {
+        name: random_homogeneous(rng, table, d + 1, rng.randint(1, 3))
+        for name, d in zip(table.names, table.degrees)
+        if rng.random() < 0.75
+    }
+    return rng, DgaSpec(A, values, degree_cap=TOP)
+
+
+# ------------------------------------------------------------------ tests
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_caps_and_monomials_match_reference(seed):
+    _, A = random_algebra(seed)
+    table = A.table
+    for i in range(table.n):
+        assert table.max_exponent(i) == reference_cap(table, i)
+        assert table.is_odd(i) == (table.degrees[i] % 2 == 1)
+    for q in range(TOP + 2):
+        assert monomials_of_degree(table, q) == reference_monomials(table, q)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_merge_matches_normal_form_of_words(seed):
+    _, A = random_algebra(seed)
+    table = A.table
+    monos = [m for q in range(5) for m in reference_monomials(table, q)]
+    for m1, m2 in itertools.product(monos, repeat=2):
+        expected = normal_form(table, word(table, m1) + word(table, m2))
+        assert _merge_monomials(table, m1, m2) == expected, (m1, m2)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_polynomial_arithmetic_matches_reference(seed):
+    rng, A = random_algebra(seed)
+    table = A.table
+    for _ in range(20):
+        p = random_homogeneous(rng, table, rng.randint(0, 4), rng.randint(1, 3))
+        q = random_homogeneous(rng, table, rng.randint(0, 4), rng.randint(1, 3))
+        product = p * q
+        assert product.terms == reference_product(table, p, q)
+        assert all(type(c) is Fraction and c for c in product.terms.values())
+        assert (p + q) - q == p
+        assert (p * 0).is_zero and (0 * p).is_zero
+        assert -(-p) == p
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_frames_match_reference(seed):
+    rng, A = random_algebra(seed)
+    table = A.table
+    for q in range(TOP + 1):
+        frame = A.graded_basis(q)
+        monos, ref = reference_frame(table, A.relations, q)
+        assert frame.monomials == monos
+        assert frame.reducer.rows == ref.rows
+        assert frame.complement == tuple(
+            m for i, m in enumerate(monos) if i not in ref.rows
+        )
+        assert frame.ideal_basis() == tuple(
+            GPolynomial(table, [(monos[i], c) for i, c in row.items()])
+            for _, row in sorted(ref.rows.items(), reverse=True)
+        )
+        for _ in range(3):
+            p = random_homogeneous(rng, table, q, rng.randint(1, 4))
+            if p.is_zero:
+                continue
+            residue = ref.residue({frame.index[m]: c for m, c in p.terms.items()})
+            assert frame.coordinates(p) == tuple(
+                residue.get(frame.index[m], 0) for m in frame.complement
+            )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_differential_matches_word_leibniz(seed):
+    rng, D = random_dga(seed)
+    table = D.table
+    for q in range(TOP + 1):
+        for mono in reference_monomials(table, q):
+            got = differential(D, GPolynomial.monomial(table, mono))
+            assert got.terms == reference_monomial_differential(D, mono), mono
+    p = random_homogeneous(rng, table, 4, 3)
+    expected = {}
+    for mono, c in p.terms.items():
+        for m, v in reference_monomial_differential(D, mono).items():
+            expected[m] = expected.get(m, 0) + c * v
+    assert differential(D, p).terms == {m: c for m, c in expected.items() if c}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_differential_columns_match_reference(seed):
+    _, D = random_dga(seed)
+    table = D.table
+    quot = _QuotientDifferential(D)
+    for q in range(TOP):
+        frame = D.algebra.graded_basis(q)
+        target = D.algebra.graded_basis(q + 1)
+        _, ref = reference_frame(table, D.algebra.relations, q + 1)
+        expected = []
+        for mono in frame.complement:
+            image = reference_monomial_differential(D, mono)
+            residue = ref.residue({target.index[m]: c for m, c in image.items()})
+            expected.append(
+                tuple(residue.get(target.index[m], 0) for m in target.complement)
+            )
+        cols = quot.columns(q)
+        assert cols == expected
+        assert all(type(v) is Fraction for col in cols for v in col)
+
+
+def test_random_inputs_exercise_the_kernel():
+    # the seeds must reach what the kernel decides: Koszul signs, products
+    # that die on a cap, and quotient columns with non-integer entries
+    signs, dead, entries = set(), 0, []
+    for seed in SEEDS:
+        _, D = random_dga(seed)
+        table = D.table
+        monos = [m for q in range(5) for m in reference_monomials(table, q)]
+        for m1, m2 in itertools.product(monos, repeat=2):
+            merged = _merge_monomials(table, m1, m2)
+            if merged is None:
+                dead += 1
+            else:
+                signs.add(merged[0])
+        quot = _QuotientDifferential(D)
+        entries += [v for q in range(TOP) for col in quot.columns(q) for v in col if v]
+    assert signs == {1, -1}
+    assert dead > 0
+    assert len(entries) >= 50
+    assert any(v.denominator > 1 for v in entries)
