@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .exactlp import Ineq as _Ineq, Rational
-from .exactlp import feasible_point
+from .exactlp import feasible_point, interior_tableau, tighten
 from .lattice import (
     Capacities,
     H2Element,
@@ -157,19 +157,6 @@ def _dedupe(ineqs: Iterable[_Ineq]):
     return list(merged.values())
 
 
-def _solve(ineqs: Iterable[_Ineq], nvars: int) -> Optional[tuple[Fraction, ...]]:
-    rows = _dedupe(ineqs)
-    if rows is None:
-        return None
-    return feasible_point(rows, nvars)
-
-
-def _holds(ineq: _Ineq, point: Sequence[Fraction]) -> bool:
-    coeffs, rhs, strict = ineq
-    lhs = sum(a * x for a, x in zip(coeffs, point))
-    return lhs < rhs if strict else lhs <= rhs
-
-
 def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
@@ -190,28 +177,30 @@ def simplest_in_open(a: Fraction, b: Fraction) -> Fraction:
     return fa + Fraction(1) / simplest_in_open(Fraction(1) / (b - fa), Fraction(1) / (a - fa))
 
 
-def _holds_all(ineqs: list[_Ineq], point: Sequence[Fraction]) -> bool:
-    return all(_holds(row, point) for row in ineqs)
-
-
 def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fraction, ...]:
     """Small-denominator feasible point near the given deep point.
 
     The slack-maximizing point sits away from every boundary, so snapping all
     coordinates to a common small denominator usually stays inside; the first
     q whose rounding passes the exact membership check wins.  If no q <= 64
-    does, the exact point itself is kept.
+    does, the exact point itself is kept.  The check runs on the numerators
+    k_i = round(x_i * q): sum a_i k_i < b * q (<= for closed rows).
     """
     for q in range(1, 65):
-        cand = tuple(Fraction(round(x * q), q) for x in point)
-        if _holds_all(ineqs, cand):
-            return cand
+        ks = [round(x * q) for x in point]
+        for coeffs, rhs, strict in ineqs:
+            lhs = sum(a * k for a, k in zip(coeffs, ks))
+            if lhs > rhs * q or (strict and lhs == rhs * q):
+                break
+        else:
+            return tuple(Fraction(k, q) for k in ks)
     return point
 
 
 def feasible(sys: LinearConstraintSystem) -> bool:
     """Exact decision whether some rational point satisfies every constraint."""
-    return _solve(sys._ineqs(), sys.nvars) is not None
+    rows = _dedupe(sys._ineqs())
+    return rows is not None and feasible_point(rows, sys.nvars) is not None
 
 
 def witness(sys: LinearConstraintSystem) -> Optional[tuple[Fraction, ...]]:
@@ -371,10 +360,12 @@ def _leaf_record(
 def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRecord, ...]:
     """All feasible wall signatures over the sorted admissible cone, with witnesses.
 
-    Depth-first over the wall bits.  Each node inherits its parent's feasible
-    point when that point already satisfies the new sign constraint (exactly
-    one child does, so at most one simplex call happens per node), and any
-    partial assignment whose system is infeasible prunes the whole subtree.
+    Depth-first over the wall bits.  The root's system is solved cold once;
+    every other node is decided by appending its wall row to the parent's
+    optimal integer tableau and re-optimizing by the dual simplex, usually
+    in a few pivots.  A partial assignment whose system has no strictly
+    feasible point prunes the whole subtree.  Each full sign pattern then
+    gets its witness from cold solves of its own system (_leaf_record).
 
     The boundary convention decides which sign patterns count as feasible;
     witnesses are always drawn from the strictly admissible part of a pattern
@@ -392,25 +383,24 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     walls = negative_wall_classes(n)
     base = _admissibility_ineqs(n, boundary)
     strict_base = base if boundary == "strict" else _admissibility_ineqs(n, "strict")
-    start = _solve(base, n)
-    if start is None:
+    deduped = _dedupe(base)
+    root = None if deduped is None else interior_tableau(deduped, n, len(walls))
+    if root is None:
         return ()
     found: list[ChamberRecord] = []
     # Depth first with an explicit stack, so no closure refers to itself and
-    # the search leaves no cyclic garbage.  An entry is a node: its bits,
-    # its rows and its parent's point, which satisfies every row but maybe
-    # the last.  The False child is pushed first, so True is explored first.
-    stack = [((), list(base), start)]
+    # the search leaves no cyclic garbage.  An entry is a feasible node: its
+    # bits, its rows and its optimal tableau.  The False child is pushed
+    # first, so True is explored first.
+    stack = [((), list(base), root)]
     while stack:
-        bits, rows, point = stack.pop()
-        if bits and not _holds(rows[-1], point):
-            point = _solve(rows, n)
-            if point is None:
-                continue
+        bits, rows, tableau = stack.pop()
         if len(bits) == len(walls):
             found.append(_leaf_record(n, boundary, walls, strict_base, rows, bits))
             continue
         for positive in (False, True):
             extra = _wall_ineq(walls[len(bits)], positive)
-            stack.append((bits + (positive,), rows + [extra], point))
+            child = tighten(tableau, extra)
+            if child is not None:
+                stack.append((bits + (positive,), rows + [extra], child))
     return tuple(sorted(found, key=lambda rec: rec.signature.bits, reverse=True))

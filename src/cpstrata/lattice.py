@@ -133,7 +133,14 @@ class Capacities:
 
     @classmethod
     def parse(cls, text: str) -> "Capacities":
-        return cls(part.strip() for part in text.split(","))
+        values = []
+        for part in text.split(","):
+            part = part.strip()
+            try:
+                values.append(Fraction(part))
+            except ZeroDivisionError:
+                raise ValueError(f"capacity {part!r} has a zero denominator") from None
+        return cls(values)
 
     def to_json_list(self) -> list[str]:
         return [str(v) for v in self.values]
@@ -167,30 +174,34 @@ def enumerate_exceptional(n: int) -> tuple[H2Element, ...]:
 
     Depth-first search over the integer box for sum r_i = 3a - 1 and
     sum r_i^2 = a^2 + 1, pruned by what the remaining entries can still add;
-    the surviving classes are re-checked in exact integer arithmetic.
+    the surviving classes are re-checked in exact integer arithmetic.  The
+    search keeps an explicit stack, so no closure refers to itself and no
+    cyclic garbage is left behind.
     """
     _check_n(n)
     found: list[H2Element] = []
+    # an entry is (a, prefix, rsum, rsq), rsum and rsq being what the entries
+    # after prefix must add up to; over r in [-1,3] one has
+    # |r| <= r^2 <= 3r + 4, which bounds them by the entries left
+    def reachable(rsum: int, rsq: int, left: int) -> bool:
+        return -left <= rsum <= 3 * left and abs(rsum) <= rsq <= 3 * rsum + 4 * left
 
-    def extend(a: int, prefix: list[int], rsum: int, rsq: int) -> None:
-        # rsum, rsq: what the entries after prefix must add up to.  Over
-        # r in [-1,3] one has |r| <= r^2 <= 3r + 4, hence the bounds.
-        left = n - len(prefix)
-        if not (-left <= rsum <= 3 * left and abs(rsum) <= rsq <= 3 * rsum + 4 * left):
-            return
-        if left == 0:
-            cand = H2Element(a, tuple(prefix))
+    # pushed in reverse, so that a and then each r ascend
+    stack = [
+        (a, (), 3 * a - 1, a * a + 1) for a in range(6, -1, -1) if reachable(3 * a - 1, a * a + 1, n)
+    ]
+    while stack:
+        a, prefix, rsum, rsq = stack.pop()
+        left = n - len(prefix) - 1
+        if left < 0:
+            cand = H2Element(a, prefix)
             if not is_exceptional_numerical(cand):
                 raise ArithmeticError(f"class {cand} passed the search but is not exceptional")
             found.append(cand)
-            return
-        for r in range(-1, 4):
-            prefix.append(r)
-            extend(a, prefix, rsum - r, rsq - r * r)
-            prefix.pop()
-
-    for a in range(0, 7):
-        extend(a, [], 3 * a - 1, a * a + 1)
+            continue
+        for r in range(3, -2, -1):
+            if reachable(rsum - r, rsq - r * r, left):
+                stack.append((a, prefix + (r,), rsum - r, rsq - r * r))
     return tuple(sorted(found))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpstrata import chambers
+from cpstrata import chambers, exactlp
 from cpstrata.chambers import (
     AdmissibilityError,
     LinearConstraintSystem,
@@ -21,7 +21,7 @@ from cpstrata.chambers import (
     witness,
 )
 from cpstrata.exactlp import feasible_point
-from cpstrata.lattice import Capacities, area, enumerate_exceptional
+from cpstrata.lattice import Capacities, area, enumerate_exceptional, negative_wall_classes
 
 F = Fraction
 
@@ -376,18 +376,20 @@ class TestEnumeration:
             raise AssertionError("LP called")
 
         monkeypatch.setattr(chambers, "feasible_point", no_lp)
+        monkeypatch.setattr(exactlp._Simplex, "solve", no_lp)
         with pytest.raises(ValueError, match=r"1\.\.5.*volume bound"):
             enumerate_chambers(n)
 
     def test_leaf_inconsistency_raises_arithmetic_error(self, monkeypatch):
         # n=1 has no walls: one call for the root, then the leaf's two calls
         calls = []
+        cold_solve = exactlp._Simplex.solve
 
-        def root_only(ineqs, nvars):
-            calls.append(nvars)
-            return feasible_point(ineqs, nvars) if len(calls) == 1 else None
+        def root_only(lp):
+            calls.append(lp.n)
+            return cold_solve(lp) if len(calls) == 1 else None
 
-        monkeypatch.setattr(chambers, "feasible_point", root_only)
+        monkeypatch.setattr(exactlp._Simplex, "solve", root_only)
         with pytest.raises(ArithmeticError, match="sign pattern  at n=1"):
             enumerate_chambers(1)
         assert len(calls) == 3
@@ -461,3 +463,162 @@ class TestWitnessQuality:
         for rec in enumerate_chambers(4):
             for u in enumerate_exceptional(4):
                 assert area(rec.witness, u) > 0
+
+
+def holds(ineq, point):
+    coeffs, rhs, strict = ineq
+    lhs = sum(a * x for a, x in zip(coeffs, point))
+    return lhs < rhs if strict else lhs <= rhs
+
+
+def cold_verdict(rows, n):
+    """The decision the warm step replaces: merge the rows, solve cold."""
+    deduped = chambers._dedupe(rows)
+    return deduped is not None and feasible_point(deduped, n) is not None
+
+
+class TestWarmDescent:
+    # (children decided, children pruned, dual pivots) of the full tree,
+    # n=3..5 in both modes; 1028, 438 and 1146 in total.  The pivot counts
+    # pin the dual Bland rule: other leaving or entering choices reach the
+    # same verdicts through other bases.
+    TREE_SIZES = {
+        (3, "strict"): (2, 0, 1),
+        (3, "inclusive"): (2, 0, 1),
+        (4, "strict"): (30, 10, 23),
+        (4, "inclusive"): (30, 10, 23),
+        (5, "strict"): (482, 209, 499),
+        (5, "inclusive"): (482, 209, 599),
+    }
+
+    @pytest.mark.parametrize("n,boundary", sorted(TREE_SIZES))
+    def test_every_node_matches_cold_solve(self, n, boundary, monkeypatch):
+        pivots = []
+        real_pivot = exactlp._Simplex._pivot
+
+        def counting_pivot(lp, r, col):
+            pivots.append(col)
+            real_pivot(lp, r, col)
+
+        monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
+        walls = negative_wall_classes(n)
+        base = chambers._admissibility_ineqs(n, boundary)
+        root = exactlp.interior_tableau(chambers._dedupe(base), n, len(walls))
+        assert root is not None and cold_verdict(base, n)
+        leaves, decided, pruned, dual = set(), 0, 0, 0
+        stack = [((), list(base), root)]
+        while stack:
+            bits, rows, tableau = stack.pop()
+            if len(bits) == len(walls):
+                leaves.add(bits)
+                continue
+            for positive in (False, True):
+                extra = chambers._wall_ineq(walls[len(bits)], positive)
+                child_rows = rows + [extra]
+                before = len(pivots)
+                child = exactlp.tighten(tableau, extra)
+                dual += len(pivots) - before
+                decided += 1
+                assert (child is not None) == cold_verdict(child_rows, n), (bits, positive)
+                if child is None:
+                    pruned += 1
+                    continue
+                # the basic point of the warm tableau is itself a witness
+                assert child.d > 0
+                point = exactlp._split_point(child.values(), n)
+                assert all(holds(row, point) for row in child_rows)
+                stack.append((bits + (positive,), child_rows, child))
+        assert (decided, pruned, dual) == self.TREE_SIZES[n, boundary]
+        assert leaves == {rec.signature.bits for rec in enumerate_chambers(n, boundary)}
+
+    def test_descent_makes_no_cold_solve_below_the_root(self, monkeypatch):
+        # n=4 has 5 walls: one cold solve for the root, the leaf's cold solves
+        # come from feasible_point, and every other node is decided warm
+        solves, leaf_solves = [], []
+        cold_solve = exactlp._Simplex.solve
+
+        def counting_solve(lp):
+            solves.append(lp.n)
+            return cold_solve(lp)
+
+        def counting_point(ineqs, nvars):
+            leaf_solves.append(nvars)
+            return feasible_point(ineqs, nvars)
+
+        monkeypatch.setattr(exactlp._Simplex, "solve", counting_solve)
+        monkeypatch.setattr(chambers, "feasible_point", counting_point)
+        records = enumerate_chambers(4)
+        assert len(leaf_solves) == len(records) == 6
+        assert len(solves) == 1 + len(leaf_solves)
+
+
+def simplify_reference(point, ineqs):
+    """_simplify_point as it was: round to Fractions, check them row by row."""
+    for q in range(1, 65):
+        cand = tuple(F(round(x * q), q) for x in point)
+        if all(holds(row, cand) for row in ineqs):
+            return cand
+    return point
+
+
+def random_rows(rng, nvars, count, as_fractions):
+    def q():
+        value = F(rng.randint(-6, 6), rng.randint(1, 4) if as_fractions else 1)
+        return value if as_fractions else int(value)
+
+    return [
+        (tuple(q() for _ in range(nvars)), q(), rng.random() < 0.5) for _ in range(count)
+    ]
+
+
+def rows_around(rng, point, count, as_fractions):
+    """Rows that point satisfies with a random margin, sometimes none."""
+    rows = []
+    for coeffs, _, strict in random_rows(rng, len(point), count, as_fractions):
+        rhs = sum(a * x for a, x in zip(coeffs, point)) + F(rng.randint(0, 6), 4)
+        if not as_fractions:
+            rhs = rhs.numerator // rhs.denominator
+        rows.append((coeffs, rhs, strict))
+    return rows
+
+
+class TestSimplifyPoint:
+    @pytest.mark.parametrize("as_fractions", [False, True])
+    def test_matches_fraction_reference_on_random_points(self, as_fractions):
+        rng = random.Random(5)
+        winners = set()
+        for _ in range(400):
+            nvars = rng.randint(1, 4)
+            point = tuple(F(rng.randint(-300, 300), rng.randint(1, 97)) for _ in range(nvars))
+            rows = rows_around(rng, point, rng.randint(1, 5), as_fractions)
+            got = chambers._simplify_point(point, rows)
+            assert got == simplify_reference(point, rows)
+            assert all(type(x) is F for x in got)
+            winners.add("exact" if got is point else max(x.denominator for x in got))
+        # the seeds reach q = 1, larger q and the fallback to the exact point
+        assert {1, 2, 3, "exact"} <= winners and len(winners) > 8
+
+    def test_witness_path_with_fraction_rows(self):
+        rng = random.Random(9)
+        checked = 0
+        for _ in range(200):
+            nvars = rng.randint(1, 3)
+            rows = random_rows(rng, nvars, rng.randint(1, 5), True)
+            sys = LinearConstraintSystem(
+                nvars, [(co, rhs, "<" if strict else "<=") for co, rhs, strict in rows]
+            )
+            deduped = chambers._dedupe(sys._ineqs())
+            deep = None if deduped is None else feasible_point(deduped, nvars)
+            if deep is None:
+                assert witness(sys) is None
+                continue
+            checked += 1
+            assert witness(sys) == simplify_reference(deep, deduped)
+        assert checked > 50
+
+    def test_half_way_rounds_to_even(self):
+        # 5/2 rounds to 2 at q=1, which the closed row x <= 2 admits;
+        # rounding half up would give 3, and no q up to 64 would pass
+        assert chambers._simplify_point((F(5, 2),), [((1,), 2, False)]) == (F(2),)
+        assert chambers._simplify_point((F(7, 2),), [((1,), 4, False)]) == (F(4),)
+        assert chambers._simplify_point((F(-5, 2),), [((-1,), 2, False)]) == (F(-2),)

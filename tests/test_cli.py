@@ -126,6 +126,13 @@ class TestChamberClassify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("text,bad", [("1/0", "'1/0'"), ("1/2,3/0", "'3/0'")])
+    def test_zero_denominator_exit_two(self, capsys, text, bad):
+        code, out, err = run(capsys, "chamber", "classify", "--capacities", text)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: capacity {bad} has a zero denominator\n"
+
 
 class TestChamberEnumerate:
     def test_counts_at_three(self, capsys):

@@ -1,11 +1,13 @@
 """Exact LP feasibility: seeded random systems, pinned results, exact membership."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from cpstrata.exactlp import feasible_point
+from cpstrata import exactlp
+from cpstrata.exactlp import feasible_point, interior_tableau, tighten
 
 F = Fraction
 
@@ -384,3 +386,79 @@ def test_empty_system_is_origin():
 def test_strict_rows_need_interior():
     assert feasible_point([((1,), 0, True), ((-1,), 0, False)], 1) is None
     assert feasible_point([((1,), 0, False), ((-1,), 0, False)], 1) == (F(0),)
+
+
+def tableau_state(lp):
+    return copy.deepcopy((lp.rows, lp.obj, lp.basis, lp.d))
+
+
+@pytest.mark.parametrize("seed", range(len(FROZEN)))
+def test_rows_appended_one_at_a_time_match_cold_solves(seed):
+    # the first row is solved cold, every later one is a warm dual-simplex
+    # step on the previous tableau; each prefix must get the cold verdict
+    rows, nvars = random_system(seed)
+    lp = interior_tableau(rows[:1], nvars, len(rows) - 1)
+    for k in range(1, len(rows) + 1):
+        prefix = rows[:k]
+        if k > 1 and lp is not None:
+            before = tableau_state(lp)
+            child = tighten(lp, rows[k - 1])
+            assert tableau_state(lp) == before  # the parent is never mutated
+            lp = child
+        cold = feasible_point(prefix, nvars)
+        assert (lp is not None) == (cold is not None), k
+        if lp is None:
+            continue  # a superset of an empty system stays empty
+        assert lp.d > 0
+        assert len(lp.rows) == len(lp.basis) == k + 1
+        assert satisfies(prefix, exactlp._split_point(lp.values(), nvars))
+
+
+def test_appended_rows_reach_both_verdicts_and_dual_pivots(monkeypatch):
+    # 697 dual pivots pin the dual Bland rule (smallest basis index leaves,
+    # least ratio enters, smallest column on ties): other choices reach the
+    # same verdicts through other bases
+    pivots = []
+    real_pivot = exactlp._Simplex._pivot
+
+    def counting_pivot(lp, r, col):
+        pivots.append(col)
+        real_pivot(lp, r, col)
+
+    monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
+    verdicts, dual = set(), 0
+    for seed in range(len(FROZEN)):
+        rows, nvars = random_system(seed)
+        lp = interior_tableau(rows[:1], nvars, len(rows) - 1)
+        for row in rows[1:]:
+            if lp is None:
+                break
+            before = len(pivots)
+            lp = tighten(lp, row)
+            dual += len(pivots) - before
+            verdicts.add(lp is not None)
+    assert verdicts == {False, True}
+    assert dual == 697
+
+
+def test_no_spare_slack_left_raises():
+    lp = interior_tableau([((1,), 1, True)], 1, 1)
+    child = tighten(lp, ((-1,), 0, True))
+    assert child is not None
+    with pytest.raises(ValueError, match="spare slack"):
+        tighten(child, ((1,), F(1, 2), False))
+
+
+def test_ratio_test_prunes_an_empty_cut():
+    # x < 1 then x >= 2: the dual simplex finds no entering column
+    lp = interior_tableau([((1,), 1, True)], 1, 1)
+    assert lp.with_row([-1, 1, 0], -2) is None
+    assert tighten(lp, ((-1,), -2, False)) is None
+
+
+def test_cut_without_interior_prunes_on_eps():
+    # x < 1 then x >= 1: feasible only at eps = 0, so the node is pruned
+    lp = interior_tableau([((1,), 1, True)], 1, 1)
+    child = lp.with_row([-1, 1, 0], -1)
+    assert child is not None and child.values().get(2, 0) == 0
+    assert tighten(lp, ((-1,), -1, False)) is None

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import os
 import subprocess
 import sys
@@ -120,6 +122,32 @@ class TestExceptional:
         with pytest.raises(ArithmeticError, match=r"class E1 .*not exceptional"):
             enumerate_exceptional.__wrapped__(2)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_box_scan(self, n):
+        # the whole box a in [0,6], r_i in [-1,3], filtered by the criterion
+        box = (
+            h2(a, *r)
+            for a in range(7)
+            for r in itertools.product(range(-1, 4), repeat=n)
+        )
+        assert enumerate_exceptional.__wrapped__(n) == tuple(
+            sorted(u for u in box if is_exceptional_numerical(u))
+        )
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        # __wrapped__ skips the lru_cache, so every call really searches
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for n in range(1, 9):
+                enumerate_exceptional.__wrapped__(n)
+            gc.collect()
+            unreachable = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert unreachable == []
+
     def test_small_balls_always_have_positive_area(self):
         eps = Fraction(1, 100)
         for n in range(1, 9):
@@ -207,6 +235,11 @@ class TestSerialization:
     def test_json_round_trip(self):
         u = h2(4, 2, 2, 2, 1, 1)
         assert H2Element.from_json_dict(u.to_json_dict()) == u
+
+    @pytest.mark.parametrize("text,bad", [("1/0", "'1/0'"), ("1/2,3/0", "'3/0'")])
+    def test_capacities_reject_zero_denominator(self, text, bad):
+        with pytest.raises(ValueError, match=f"capacity {bad} has a zero denominator"):
+            Capacities.parse(text)
 
     def test_capacities_reject_nonpositive(self):
         with pytest.raises(ValueError):
