@@ -384,7 +384,7 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     base = _admissibility_ineqs(n, boundary)
     strict_base = base if boundary == "strict" else _admissibility_ineqs(n, "strict")
     deduped = _dedupe(base)
-    root = None if deduped is None else interior_tableau(deduped, n, len(walls))
+    root = None if deduped is None else interior_tableau(deduped, n)
     if root is None:
         return ()
     found: list[ChamberRecord] = []

@@ -42,7 +42,16 @@ class ProjectivePoint:
         parts = str(text).strip().split(":")
         if len(parts) != 3:
             raise ValueError(f"expected z0:z1:z2, got {text!r}")
-        return cls([Fraction(part.strip()) for part in parts])
+        coords = []
+        for part in parts:
+            part = part.strip()
+            try:
+                coords.append(Fraction(part))
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"coordinate {part!r} of point {text!r} has a zero denominator"
+                ) from None
+        return cls(coords)
 
     def to_text(self) -> str:
         return ":".join(str(c) for c in self.coords)

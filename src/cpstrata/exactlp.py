@@ -11,16 +11,21 @@ polynomial-sized on the tiny systems that chamber enumeration produces,
 unlike Fourier-Motzkin whose intermediate systems can blow up doubly
 exponentially.
 
-The tableau is fraction-free: each input row is scaled by the lcm of its
-denominators, and the tableau is kept as Python ints over one common
-denominator d, pivoted by Edmonds-Bareiss integer elimination (every entry
-stays a subdeterminant of the scaled input, so each division is exact).
-Fractions appear only when the optimal vertex is read off.
+The tableau is kept in dictionary form (Chvatal, Linear Programming, 1983,
+ch. 2-3): each row holds only the nonbasic columns and the rhs, one entry
+per structural variable and one more, however many rows there are.  It is
+fraction-free: each input row is scaled by the lcm of its denominators, and
+the entries are Python ints over the basis determinant d (Azulay and Pique,
+ACM TOMS 27, 2001), pivoted by Edmonds-Bareiss integer elimination (every
+entry stays a subdeterminant of the scaled input, so each division is
+exact).  Bland's rule picks by variable label, never by column position, so
+every solve visits the bases of the full tableau.  Fractions appear only
+when the optimal vertex is read off.
 
 A solved tableau can be tightened by one more row without a cold solve:
 the row is appended in terms of the optimal basis, which leaves the
 objective row dual feasible, and the dual simplex (Lemke 1954) pivots
-the same integer tableau back to optimality under a Bland-style rule.
+the same integer dictionary back to optimality under a Bland-style rule.
 Chamber enumeration decides every node below the root this way.
 
 Free variables are split x = u - v with u, v >= 0 to reach standard form.
@@ -45,59 +50,68 @@ class Unbounded(Exception):
 
 
 class _Simplex:
-    """max c.z subject to A z <= b, z >= 0, via tableau with Bland's rule.
+    """max c.z subject to A z <= b, z >= 0, as an integer dictionary under Bland's rule.
 
     Row i of (A | b) is the input row multiplied by scale[i] > 0, so all
-    entries are ints; its slack column holds 1, which rescales the slack
-    variable and leaves every pivot choice as it is over the rationals.
-    The rational tableau is rows[i][j] / d (and obj[j] / d), with d > 0.
-    spare extra slack columns, all zero, are reserved for rows appended
-    by with_row() after solve().
+    entries are ints; its slack variable gets coefficient 1, which rescales
+    the slack and leaves every pivot choice as it is over the rationals.
+    Variables are labelled: structural 0..n-1, and slack n+i for row i.
+    Only the nonbasic columns are stored (the dictionary form): nb[k] labels
+    position k, and row i, whose basic variable is basis[i], holds the
+    entries rows[i][k] / d and the value rows[i][-1] / d (obj likewise, with
+    obj[-1] / d = -z).  The entries are those of the full tableau over its
+    common denominator d > 0, so Bland's rule, applied by label, makes the
+    same choices as it would there.
     """
 
     def __init__(
-        self, a: list[list[int]], b: list[int], c: list[int], scale: list[int], spare: int = 0
+        self, a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int], scale: Sequence[int]
     ):
         self.n = len(c)
-        m = len(a)
-        # columns: structural 0..n-1, slacks n..art-1 (the last `spare` of
-        # them unused so far), artificial art (phase 1 only); rhs at ncols
-        self.art = self.n + m + spare
-        self.ncols = self.art + 1
-        self.rows: list[list[int]] = []
-        for i in range(m):
-            row = list(a[i]) + [0] * (self.ncols - self.n) + [b[i]]
-            row[self.n + i] = 1
-            self.rows.append(row)
-        self.basis = [self.n + i for i in range(m)]
+        self.rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+        self.basis = [self.n + i for i in range(len(a))]
+        self.nb = list(range(self.n))
         self.c = list(c)
         self.scale = scale
         self.d = 1
 
     def _pivot(self, r: int, col: int) -> None:
-        base = self.rows[r]
-        p, d = base[col], self.d
-        if p < 0:
-            # keep d > 0 so that signs of entries are signs of values; with
-            # the pivot row negated and |p|, every updated row comes out
-            # negated too, as if the whole tableau were negated afterwards
-            base = [-v for v in base]
-            p = -p
+        """Exchange basis[r] with nb[col] by one Bareiss step.
+
+        The leaving variable takes over position col.  Its full-tableau
+        column, d in row r and 0 elsewhere, comes out as s*d in row r, -s*f
+        in a row with entering entry f and -s*obj[col] in obj, where s is the
+        sign of the pivot.  No row is written in place: rows may be shared.
+        """
+        row = self.rows[r]
+        p, d = row[col], self.d
+        # keep d > 0 so that signs of entries are signs of values; with the
+        # pivot row negated and |p|, every updated row comes out negated too
+        s = 1 if p > 0 else -1
+        base = list(row) if s > 0 else [-v for v in row]
+        base[col] = s * d
+        p *= s
 
         def eliminate(row: list[int]) -> list[int]:
             f = row[col]
             if f == 0:
                 return row if p == d else [v * p // d for v in row]
-            return [(v * p - f * w) // d for v, w in zip(row, base)]
+            new = [(v * p - f * w) // d for v, w in zip(row, base)]
+            new[col] = -s * f
+            return new
 
         self.rows = [base if i == r else eliminate(row) for i, row in enumerate(self.rows)]
         self.obj = eliminate(self.obj)
         self.d = p
-        self.basis[r] = col
+        self.basis[r], self.nb[col] = self.nb[col], self.basis[r]
 
-    def _bland_loop(self, active_cols: int) -> None:
+    def _by_label(self) -> list[int]:
+        """The column positions in increasing order of their labels."""
+        return sorted(range(len(self.nb)), key=self.nb.__getitem__)
+
+    def _bland_loop(self) -> None:
         while True:
-            enter = next((j for j in range(active_cols) if self.obj[j] > 0), None)
+            enter = next((j for j in self._by_label() if self.obj[j] > 0), None)
             if enter is None:
                 return
             leave = None
@@ -116,70 +130,66 @@ class _Simplex:
             self._pivot(leave, enter)
 
     def values(self) -> dict[int, Fraction]:
-        """The basic solution as {column: value}."""
+        """The basic solution as {label: value}."""
         return {bi: Fraction(row[-1], self.d) for row, bi in zip(self.rows, self.basis)}
 
     def solve(self) -> Optional[dict[int, Fraction]]:
-        """Basic optimal solution as {column: value}, or None if infeasible."""
-        art = self.art
+        """Basic optimal solution as {label: value}, or None if infeasible."""
         if any(row[-1] < 0 for row in self.rows):
-            # phase 1: max -x0 with x0 subtracted from every unscaled row
-            for row, s in zip(self.rows, self.scale):
-                row[art] = -s
-            self.obj = [0] * self.ncols + [0]
-            self.obj[art] = -1
+            # phase 1: max -x0 with x0 subtracted from every unscaled row;
+            # x0 is labelled above every slack and takes the last position
+            art = self.n + len(self.rows)
+            self.rows = [row[:-1] + [-s, row[-1]] for row, s in zip(self.rows, self.scale)]
+            self.nb.append(art)
+            self.obj = [0] * len(self.nb) + [0]
+            self.obj[-2] = -1
             # most negative unscaled rhs, first on ties
-            worst = 0
-            for i in range(1, len(self.rows)):
-                if self.rows[i][-1] * self.scale[worst] < self.rows[worst][-1] * self.scale[i]:
-                    worst = i
-            self._pivot(worst, art)
-            self._bland_loop(self.ncols)
+            worst = min(range(len(self.rows)), key=lambda i: Fraction(self.rows[i][-1], self.scale[i]))
+            self._pivot(worst, len(self.nb) - 1)
+            self._bland_loop()
             if self.obj[-1] > 0:  # objective row stores -z, so z* = -obj[-1] / d
                 return None
             if art in self.basis:
-                # basic at zero; pivot it out on any nonzero entry (degenerate,
-                # keeps feasibility) or, if the row is all zero, leave it inert
+                # basic at zero; pivot it out (degenerate, keeps feasibility)
+                # on its nonzero entry of smallest label.  One exists: the
+                # row's slack entries are a row of the inverse basis.
                 r = self.basis.index(art)
-                col = next((j for j in range(art) if self.rows[r][j] != 0), None)
-                if col is not None:
-                    self._pivot(r, col)
+                self._pivot(r, next(j for j in self._by_label() if self.rows[r][j] != 0))
+            k = self.nb.index(art)
+            del self.nb[k]
             for row in self.rows:
-                row[art] = 0
+                del row[k]
         # phase 2 objective c - sum c_bi * (row i / d), expressed over d
         d = self.d
-        self.obj = [v * d for v in self.c] + [0] * (self.ncols - self.n + 1)
+        self.obj = [self.c[j] * d if j < self.n else 0 for j in self.nb] + [0]
         for i, bi in enumerate(self.basis):
             f = self.c[bi] if bi < self.n else 0
             if f != 0:
                 self.obj = [v - f * w for v, w in zip(self.obj, self.rows[i])]
-        self._bland_loop(art)
+        self._bland_loop()
         return self.values()
 
     def with_row(self, a: Sequence[int], b: int) -> Optional["_Simplex"]:
         """A solved copy with the row a.z <= b appended, or None if infeasible.
 
-        The new row, raw*d - sum raw[b_i]*rows[i] over the optimal basis,
-        gets the next spare slack column as its basic variable; that leaves
-        the basis determinant, hence d, unchanged.  The dual simplex then
-        pivots out the negative rhs of smallest basis index on the column
-        of least ratio obj[j] / row[j] over row[j] < 0 (smallest column on
-        ties); no such column means the system has no point.  Rows that no
-        pivot touches stay shared with self, which is never mutated.
+        The new row, raw*d - sum raw[b_i]*rows[i] over the optimal basis and
+        the nonbasic columns, gets the new slack n+m as its basic variable;
+        that leaves the basis determinant, hence d, unchanged.  The dual
+        simplex then pivots out the negative rhs of smallest basis label on
+        the column of least ratio obj[j] / row[j] over row[j] < 0 (smallest
+        label on ties); no such column means the system has no point.  Rows
+        that no pivot touches stay shared with self, which is never mutated.
         """
-        slack = self.n + len(self.rows)
-        if slack >= self.art:
-            raise ValueError("no spare slack column left for another row")
         d = self.d
-        new = [v * d for v in a] + [0] * (self.ncols - self.n) + [b * d]
-        new[slack] = d
+        new = [a[j] * d if j < self.n else 0 for j in self.nb] + [b * d]
         for row, bi in zip(self.rows, self.basis):
             f = a[bi] if bi < self.n else 0
             if f != 0:
                 new = [v - f * w for v, w in zip(new, row)]
         child = copy.copy(self)
         child.rows = self.rows + [new]
-        child.basis = self.basis + [slack]
+        child.basis = self.basis + [self.n + len(self.rows)]
+        child.nb = list(self.nb)
         while True:
             leave = None
             for i, row in enumerate(child.rows):
@@ -189,7 +199,7 @@ class _Simplex:
                 return child
             row, obj = child.rows[leave], child.obj
             enter = None
-            for j in range(self.art):
+            for j in child._by_label():
                 # obj[j] / row[j] < obj[enter] / row[enter], both rows negative
                 if row[j] < 0 and (enter is None or obj[j] * row[enter] < obj[enter] * row[j]):
                     enter = j
@@ -206,21 +216,11 @@ def _scaled_row(ineq: Ineq) -> tuple[list[int], int, int]:
     return row + [-x for x in row] + [s if strict else 0], rhs.numerator * (s // rhs.denominator), s
 
 
-def _eps_program(ineqs: Sequence[Ineq], nvars: int, spare: int = 0) -> _Simplex:
+def _eps_program(ineqs: Sequence[Ineq], nvars: int) -> _Simplex:
     """The max-eps program of the system over z = (u, v, eps), unsolved."""
-    a_rows: list[list[int]] = []
-    b: list[int] = []
-    scale: list[int] = []
-    for ineq in ineqs:
-        row, rhs, s = _scaled_row(ineq)
-        a_rows.append(row)
-        b.append(rhs)
-        scale.append(s)
-    a_rows.append([0] * (2 * nvars) + [1])  # eps <= 1
-    b.append(1)
-    scale.append(1)
-    c = [0] * (2 * nvars) + [1]
-    return _Simplex(a_rows, b, c, scale, spare)
+    eps_row = [0] * (2 * nvars) + [1]
+    a, b, scale = zip(*[_scaled_row(ineq) for ineq in ineqs], (eps_row, 1, 1))  # eps <= 1
+    return _Simplex(a, b, eps_row, scale)
 
 
 def _interior(lp: _Simplex) -> Optional[_Simplex]:
@@ -248,13 +248,13 @@ def feasible_point(ineqs: Sequence[Ineq], nvars: int) -> Optional[tuple[Fraction
     return _split_point(sol, nvars)
 
 
-def interior_tableau(ineqs: Sequence[Ineq], nvars: int, spare: int) -> Optional[_Simplex]:
+def interior_tableau(ineqs: Sequence[Ineq], nvars: int) -> Optional[_Simplex]:
     """The solved max-eps tableau of a strictly feasible system, else None.
 
-    spare rows can be added later by tighten(), each one a dual-simplex
+    Rows can be added later by tighten(), each one a dual-simplex
     re-optimization instead of a cold solve.
     """
-    lp = _eps_program(ineqs, nvars, spare)
+    lp = _eps_program(ineqs, nvars)
     return None if lp.solve() is None else _interior(lp)
 
 

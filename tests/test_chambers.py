@@ -503,8 +503,12 @@ class TestWarmDescent:
         monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
         walls = negative_wall_classes(n)
         base = chambers._admissibility_ineqs(n, boundary)
-        root = exactlp.interior_tableau(chambers._dedupe(base), n, len(walls))
+        root = exactlp.interior_tableau(chambers._dedupe(base), n)
         assert root is not None and cold_verdict(base, n)
+        # each row holds the nonbasic columns of (u, v, eps) and the rhs only,
+        # however many rows the tableau has
+        width = 2 * n + 2
+        assert all(len(row) == width for row in root.rows + [root.obj])
         leaves, decided, pruned, dual = set(), 0, 0, 0
         stack = [((), list(base), root)]
         while stack:
@@ -525,6 +529,7 @@ class TestWarmDescent:
                     continue
                 # the basic point of the warm tableau is itself a witness
                 assert child.d > 0
+                assert all(len(row) == width for row in child.rows + [child.obj])
                 point = exactlp._split_point(child.values(), n)
                 assert all(holds(row, point) for row in child_rows)
                 stack.append((bits + (positive,), child_rows, child))
@@ -550,6 +555,33 @@ class TestWarmDescent:
         records = enumerate_chambers(4)
         assert len(leaf_solves) == len(records) == 6
         assert len(solves) == 1 + len(leaf_solves)
+
+    def test_cold_solves_and_their_pivots_pinned(self, monkeypatch):
+        # n=3..5 in both modes: 6 root solves and 82 leaf solves.  794 pivots
+        # pin the primal Bland rule, which must pick the entering variable
+        # by label, not by its column position in the dictionary
+        solves, pivots, inside = [], [], []
+        real_solve, real_pivot = exactlp._Simplex.solve, exactlp._Simplex._pivot
+
+        def counting_solve(lp):
+            solves.append(lp.n)
+            inside.append(lp)
+            try:
+                return real_solve(lp)
+            finally:
+                inside.pop()
+
+        def counting_pivot(lp, r, col):
+            if inside:
+                pivots.append(col)
+            real_pivot(lp, r, col)
+
+        monkeypatch.setattr(exactlp._Simplex, "solve", counting_solve)
+        monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
+        for n in (3, 4, 5):
+            for boundary in ("strict", "inclusive"):
+                enumerate_chambers(n, boundary)
+        assert (len(solves), len(pivots)) == (88, 794)
 
 
 def simplify_reference(point, ineqs):

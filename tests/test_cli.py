@@ -307,6 +307,14 @@ class TestConfStratify:
         )
         assert code == 2
 
+    def test_zero_denominator_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "conf", "stratify", "--points", "1/0:1:1,0:1:0,0:0:1,1:1:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: coordinate '1/0' of point '1/0:1:1' has a zero denominator\n"
+
 
 class TestVerify:
     def test_fast_suite_passes(self, capsys):

@@ -63,6 +63,11 @@ class TestProjectivePoint:
         with pytest.raises(ValueError):
             pp("1:2")
 
+    @pytest.mark.parametrize("text,bad", [("1/0:1:1", "1/0"), ("1:2: 3/0 ", "3/0")])
+    def test_zero_denominator_names_the_coordinate(self, text, bad):
+        with pytest.raises(ValueError, match=f"coordinate '{bad}' of point .* zero denominator"):
+            pp(text)
+
     def test_scale_equivalence(self):
         assert pp("3:6:9") == pp("1:2:3")
         assert hash(pp("3:6:9")) == hash(pp("1:2:3"))

@@ -397,7 +397,7 @@ def test_rows_appended_one_at_a_time_match_cold_solves(seed):
     # the first row is solved cold, every later one is a warm dual-simplex
     # step on the previous tableau; each prefix must get the cold verdict
     rows, nvars = random_system(seed)
-    lp = interior_tableau(rows[:1], nvars, len(rows) - 1)
+    lp = interior_tableau(rows[:1], nvars)
     for k in range(1, len(rows) + 1):
         prefix = rows[:k]
         if k > 1 and lp is not None:
@@ -429,7 +429,7 @@ def test_appended_rows_reach_both_verdicts_and_dual_pivots(monkeypatch):
     verdicts, dual = set(), 0
     for seed in range(len(FROZEN)):
         rows, nvars = random_system(seed)
-        lp = interior_tableau(rows[:1], nvars, len(rows) - 1)
+        lp = interior_tableau(rows[:1], nvars)
         for row in rows[1:]:
             if lp is None:
                 break
@@ -441,24 +441,49 @@ def test_appended_rows_reach_both_verdicts_and_dual_pivots(monkeypatch):
     assert dual == 697
 
 
-def test_no_spare_slack_left_raises():
-    lp = interior_tableau([((1,), 1, True)], 1, 1)
-    child = tighten(lp, ((-1,), 0, True))
-    assert child is not None
-    with pytest.raises(ValueError, match="spare slack"):
-        tighten(child, ((1,), F(1, 2), False))
+def test_rows_appended_past_any_reserved_width_match_cold_solves():
+    # the dictionary reserves no column per future row: a one-row root takes
+    # as many rows as come, and every row keeps 2 * nvars + 2 entries
+    root = ((1, 1), 2, True)  # x + y < 2
+    extra = [
+        ((-1, 0), 0, False), ((0, -1), 0, False), ((1, -1), 1, True), ((-1, 1), 1, True),
+        ((-1, 0), F(-1, 3), True), ((0, -1), F(-1, 4), True), ((1, 2), 2, False),
+        ((3, 1), 3, True), ((-1, -1), F(-6, 5), True), ((1, 0), F(1, 3), False),
+    ]
+    lp, verdicts = interior_tableau([root], 2), []
+    for k in range(1, len(extra) + 1):
+        prefix = [root] + extra[:k]
+        lp = tighten(lp, extra[k - 1])
+        cold = feasible_point(prefix, 2)
+        verdicts.append(lp is not None)
+        assert (lp is not None) == (cold is not None), k
+        if lp is None:
+            break
+        assert len(lp.rows) == k + 2
+        assert all(len(row) == 6 for row in lp.rows + [lp.obj])
+        assert satisfies(prefix, exactlp._split_point(lp.values(), 2))
+    assert verdicts == [True] * 9 + [False]
+
+
+def test_artificial_leaves_on_its_smallest_label():
+    # 2x <= -1 and -2x <= 1 pin x = -1/2: phase 1 ends with the artificial
+    # basic at zero, and it leaves on the nonzero entry of smallest label
+    # (slack 3, not slack 4 at an earlier position), which fixes the basis
+    lp = interior_tableau([((2,), -1, False), ((-2,), 1, False)], 1)
+    assert lp.basis == [3, 1, 2]
+    assert exactlp._split_point(lp.values(), 1) == (F(-1, 2),)
 
 
 def test_ratio_test_prunes_an_empty_cut():
     # x < 1 then x >= 2: the dual simplex finds no entering column
-    lp = interior_tableau([((1,), 1, True)], 1, 1)
+    lp = interior_tableau([((1,), 1, True)], 1)
     assert lp.with_row([-1, 1, 0], -2) is None
     assert tighten(lp, ((-1,), -2, False)) is None
 
 
 def test_cut_without_interior_prunes_on_eps():
     # x < 1 then x >= 1: feasible only at eps = 0, so the node is pruned
-    lp = interior_tableau([((1,), 1, True)], 1, 1)
+    lp = interior_tableau([((1,), 1, True)], 1)
     child = lp.with_row([-1, 1, 0], -1)
     assert child is not None and child.values().get(2, 0) == 0
     assert tighten(lp, ((-1,), -1, False)) is None

@@ -135,11 +135,16 @@ class TestFourPointModel:
         assert rep.check_top_vanishing()
 
     def test_euler_characteristics_follow_falling_factorials(self):
-        # chi of k distinct points in a space of Euler characteristic 3
-        # is 3*(3-1)*...*(3-k+1): 3, 6, 6, 0 for k=1..4
-        for k, chi in [(1, 3), (2, 6), (3, 6), (4, 0)]:
-            rep = cohomology_ranks(kriz_model(KrizParams(2, k), degree_cap=14))
-            assert rep.euler_characteristic() == chi, f"k={k}"
+        # chi of k distinct points in CP^m, of Euler characteristic m+1, is
+        # (m+1) m ... (m+2-k): 3, 6, 6, 0 for m=2 and k=1..4 (cap 14), and
+        # 2, 0, 0 and 12, 24, 24 for m=1 and m=3 and k=2..4 at the cap 2mk
+        # of the top degree, so no class is cut off
+        cases = [(2, k, chi, 14) for k, chi in [(1, 3), (2, 6), (3, 6), (4, 0)]]
+        for m, chis in [(1, [2, 0, 0]), (3, [12, 24, 24])]:
+            cases += [(m, k, chi, 2 * m * k) for k, chi in zip((2, 3, 4), chis)]
+        for m, k, chi, cap in cases:
+            rep = cohomology_ranks(kriz_model(KrizParams(m, k), degree_cap=cap))
+            assert rep.euler_characteristic() == chi, f"m={m} k={k}"
 
 
 class TestStructure:
