@@ -29,7 +29,6 @@ from .lattice import (
     negative_wall_classes,
 )
 
-Relation = Literal["<", "<=", ">", ">="]
 Boundary = Literal["strict", "inclusive"]
 
 # largest n whose chamber count enumerate_chambers can vouch for
@@ -97,39 +96,6 @@ class ChamberRecord:
         }
 
 
-@dataclass(frozen=True)
-class LinearConstraintSystem:
-    """Conjunction of rational half-space constraints sum a_i x_i rel b."""
-
-    nvars: int
-    constraints: tuple[tuple[tuple[Fraction, ...], Fraction, Relation], ...]
-
-    def __init__(
-        self,
-        nvars: int,
-        constraints: Iterable[tuple[Sequence[Fraction | int | str], Fraction | int | str, Relation]] = (),
-    ):
-        rows = []
-        for coeffs, const, rel in constraints:
-            coeffs = tuple(Fraction(a) for a in coeffs)
-            if len(coeffs) != nvars:
-                raise ValueError(f"coefficient vector length {len(coeffs)} != nvars {nvars}")
-            if rel not in ("<", "<=", ">", ">="):
-                raise ValueError(f"unknown relation {rel!r}")
-            rows.append((coeffs, Fraction(const), rel))
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "constraints", tuple(rows))
-
-    def _ineqs(self) -> list[_Ineq]:
-        out: list[_Ineq] = []
-        for coeffs, const, rel in self.constraints:
-            if rel in ("<", "<="):
-                out.append((coeffs, const, rel == "<"))
-            else:
-                out.append((tuple(-a for a in coeffs), -const, rel == ">"))
-        return out
-
-
 def _primitive_key(coeffs: Sequence[Rational], rhs: Rational):
     """Scale (coeffs, rhs) to a primitive integer vector for deduplication."""
     vals = (*coeffs, rhs)
@@ -149,32 +115,11 @@ def _dedupe(ineqs: Iterable[_Ineq]):
             if rhs < 0 or (strict and rhs == 0):
                 return None
             continue
-        ck, rk = _primitive_key(coeffs, rhs)
-        key = (ck, rk)
+        key = _primitive_key(coeffs, rhs)
         prev = merged.get(key)
         if prev is None or (strict and not prev[2]):
             merged[key] = (coeffs, rhs, strict)
     return list(merged.values())
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def simplest_in_open(a: Fraction, b: Fraction) -> Fraction:
-    """Smallest-denominator rational strictly between a and b (a < b)."""
-    if not a < b:
-        raise ValueError("need a < b")
-    if b <= 0:
-        return -simplest_in_open(-b, -a)
-    if a < 0:
-        return Fraction(0)
-    fa = _floor(a)
-    if a < fa + 1 < b:
-        return Fraction(fa + 1)
-    if a == fa:
-        return fa + Fraction(1, _floor(Fraction(1) / (b - fa)) + 1)
-    return fa + Fraction(1) / simplest_in_open(Fraction(1) / (b - fa), Fraction(1) / (a - fa))
 
 
 def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fraction, ...]:
@@ -195,34 +140,6 @@ def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fr
         else:
             return tuple(Fraction(k, q) for k in ks)
     return point
-
-
-def feasible(sys: LinearConstraintSystem) -> bool:
-    """Exact decision whether some rational point satisfies every constraint."""
-    rows = _dedupe(sys._ineqs())
-    return rows is not None and feasible_point(rows, sys.nvars) is not None
-
-
-def witness(sys: LinearConstraintSystem) -> Optional[tuple[Fraction, ...]]:
-    """A rational point satisfying the system, with small denominators."""
-    rows = _dedupe(sys._ineqs())
-    if rows is None:
-        return None
-    point = feasible_point(rows, sys.nvars)
-    if point is None:
-        return None
-    result = _simplify_point(point, rows)
-    if not _satisfies(sys, result):
-        raise ArithmeticError(f"witness {result} violates the system {sys.constraints}")
-    return result
-
-
-def _satisfies(sys: LinearConstraintSystem, point: Sequence[Fraction]) -> bool:
-    for coeffs, rhs, strict in sys._ineqs():
-        lhs = sum(a * x for a, x in zip(coeffs, point))
-        if lhs > rhs or (strict and lhs == rhs):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,13 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.degree_cap is not None and int(self.degree_cap) < 2:
-            raise ValueError("degree_cap must be at least 2")
+        cap = self.degree_cap
+        if cap is not None and (type(cap) is not int or cap < 2):
+            raise ValueError(f"degree_cap must be an integer of at least 2, got {cap!r}")
+        for key in ("weights", "output"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
         if self.boundary_convention not in _BOUNDARIES:
             raise ValueError(f"boundary_convention must be one of {_BOUNDARIES}")
         if self.format not in _FORMATS:
@@ -54,6 +59,8 @@ class RunConfig:
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path} must hold a JSON object, got {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

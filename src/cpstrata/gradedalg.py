@@ -410,11 +410,6 @@ class GPolynomial:
         return f"<GPolynomial {self.to_text()}>"
 
 
-def multiply(p: GPolynomial, q: GPolynomial) -> GPolynomial:
-    """Graded-commutative product (function form of p * q)."""
-    return p * q
-
-
 class SparseReducer:
     """Exact row reduction over integer rows keyed by orderable column labels.
 
@@ -430,10 +425,6 @@ class SparseReducer:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @property
-    def pivots(self):
-        return set(self.rows)
 
     @staticmethod
     def _primitive(row: dict) -> dict:
@@ -636,18 +627,6 @@ class PresentedAlgebra:
         for q in sorted(degs):
             out = out + self.graded_basis(q).reduce(p.homogeneous_part(q))
         return out
-
-
-def graded_basis(algebra: PresentedAlgebra, q: int) -> GradedBasis:
-    return algebra.graded_basis(q)
-
-
-def quotient_dimension(algebra: PresentedAlgebra, q: int) -> int:
-    return algebra.quotient_dimension(q)
-
-
-def ideal_member(algebra: PresentedAlgebra, p: GPolynomial) -> bool:
-    return algebra.ideal_member(p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ fixed lexicographic order to make every downstream report reproducible.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,11 +48,6 @@ class H2Element:
     @property
     def n(self) -> int:
         return len(self.multiplicities)
-
-    @classmethod
-    def line(cls, n: int) -> "H2Element":
-        _check_n(n)
-        return cls(1, (0,) * n)
 
     @classmethod
     def exceptional(cls, i: int, n: int) -> "H2Element":
@@ -89,13 +83,6 @@ class H2Element:
         if text.startswith("+ "):
             return text[2:]
         return text
-
-    def to_json_dict(self) -> dict:
-        return {"a": self.degree_a, "r": list(self.multiplicities)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "H2Element":
-        return cls(int(data["a"]), tuple(int(r) for r in data["r"]))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -250,49 +237,9 @@ def negative_wall_classes(n: int) -> tuple[H2Element, ...]:
     return tuple(sorted(keep))
 
 
-@lru_cache(maxsize=None)
-def _negative_shape_set(n: int) -> frozenset[H2Element]:
-    return frozenset(_negative_shape_instances(n))
-
-
-def matches_negative_shape(u: H2Element) -> bool:
-    """True when u is some instantiation of the six shapes (any square)."""
-    return u in _negative_shape_set(u.n)
-
-
 def area(c: Capacities, u: H2Element) -> Fraction:
     """Symplectic area a - sum c_i r_i of u under the blow-up form for c."""
     if len(c) != u.n:
         raise DimensionMismatchError(f"capacities length {len(c)} vs n={u.n}")
     return Fraction(u.degree_a) - sum(ci * ri for ci, ri in zip(c.values, u.multiplicities))
 
-
-def parse_h2(text: str) -> H2Element:
-    """Inverse of H2Element.to_text / to_json_dict (accepts either form)."""
-    text = text.strip()
-    if text.startswith("{"):
-        return H2Element.from_json_dict(json.loads(text))
-    tokens = text.replace("-", " - ").replace("+", " + ").split()
-    a = 0
-    rs: dict[int, int] = {}
-    sign = 1
-    for tok in tokens:
-        if tok == "-":
-            sign = -1
-            continue
-        if tok == "+":
-            sign = 1
-            continue
-        if tok.endswith("L"):
-            coeff = tok[:-1]
-            a = sign * (int(coeff) if coeff else 1)
-        elif "E" in tok:
-            coeff_txt, idx_txt = tok.split("E")
-            coeff = int(coeff_txt) if coeff_txt else 1
-            # stored as a*L - sum r_i E_i, so a minus sign means r_i > 0
-            rs[int(idx_txt)] = -sign * coeff
-        else:
-            raise ValueError(f"cannot parse term {tok!r} in {text!r}")
-        sign = 1
-    n = max(rs) if rs else 1
-    return H2Element(a, tuple(rs.get(i, 0) for i in range(1, n + 1)))

@@ -3,7 +3,11 @@
 Each suite runs a fixed, ordered list of checks.  A check stores the
 expected and computed values as plain strings so reports serialize
 reproducibly; wall-clock timings are kept off to the side and never
-take part in report comparison.  The suite names are part of the
+take part in report comparison.  A value that several checks of one
+suite read is computed once, by a functools.cache thunk made inside the
+suite function, so nothing is shared across suites or runs; a raised
+exception is not cached, so every check that reads a failing value
+reports the same error.  The suite names are part of the
 command-line surface: chambers, thm13, eq71, eq75, ab-iso, kriz, conf.
 """
 
@@ -12,6 +16,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 from . import ballmodels
@@ -190,44 +195,40 @@ def suite_eq71(rec: Recorder) -> None:
 
 
 def suite_eq75(rec: Recorder) -> None:
+    ranks = cache(lambda: cohomology_ranks(kriz_model(KrizParams(2, 4))))
     rec.check(
         "four-point configuration ranks at cap 14",
         CONF4_ROW,
-        lambda: cohomology_ranks(kriz_model(KrizParams(2, 4))).rank_list(),
+        lambda: ranks().rank_list(),
     )
     rec.check(
         "four-point euler characteristic",
         0,
-        lambda: cohomology_ranks(
-            kriz_model(KrizParams(2, 4))
-        ).euler_characteristic(),
+        lambda: ranks().euler_characteristic(),
     )
 
 
 def suite_ab_iso(rec: Recorder) -> None:
+    iso = cache(ballmodels.ab_isomorphism_check)
     rec.check(
         "relation images in ideal, degree-2 span, dims equal",
         True,
-        lambda: bool(ballmodels.ab_isomorphism_check()),
+        lambda: bool(iso()),
     )
     rec.check(
         "graded dimensions of both rings",
         [1, 0, 3, 0, 3, 0, 1, 1, 0, 1, 0, 0, 0],
-        lambda: list(ballmodels.ab_isomorphism_check().source_dims),
+        lambda: list(iso().source_dims),
     )
     rec.check(
         "image of the first quadratic relation",
         "T1^2 + T1*T2 + 3*T1*T3 + T2^2 + 3*T2*T3 + 3*T3^2",
-        lambda: dict(ballmodels.ab_isomorphism_check().images)[
-            "alpha1^2 + alpha1*alpha2 + alpha2^2"
-        ],
+        lambda: dict(iso().images)["alpha1^2 + alpha1*alpha2 + alpha2^2"],
     )
     rec.check(
         "image of the first odd relation",
         "T1*eta - T2*eta",
-        lambda: dict(ballmodels.ab_isomorphism_check().images)[
-            "alpha1*zeta - alpha2*zeta"
-        ],
+        lambda: dict(iso().images)["alpha1*zeta - alpha2*zeta"],
     )
 
 

@@ -4,21 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cpstrata import chambers, exactlp
 from cpstrata.chambers import (
     AdmissibilityError,
-    LinearConstraintSystem,
     UnsupportedLabelError,
     chamber_label,
     chamber_signature,
     enumerate_chambers,
-    feasible,
     is_admissible,
-    simplest_in_open,
-    witness,
 )
 from cpstrata.exactlp import feasible_point
 from cpstrata.lattice import Capacities, area, enumerate_exceptional, negative_wall_classes
@@ -35,48 +29,61 @@ def chambers5():
     return enumerate_chambers(5)
 
 
+def rows_of(constraints):
+    """(coeffs, rhs, strict) rows sum a_i x_i < rhs (<= when not strict)
+    for constraints (coeffs, rhs, relation), relation one of <, <=, >, >=."""
+    rows = []
+    for coeffs, rhs, rel in constraints:
+        coeffs, rhs = tuple(F(a) for a in coeffs), F(rhs)
+        if rel in (">", ">="):
+            coeffs, rhs = tuple(-a for a in coeffs), -rhs
+        rows.append((coeffs, rhs, rel in ("<", ">")))
+    return rows
+
+
+def solve(nvars, constraints):
+    """A chamber leaf's witness path: dedupe, solve exactly, simplify.
+
+    None when the system is infeasible; a point found is checked against
+    every row as given.
+    """
+    rows = rows_of(constraints)
+    deduped = chambers._dedupe(rows)
+    deep = None if deduped is None else feasible_point(deduped, nvars)
+    if deep is None:
+        return None
+    pt = chambers._simplify_point(deep, deduped)
+    for coeffs, rhs, strict in rows:
+        lhs = sum(a * x for a, x in zip(coeffs, pt))
+        assert lhs < rhs or (not strict and lhs == rhs), f"{pt} violates {coeffs}, {rhs}"
+    return pt
+
+
 class TestFeasibility:
     def test_strict_contradiction(self):
-        sys = LinearConstraintSystem(1, [((1,), 0, "<"), ((1,), 0, ">")])
-        assert not feasible(sys)
-        assert witness(sys) is None
+        assert solve(1, [((1,), 0, "<"), ((1,), 0, ">")]) is None
 
     def test_closed_point(self):
-        sys = LinearConstraintSystem(1, [((1,), 0, "<="), ((1,), 0, ">=")])
-        assert feasible(sys)
-        assert witness(sys) == (F(0),)
+        assert solve(1, [((1,), 0, "<="), ((1,), 0, ">=")]) == (F(0),)
 
     def test_open_triangle(self):
-        sys = LinearConstraintSystem(
-            2, [((1, 1), 1, "<"), ((1, 0), F(2, 5), ">"), ((0, 1), F(2, 5), ">")]
-        )
-        assert feasible(sys)
-        x, y = witness(sys)
+        x, y = solve(2, [((1, 1), 1, "<"), ((1, 0), F(2, 5), ">"), ((0, 1), F(2, 5), ">")])
         assert x + y < 1 and x > F(2, 5) and y > F(2, 5)
 
     def test_strict_beats_closed_on_merge(self):
         # same hyperplane appearing both ways must stay strict
-        sys = LinearConstraintSystem(1, [((1,), 1, "<="), ((2,), 2, "<"), ((1,), 1, ">=")])
-        assert not feasible(sys)
-
-    def test_bad_witness_raises_arithmetic_error(self, monkeypatch):
-        sys = LinearConstraintSystem(1, [((1,), 1, "<")])
-        monkeypatch.setattr(chambers, "_simplify_point", lambda point, rows: (F(2),))
-        with pytest.raises(ArithmeticError, match="violates the system"):
-            witness(sys)
+        assert solve(1, [((1,), 1, "<="), ((2,), 2, "<"), ((1,), 1, ">=")]) is None
 
     def test_negative_region(self):
-        sys = LinearConstraintSystem(2, [((1, 0), -3, "<="), ((0, 1), -4, "<")])
-        pt = witness(sys)
+        pt = solve(2, [((1, 0), -3, "<="), ((0, 1), -4, "<")])
         assert pt[0] <= -3 and pt[1] < -4
 
     def test_empty_system(self):
-        assert feasible(LinearConstraintSystem(3))
-        assert witness(LinearConstraintSystem(3)) == (F(0), F(0), F(0))
+        assert solve(3, []) == (F(0), F(0), F(0))
 
     def test_equality_chain_with_offset(self):
         # x = y, y = z, z >= 7/3, x < 3
-        sys = LinearConstraintSystem(
+        pt = solve(
             3,
             [
                 ((1, -1, 0), 0, "<="),
@@ -87,7 +94,6 @@ class TestFeasibility:
                 ((1, 0, 0), 3, "<"),
             ],
         )
-        pt = witness(sys)
         assert pt is not None
         assert pt[0] == pt[1] == pt[2]
         assert F(7, 3) <= pt[0] < 3
@@ -102,12 +108,10 @@ class TestFeasibility:
                 coeffs = (rng.randint(-2, 2), rng.randint(-2, 2))
                 rel = rng.choice(["<", "<=", ">", ">="])
                 rows.append((coeffs, F(rng.randint(-3, 3)), rel))
-            sys = LinearConstraintSystem(2, rows)
-            got = feasible(sys)
-            if not got:
+            if solve(2, rows) is None:
                 # no grid point may satisfy the system either
                 def ok(x, y):
-                    for (a, b), rhs, rel in sys.constraints:
+                    for (a, b), rhs, rel in rows:
                         lhs = a * x + b * y
                         if rel == "<" and not lhs < rhs:
                             return False
@@ -120,42 +124,6 @@ class TestFeasibility:
                     return True
 
                 assert not any(ok(x, y) for x in grid for y in grid)
-            else:
-                pt = witness(sys)
-                assert pt is not None  # witness agrees with the decision
-
-
-class TestSimplestInOpen:
-    def test_examples(self):
-        assert simplest_in_open(F(1, 3), F(1, 2)) == F(2, 5)
-        assert simplest_in_open(F(0), F(1)) == F(1, 2)
-        assert simplest_in_open(F(2, 5), F(3, 5)) == F(1, 2)
-        assert simplest_in_open(F(5, 3), F(7, 4)) == F(12, 7)
-        assert simplest_in_open(F(-3), F(-2)) == F(-5, 2)
-        assert simplest_in_open(F(-1, 2), F(1, 3)) == F(0)
-        assert simplest_in_open(F(3, 2), F(4)) == F(2)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            simplest_in_open(F(1, 2), F(1, 2))
-
-    @given(
-        st.fractions(min_value=-5, max_value=5, max_denominator=40),
-        st.fractions(min_value=-5, max_value=5, max_denominator=40),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_minimal_denominator(self, a, b):
-        if a == b:
-            return
-        a, b = min(a, b), max(a, b)
-        r = simplest_in_open(a, b)
-        assert a < r < b
-        for q in range(1, r.denominator):
-            lo = a * q
-            p = lo.numerator // lo.denominator + 1
-            while F(p, q) < b:
-                assert not a < F(p, q) < b
-                p += 1
 
 
 class TestAdmissibility:
@@ -636,16 +604,14 @@ class TestSimplifyPoint:
         for _ in range(200):
             nvars = rng.randint(1, 3)
             rows = random_rows(rng, nvars, rng.randint(1, 5), True)
-            sys = LinearConstraintSystem(
-                nvars, [(co, rhs, "<" if strict else "<=") for co, rhs, strict in rows]
-            )
-            deduped = chambers._dedupe(sys._ineqs())
+            constraints = [(co, rhs, "<" if strict else "<=") for co, rhs, strict in rows]
+            deduped = chambers._dedupe(rows_of(constraints))
             deep = None if deduped is None else feasible_point(deduped, nvars)
             if deep is None:
-                assert witness(sys) is None
+                assert solve(nvars, constraints) is None
                 continue
             checked += 1
-            assert witness(sys) == simplify_reference(deep, deduped)
+            assert solve(nvars, constraints) == simplify_reference(deep, deduped)
         assert checked > 50
 
     def test_half_way_rounds_to_even(self):

@@ -6,12 +6,17 @@ from pathlib import Path
 
 import pytest
 
+from cpstrata import ballmodels, verify
 from cpstrata.cli import RunConfig, canonical_json, main, parse_weights
 from cpstrata.verify import IEMB_ROWS
 
 # stdout of each command, frozen before the monomial kernel replaced the
 # per-product polynomial path
 PAYLOADS = json.loads((Path(__file__).parent / "data" / "cli_payloads.json").read_text())
+# the verify all payload without timings, as the benchmark checks it
+VERIFY_ALL = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+)["verify_all_payload"]
 
 
 def run(capsys, *argv):
@@ -85,6 +90,26 @@ class TestRunConfig:
         p.write_text('{"degre_cap": 8}')
         with pytest.raises(ValueError):
             RunConfig.load(str(p))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("5", "must hold a JSON object, got 5"),
+            ('["degree_cap"]', "must hold a JSON object"),
+            ('{"weights": 5}', "weights must be a string, got 5"),
+            ('{"output": 7}', "output must be a string, got 7"),
+            ('{"degree_cap": 2.5}', "degree_cap must be an integer of at least 2, got 2.5"),
+            ('{"degree_cap": true}', "degree_cap must be an integer of at least 2, got True"),
+            ('{"degree_cap": "8"}', "degree_cap must be an integer of at least 2, got '8'"),
+        ],
+    )
+    def test_bad_config_is_a_clean_error(self, tmp_path, capsys, text, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        code, out, err = run(capsys, "kriz", "--m", "1", "--k", "2", "--config", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
 
 class TestChamberClassify:
@@ -324,13 +349,51 @@ class TestVerify:
         assert "4/4 checks passed" in out
 
     def test_json_report_shape(self, capsys):
-        code, out, err = run(capsys, "verify", "eq75", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert "checks passed" in err
-        assert payload["pass"] is True
-        assert set(payload["suites"]) == {"eq75"}
-        assert "timings" in payload
+        for suite in ("eq75", "ab-iso"):
+            code, out, err = run(capsys, "verify", suite, "--json")
+            assert code == 0
+            payload = json.loads(out)
+            assert "checks passed" in err
+            assert payload["pass"] is True
+            assert set(payload["suites"]) == {suite}
+            assert "timings" in payload
+            assert payload["suites"][suite] == VERIFY_ALL["suites"][suite]
+
+    def test_ab_iso_check_runs_once_per_suite(self, monkeypatch):
+        calls = []
+        original = ballmodels.ab_isomorphism_check
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ballmodels, "ab_isomorphism_check", counted)
+        assert verify.run_suite("ab-iso").passed
+        assert len(calls) == 1
+        assert verify.run_suite("ab-iso").passed  # nothing is kept across runs
+        assert len(calls) == 2
+
+    def test_eq75_model_is_solved_once_per_suite(self, monkeypatch):
+        calls = []
+        original = verify.kriz_model
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "kriz_model", counted)
+        assert verify.run_suite("eq75").passed
+        assert len(calls) == 1
+
+    def test_failing_shared_value_gives_every_check_the_same_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no ring today")
+
+        monkeypatch.setattr(ballmodels, "ab_isomorphism_check", broken)
+        report = verify.run_suite("ab-iso")
+        assert len(report.checks) == 4
+        assert not any(c.passed for c in report.checks)
+        assert {c.computed for c in report.checks} == {"error: RuntimeError: no ring today"}
 
     def test_report_deterministic_modulo_timings(self, capsys, tmp_path):
         a_path = tmp_path / "a.json"

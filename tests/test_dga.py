@@ -17,7 +17,6 @@ from cpstrata.gradedalg import (
     InhomogeneousError,
     PresentedAlgebra,
     TableMismatchError,
-    quotient_dimension,
 )
 from cpstrata.dga import (
     DgaSpec,
@@ -275,7 +274,7 @@ class TestCohomologyRanks:
         )
         D = DgaSpec(A, {}, degree_cap=8)
         rep = cohomology_ranks(D)
-        assert rep.rank_list() == [quotient_dimension(A, q) for q in range(9)]
+        assert rep.rank_list() == [A.quotient_dimension(q) for q in range(9)]
 
     def test_representatives_are_normalized_cocycles(self):
         D = flag_model()

@@ -19,9 +19,7 @@ from cpstrata.lattice import (
     enumerate_exceptional,
     intersection,
     is_exceptional_numerical,
-    matches_negative_shape,
     negative_wall_classes,
-    parse_h2,
 )
 
 
@@ -111,8 +109,9 @@ class TestExceptional:
 
     def test_every_class_matches_a_shape_or_is_basis(self):
         for n in (5, 8):
+            shapes = set(lattice._negative_shape_instances(n))
             for u in enumerate_exceptional(n):
-                assert u.degree_a == 0 or matches_negative_shape(u)
+                assert u.degree_a == 0 or u in shapes
 
     def test_failed_recheck_raises_arithmetic_error(self, monkeypatch):
         # the search's candidates are re-checked exactly; a failing re-check
@@ -227,14 +226,6 @@ class TestSerialization:
         assert h2(3, 2, 0, 1).to_text() == "3L - 2E1 - E3"
         assert H2Element.exceptional(1, 3).to_text() == "E1"
         assert h2(0, 0, 0).to_text() == "0"
-
-    def test_parse_round_trip(self):
-        for u in (h2(1, 1, 1), h2(3, 2, 0, 1), h2(6, 3, 2, 2), h2(2, -1, 1)):
-            assert parse_h2(u.to_text()).pad(u.n) == u
-
-    def test_json_round_trip(self):
-        u = h2(4, 2, 2, 2, 1, 1)
-        assert H2Element.from_json_dict(u.to_json_dict()) == u
 
     @pytest.mark.parametrize("text,bad", [("1/0", "'1/0'"), ("1/2,3/0", "'3/0'")])
     def test_capacities_reject_zero_denominator(self, text, bad):
