@@ -101,9 +101,6 @@ _FREE_WEIGHTS = {
     (4, "C_5"): 0,
 }
 
-SUPPORTED = tuple(sorted(_FREE_WEIGHTS))
-
-
 def canonical_chamber(n: int, chamber: str) -> str:
     """Normalize a chamber label and reject unsupported (n, label) pairs."""
     label = str(chamber).strip()

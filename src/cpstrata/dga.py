@@ -94,10 +94,6 @@ class DgaSpec:
         )
         self._dcache: dict[Monomial, dict[Monomial, Fraction]] = {}
 
-    def generator_value(self, name: str) -> GPolynomial:
-        self.table.index(name)
-        return self.values.get(name, GPolynomial.zero(self.table))
-
 
 def _monomial_differential(D: DgaSpec, mono: Monomial) -> dict[Monomial, Fraction]:
     """Terms of d(mono), by the graded Leibniz rule on the exponent vector.
@@ -233,15 +229,18 @@ class CohomologyReport:
 
 
 class _QuotientDifferential:
-    """Matrices of d on the quotient complement bases, eliminated lazily.
+    """Matrices of d on the quotient frames, eliminated lazily.
 
-    Each degree q is eliminated once.  Column j of d_q enters one
-    SparseReducer as its target coordinates, keyed (1, i), plus a tag
-    (0, j).  Tags sort below every target key, so a row keeps a target pivot
-    exactly when its column is independent of the earlier ones; those rows,
-    tags stripped, span im(d_q).  A dependent column reduces to tags alone
-    with its own tag as pivot: the unique relation writing it through the
-    earlier independent columns, scaled to a kernel vector with entry j = 1.
+    A quotient vector of degree q is a sparse row keyed by frame monomial
+    index (a position in graded_basis(q).monomials) and supported on the
+    complement.  Each degree q is eliminated once.  The column of d_q at
+    domain index j enters one SparseReducer as its target entries, keyed
+    (1, i), plus a tag (0, j).  Tags sort below every target key, so a row
+    keeps a target pivot exactly when its column is independent of the
+    earlier ones; those rows, tags stripped, span im(d_q).  A dependent
+    column reduces to tags alone with its own tag as pivot: the unique
+    relation writing it through the earlier independent columns, scaled to
+    a kernel vector with entry j = 1.
     """
 
     def __init__(self, D: DgaSpec):
@@ -251,7 +250,8 @@ class _QuotientDifferential:
         self._boundaries: dict[int, SparseReducer] = {0: SparseReducer()}
 
     def columns(self, q: int) -> list[tuple]:
-        """One coordinate column per complement monomial of degree q."""
+        """Per complement monomial of degree q, in order: the nonzero
+        (target frame index, coefficient) pairs of its image under d."""
         cols = self._columns.get(q)
         if cols is None:
             A = self.D.algebra
@@ -261,16 +261,18 @@ class _QuotientDifferential:
             cols = []
             for mono in frame.complement:
                 image = _monomial_differential(self.D, mono)
-                cols.append(target.row_coordinates({index[m]: c for m, c in image.items()}))
+                row = {index[m]: c for m, c in image.items()}
+                cols.append(tuple(target.reducer.residue(row).items()))
             self._columns[q] = cols
         return cols
 
     def _eliminate(self, q: int) -> None:
+        frame = self.D.algebra.graded_basis(q)
         red = SparseReducer()
         kernel = []
-        for j, col in enumerate(self.columns(q)):
-            row = {(1, i): c for i, c in enumerate(col) if c}
-            row[(0, j)] = 1
+        for mono, col in zip(frame.complement, self.columns(q)):
+            row = {(1, i): c for i, c in col}
+            row[(0, frame.index[mono])] = 1
             pivot = red.insert(row)
             if pivot[0] == 0:
                 tagged = red.rows[pivot]
@@ -285,20 +287,16 @@ class _QuotientDifferential:
         self._boundaries[q + 1] = image
 
     def kernel(self, q: int) -> list[dict]:
-        """Basis of ker(d_q) as sparse degree-q complement coordinates."""
+        """Basis of ker(d_q) as sparse rows keyed by degree-q frame index."""
         if q not in self._kernels:
             self._eliminate(q)
         return self._kernels[q]
 
     def boundary_reducer(self, q: int) -> SparseReducer:
-        """Row space of im(d_{q-1}) in degree-q complement coordinates."""
+        """Row space of im(d_{q-1}), keyed by degree-q frame index."""
         if q not in self._boundaries:
             self._eliminate(q - 1)
         return self._boundaries[q]
-
-    def is_coboundary(self, q: int, coords) -> bool:
-        row = {i: c for i, c in enumerate(coords) if c != 0}
-        return self.boundary_reducer(q).member(row)
 
 
 def _normalize_leading(p: GPolynomial) -> GPolynomial:
@@ -338,10 +336,7 @@ def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
             if not residue:
                 continue
             scratch.insert(residue)
-            poly = GPolynomial(
-                A.table, [(frame.complement[i], c) for i, c in residue.items()]
-            )
-            chosen.append(_normalize_leading(poly))
+            chosen.append(_normalize_leading(frame.from_row(residue)))
         if len(chosen) != rank_q:
             raise DifferentialError(
                 f"degree {q}: found {len(chosen)} independent cocycles for "
@@ -349,25 +344,6 @@ def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
             )
         reps[q] = chosen
     return CohomologyReport(ranks, reps, True, True, D.degree_cap)
-
-
-def differential_matrix(D: DgaSpec, q: int):
-    """Matrix of d_q on quotient bases, with row and column labels.
-
-    Returns (rows, domain_labels, codomain_labels) where rows[i][j] is the
-    coefficient of codomain monomial i in d(domain monomial j).  Intended for
-    CSV export and external audit.
-    """
-    A = D.algebra
-    domain = A.graded_basis(q).complement
-    codomain = A.graded_basis(q + 1).complement
-    cols = _QuotientDifferential(D).columns(q)
-    rows = [[cols[j][i] for j in range(len(domain))] for i in range(len(codomain))]
-    return (
-        rows,
-        [A.table.monomial_text(m) for m in domain],
-        [A.table.monomial_text(m) for m in codomain],
-    )
 
 
 def dga_to_json(D: DgaSpec) -> dict:
@@ -471,8 +447,8 @@ def verify_presentation(
         q = image.degree()
         if q > D.degree_cap:
             continue
-        coords = D.algebra.graded_basis(q).coordinates(image)
-        if not quot.is_coboundary(q, coords):
+        frame = D.algebra.graded_basis(q)
+        if not quot.boundary_reducer(q).member(frame.reducer.residue(frame.to_row(image))):
             failures.append(
                 f"relation {rel.to_text()} does not map into im(d) + ideal"
             )

@@ -21,7 +21,6 @@ a polynomial at all.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -322,12 +321,6 @@ class GPolynomial:
             raise InhomogeneousError(f"mixed degrees {sorted(degs)} in {self.to_text()}")
         return degs.pop()
 
-    def homogeneous_part(self, q: int) -> "GPolynomial":
-        return GPolynomial._wrap(
-            self.table,
-            {m: c for m, c in self.terms.items() if self.table.monomial_degree(m) == q},
-        )
-
     def _check(self, other: "GPolynomial") -> None:
         if self.table != other.table:
             raise TableMismatchError("polynomials over different generator tables")
@@ -506,7 +499,9 @@ class GradedBasis:
     monomials: every ambient normal-form monomial of degree q (ascending lex);
     complement: the pivot-free monomials, a basis of the quotient in degree q;
     the reducer holds the row space of {relation x monomial} products, over
-    the positions that index gives each monomial in monomials.
+    the positions that index gives each monomial in monomials.  A vector of
+    the quotient is a sparse row over those same positions: reducer.residue
+    gives its canonical form, supported on complement monomials.
     """
 
     degree: int
@@ -535,23 +530,9 @@ class GradedBasis:
     def from_row(self, row: Mapping[int, Fraction]) -> GPolynomial:
         return GPolynomial(self.table, [(self.monomials[i], c) for i, c in row.items()])
 
-    def ideal_basis(self) -> tuple[GPolynomial, ...]:
-        rows = sorted(self.reducer.rows.items(), reverse=True)
-        return tuple(self.from_row(r) for _, r in rows)
-
     def reduce(self, p: GPolynomial) -> GPolynomial:
         """Canonical representative of p in the quotient, on complement monomials."""
         return self.from_row(self.reducer.residue(self.to_row(p)))
-
-    def coordinates(self, p: GPolynomial) -> tuple[Fraction, ...]:
-        """Coefficients of reduce(p) over the complement basis."""
-        return self.row_coordinates(self.to_row(p))
-
-    def row_coordinates(self, row: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
-        """coordinates() of a row over the positions of monomials."""
-        reduced = self.reducer.residue(row)
-        index = self.index
-        return tuple(reduced.get(index[m], _ZERO) for m in self.complement)
 
     def contains(self, p: GPolynomial) -> bool:
         return self.reduce(p).is_zero
@@ -618,19 +599,9 @@ class PresentedAlgebra:
         q = p.degree()  # raises InhomogeneousError on mixed input
         return self.graded_basis(q).contains(p)
 
-    def reduce(self, p: GPolynomial) -> GPolynomial:
-        """Canonical quotient representative (degreewise) of any polynomial."""
-        if p.is_zero:
-            return p
-        out = GPolynomial.zero(self.table)
-        degs = {self.table.monomial_degree(m) for m in p.terms}
-        for q in sorted(degs):
-            out = out + self.graded_basis(q).reduce(p.homogeneous_part(q))
-        return out
-
 
 # ---------------------------------------------------------------------------
-# JSON presentation files
+# JSON presentation
 
 
 def algebra_to_json(algebra: PresentedAlgebra) -> dict:
@@ -646,25 +617,3 @@ def algebra_to_json(algebra: PresentedAlgebra) -> dict:
         "generators": gens,
         "relations": [r.to_text() for r in algebra.relations],
     }
-
-
-def algebra_from_json(data: Mapping) -> PresentedAlgebra:
-    gens = data["generators"]
-    table = GeneratorTable(
-        [g["name"] for g in gens],
-        [g["degree"] for g in gens],
-        [g.get("nilpotence") for g in gens],
-    )
-    relations = [GPolynomial.parse(table, text) for text in data.get("relations", [])]
-    return PresentedAlgebra(table, relations)
-
-
-def dump_algebra(algebra: PresentedAlgebra, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(algebra_to_json(algebra), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_algebra(path) -> PresentedAlgebra:
-    with open(path) as fh:
-        return algebra_from_json(json.load(fh))

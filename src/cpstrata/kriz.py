@@ -12,11 +12,10 @@ kills every x_a.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dga import DgaSpec
+from .dga import DgaSpec, substitute
 from .gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra
 
 
@@ -53,19 +52,6 @@ def g_name(a: int, b: int) -> str:
         raise ValueError("no connecting generator for a repeated point")
     a, b = min(a, b), max(a, b)
     return f"G{a}{b}"
-
-
-_G_TOKEN = re.compile(r"\bG([1-9])([1-9])\b")
-
-
-def kriz_parse(table: GeneratorTable, text: str) -> GPolynomial:
-    """Parse polynomial text, accepting either orientation of G indices."""
-
-    def fix(match):
-        a, b = int(match.group(1)), int(match.group(2))
-        return g_name(a, b)
-
-    return GPolynomial.parse(table, _G_TOKEN.sub(fix, text))
 
 
 def diagonal_pullback(
@@ -148,8 +134,6 @@ def relabeled_model(
         )
 
     def push(poly: GPolynomial) -> GPolynomial:
-        from .dga import substitute
-
         return substitute(poly, image, table)
 
     base = kriz_model(p)

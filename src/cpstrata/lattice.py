@@ -60,12 +60,6 @@ class H2Element:
     def self_intersection(self) -> int:
         return intersection(self, self)
 
-    def pad(self, n: int) -> "H2Element":
-        """Extend with zero multiplicities up to n blow-ups."""
-        if n < self.n:
-            raise ValueError("cannot shrink an element")
-        return H2Element(self.degree_a, self.multiplicities + (0,) * (n - self.n))
-
     def to_text(self) -> str:
         parts = []
         if self.degree_a != 0:

@@ -21,7 +21,7 @@ from itertools import permutations
 
 from . import ballmodels
 from .chambers import chamber_label, enumerate_chambers
-from .confgeom import ProjectivePoint, apply_pgl, collinear, cross_ratio, stratum
+from .confgeom import ProjectivePoint, _det3, apply_pgl, collinear, cross_ratio, stratum
 from .dga import cohomology_ranks, verify_presentation
 from .kriz import KrizParams, kriz_model, relabeled_model
 from .lattice import Capacities, enumerate_exceptional, negative_wall_classes
@@ -233,11 +233,8 @@ def suite_ab_iso(rec: Recorder) -> None:
 
 
 def suite_kriz(rec: Recorder) -> None:
-    rec.check(
-        "three-point configuration ranks",
-        CONF3_ROW,
-        lambda: cohomology_ranks(kriz_model(KrizParams(2, 3))).rank_list(),
-    )
+    conf3 = cache(lambda: cohomology_ranks(kriz_model(KrizParams(2, 3))))
+    rec.check("three-point configuration ranks", CONF3_ROW, lambda: conf3().rank_list())
     for w in SMALL_BALL_WEIGHTS:
         rec.check(
             f"three small balls match the configuration ranks, weight {w}",
@@ -261,7 +258,7 @@ def suite_kriz(rec: Recorder) -> None:
             ).rank_list(),
         )
     def relabel3() -> bool:
-        base = cohomology_ranks(kriz_model(KrizParams(2, 3))).ranks
+        base = conf3().ranks
         for perm in permutations((1, 2, 3)):
             moved = cohomology_ranks(relabeled_model(KrizParams(2, 3), perm))
             if moved.ranks != base:
@@ -334,12 +331,7 @@ def suite_conf(rec: Recorder) -> None:
         tried = 0
         while tried < 100:
             M = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-            det = (
-                M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-            )
-            if det == 0:
+            if _det3(M) == 0:
                 continue
             pts = configs[tried % len(configs)]
             moved = [apply_pgl(M, p) for p in pts]
@@ -356,12 +348,7 @@ def suite_conf(rec: Recorder) -> None:
         done = 0
         while done < 50:
             M = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
-            det = (
-                M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-                - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-                + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-            )
-            if det == 0:
+            if _det3(M) == 0:
                 continue
             # four distinct affine parameters on a random line
             params = rng.sample(range(-20, 21), 4)

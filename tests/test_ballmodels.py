@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpstrata import ballmodels
 from cpstrata.ballmodels import (
-    SUPPORTED,
     AbIsoReport,
     CircleWeights,
     ab_isomorphism_check,
@@ -76,8 +76,9 @@ class TestCircleWeights:
 
 class TestChamberBookkeeping:
     def test_supported_pairs(self):
-        assert len(SUPPORTED) == 10
-        assert (4, "C_5") in SUPPORTED
+        supported = sorted(ballmodels._FREE_WEIGHTS)
+        assert len(supported) == 10
+        assert (4, "C_5") in supported
 
     @pytest.mark.parametrize(
         "n, raw, want",
@@ -96,7 +97,7 @@ class TestChamberBookkeeping:
             canonical_chamber(n, chamber)
 
     def test_free_weight_counts(self):
-        counts = {ch: free_weight_count(n, ch) for n, ch in SUPPORTED}
+        counts = {ch: free_weight_count(n, ch) for n, ch in ballmodels._FREE_WEIGHTS}
         assert counts["small"] == 1
         assert counts["big"] == 0
         assert [counts[f"C_{r}"] for r in range(6)] == [0, 1, 2, 3, 4, 0]
@@ -106,8 +107,8 @@ class TestModelShapes:
     def test_three_big_differential(self):
         D = iemb_model(3, "big")
         t = D.table
-        assert D.generator_value("beta") == P(t, "T1^2 + T2^2 + T1*T2")
-        assert D.generator_value("gamma") == P(t, "T1*T2^2 + T1^2*T2")
+        assert D.values["beta"] == P(t, "T1^2 + T2^2 + T1*T2")
+        assert D.values["gamma"] == P(t, "T1*T2^2 + T1^2*T2")
         assert D.algebra.relations == ()
 
     def test_two_balls_match_three_big(self):
@@ -119,8 +120,8 @@ class TestModelShapes:
         D = iemb_model(3, "small", [(2, 3)])  # m = 19, n = 30
         t = D.table
         assert t.names == ("T1", "T2", "T3", "beta", "gamma")
-        assert D.generator_value("beta") == P(t, "T1^2 + T2^2 + T1*T2 + 19*T3^2")
-        assert D.generator_value("gamma") == P(
+        assert D.values["beta"] == P(t, "T1^2 + T2^2 + T1*T2 + 19*T3^2")
+        assert D.values["gamma"] == P(
             t, "T1*T2^2 + T1^2*T2 + 30*T3^3"
         )
         rels = set(D.algebra.relations)
@@ -134,8 +135,8 @@ class TestModelShapes:
                     GPolynomial.zero(t))
         dgamma = sum((2 * P(t, f"T{i}^3") for i in range(1, r + 1)),
                      GPolynomial.zero(t))
-        assert D.generator_value("beta") == dbeta
-        assert D.generator_value("gamma") == dgamma
+        assert D.values["beta"] == dbeta
+        assert D.values["gamma"] == dgamma
         assert len(D.algebra.relations) == r * (r - 1) // 2
 
     def test_chamber_zero_has_closed_fiber_classes(self):
@@ -146,14 +147,14 @@ class TestModelShapes:
     def test_weight_without_gamma_term(self):
         D = iemb_model(4, "C_1", [(1, 0)])
         assert "gamma" not in D.values
-        assert D.generator_value("beta") == P(D.table, "T1^2")
+        assert D.values["beta"] == P(D.table, "T1^2")
 
     def test_one_ball_uses_rank_two_base(self):
         D = iemb_model(1, "C_unique")
         assert D.table.names == ("e1", "e2", "beta", "gamma")
         assert D.table.degrees == (2, 4, 3, 5)
-        assert D.generator_value("beta") == P(D.table, "e1^2 - e2")
-        assert D.generator_value("gamma") == P(D.table, "e1*e2")
+        assert D.values["beta"] == P(D.table, "e1^2 - e2")
+        assert D.values["gamma"] == P(D.table, "e1*e2")
 
     def test_small_chamber_redirects_to_configuration_model(self):
         D = iemb_model(4, "C_5")

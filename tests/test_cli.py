@@ -8,6 +8,7 @@ import pytest
 
 from cpstrata import ballmodels, verify
 from cpstrata.cli import RunConfig, canonical_json, main, parse_weights
+from cpstrata.kriz import KrizParams
 from cpstrata.verify import IEMB_ROWS
 
 # stdout of each command, frozen before the monomial kernel replaced the
@@ -384,6 +385,18 @@ class TestVerify:
         monkeypatch.setattr(verify, "kriz_model", counted)
         assert verify.run_suite("eq75").passed
         assert len(calls) == 1
+
+    def test_three_point_model_is_solved_once_per_suite(self, monkeypatch):
+        calls = []
+        original = verify.kriz_model
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "kriz_model", counted)
+        assert verify.run_suite("kriz").passed
+        assert calls.count(((KrizParams(2, 3),), {})) == 1
 
     def test_failing_shared_value_gives_every_check_the_same_error(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -21,11 +21,11 @@ from cpstrata.gradedalg import (
 from cpstrata.dga import (
     DgaSpec,
     DifferentialError,
+    _QuotientDifferential,
     check_d_squared,
     check_ideal_stability,
     cohomology_ranks,
     differential,
-    differential_matrix,
     substitute,
     verify_presentation,
 )
@@ -47,6 +47,18 @@ def flag_model(cap=10):
             "gamma": P(FLAG_T, "T1^2*T2 + T1*T2^2"),
         },
         degree_cap=cap,
+    )
+
+
+def two_circle_wedge_model():
+    table = GeneratorTable(names=("T1", "T2", "beta", "gamma"), degrees=(2, 2, 3, 5))
+    return DgaSpec(
+        PresentedAlgebra(table, (P(table, "T1*T2"),)),
+        {
+            "beta": P(table, "3*T1^2 + 3*T2^2"),
+            "gamma": P(table, "2*T1^3 + 2*T2^3"),
+        },
+        degree_cap=10,
     )
 
 
@@ -142,8 +154,8 @@ class TestConstruction:
 
     def test_missing_generators_are_closed(self):
         D = flag_model()
-        assert D.generator_value("T1").is_zero
-        assert not D.generator_value("beta").is_zero
+        assert "T1" not in D.values
+        assert not D.values["beta"].is_zero
 
 
 class TestDifferential:
@@ -340,19 +352,26 @@ class TestCohomologyRanks:
 
 
 class TestDifferentialMatrix:
+    """The columns of d_q: sparse (target frame index, coefficient) pairs."""
+
     def test_flag_degree_three(self):
-        rows, domain, codomain = differential_matrix(flag_model(), 3)
-        assert domain == ["beta"]
-        assert len(rows) == len(codomain) == 3
-        column = [r[0] for r in rows]
-        assert sorted(column) == [1, 1, 1]
+        D = flag_model()
+        assert D.algebra.graded_basis(3).complement == ((0, 0, 1, 0),)  # beta
+        (column,) = _QuotientDifferential(D).columns(3)
+        target = D.algebra.graded_basis(4)
+        assert {target.monomials[i]: c for i, c in column} == P(
+            FLAG_T, "T1^2 + T2^2 + T1*T2"
+        ).terms
 
     def test_shapes_are_consistent(self):
         D = flag_model()
+        quot = _QuotientDifferential(D)
         for q in range(6):
-            rows, domain, codomain = differential_matrix(D, q)
-            assert len(rows) == len(codomain)
-            assert all(len(r) == len(domain) for r in rows)
+            cols = quot.columns(q)
+            assert len(cols) == D.algebra.quotient_dimension(q)
+            target = D.algebra.graded_basis(q + 1)
+            on_complement = {target.index[m] for m in target.complement}
+            assert all(i in on_complement and c for col in cols for i, c in col)
 
 
 class TestSubstitute:
@@ -383,17 +402,8 @@ class TestVerifyPresentation:
         assert verify_presentation(flag_model(), pres, gmap)
 
     def test_two_circle_wedge_with_odd_generator(self):
-        model_t = GeneratorTable(
-            names=("T1", "T2", "beta", "gamma"), degrees=(2, 2, 3, 5)
-        )
-        D = DgaSpec(
-            PresentedAlgebra(model_t, (P(model_t, "T1*T2"),)),
-            {
-                "beta": P(model_t, "3*T1^2 + 3*T2^2"),
-                "gamma": P(model_t, "2*T1^3 + 2*T2^3"),
-            },
-            degree_cap=10,
-        )
+        D = two_circle_wedge_model()
+        model_t = D.table
         pres_t = GeneratorTable(names=("T1", "T2", "eta"), degrees=(2, 2, 5))
         pres = PresentedAlgebra(
             pres_t, (P(pres_t, "3*T1^2 + 3*T2^2"), P(pres_t, "T1*T2"))
@@ -405,13 +415,19 @@ class TestVerifyPresentation:
         }
         assert verify_presentation(D, pres, gmap)
 
-    def test_wrong_presentation_fails(self):
+    # in the wedge the ideal is nonzero in degree 4, so there a monomial's
+    # frame index differs from its position in the complement
+    @pytest.mark.parametrize(
+        "model", [flag_model, two_circle_wedge_model], ids=["flag", "wedge"]
+    )
+    def test_wrong_presentation_fails(self, model):
+        D = model()
         table = GeneratorTable(names=("T1", "T2"), degrees=(2, 2))
         pres = PresentedAlgebra(table, (P(table, "T1^2"), P(table, "T2^3")))
-        gmap = {"T1": P(FLAG_T, "T1"), "T2": P(FLAG_T, "T2")}
-        report = verify_presentation(flag_model(), pres, gmap)
+        gmap = {"T1": P(D.table, "T1"), "T2": P(D.table, "T2")}
+        report = verify_presentation(D, pres, gmap)
         assert not report
-        assert "T1^2" in report.first_failure
+        assert report.first_failure == "relation T1^2 does not map into im(d) + ideal"
 
     def test_degree_mismatch_reported(self):
         table = GeneratorTable(names=("S",), degrees=(4,))

@@ -21,10 +21,7 @@ from cpstrata.gradedalg import (
     InhomogeneousError,
     PresentedAlgebra,
     TableMismatchError,
-    algebra_from_json,
     algebra_to_json,
-    dump_algebra,
-    load_algebra,
     monomials_of_degree,
     normal_form,
 )
@@ -227,7 +224,9 @@ class TestGradedBasis:
         frame = flag_ring().graded_basis(4)
         reduced = frame.reduce(P(TORUS, "T1^2"))
         assert reduced == P(TORUS, "-T2^2 - T1*T2")
-        assert frame.coordinates(P(TORUS, "T1^2")) == (Fraction(-1), Fraction(-1))
+        # the residue is keyed by frame monomial index, on complement monomials
+        residue = frame.reducer.residue(frame.to_row(P(TORUS, "T1^2")))
+        assert residue == {frame.index[m]: Fraction(-1) for m in frame.complement}
 
     def test_off_degree_row_raises(self):
         frame = flag_ring().graded_basis(4)
@@ -325,8 +324,10 @@ class TestIdealMember:
 
     def test_reduce_splits_degrees(self):
         A = flag_ring()
-        p = P(TORUS, "T1^2 + T1^3")
-        reduced = A.reduce(p)
+        parts = {4: P(TORUS, "T1^2"), 6: P(TORUS, "T1^3")}
+        reduced = GPolynomial.zero(TORUS)
+        for q, part in parts.items():
+            reduced = reduced + A.graded_basis(q).reduce(part)
         assert reduced == P(TORUS, "-T2^2 - T1*T2")
 
 
@@ -415,21 +416,33 @@ class TestFourBallStabilizerRing:
 
 
 class TestJsonRoundTrip:
+    # the package writes presentations (model build) but reads none back;
+    # rebuilding one here checks the written JSON determines the algebra
+    @staticmethod
+    def rebuild(data):
+        gens = data["generators"]
+        table = GeneratorTable(
+            [g["name"] for g in gens],
+            [g["degree"] for g in gens],
+            [g.get("nilpotence") for g in gens],
+        )
+        return PresentedAlgebra(table, [P(table, r) for r in data["relations"]])
+
     def test_algebra_round_trip(self):
         A = flag_ring()
-        data = algebra_to_json(A)
-        B = algebra_from_json(json.loads(json.dumps(data)))
+        B = self.rebuild(json.loads(json.dumps(algebra_to_json(A))))
         assert B.table == A.table
         assert B.relations == A.relations
         assert [B.quotient_dimension(q) for q in range(8)] == [
             A.quotient_dimension(q) for q in range(8)
         ]
 
-    def test_nilpotence_survives(self, tmp_path):
+    def test_nilpotence_survives(self):
         A = PresentedAlgebra(CONF, (P(CONF, "x1^2 - x2^2"),))
-        path = tmp_path / "alg.json"
-        dump_algebra(A, path)
-        B = load_algebra(path)
+        data = algebra_to_json(A)
+        assert data["generators"][0] == {"name": "x1", "degree": 2, "nilpotence": 3}
+        assert data["generators"][2] == {"name": "G12", "degree": 3}
+        B = self.rebuild(data)
         assert B.table.nilpotence == CONF.nilpotence
         assert B.relations == A.relations
 

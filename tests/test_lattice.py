@@ -105,7 +105,7 @@ class TestExceptional:
         for n in range(1, 8):
             bigger = set(enumerate_exceptional(n + 1))
             for u in enumerate_exceptional(n):
-                assert u.pad(n + 1) in bigger
+                assert H2Element(u.degree_a, u.multiplicities + (0,)) in bigger
 
     def test_every_class_matches_a_shape_or_is_basis(self):
         for n in (5, 8):

@@ -1,0 +1,48 @@
+"""Every public module-level name in the package has a caller outside tests.
+
+Each module of src/cpstrata is parsed with ast; its public functions,
+classes and constants (module-level names without a leading underscore)
+must each be named somewhere in src/, demos/ or perfbench/ beyond their
+own definition.  A name that only tests reach is surface no workload
+uses.  Any whole-word mention counts, in code, strings or comments.
+Methods are not covered: only module-level definitions are walked.
+"""
+
+import ast
+import re
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cpstrata"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def public_names(path):
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if not n.startswith("_")]
+
+
+@cache
+def corpus():
+    files = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    return "\n".join(p.read_text() for p in files)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_public_names_have_a_caller_outside_tests(path):
+    text = corpus()
+    unused = [
+        name
+        for name in public_names(path)
+        if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2
+    ]
+    assert not unused, f"{path.stem}: no caller outside tests for {', '.join(unused)}"
