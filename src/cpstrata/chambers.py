@@ -1,11 +1,13 @@
 """Admissibility, wall signatures, and chamber enumeration for capacity vectors.
 
 A capacity vector c is admissible when every exceptional class has strictly
-positive area and the volume margin 1 - sum c_i^2 is positive.  The signs of
+positive area and the volume margin 1 - sum c_i^2 is positive; the signs of
 the areas of the negative wall classes cut the admissible set into convex
-chambers; this module classifies a given c and enumerates all chambers by
-exact rational feasibility checks (a simplex with a slack variable standing
-in for strict inequalities; no floating point anywhere).
+chambers.  A given c is classified in integers: with m the common denominator
+and k = m*c, an area a - sum r_i c_i has the sign of a*m - sum r_i k_i and the
+volume margin that of m^2 - sum k_i^2, so no Fraction is built per class.  All
+chambers are enumerated by exact rational feasibility checks (a simplex with a
+slack variable standing in for strict inequalities; no floating point anywhere).
 
 Conventions: capacities are sorted nonincreasing before any wall evaluation,
 and an area tie (= 0) counts as the nonpositive side of the wall, matching the
@@ -24,9 +26,10 @@ from .exactlp import feasible_point, interior_tableau, tighten
 from .lattice import (
     Capacities,
     H2Element,
-    area,
     enumerate_exceptional,
     negative_wall_classes,
+    scaled_areas,
+    scaled_volume_margin,
 )
 
 Boundary = Literal["strict", "inclusive"]
@@ -148,10 +151,12 @@ def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fr
 
 def is_admissible(c: Capacities) -> AdmissibilityResult:
     """Strict positivity on every exceptional class plus the volume bound."""
-    for u in enumerate_exceptional(c.n):
-        if area(c, u) <= 0:
+    m, ks = c.scaled
+    classes = enumerate_exceptional(c.n)
+    for u, s in zip(classes, scaled_areas(m, ks, classes)):
+        if s <= 0:
             return AdmissibilityResult(False, u)
-    if c.volume_margin() <= 0:
+    if scaled_volume_margin(m, ks) <= 0:
         return AdmissibilityResult(False, "volume")
     return AdmissibilityResult(True)
 
@@ -161,34 +166,28 @@ def chamber_signature(c: Capacities) -> ChamberSignature:
     verdict = is_admissible(c)
     if not verdict:
         raise AdmissibilityError(verdict.violator)
-    cs = c.sorted()
+    m, ks = c.scaled
     walls = negative_wall_classes(c.n)
-    return ChamberSignature(walls, tuple(area(cs, w) > 0 for w in walls))
+    areas = scaled_areas(m, sorted(ks, reverse=True), walls)
+    return ChamberSignature(walls, tuple(s > 0 for s in areas))
 
 
 def chamber_label(c: Capacities) -> str:
     """Row label of the classification tables (n <= 4 only)."""
-    verdict = is_admissible(c)
-    if not verdict:
-        raise AdmissibilityError(verdict.violator)
-    n = c.n
-    if n <= 2:
-        return "C_unique"
-    if n == 3:
-        return "big" if sum(c.values) >= 1 else "small"
-    if n == 4:
-        return f"C_{chamber_signature(c).true_count()}"
-    raise UnsupportedLabelError(f"no chamber labels for n={n}; use chamber_signature")
+    label = label_from_signature(c.n, chamber_signature(c))
+    if label is None:
+        raise UnsupportedLabelError(f"no chamber labels for n={c.n}; use chamber_signature")
+    return label
 
 
-def _label_from_signature(n: int, sig: ChamberSignature) -> str:
-    """Same labels as chamber_label, read off the bits (works on cell closures)."""
+def label_from_signature(n: int, sig: ChamberSignature) -> Optional[str]:
+    """Row label read off the wall bits (works on cell closures); None for n >= 5."""
     if n <= 2:
         return "C_unique"
     if n == 3:
         # the single wall is the line class; positive area means a small packing
         return "small" if sig.bits[0] else "big"
-    return f"C_{sig.true_count()}"
+    return f"C_{sig.true_count()}" if n == 4 else None
 
 
 def _is_pair_class(u: H2Element) -> bool:
@@ -270,8 +269,7 @@ def _leaf_record(
             f"witness {pt} violates the volume bound; the linear relaxation "
             f"is not exact for n={n}"
         )
-    label = _label_from_signature(n, sig) if n <= 4 else None
-    return ChamberRecord(sig, cap, label)
+    return ChamberRecord(sig, cap, label_from_signature(n, sig))
 
 
 def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRecord, ...]:

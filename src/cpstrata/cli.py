@@ -16,13 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .ballmodels import iemb_model
-from .chambers import (
-    chamber_label,
-    chamber_signature,
-    enumerate_chambers,
-    is_admissible,
-    UnsupportedLabelError,
-)
+from .chambers import chamber_signature, enumerate_chambers, is_admissible, label_from_signature
 from .confgeom import ProjectivePoint, collinear_triples, cross_ratio, stratum
 from .dga import cohomology_ranks, dga_to_json
 from .kriz import KrizParams, kriz_model
@@ -108,7 +102,7 @@ def _cmd_chamber_classify(args, cfg) -> int:
     verdict = is_admissible(caps)
     payload: dict = {
         "n": caps.n,
-        "capacities": caps.sorted().to_json_list(),
+        "capacities": [str(v) for v in sorted(caps, reverse=True)],
         "admissible": bool(verdict),
     }
     lines = []
@@ -122,11 +116,12 @@ def _cmd_chamber_classify(args, cfg) -> int:
         sig = chamber_signature(caps)
         payload["bits"] = sig.bit_string()
         payload["signature"] = sig.to_json_list()
-        try:
-            payload["label"] = chamber_label(caps)
-            lines.append(f"chamber {payload['label']}  bits={payload['bits']}")
-        except UnsupportedLabelError:
+        label = label_from_signature(caps.n, sig)
+        if label is None:
             lines.append(f"bits={payload['bits']} (no label table at n={caps.n})")
+        else:
+            payload["label"] = label
+            lines.append(f"chamber {label}  bits={payload['bits']}")
     _emit(payload, lines, args, cfg)
     return 0
 

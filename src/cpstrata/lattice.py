@@ -19,8 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable
+from functools import cached_property, lru_cache
+from math import lcm
+from numbers import Rational
+from typing import Iterable, Iterator, Sequence
 
 MAX_BLOWUPS = 8
 
@@ -43,6 +45,9 @@ class H2Element:
 
     def __post_init__(self) -> None:
         _check_n(len(self.multiplicities))
+        for x in (self.degree_a, *self.multiplicities):
+            if not (isinstance(x, Rational) and x.denominator == 1):
+                raise ValueError(f"class coefficient {x!r} is not an integer")
         object.__setattr__(self, "multiplicities", tuple(int(r) for r in self.multiplicities))
 
     @property
@@ -86,14 +91,17 @@ class H2Element:
 class Capacities:
     """Exact rational ball capacities; all strictly positive.
 
-    Construction accepts any order; sorted() gives the canonical nonincreasing
-    form that the chamber tables assume.
+    Entries are ints, Fractions or rational strings, never floats, in any
+    order; the chamber tables read them sorted nonincreasing.
     """
 
     values: tuple[Fraction, ...]
 
     def __init__(self, values: Iterable[Fraction | int | str]) -> None:
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(values)
+        if bad := [v for v in vals if not isinstance(v, (Rational, str))]:
+            raise TypeError(f"capacity {bad[0]!r} is not an int, Fraction or rational string")
+        vals = tuple(map(Fraction, vals))
         if not vals:
             raise ValueError("need at least one capacity")
         _check_n(len(vals))
@@ -105,12 +113,16 @@ class Capacities:
     def n(self) -> int:
         return len(self.values)
 
-    def sorted(self) -> "Capacities":
-        return Capacities(tuple(sorted(self.values, reverse=True)))
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(m, k): m is the lcm of the denominators and k_i = m*c_i, all integers."""
+        m = lcm(*[v.denominator for v in self.values])
+        return m, tuple([v.numerator * (m // v.denominator) for v in self.values])
 
     def volume_margin(self) -> Fraction:
         """1 - sum c_i^2, positive exactly when the packing fits by volume."""
-        return Fraction(1) - sum(v * v for v in self.values)
+        m, ks = self.scaled
+        return Fraction(scaled_volume_margin(m, ks), m * m)
 
     @classmethod
     def parse(cls, text: str) -> "Capacities":
@@ -231,9 +243,24 @@ def negative_wall_classes(n: int) -> tuple[H2Element, ...]:
     return tuple(sorted(keep))
 
 
+def scaled_areas(m: int, ks: Sequence[int], classes: Iterable[H2Element]) -> Iterator[int]:
+    """m * area(c, u) = a*m - sum r_i k_i for each class u, where c = k/m (see Capacities)."""
+    for u in classes:
+        s = u.degree_a * m
+        for k, r in zip(ks, u.multiplicities):
+            s -= k * r
+        yield s
+
+
+def scaled_volume_margin(m: int, ks: Sequence[int]) -> int:
+    """m^2 (1 - sum c_i^2) for c = k/m; it has the sign of the volume margin."""
+    return m * m - sum([k * k for k in ks])
+
+
 def area(c: Capacities, u: H2Element) -> Fraction:
-    """Symplectic area a - sum c_i r_i of u under the blow-up form for c."""
+    """Area a - sum c_i r_i of u under c: the integer a*m - sum r_i k_i of scaled_areas over m."""
     if len(c) != u.n:
         raise DimensionMismatchError(f"capacities length {len(c)} vs n={u.n}")
-    return Fraction(u.degree_a) - sum(ci * ri for ci, ri in zip(c.values, u.multiplicities))
+    m, ks = c.scaled
+    return Fraction(next(scaled_areas(m, ks, (u,))), m)
 

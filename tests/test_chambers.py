@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpstrata import chambers, exactlp
 from cpstrata.chambers import (
@@ -151,6 +153,96 @@ class TestAdmissibility:
         assert e.value.violator.to_text() == "L - E1 - E2"
 
 
+def fraction_verdict(values):
+    """(violator, bits) straight from the Fraction definitions a - sum c_i r_i
+    and 1 - sum c_i^2; exactly one is None."""
+    n = len(values)
+    for u in enumerate_exceptional(n):
+        if u.degree_a - sum(c * r for c, r in zip(values, u.multiplicities)) <= 0:
+            return u, None
+    if 1 - sum(c * c for c in values) <= 0:
+        return "volume", None
+    cs = sorted(values, reverse=True)
+    walls = negative_wall_classes(n)
+    return None, tuple(w.degree_a - sum(c * r for c, r in zip(cs, w.multiplicities)) > 0 for w in walls)
+
+
+@st.composite
+def capacity_vectors(draw):
+    """(values, tied): unsorted capacities, often with denominators past 10^12,
+    and sometimes moved onto the zero locus of an exceptional or wall class."""
+    n = draw(st.integers(1, 8))
+    top = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(1)]))
+    big = draw(st.booleans())
+    den = st.integers(10**12, 10**13) if big else st.integers(1, 24)
+    values = []
+    for _ in range(n):
+        q = draw(den)
+        values.append(top * F(draw(st.integers(1, q)), q))
+    tied = None
+    classes = enumerate_exceptional(n) + negative_wall_classes(n)
+    if draw(st.booleans()):
+        u = draw(st.sampled_from(classes))
+        j = draw(st.sampled_from([i for i, r in enumerate(u.multiplicities) if r > 0] or [None]))
+        if j is not None:
+            rest = sum(c * r for i, (c, r) in enumerate(zip(values, u.multiplicities)) if i != j)
+            cj = (u.degree_a - rest) / u.multiplicities[j]
+            if cj > 0:
+                values[j], tied = cj, u
+    return draw(st.permutations(values)), tied
+
+
+class TestIntegerKernel:
+    """is_admissible and chamber_signature decide signs in integers over the
+    common denominator; they must agree with the Fraction definitions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(capacity_vectors())
+    def test_matches_fraction_definitions(self, case):
+        values, tied = case
+        c = Capacities(values)
+        violator, bits = fraction_verdict(values)
+        verdict = is_admissible(c)
+        assert verdict.violator == violator
+        if violator is not None:
+            with pytest.raises(AdmissibilityError) as e:
+                chamber_signature(c)
+            assert e.value.violator == violator
+            return
+        sig = chamber_signature(c)
+        assert sig.bits == bits
+        assert sig.walls == negative_wall_classes(len(values))
+        cs = sorted(values, reverse=True)
+        zero = [w for w in sig.walls if w.degree_a == sum(x * r for x, r in zip(cs, w.multiplicities))]
+        assert all(sig[w] is False for w in zero)  # a zero area is never positive
+        if tied in sig.walls:  # walls are closed under permuting the E_i
+            assert zero
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity_vectors())
+    def test_area_and_volume_are_exact(self, case):
+        values, _ = case
+        c = Capacities(values)
+        for u in enumerate_exceptional(len(values))[:12] + negative_wall_classes(len(values))[:12]:
+            assert area(c, u) == u.degree_a - sum(x * r for x, r in zip(values, u.multiplicities))
+        assert c.volume_margin() == 1 - sum(x * x for x in values)
+
+    @pytest.mark.parametrize(
+        "text,violator",
+        [("1/2,1/2", "L - E1 - E2"), ("2/5,2/5,2/5,2/5,2/5", "2L - E1 - E2 - E3 - E4 - E5"),
+         ("1/2,1/3,1/3,1/3,1/3,1/3,1/3,1/10", "3L - 2E1 - E2 - E3 - E4 - E5 - E6 - E7"),
+         ("1", "volume"), ("3/5,4/5", "L - E1 - E2")],
+    )
+    def test_zero_area_names_the_violator(self, text, violator):
+        assert str(is_admissible(caps(text)).violator) == violator
+
+    def test_zero_area_wall_bit_is_false(self):
+        # on the sorted vector the three walls L - E1 - Ei - Ej have area
+        # 1 - 1/2 - 1/4 - 1/4 = 0, and L - E1 - ... - E4 has area -1/4
+        sig = chamber_signature(caps("1/4,1/2,1/4,1/4"))
+        assert [w.to_text() for w, bit in sig.items() if bit] == ["L - E2 - E3 - E4"]
+
+
 class TestClassification:
     def test_table_example(self):
         assert chamber_label(caps("2/5,2/5,3/10,1/5")) == "C_2"
@@ -170,6 +262,10 @@ class TestClassification:
         with pytest.raises(UnsupportedLabelError):
             chamber_label(c)
         assert len(chamber_signature(c).bits) == 16
+
+    def test_inadmissible_past_four_is_an_admissibility_error(self):
+        with pytest.raises(AdmissibilityError):
+            chamber_label(caps("2/5,2/5,2/5,2/5,2/5"))
 
     def test_unsorted_input_is_sorted_first(self):
         assert chamber_label(caps("1/5,3/10,2/5,2/5")) == "C_2"

@@ -14,6 +14,9 @@ from cpstrata.verify import IEMB_ROWS
 # stdout of each command, frozen before the monomial kernel replaced the
 # per-product polynomial path
 PAYLOADS = json.loads((Path(__file__).parent / "data" / "cli_payloads.json").read_text())
+# stdout of chamber classify in JSON and text form per capacity list, frozen
+# while admissibility and wall signs were still evaluated in Fractions
+CLASSIFY = json.loads((Path(__file__).parent / "data" / "classify_payloads.json").read_text())
 # the verify all payload without timings, as the benchmark checks it
 VERIFY_ALL = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
@@ -158,6 +161,29 @@ class TestChamberClassify:
         assert code == 2
         assert out == ""
         assert err == f"error: capacity {bad} has a zero denominator\n"
+
+
+class TestClassifyPayloads:
+    def test_cases_cover_every_kind(self):
+        payloads = [json.loads(entry["json"]) for entry in CLASSIFY.values()]
+        assert {p["n"] for p in payloads} == set(range(1, 9))
+        assert {p.get("label") for p in payloads if p["n"] == 4} == {f"C_{i}" for i in range(6)} | {None}
+        assert {p["violator"] for p in payloads if not p["admissible"]} >= {
+            "volume", "L - E1 - E2", "2L - E1 - E2 - E3 - E4 - E5", "3L - 2E1 - E2 - E3 - E4 - E5 - E6 - E7"
+        }
+        assert all("label" not in p for p in payloads if p["n"] >= 5)
+        assert any(p["n"] >= 5 and p["admissible"] for p in payloads)
+        # Sigma c = 1 exactly at n=3 lies on the wall: big
+        assert json.loads(CLASSIFY["1/4,1/2,1/4"]["json"])["label"] == "big"
+
+    @pytest.mark.parametrize("capacities", sorted(CLASSIFY))
+    def test_stdout_byte_identical(self, capsys, tmp_path, capacities):
+        config = tmp_path / "text.json"
+        config.write_text('{"format": "text"}')
+        for key, extra in (("json", ["--json"]), ("text", ["--config", str(config)])):
+            code, out, err = run(capsys, "chamber", "classify", "--capacities", capacities, *extra)
+            assert code == 0, err
+            assert out == CLASSIFY[capacities][key]
 
 
 class TestChamberEnumerate:

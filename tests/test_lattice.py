@@ -1,6 +1,7 @@
 import gc
 import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -237,3 +238,29 @@ class TestSerialization:
             Capacities(["1/2", "0"])
         with pytest.raises(ValueError):
             Capacities(["-1/2"])
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, None, (1, 2)], ids=repr)
+    def test_capacities_reject_non_rational_entries(self, bad):
+        with pytest.raises(TypeError, match=rf"capacity {re.escape(repr(bad))} is not"):
+            Capacities(["1/4", bad])
+
+    def test_capacities_keep_exact_entries(self):
+        c = Capacities([1, Fraction(1, 3), "0.1", "2/7"])
+        assert c.values == (1, Fraction(1, 3), Fraction(1, 10), Fraction(2, 7))
+        assert c.scaled == (210, (210, 70, 21, 60))
+
+    @pytest.mark.parametrize(
+        "a,r,bad",
+        [(1, (1.7, 0.2), "1.7"), (1, (1, Fraction(1, 2)), "Fraction(1, 2)"), (1.5, (1,), "1.5"),
+         (Fraction(3, 2), (1,), "Fraction(3, 2)"), (1, ("1",), "'1'"), (1, (1.0,), "1.0")],
+        ids=["float", "half", "float-degree", "fraction-degree", "string", "integral-float"],
+    )
+    def test_classes_reject_non_integer_entries(self, a, r, bad):
+        with pytest.raises(ValueError, match=rf"class coefficient {re.escape(bad)} is not an integer"):
+            H2Element(a, r)
+
+    def test_classes_keep_integral_entries(self):
+        u = H2Element(Fraction(2), (Fraction(4, 2), True, 0))
+        assert u == h2(2, 2, 1, 0)
+        assert u.to_text() == "2L - 2E1 - E2"
+        assert all(type(r) is int for r in u.multiplicities)
