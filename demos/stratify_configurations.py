@@ -31,14 +31,14 @@ def main():
         label = stratum(pts)
         line = f"{name:<20} stratum {label}"
         if label == "F_1234":
-            line += f"  cross-ratio {cross_ratio(pts).to_text()}"
+            line += f"  cross-ratio {cross_ratio(pts)}"
         print(line)
 
         moved = [apply_pgl(SHEAR, p) for p in pts]
         moved_label = stratum(moved)
         line = f"{'':<20} after PGL move: {moved_label}"
         if moved_label == "F_1234":
-            line += f"  cross-ratio {cross_ratio(moved).to_text()}"
+            line += f"  cross-ratio {cross_ratio(moved)}"
         print(line)
 
 

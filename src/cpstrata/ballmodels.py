@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .dga import DgaSpec, cohomology_ranks, substitute
-from .gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra, SparseReducer
+from .gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra, SparseReducer, integer_row
 from .kriz import KrizParams, kriz_model
 
 Pair = tuple[int, int]
@@ -461,8 +461,7 @@ def ab_isomorphism_check(upto: int = 12) -> AbIsoReport:
     # The three degree-2 images must span the degree-2 part.
     span = SparseReducer()
     for name in ("alpha1", "alpha2", "alpha3"):
-        row = {m: c for m, c in images[name].terms.items()}
-        span.insert(row)
+        span.insert(integer_row(images[name].terms)[1])
     if span.rank != 3:
         failures.append("degree-2 images do not span")
 

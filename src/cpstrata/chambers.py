@@ -246,25 +246,22 @@ def _leaf_record(
     """The record of a feasible full sign pattern, with a simplified witness.
 
     rows are the admissibility rows of the boundary mode followed by one
-    row per wall.
+    row per wall.  The witness solves the strict admissibility rows with the
+    wall rows, so it is strictly admissible in either boundary mode.
     """
     sig = ChamberSignature(walls, bits)
     wall_rows = rows[len(rows) - len(walls):]
     deduped = _dedupe(strict_base + wall_rows)
     deep = None if deduped is None else feasible_point(deduped, n)
-    interior = deep is not None
-    if not interior:  # pattern lives only on the relaxed boundary
-        deduped = _dedupe(rows)
-        deep = None if deduped is None else feasible_point(deduped, n)
-        if deep is None:
-            raise ArithmeticError(
-                f"sign pattern {sig.bit_string()} at n={n} ({boundary}) was "
-                f"feasible on descent but its leaf system is not"
-            )
+    if deep is None:
+        raise ArithmeticError(
+            f"sign pattern {sig.bit_string()} at n={n} ({boundary}) was "
+            f"feasible on descent but has no strictly admissible point"
+        )
     pt = _simplify_point(deep, deduped)
     cap = Capacities(pt)
     margin = cap.volume_margin()
-    if margin < 0 or (interior and margin == 0):
+    if margin <= 0:
         raise ArithmeticError(
             f"witness {pt} violates the volume bound; the linear relaxation "
             f"is not exact for n={n}"
@@ -283,9 +280,9 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     gets its witness from cold solves of its own system (_leaf_record).
 
     The boundary convention decides which sign patterns count as feasible;
-    witnesses are always drawn from the strictly admissible part of a pattern
-    when it is nonempty (for n <= 5 it always is), so they round-trip through
-    chamber_signature in either mode.
+    witnesses are drawn from the strictly admissible part of each pattern
+    (for n <= 5 it is never empty, and an empty one raises ArithmeticError),
+    so they round-trip through chamber_signature in either mode.
 
     Only n in 1..5 is supported: for n >= 6 the linearized volume bound is
     not known to be exact, so no count there is trusted.

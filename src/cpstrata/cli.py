@@ -227,8 +227,8 @@ def _cmd_conf_stratify(args, cfg) -> int:
     lines = [f"stratum {label}"]
     if len(points) == 4 and label == "F_1234":
         ratio = cross_ratio(points)
-        payload["cross_ratio"] = ratio.to_text()
-        lines.append(f"cross ratio {ratio.to_text()}")
+        payload["cross_ratio"] = str(ratio)
+        lines.append(f"cross ratio {ratio}")
     _emit(payload, lines, args, cfg)
     return 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -66,39 +66,6 @@ class ProjectivePoint:
 
     def __repr__(self) -> str:
         return f"ProjectivePoint({self.to_text()!r})"
-
-
-class ExtendedRatio:
-    """A rational number or the point at infinity of the ratio line."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Optional[Rational]):
-        self.value = None if value is None else Fraction(value)
-
-    @classmethod
-    def infinity(cls) -> "ExtendedRatio":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def to_text(self) -> str:
-        return "inf" if self.value is None else str(self.value)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ExtendedRatio):
-            return self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value is not None and self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"ExtendedRatio({self.to_text()!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +152,15 @@ def _line_coordinates(a: ProjectivePoint, b: ProjectivePoint, pts):
     return out
 
 
-def cross_ratio(points) -> ExtendedRatio:
+def cross_ratio(points) -> Fraction:
     """Cross ratio of four distinct collinear points.
 
     The common line is parametrized by the first two points and the
     classical ratio ((z3-z1)(z4-z2)) / ((z3-z2)(z4-z1)) is evaluated
     with each difference taken as a 2x2 determinant of pencil
-    coordinates, so no affine chart is ever chosen.
+    coordinates, so no affine chart is ever chosen.  Each difference is
+    nonzero for distinct points, so the ratio is a rational number other
+    than 0 and 1.
     """
     pts = _check_points(points, (4,))
     for tri in combinations(range(4), 3):
@@ -205,8 +174,9 @@ def cross_ratio(points) -> ExtendedRatio:
     num = d(z[2], z[0]) * d(z[3], z[1])
     den = d(z[2], z[1]) * d(z[3], z[0])
     if den == 0:
-        return ExtendedRatio.infinity()
-    return ExtendedRatio(Fraction(num, den))
+        # distinct points on the line have pairwise independent coordinates
+        raise ArithmeticError(f"cross ratio of distinct points {pts} has a zero denominator")
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ coboundaries.  Coboundary membership is decided inside the same row-reduced
 frames used for the ranks, so verification of a candidate presentation of
 the cohomology ring cannot disagree with the rank computation.
 
-All arithmetic is exact rational; no floating point anywhere.
+All arithmetic is exact.  The elimination runs on integer rows; Fractions
+appear only in the differential columns and in the representatives
+returned.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .gradedalg import (
     TableMismatchError,
     _merge_monomials,
     algebra_to_json,
+    integer_row,
 )
 
 
@@ -234,13 +237,14 @@ class _QuotientDifferential:
     A quotient vector of degree q is a sparse row keyed by frame monomial
     index (a position in graded_basis(q).monomials) and supported on the
     complement.  Each degree q is eliminated once.  The column of d_q at
-    domain index j enters one SparseReducer as its target entries, keyed
-    (1, i), plus a tag (0, j).  Tags sort below every target key, so a row
-    keeps a target pivot exactly when its column is independent of the
-    earlier ones; those rows, tags stripped, span im(d_q).  A dependent
-    column reduces to tags alone with its own tag as pivot: the unique
-    relation writing it through the earlier independent columns, scaled to
-    a kernel vector with entry j = 1.
+    domain index j enters one SparseReducer as the integer row of its
+    target entries, keyed (1, i), plus a tag (0, j) holding the column's
+    scale.  Tags sort below every target key, so a row keeps a target pivot
+    exactly when its column is independent of the earlier ones; those rows,
+    tags stripped, span im(d_q).  A dependent column reduces to tags alone
+    with its own tag as pivot: the unique relation writing it through the
+    earlier independent columns, stored as a primitive integer kernel
+    vector with entry j > 0.
     """
 
     def __init__(self, D: DgaSpec):
@@ -261,8 +265,9 @@ class _QuotientDifferential:
             cols = []
             for mono in frame.complement:
                 image = _monomial_differential(self.D, mono)
-                row = {index[m]: c for m, c in image.items()}
-                cols.append(tuple(target.reducer.residue(row).items()))
+                m, row = integer_row({index[t]: c for t, c in image.items()})
+                den, residue = target.reducer.residue(row)
+                cols.append(tuple((i, Fraction(v, den * m)) for i, v in residue.items()))
             self._columns[q] = cols
         return cols
 
@@ -271,13 +276,14 @@ class _QuotientDifferential:
         red = SparseReducer()
         kernel = []
         for mono, col in zip(frame.complement, self.columns(q)):
-            row = {(1, i): c for i, c in col}
-            row[(0, frame.index[mono])] = 1
+            # the column times its scale m, tagged m: a positive multiple
+            # of (column, tag 1) leaves every stored primitive row as is
+            m, values = integer_row(dict(col))
+            row = {(1, i): v for i, v in values.items()}
+            row[(0, frame.index[mono])] = m
             pivot = red.insert(row)
             if pivot[0] == 0:
-                tagged = red.rows[pivot]
-                lead = tagged[pivot]
-                kernel.append({k: Fraction(v, lead) for (_, k), v in tagged.items()})
+                kernel.append({k: v for (_, k), v in red.rows[pivot].items()})
         image = SparseReducer()
         for (side, _), row in red.rows.items():
             if side:
@@ -287,7 +293,7 @@ class _QuotientDifferential:
         self._boundaries[q + 1] = image
 
     def kernel(self, q: int) -> list[dict]:
-        """Basis of ker(d_q) as sparse rows keyed by degree-q frame index."""
+        """Basis of ker(d_q) as primitive integer rows keyed by degree-q frame index."""
         if q not in self._kernels:
             self._eliminate(q)
         return self._kernels[q]
@@ -297,11 +303,6 @@ class _QuotientDifferential:
         if q not in self._boundaries:
             self._eliminate(q - 1)
         return self._boundaries[q]
-
-
-def _normalize_leading(p: GPolynomial) -> GPolynomial:
-    lead = max(p.terms)
-    return p * (1 / p.terms[lead])
 
 
 def cohomology_ranks(D: DgaSpec) -> CohomologyReport:
@@ -329,14 +330,19 @@ def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
         ranks[q] = rank_q
         chosen: list[GPolynomial] = []
         scratch = SparseReducer()
-        for row in boundary.rows.values():
-            scratch.insert(dict(row))
+        scratch.rows = dict(boundary.rows)  # stored rows are never modified
         for v in kernel:
-            residue = scratch.residue(v)
+            _, residue = scratch.residue(v)
             if not residue:
                 continue
             scratch.insert(residue)
-            chosen.append(_normalize_leading(frame.from_row(residue)))
+            # the representative, scaled so its leading monomial has coefficient 1
+            lead = residue[max(residue)]
+            chosen.append(
+                GPolynomial._wrap(
+                    A.table, {frame.monomials[i]: Fraction(c, lead) for i, c in residue.items()}
+                )
+            )
         if len(chosen) != rank_q:
             raise DifferentialError(
                 f"degree {q}: found {len(chosen)} independent cocycles for "
@@ -448,7 +454,8 @@ def verify_presentation(
         if q > D.degree_cap:
             continue
         frame = D.algebra.graded_basis(q)
-        if not quot.boundary_reducer(q).member(frame.reducer.residue(frame.to_row(image))):
+        _, residue = frame.reducer.residue(frame.to_row(image)[1])
+        if not quot.boundary_reducer(q).member(residue):
             failures.append(
                 f"relation {rel.to_text()} does not map into im(d) + ideal"
             )

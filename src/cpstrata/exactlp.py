@@ -45,10 +45,6 @@ Ineq = tuple[tuple[Rational, ...], Rational, bool]
 _ZERO = Fraction(0)
 
 
-class Unbounded(Exception):
-    """The objective can increase without limit over the feasible set."""
-
-
 class _Simplex:
     """max c.z subject to A z <= b, z >= 0, as an integer dictionary under Bland's rule.
 
@@ -126,7 +122,8 @@ class _Simplex:
                     if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave is None:
-                raise Unbounded
+                # both objectives are bounded: phase 1 by 0, phase 2 by eps <= 1
+                raise ArithmeticError("unbounded objective in a bounded program")
             self._pivot(leave, enter)
 
     def values(self) -> dict[int, Fraction]:
@@ -239,11 +236,10 @@ def _split_point(values: dict[int, Fraction], nvars: int) -> tuple[Fraction, ...
 
 def feasible_point(ineqs: Sequence[Ineq], nvars: int) -> Optional[tuple[Fraction, ...]]:
     """A rational point satisfying every constraint (strictness included)."""
-    if not ineqs:
-        return tuple([_ZERO] * nvars)
-    sol = _eps_program(ineqs, nvars).solve()
+    lp = _eps_program(ineqs, nvars)
+    sol = lp.solve()
     # without strict rows eps* = 1, so eps* > 0 decides every system
-    if sol is None or sol.get(2 * nvars, _ZERO) <= 0:
+    if sol is None or _interior(lp) is None:
         return None
     return _split_point(sol, nvars)
 

@@ -17,6 +17,11 @@ valid by construction: products, sums and negations wrap their terms
 without re-checking them, and a graded frame inserts each {relation x
 monomial} product as an integer row of monomial indices without building
 a polynomial at all.
+
+Rows are ints in and out of SparseReducer.  A polynomial or other rational
+row becomes one in a single step, integer_row, which scales it by the lcm
+of its denominators; Fractions appear again only where a polynomial is
+returned.
 """
 
 from __future__ import annotations
@@ -403,13 +408,22 @@ class GPolynomial:
         return f"<GPolynomial {self.to_text()}>"
 
 
+def integer_row(row: Mapping) -> tuple[int, dict]:
+    """(m, m * row) for m the lcm of the denominators of a row of nonzero
+    int or Fraction entries: the one step from rationals to integer rows."""
+    mult = lcm(*(v.denominator for v in row.values()))
+    return mult, {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
+
+
 class SparseReducer:
     """Exact row reduction over integer rows keyed by orderable column labels.
 
-    A row's pivot is its largest column.  Stored rows are primitive integer
-    vectors (gcd 1, positive pivot entry); insertion eliminates against
-    existing pivots with cross-multiplied integer updates, so no rationals
-    appear until a residue is requested.
+    Rows are dicts of nonzero ints, in and out; integer_row turns a rational
+    row into one.  A row's pivot is its largest column.  Stored rows are
+    primitive (gcd 1, positive pivot entry); elimination against a pivot
+    cross-multiplies only when the pivot entry does not divide the entry it
+    clears, fraction-free in the manner of Bareiss (Math. Comp. 22, 1968).
+    The caller's rows are never modified.
     """
 
     def __init__(self):
@@ -451,17 +465,9 @@ class SparseReducer:
                 del r[k]
         return a if rem else 1
 
-    @staticmethod
-    def _integerize(row: Mapping) -> tuple[int, dict]:
-        """(m, m * row) for m the lcm of the denominators of the nonzero
-        int or Fraction entries; the scaled row keeps only those entries."""
-        clean = [(c, v) for c, v in row.items() if v]
-        mult = lcm(*(v.denominator for _, v in clean))
-        return mult, {c: v.numerator * (mult // v.denominator) for c, v in clean}
-
-    def insert(self, row: Mapping):
+    def insert(self, row: Mapping[object, int]):
         """Reduce the row and adjoin it; returns its pivot, or None if dependent."""
-        _, r = self._integerize(row)
+        r = dict(row)
         while r:
             p = max(r)
             existing = self.rows.get(p)
@@ -472,24 +478,23 @@ class SparseReducer:
             self._clear(r, existing, p)
         return None
 
-    def residue(self, row: Mapping) -> dict:
-        """Canonical representative of the row modulo the row space.
+    def residue(self, row: Mapping[object, int]) -> tuple[int, dict]:
+        """(den, r): the row modulo the row space is r / den, with den > 0.
 
-        Pivot columns are cleared from the largest down; the result is the
-        unique coset member supported on pivot-free columns.  The work is
-        done on integers over one common denominator, which grows only when
-        a pivot entry does not divide the entry it clears.
+        Pivot columns are cleared from the largest down; r / den is the
+        unique coset member supported on pivot-free columns.  den grows only
+        when a pivot entry does not divide the entry it clears.
         """
-        den, r = self._integerize(row)
+        den, r = 1, dict(row)
         while True:
             hits = [c for c in r if c in self.rows]
             if not hits:
-                return {c: Fraction(v, den) for c, v in r.items()}
+                return den, r
             c = max(hits)
             den *= self._clear(r, self.rows[c], c)
 
-    def member(self, row: Mapping) -> bool:
-        return not self.residue(row)
+    def member(self, row: Mapping[object, int]) -> bool:
+        return not self.residue(row)[1]
 
 
 @dataclass(frozen=True)
@@ -500,8 +505,9 @@ class GradedBasis:
     complement: the pivot-free monomials, a basis of the quotient in degree q;
     the reducer holds the row space of {relation x monomial} products, over
     the positions that index gives each monomial in monomials.  A vector of
-    the quotient is a sparse row over those same positions: reducer.residue
-    gives its canonical form, supported on complement monomials.
+    the quotient is a sparse integer row over those same positions, up to a
+    positive scale: reducer.residue gives its canonical form, supported on
+    complement monomials.
     """
 
     degree: int
@@ -516,7 +522,8 @@ class GradedBasis:
     def quotient_dimension(self) -> int:
         return len(self.complement)
 
-    def to_row(self, p: GPolynomial) -> dict[int, Fraction]:
+    def to_row(self, p: GPolynomial) -> tuple[int, dict[int, int]]:
+        """integer_row of p keyed by frame monomial index: p is row / m."""
         index = self.index
         row = {}
         for mono, c in p.terms.items():
@@ -525,17 +532,7 @@ class GradedBasis:
                     f"{p.to_text()} is not homogeneous of degree {self.degree}"
                 )
             row[index[mono]] = c
-        return row
-
-    def from_row(self, row: Mapping[int, Fraction]) -> GPolynomial:
-        return GPolynomial(self.table, [(self.monomials[i], c) for i, c in row.items()])
-
-    def reduce(self, p: GPolynomial) -> GPolynomial:
-        """Canonical representative of p in the quotient, on complement monomials."""
-        return self.from_row(self.reducer.residue(self.to_row(p)))
-
-    def contains(self, p: GPolynomial) -> bool:
-        return self.reduce(p).is_zero
+        return integer_row(row)
 
 
 class PresentedAlgebra:
@@ -557,7 +554,7 @@ class PresentedAlgebra:
         # times a monomial, and a nonzero scale leaves the reducer's
         # primitive rows unchanged
         self._relation_rows = tuple(
-            (r.degree(), tuple(SparseReducer._integerize(r.terms)[1].items())) for r in rels
+            (r.degree(), tuple(integer_row(r.terms)[1].items())) for r in rels
         )
         self._frames: dict[int, GradedBasis] = {}
 
@@ -596,8 +593,8 @@ class PresentedAlgebra:
             raise TableMismatchError("polynomial over a different generator table")
         if p.is_zero:
             return True
-        q = p.degree()  # raises InhomogeneousError on mixed input
-        return self.graded_basis(q).contains(p)
+        frame = self.graded_basis(p.degree())  # raises InhomogeneousError on mixed input
+        return frame.reducer.member(frame.to_row(p)[1])
 
 
 # ---------------------------------------------------------------------------

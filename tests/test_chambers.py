@@ -445,7 +445,7 @@ class TestEnumeration:
             enumerate_chambers(n)
 
     def test_leaf_inconsistency_raises_arithmetic_error(self, monkeypatch):
-        # n=1 has no walls: one call for the root, then the leaf's two calls
+        # n=1 has no walls: one call for the root, then the leaf's strict solve
         calls = []
         cold_solve = exactlp._Simplex.solve
 
@@ -456,7 +456,7 @@ class TestEnumeration:
         monkeypatch.setattr(exactlp._Simplex, "solve", root_only)
         with pytest.raises(ArithmeticError, match="sign pattern  at n=1"):
             enumerate_chambers(1)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_four_ball_labels_cover_table(self):
         records = enumerate_chambers(4)

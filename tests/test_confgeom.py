@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cpstrata import confgeom
 from cpstrata.confgeom import (
-    ExtendedRatio,
     ProjectivePoint,
     apply_pgl,
     collinear,
@@ -187,16 +186,6 @@ class TestCrossRatio:
         with pytest.raises(ValueError):
             cross_ratio(pts)
 
-    def test_extended_ratio_interface(self):
-        r = ExtendedRatio(Fraction(4, 3))
-        assert r == Fraction(4, 3)
-        assert not r.is_infinite
-        assert r.to_text() == "4/3"
-        inf = ExtendedRatio.infinity()
-        assert inf.is_infinite
-        assert inf.to_text() == "inf"
-        assert inf != r
-
     @given(
         raw_point,
         raw_point,
@@ -217,9 +206,10 @@ class TestCrossRatio:
             ProjectivePoint([s * x + w * y for x, y in zip(a.coords, b.coords)])
             for s, w in params
         ]
+        # a zero denominator would raise ArithmeticError
         ratio = cross_ratio(pts)
-        assert not ratio.is_infinite
-        assert ratio.value not in (0, 1)
+        assert type(ratio) is Fraction
+        assert ratio not in (0, 1)
 
 
 class TestApplyPgl:

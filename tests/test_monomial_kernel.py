@@ -16,11 +16,12 @@ from math import gcd, lcm
 
 import pytest
 
-from cpstrata.dga import DgaSpec, _QuotientDifferential, differential
+from cpstrata.dga import DgaSpec, _QuotientDifferential, cohomology_ranks, differential
 from cpstrata.gradedalg import (
     GeneratorTable,
     GPolynomial,
     PresentedAlgebra,
+    SparseReducer,
     _merge_monomials,
     monomials_of_degree,
     normal_form,
@@ -256,10 +257,12 @@ def test_frames_match_reference(seed):
             p = random_homogeneous(rng, table, q, rng.randint(1, 4))
             if p.is_zero:
                 continue
-            residue = frame.reducer.residue(frame.to_row(p))
-            assert residue == ref.residue({frame.index[m]: c for m, c in p.terms.items()})
+            m, row = frame.to_row(p)
+            den, residue = frame.reducer.residue(row)
+            expected = ref.residue({frame.index[mono]: c for mono, c in p.terms.items()})
+            assert {i: Fraction(v, den * m) for i, v in residue.items()} == expected
             assert set(residue) <= on_complement
-            assert all(type(v) is Fraction and v for v in residue.values())
+            assert all(type(v) is int and v for v in residue.values())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -294,6 +297,41 @@ def test_differential_columns_match_reference(seed):
         cols = quot.columns(q)
         assert [dict(col) for col in cols] == expected
         assert all(type(v) is Fraction and v for col in cols for _, v in col)
+
+
+def test_reducer_rows_are_ints_and_inputs_untouched(monkeypatch):
+    # every reducer of the elimination: the frames, the tagged one and the
+    # boundary of each degree, and the scratch one choosing representatives
+    reducers = {}
+
+    def recorded(method):
+        def wrapper(self, row):
+            before = dict(row)
+            out = method(self, row)
+            assert row == before
+            reducers[id(self)] = self
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(SparseReducer, "insert", recorded(SparseReducer.insert))
+    monkeypatch.setattr(SparseReducer, "residue", recorded(SparseReducer.residue))
+    complete = 0
+    for seed in SEEDS:
+        _, D = random_dga(seed)
+        quot = _QuotientDifferential(D)
+        for q in range(TOP):
+            quot.kernel(q)
+        try:
+            cohomology_ranks(D)
+        except ValueError:
+            continue  # d^2 or ideal stability fails: no representatives
+        complete += 1
+    assert complete >= 3
+    assert any(isinstance(c, tuple) for red in reducers.values() for c in red.rows)
+    for red in reducers.values():
+        for row in red.rows.values():
+            assert row and all(type(v) is int and v for v in row.values())
 
 
 def test_random_inputs_exercise_the_kernel():
