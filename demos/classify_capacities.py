@@ -5,7 +5,7 @@ exceptional class, volume within the unit), and, when admissible, mapped
 to the sign pattern it induces on the negative wall classes.
 """
 
-from cpstrata.chambers import chamber_label, chamber_signature, is_admissible
+from cpstrata.chambers import AdmissibilityError, chamber_signature, label_from_signature
 from cpstrata.lattice import Capacities
 
 SAMPLES = [
@@ -23,12 +23,12 @@ SAMPLES = [
 def main():
     for text in SAMPLES:
         caps = Capacities.parse(text)
-        verdict = is_admissible(caps)
-        if not verdict:
-            print(f"{text:>24}  inadmissible (violates {verdict.violator})")
+        try:
+            sig = chamber_signature(caps)
+        except AdmissibilityError as exc:
+            print(f"{text:>24}  inadmissible (violates {exc.violator})")
             continue
-        sig = chamber_signature(caps)
-        label = chamber_label(caps)
+        label = label_from_signature(caps.n, sig) or "-"
         print(f"{text:>24}  {label:<9} bits={sig.bit_string() or '-'}")
 
 

@@ -2,13 +2,12 @@
 
 A chamber is a maximal region of the admissible cone on which the signs
 of all negative wall classes are constant.  Feasibility of each sign
-pattern is decided by an exact simplex on an integer tableau: the root
-is solved cold, and each wall row is then added to its parent's optimal
-tableau and re-optimized by the dual simplex.  Each feasible full
-pattern gets a rational witness vector from cold solves of its own
-system.  Enumeration
-stops at n = 5: beyond it the linearized volume bound is not known to be
-exact.
+pattern is decided by an exact dual simplex on an integer tableau: the
+root's rows are added one at a time to the trivial optimum, and each wall
+row is then added to its parent's optimal tableau and re-optimized.  Each
+feasible full pattern gets a rational witness vector from a fresh fold of
+its own system.  Enumeration stops at n = 5: beyond it the linearized
+volume bound is not known to be exact.
 """
 
 from cpstrata.chambers import enumerate_chambers

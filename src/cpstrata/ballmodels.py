@@ -160,20 +160,23 @@ def iemb_model(
     n: int,
     chamber: str,
     w: WeightsLike = None,
-    degree_cap: int = 12,
+    degree_cap: Optional[int] = None,
 ) -> DgaSpec:
     """Model of the space of n unparametrized balls in the given chamber.
 
     The chamber of four small balls is handled by the configuration-space
-    model and is redirected to kriz_model(2, 4); it accepts no weights.
-    The default cap leaves two degrees of headroom above the top nonzero
+    model and is redirected to kriz_model(2, 4), at its default cap 14 unless
+    degree_cap is given; it accepts no weights.  Every other chamber's
+    default cap 12 leaves two degrees of headroom above the top nonzero
     cohomology group (degree 9), so the truncation check stays meaningful.
     """
     label = canonical_chamber(n, chamber)
     if (n, label) == (4, "C_5"):
         if w is not None and len(_coerce_weights(w, 0, "chamber C_5")) != 0:
             raise ValueError("chamber C_5 takes no circle weights")
-        return kriz_model(KrizParams(2, 4))
+        return kriz_model(KrizParams(2, 4), degree_cap)
+    if degree_cap is None:
+        degree_cap = 12
     if (n, label) == (1, "C_unique"):
         _coerce_weights(w, 0, "one ball")
         return _one_ball_model(degree_cap)

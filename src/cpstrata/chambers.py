@@ -247,7 +247,8 @@ def _leaf_record(
 
     rows are the admissibility rows of the boundary mode followed by one
     row per wall.  The witness solves the strict admissibility rows with the
-    wall rows, so it is strictly admissible in either boundary mode.
+    wall rows, folded afresh from the trivial optimum, so it is strictly
+    admissible in either boundary mode.
     """
     sig = ChamberSignature(walls, bits)
     wall_rows = rows[len(rows) - len(walls):]
@@ -272,12 +273,13 @@ def _leaf_record(
 def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRecord, ...]:
     """All feasible wall signatures over the sorted admissible cone, with witnesses.
 
-    Depth-first over the wall bits.  The root's system is solved cold once;
-    every other node is decided by appending its wall row to the parent's
-    optimal integer tableau and re-optimizing by the dual simplex, usually
-    in a few pivots.  A partial assignment whose system has no strictly
-    feasible point prunes the whole subtree.  Each full sign pattern then
-    gets its witness from cold solves of its own system (_leaf_record).
+    Depth-first over the wall bits.  The root's rows are folded once into
+    the trivial optimum of the exact LP; every other node is decided by
+    appending its wall row to the parent's optimal integer tableau and
+    re-optimizing by the dual simplex, usually in a few pivots.  A partial
+    assignment whose system has no strictly feasible point prunes the whole
+    subtree.  Each full sign pattern then gets its witness from a fresh fold
+    of its own strict system (_leaf_record).
 
     The boundary convention decides which sign patterns count as feasible;
     witnesses are drawn from the strictly admissible part of each pattern

@@ -16,7 +16,12 @@ from pathlib import Path
 from typing import Optional
 
 from .ballmodels import iemb_model
-from .chambers import chamber_signature, enumerate_chambers, is_admissible, label_from_signature
+from .chambers import (
+    AdmissibilityError,
+    chamber_signature,
+    enumerate_chambers,
+    label_from_signature,
+)
 from .confgeom import ProjectivePoint, collinear_triples, cross_ratio, stratum
 from .dga import cohomology_ranks, dga_to_json
 from .kriz import KrizParams, kriz_model
@@ -99,21 +104,22 @@ def _emit(payload: dict, text_lines: list[str], args, cfg: RunConfig) -> None:
 
 def _cmd_chamber_classify(args, cfg) -> int:
     caps = Capacities.parse(args.capacities)
-    verdict = is_admissible(caps)
     payload: dict = {
         "n": caps.n,
         "capacities": [str(v) for v in sorted(caps, reverse=True)],
-        "admissible": bool(verdict),
     }
     lines = []
-    if not verdict:
-        violator = verdict.violator
+    try:
+        sig = chamber_signature(caps)
+    except AdmissibilityError as exc:
+        violator = exc.violator
+        payload["admissible"] = False
         payload["violator"] = (
             violator.to_text() if isinstance(violator, H2Element) else str(violator)
         )
         lines.append(f"inadmissible: violates {payload['violator']}")
     else:
-        sig = chamber_signature(caps)
+        payload["admissible"] = True
         payload["bits"] = sig.bit_string()
         payload["signature"] = sig.to_json_list()
         label = label_from_signature(caps.n, sig)
@@ -157,9 +163,7 @@ def _degree_cap(args, cfg) -> Optional[int]:
 def _resolve_model(args, cfg):
     weights_text = args.weights if args.weights is not None else cfg.weights
     w = parse_weights(weights_text) if weights_text is not None else None
-    cap = _degree_cap(args, cfg)
-    kwargs = {} if cap is None else {"degree_cap": cap}
-    return iemb_model(args.n, args.chamber, w, **kwargs)
+    return iemb_model(args.n, args.chamber, w, degree_cap=_degree_cap(args, cfg))
 
 
 def _cmd_model_build(args, cfg) -> int:

@@ -440,20 +440,23 @@ class TestEnumeration:
             raise AssertionError("LP called")
 
         monkeypatch.setattr(chambers, "feasible_point", no_lp)
-        monkeypatch.setattr(exactlp._Simplex, "solve", no_lp)
+        monkeypatch.setattr(exactlp._Simplex, "__init__", no_lp)  # every fold starts here
+        monkeypatch.setattr(exactlp._Simplex, "with_row", no_lp)
         with pytest.raises(ValueError, match=r"1\.\.5.*volume bound"):
             enumerate_chambers(n)
 
     def test_leaf_inconsistency_raises_arithmetic_error(self, monkeypatch):
-        # n=1 has no walls: one call for the root, then the leaf's strict solve
+        # n=1 has no walls: one fold for the root, then the leaf's strict fold
+        # inside feasible_point, which is made to find no point
         calls = []
-        cold_solve = exactlp._Simplex.solve
+        fold = exactlp.interior_tableau
 
-        def root_only(lp):
-            calls.append(lp.n)
-            return cold_solve(lp) if len(calls) == 1 else None
+        def root_only(ineqs, nvars):
+            calls.append(nvars)
+            return fold(ineqs, nvars) if len(calls) == 1 else None
 
-        monkeypatch.setattr(exactlp._Simplex, "solve", root_only)
+        monkeypatch.setattr(exactlp, "interior_tableau", root_only)
+        monkeypatch.setattr(chambers, "interior_tableau", root_only)
         with pytest.raises(ArithmeticError, match="sign pattern  at n=1"):
             enumerate_chambers(1)
         assert len(calls) == 2
@@ -536,7 +539,7 @@ def holds(ineq, point):
 
 
 def cold_verdict(rows, n):
-    """The decision the warm step replaces: merge the rows, solve cold."""
+    """The decision the warm step replaces: merge the rows, fold them afresh."""
     deduped = chambers._dedupe(rows)
     return deduped is not None and feasible_point(deduped, n) is not None
 
@@ -601,37 +604,38 @@ class TestWarmDescent:
         assert leaves == {rec.signature.bits for rec in enumerate_chambers(n, boundary)}
 
     def test_descent_makes_no_cold_solve_below_the_root(self, monkeypatch):
-        # n=4 has 5 walls: one cold solve for the root, the leaf's cold solves
-        # come from feasible_point, and every other node is decided warm
-        solves, leaf_solves = [], []
-        cold_solve = exactlp._Simplex.solve
+        # n=4 has 5 walls: one fold from the trivial optimum for the root, the
+        # leaves' folds come from feasible_point, and every other node is one
+        # warm step on its parent's tableau
+        starts, leaf_solves = [], []
+        real_init = exactlp._Simplex.__init__
 
-        def counting_solve(lp):
-            solves.append(lp.n)
-            return cold_solve(lp)
+        def counting_init(lp, nvars):
+            starts.append(nvars)
+            real_init(lp, nvars)
 
         def counting_point(ineqs, nvars):
             leaf_solves.append(nvars)
             return feasible_point(ineqs, nvars)
 
-        monkeypatch.setattr(exactlp._Simplex, "solve", counting_solve)
+        monkeypatch.setattr(exactlp._Simplex, "__init__", counting_init)
         monkeypatch.setattr(chambers, "feasible_point", counting_point)
         records = enumerate_chambers(4)
         assert len(leaf_solves) == len(records) == 6
-        assert len(solves) == 1 + len(leaf_solves)
+        assert len(starts) == 1 + len(leaf_solves)
 
     def test_cold_solves_and_their_pivots_pinned(self, monkeypatch):
-        # n=3..5 in both modes: 6 root solves and 82 leaf solves.  794 pivots
-        # pin the primal Bland rule, which must pick the entering variable
-        # by label, not by its column position in the dictionary
+        # n=3..5 in both modes: 6 root folds and 82 leaf folds.  945 pivots,
+        # one start pivot per fold and the dual pivots of its rows, pin the
+        # dual Bland rule, which picks by label, not by column position
         solves, pivots, inside = [], [], []
-        real_solve, real_pivot = exactlp._Simplex.solve, exactlp._Simplex._pivot
+        real_fold, real_pivot = exactlp.interior_tableau, exactlp._Simplex._pivot
 
-        def counting_solve(lp):
-            solves.append(lp.n)
-            inside.append(lp)
+        def counting_fold(ineqs, nvars):
+            solves.append(nvars)
+            inside.append(nvars)
             try:
-                return real_solve(lp)
+                return real_fold(ineqs, nvars)
             finally:
                 inside.pop()
 
@@ -640,12 +644,13 @@ class TestWarmDescent:
                 pivots.append(col)
             real_pivot(lp, r, col)
 
-        monkeypatch.setattr(exactlp._Simplex, "solve", counting_solve)
+        monkeypatch.setattr(exactlp, "interior_tableau", counting_fold)  # leaves
+        monkeypatch.setattr(chambers, "interior_tableau", counting_fold)  # roots
         monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
         for n in (3, 4, 5):
             for boundary in ("strict", "inclusive"):
                 enumerate_chambers(n, boundary)
-        assert (len(solves), len(pivots)) == (88, 794)
+        assert (len(solves), len(pivots)) == (88, 945)
 
 
 def simplify_reference(point, ineqs):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cpstrata import ballmodels, verify
+from cpstrata import ballmodels, chambers, verify
 from cpstrata.cli import RunConfig, canonical_json, main, parse_weights
 from cpstrata.kriz import KrizParams
 from cpstrata.verify import IEMB_ROWS
@@ -176,6 +176,20 @@ class TestClassifyPayloads:
         # Sigma c = 1 exactly at n=3 lies on the wall: big
         assert json.loads(CLASSIFY["1/4,1/2,1/4"]["json"])["label"] == "big"
 
+    def test_one_admissibility_pass_per_query(self, capsys, monkeypatch):
+        # admissible, inadmissible on a class, inadmissible on the volume
+        passes = []
+        real = chambers.is_admissible
+
+        def counting(caps):
+            passes.append(caps)
+            return real(caps)
+
+        monkeypatch.setattr(chambers, "is_admissible", counting)
+        for capacities in ("1/3,1/3,1/3,1/3", "1/2,1/2,1/2", "11/10"):
+            run_json(capsys, "chamber", "classify", "--capacities", capacities, "--json")
+        assert len(passes) == 3
+
     @pytest.mark.parametrize("capacities", sorted(CLASSIFY))
     def test_stdout_byte_identical(self, capsys, tmp_path, capacities):
         config = tmp_path / "text.json"
@@ -247,6 +261,18 @@ class TestModel:
         assert model["degree_cap"] == 9
         assert "19*T3^2" in model["differential"]["beta"]
         assert "30*T3^3" in model["differential"]["gamma"]
+
+    def test_four_small_balls_take_the_cap(self, capsys):
+        # C_5 is the configuration model kriz(2, 4): --cap must reach it, and
+        # without --cap it keeps its own default cap 14
+        payload = run_json(
+            capsys, "model", "cohomology", "--n", "4", "--chamber", "C_5", "--cap", "8"
+        )
+        assert payload["cohomology"]["degree_cap"] == 8
+        assert payload["rank_list"] == verify.CONF4_ROW[:9]
+        default = run_json(capsys, "model", "cohomology", "--n", "4", "--chamber", "C_5")
+        assert default["cohomology"]["degree_cap"] == 14
+        assert default["rank_list"] == verify.CONF4_ROW
 
     def test_cohomology_rank_list(self, capsys):
         payload = run_json(

@@ -40,12 +40,13 @@ def as_text(point):
 
 
 # feasible_point(*random_system(seed)) for seed = 0..299, as space-separated
-# coordinates; a different vertex here means a different pivot sequence
+# coordinates; a different vertex here means a different pivot sequence or a
+# different order in which the rows are folded in
 FROZEN = [
-    "-10459/36754 -12929/36754 -16775/55131 -11403/36754",  # 0
-    "-18/5 2",  # 1
+    "-433/1438 -1687/5752 -655/2157 -2051/8628",  # 0
+    "-7/12 2",  # 1
     "7/5",  # 2
-    "-3 0",  # 3
+    "-3 1/4",  # 3
     "210/47 -39/47",  # 4
     "87/7 54/7 -283/42",  # 5
     None,  # 6
@@ -58,14 +59,14 @@ FROZEN = [
     "-559/2568 -1441/856 209/321",  # 13
     None,  # 14
     "0 3",  # 15
-    "-57/217 188/217 -198/217",  # 16
-    "-111/6434 9605/6434 2985/12868 11245/6434",  # 17
+    "-3 25/2 0",  # 16
+    "-167/68 7581/1768 1797/884 436/221",  # 17
     "0 3/2",  # 18
     None,  # 19
     None,  # 20
     "-1/20 0",  # 21
     "1/5 0",  # 22
-    "-233/21 -1172/21 997/42",  # 23
+    "-232/141 -1207/141 16/141",  # 23
     None,  # 24
     "259/2736 43/152 -833/1368 179/684",  # 25
     None,  # 26
@@ -82,12 +83,12 @@ FROZEN = [
     "-3/8",  # 37
     "0 -21/10 0 2",  # 38
     "3 0",  # 39
-    "1/8 -5/4 0 3/2",  # 40
+    "6716/2019 -553/4038 -7298/2019 61/1346",  # 40
     "0 0 0 0",  # 41
     "-3/2",  # 42
     "0",  # 43
     "-32974/18447 1555/18447 -6703/6149 7032/6149",  # 44
-    "0 16/3 0",  # 45
+    "-495/268 2139/1072 -1813/1072",  # 45
     None,  # 46
     "0 0 0",  # 47
     "-3 0 0",  # 48
@@ -105,12 +106,12 @@ FROZEN = [
     "7/9 5/6 0",  # 60
     "0 0 1 0",  # 61
     "4 0",  # 62
-    "3/182 94/91 0 110/91",  # 63
+    "681/224 237/448 -2935/448 45/224",  # 63
     "0 0 0 0",  # 64
     "33/10 -9/8 0 0",  # 65
     "0",  # 66
     "-1/2",  # 67
-    "-2/37 0 0 22/37",  # 68
+    "0 0 0 1",  # 68
     "-8/9",  # 69
     None,  # 70
     "-21/256 319/192 -625/256",  # 71
@@ -118,14 +119,14 @@ FROZEN = [
     "0 0 0",  # 73
     "32/23",  # 74
     "3/8 13/12 0 5/8",  # 75
-    "9/52 33/13 0",  # 76
+    "0 1/3 31/48",  # 76
     "0 0 0",  # 77
     "9/2 0",  # 78
     "0 0",  # 79
     None,  # 80
     "-5/6 1/12 0 0",  # 81
     None,  # 82
-    "11/318 1769/4452 923/4452 -3977/8904",  # 83
+    "983/2526 2525/1263 -98/1263 -856/1263",  # 83
     "-113/222 19/444 17/37",  # 84
     None,  # 85
     None,  # 86
@@ -145,7 +146,7 @@ FROZEN = [
     "-25/56 3/14",  # 100
     None,  # 101
     "-5/104 1/52",  # 102
-    "12850/13239 -9902/13239 3934/13239 3332/4413",  # 103
+    "4050/5567 -2806/5567 706/16701 15164/16701",  # 103
     "5/4",  # 104
     "2/21 83/231 -197/154",  # 105
     "0 5/8 0 0",  # 106
@@ -166,13 +167,13 @@ FROZEN = [
     "-4/3",  # 121
     "-91/55 -63/110",  # 122
     "8/5",  # 123
-    "64/17 24/17 0",  # 124
+    "-2/5 14/5 0",  # 124
     "-1/4 0",  # 125
     None,  # 126
     None,  # 127
     None,  # 128
     "0 0 7",  # 129
-    "-5 0 0 0",  # 130
+    "-5 13/2 0 0",  # 130
     "0 0 0",  # 131
     "0 0 17/10 11/40",  # 132
     "15/2 41/12 -5 0",  # 133
@@ -189,23 +190,23 @@ FROZEN = [
     "0 0 0 2/5",  # 144
     "79/10 -19/4 1 -17/30",  # 145
     "40/21 -34/63",  # 146
-    "0 4",  # 147
-    "-9/26 -6/13 0 0",  # 148
+    "-64/29 -12/29",  # 147
+    "0 -3/5 9/20 0",  # 148
     "6",  # 149
     "9/2 0 0",  # 150
-    "40/43 -113/43 257/129 0",  # 151
+    "17600/32707 -2931/65414 14715/32707 -41361/65414",  # 151
     None,  # 152
     "0 0 0 0",  # 153
     None,  # 154
-    "39/110 -1/22 43/110",  # 155
-    "377/2394 33/266 67/342 0",  # 156
+    "7/20 0 9/20",  # 155
+    "0 55/192 31/192 0",  # 156
     "7/8 0 0 0",  # 157
     "35/44 57/44",  # 158
-    "0 0 0 9/2",  # 159
+    "23/4 0 0 9/2",  # 159
     None,  # 160
     "-13/3 -67/6",  # 161
     "-8/5",  # 162
-    "-1361/498 -359/332 889/249 0",  # 163
+    "-63847/19038 -1101/12692 23325/3173 -11146/9519",  # 163
     None,  # 164
     "-9/5",  # 165
     None,  # 166
@@ -224,18 +225,18 @@ FROZEN = [
     "0 0",  # 179
     "-9/16 0",  # 180
     "3",  # 181
-    "-1/3 0 8/3 0",  # 182
+    "-61/3 80/7 296/21 0",  # 182
     "-1/15",  # 183
     "0 0 0",  # 184
     None,  # 185
     "-67/96 -11/16 -13/12",  # 186
     None,  # 187
     "15/4 0",  # 188
-    "37/90 2/45 0 0",  # 189
+    "1/2 0 0 0",  # 189
     None,  # 190
     "4/3 39/16",  # 191
     "471/724 -359/362 155/724",  # 192
-    "646/4147 1868/4147 -705/8294 8357/16588",  # 193
+    "954/8893 1572/8893 -1585/17786 15753/35572",  # 193
     None,  # 194
     "0 0 0 0",  # 195
     None,  # 196
@@ -244,13 +245,13 @@ FROZEN = [
     "-62/243 284/243 361/729",  # 199
     "-4/15",  # 200
     None,  # 201
-    "-173/459 32/17 0 616/459",  # 202
+    "-524/765 32/17 202/255 892/765",  # 202
     "-4",  # 203
     "694/5421 -5209/10842 1/3 3533/10842",  # 204
     "-137/294 -407/588 69/196 0",  # 205
     "2",  # 206
     None,  # 207
-    "0 2 0",  # 208
+    "49/23 129/23 102/23",  # 208
     None,  # 209
     "0 0 0 0",  # 210
     "5/4 -1/4 -1/4",  # 211
@@ -276,8 +277,8 @@ FROZEN = [
     "0",  # 231
     "0 0 0",  # 232
     None,  # 233
-    "-4/51 -8/17 -79/153",  # 234
-    "15/2 -61/16 91/16",  # 235
+    "-10/9 -20/3 0",  # 234
+    "-32 167/8 27",  # 235
     "-1/6 -1/6 0",  # 236
     "0 4 0 0",  # 237
     "0 12/5 0",  # 238
@@ -289,14 +290,14 @@ FROZEN = [
     "1181/763 1038/763 627/763 0",  # 244
     "0 2/3",  # 245
     None,  # 246
-    "0 0 0 6",  # 247
+    "0 8 0 12",  # 247
     "28255/6579 -80567/4386 36575/6579 52958/6579",  # 248
     None,  # 249
-    "-118/119 -20/119 0 279/119",  # 250
-    "0 24 0 0",  # 251
+    "-2 0 0 6",  # 250
+    "0 204/41 65/41 0",  # 251
     None,  # 252
-    "0 0 5/2 0",  # 253
-    "-31/138 73/69 24/23",  # 254
+    "-259/426 130/213 209/213 0",  # 253
+    "2/15 7/10 89/75",  # 254
     None,  # 255
     "31/23 -1109/828 0 4/9",  # 256
     "2 0 0",  # 257
@@ -306,8 +307,8 @@ FROZEN = [
     "1/4 0 0 0",  # 261
     None,  # 262
     "-5/4 0 17/16 0",  # 263
-    "42/11 34/33 0",  # 264
-    "8/15 16/5 0 0",  # 265
+    "1406/533 308/533 346/533",  # 264
+    "-1616/807 308/269 -620/269 732/269",  # 265
     None,  # 266
     "0 1/10",  # 267
     "0 6/5 0",  # 268
@@ -320,14 +321,14 @@ FROZEN = [
     "0",  # 275
     "2 0 0",  # 276
     "2",  # 277
-    "33/8 5 0",  # 278
+    "75/56 -95/7 -78/7",  # 278
     "0 0 0 0",  # 279
-    "-3/28 0 13/21",  # 280
+    "19/56 -1/6 -17/42",  # 280
     "0",  # 281
     None,  # 282
     "-9/8",  # 283
     None,  # 284
-    "-749/6036 -15/503 50/503",  # 285
+    "-1669/19308 -84/1609 571/6436",  # 285
     "0 0 0 0",  # 286
     None,  # 287
     "0 0 0",  # 288
@@ -340,8 +341,8 @@ FROZEN = [
     None,  # 295
     "1/3",  # 296
     None,  # 297
-    "-24 0",  # 298
-    "-98/123 -100/369 20/123",  # 299
+    "-232/27 -104/9",  # 298
+    "-2/3 -4/9 0",  # 299
 ]
 
 
@@ -372,15 +373,33 @@ def test_integral_rows_given_as_ints():
         assert as_text(feasible_point(as_ints, nvars)) == FROZEN[seed]
 
 
-def test_phase_one_start_row_uses_unscaled_rhs():
-    # x > 3/4 scales to -4x < -3, x > 1 stays -x < -1: the most negative rhs is
-    # row 1 before scaling and row 0 after; starting on row 0 would end at 7/4
+def test_scaled_strict_row_keeps_its_unscaled_margin():
+    # x > 3/4 scales to -4x + 4 eps <= -3, so eps is the margin of the
+    # unscaled row; at eps* = 1 the binding row is x > 1, not x > 3/4 (which
+    # would give 7/4), and the vertex is x = 2
     rows = [((F(-1),), F(-3, 4), True), ((F(-1),), F(-1), True)]
     assert feasible_point(rows, 1) == (F(2),)
 
 
 def test_empty_system_is_origin():
     assert feasible_point([], 3) == (F(0),) * 3
+    # the trivial optimum every fold starts from: max eps s.t. eps <= 1,
+    # after its one start pivot puts eps (label 4) in the basis at 1
+    lp = interior_tableau([], 2)
+    assert (lp.basis, lp.nb, lp.d) == ([4], [0, 1, 2, 3, 5], 1)
+    assert lp.rows == [[0, 0, 0, 0, 1, 1]] and lp.obj == [0, 0, 0, 0, -1, -1]
+
+
+def test_fold_order_does_not_change_the_verdict():
+    # the fold takes the rows in the order given; any order is the same
+    # system, so it must get the same verdict and a point of the system
+    rng = random.Random(11)
+    for seed in range(len(FROZEN)):
+        rows, nvars = random_system(seed)
+        shuffled = rng.sample(rows, len(rows))
+        point = feasible_point(shuffled, nvars)
+        assert (point is None) == (FROZEN[seed] is None), seed
+        assert point is None or satisfies(rows, point), seed
 
 
 def test_strict_rows_need_interior():
@@ -394,8 +413,9 @@ def tableau_state(lp):
 
 @pytest.mark.parametrize("seed", range(len(FROZEN)))
 def test_rows_appended_one_at_a_time_match_cold_solves(seed):
-    # the first row is solved cold, every later one is a warm dual-simplex
-    # step on the previous tableau; each prefix must get the cold verdict
+    # the first row is folded into the trivial optimum, every later one is a
+    # dual-simplex step on the previous tableau; each prefix must get the
+    # verdict of its own fold from the trivial optimum
     rows, nvars = random_system(seed)
     lp = interior_tableau(rows[:1], nvars)
     for k in range(1, len(rows) + 1):
@@ -415,7 +435,7 @@ def test_rows_appended_one_at_a_time_match_cold_solves(seed):
 
 
 def test_appended_rows_reach_both_verdicts_and_dual_pivots(monkeypatch):
-    # 697 dual pivots pin the dual Bland rule (smallest basis index leaves,
+    # 689 dual pivots pin the dual Bland rule (smallest basis index leaves,
     # least ratio enters, smallest column on ties): other choices reach the
     # same verdicts through other bases
     pivots = []
@@ -438,7 +458,7 @@ def test_appended_rows_reach_both_verdicts_and_dual_pivots(monkeypatch):
             dual += len(pivots) - before
             verdicts.add(lp is not None)
     assert verdicts == {False, True}
-    assert dual == 697
+    assert dual == 689
 
 
 def test_rows_appended_past_any_reserved_width_match_cold_solves():
@@ -465,13 +485,9 @@ def test_rows_appended_past_any_reserved_width_match_cold_solves():
     assert verdicts == [True] * 9 + [False]
 
 
-def test_artificial_leaves_on_its_smallest_label():
-    # 2x <= -1 and -2x <= 1 pin x = -1/2: phase 1 ends with the artificial
-    # basic at zero, and it leaves on the nonzero entry of smallest label
-    # (slack 3, not slack 4 at an earlier position), which fixes the basis
-    lp = interior_tableau([((2,), -1, False), ((-2,), 1, False)], 1)
-    assert lp.basis == [3, 1, 2]
-    assert exactlp._split_point(lp.values(), 1) == (F(-1, 2),)
+def test_opposite_rows_pin_their_point():
+    # 2x <= -1 and -2x <= 1 leave the single point x = -1/2
+    assert feasible_point([((2,), -1, False), ((-2,), 1, False)], 1) == (F(-1, 2),)
 
 
 def test_ratio_test_prunes_an_empty_cut():
