@@ -373,10 +373,9 @@ def test_integral_rows_given_as_ints():
         assert as_text(feasible_point(as_ints, nvars)) == FROZEN[seed]
 
 
-def test_scaled_strict_row_keeps_its_unscaled_margin():
-    # x > 3/4 scales to -4x + 4 eps <= -3, so eps is the margin of the
-    # unscaled row; at eps* = 1 the binding row is x > 1, not x > 3/4 (which
-    # would give 7/4), and the vertex is x = 2
+def test_strict_lower_bounds_of_two_scales():
+    # x > 3/4 scales to -4x + 4 eps <= -3 and x > 1 stays -x + eps <= -1; at
+    # eps* = 1 they ask x >= 7/4 and x >= 2, and the vertex is x = 2
     rows = [((F(-1),), F(-3, 4), True), ((F(-1),), F(-1), True)]
     assert feasible_point(rows, 1) == (F(2),)
 
