@@ -5,9 +5,11 @@ of all negative wall classes are constant.  Feasibility of each sign
 pattern is decided by an exact dual simplex on an integer tableau: the
 root's rows are added one at a time to the trivial optimum, and each wall
 row is then added to its parent's optimal tableau and re-optimized.  Each
-feasible full pattern gets a rational witness vector from a fresh fold of
-its own system.  Enumeration stops at n = 5: beyond it the linearized
-volume bound is not known to be exact.
+feasible full pattern reads a rational witness vector off its own optimal
+tableau (in inclusive mode after a few more dual steps that make the
+relaxed pair rows strict again), never from a fresh solve.  Enumeration
+stops at n = 5: beyond it the linearized volume bound is not known to be
+exact.
 """
 
 from cpstrata.chambers import enumerate_chambers

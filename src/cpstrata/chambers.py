@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import Iterable, Literal, Optional, Sequence, Union
 
 from .exactlp import Ineq as _Ineq, Rational
-from .exactlp import feasible_point, interior_tableau, tighten
+from .exactlp import _Simplex, feasible_point, interior_tableau, tighten
 from .lattice import (
     Capacities,
     H2Element,
@@ -240,20 +240,22 @@ def _leaf_record(
     boundary: Boundary,
     walls: Sequence[H2Element],
     strict_base: list[_Ineq],
-    rows: list[_Ineq],
+    relaxed: list[_Ineq],
     bits: tuple[bool, ...],
+    tableau: _Simplex,
 ) -> ChamberRecord:
     """The record of a feasible full sign pattern, with a simplified witness.
 
-    rows are the admissibility rows of the boundary mode followed by one
-    row per wall.  The witness solves the strict admissibility rows with the
-    wall rows, folded afresh from the trivial optimum, so it is strictly
-    admissible in either boundary mode.
+    tableau is the leaf's optimal tableau from the descent: the admissibility
+    rows of the boundary mode followed by one row per wall.  The witness is
+    read off it after folding in relaxed, the strict versions of the rows
+    that the boundary mode relaxes (none in strict mode), so it is strictly
+    admissible in either mode; it is then simplified over the deduplicated
+    strict admissibility and wall rows.
     """
     sig = ChamberSignature(walls, bits)
-    wall_rows = rows[len(rows) - len(walls):]
-    deduped = _dedupe(strict_base + wall_rows)
-    deep = None if deduped is None else feasible_point(deduped, n)
+    deduped = _dedupe(strict_base + [_wall_ineq(w, b) for w, b in zip(walls, bits)])
+    deep = None if deduped is None else feasible_point(relaxed, n, tableau)
     if deep is None:
         raise ArithmeticError(
             f"sign pattern {sig.bit_string()} at n={n} ({boundary}) was "
@@ -278,8 +280,9 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     appending its wall row to the parent's optimal integer tableau and
     re-optimizing by the dual simplex, usually in a few pivots.  A partial
     assignment whose system has no strictly feasible point prunes the whole
-    subtree.  Each full sign pattern then gets its witness from a fresh fold
-    of its own strict system (_leaf_record).
+    subtree.  Each full sign pattern then reads its witness off its own
+    tableau, after a few more dual steps in inclusive mode that restore the
+    strict pair rows (_leaf_record); no leaf solves from the trivial optimum.
 
     The boundary convention decides which sign patterns count as feasible;
     witnesses are drawn from the strictly admissible part of each pattern
@@ -297,6 +300,7 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     walls = negative_wall_classes(n)
     base = _admissibility_ineqs(n, boundary)
     strict_base = base if boundary == "strict" else _admissibility_ineqs(n, "strict")
+    relaxed = [row for row in strict_base if row not in base]
     deduped = _dedupe(base)
     root = None if deduped is None else interior_tableau(deduped, n)
     if root is None:
@@ -304,17 +308,16 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     found: list[ChamberRecord] = []
     # Depth first with an explicit stack, so no closure refers to itself and
     # the search leaves no cyclic garbage.  An entry is a feasible node: its
-    # bits, its rows and its optimal tableau.  The False child is pushed
-    # first, so True is explored first.
-    stack = [((), list(base), root)]
+    # bits and its optimal tableau.  The False child is pushed first, so True
+    # is explored first.
+    stack = [((), root)]
     while stack:
-        bits, rows, tableau = stack.pop()
+        bits, tableau = stack.pop()
         if len(bits) == len(walls):
-            found.append(_leaf_record(n, boundary, walls, strict_base, rows, bits))
+            found.append(_leaf_record(n, boundary, walls, strict_base, relaxed, bits, tableau))
             continue
         for positive in (False, True):
-            extra = _wall_ineq(walls[len(bits)], positive)
-            child = tighten(tableau, extra)
+            child = tighten(tableau, _wall_ineq(walls[len(bits)], positive))
             if child is not None:
-                stack.append((bits + (positive,), rows + [extra], child))
+                stack.append((bits + (positive,), child))
     return tuple(sorted(found, key=lambda rec: rec.signature.bits, reverse=True))

@@ -31,6 +31,10 @@ when the optimal vertex is read off.
 
 A solved tableau is never mutated, so chamber enumeration keeps each
 node's tableau and decides every child by one more step of the same fold.
+A fold may also start from such a tableau instead of the trivial optimum
+(the start argument of interior_tableau and feasible_point): a chamber
+leaf's witness is read off the descent's tableau with at most a few rows
+more, never solved afresh.
 
 Free variables are split x = u - v with u, v >= 0 to reach standard form.
 """
@@ -176,19 +180,30 @@ def _split_point(values: dict[int, Fraction], nvars: int) -> tuple[Fraction, ...
     return tuple(values.get(j, _ZERO) - values.get(nvars + j, _ZERO) for j in range(nvars))
 
 
-def feasible_point(ineqs: Sequence[Ineq], nvars: int) -> Optional[tuple[Fraction, ...]]:
-    """A rational point satisfying every constraint (strictness included)."""
-    lp = interior_tableau(ineqs, nvars)
+def feasible_point(
+    ineqs: Sequence[Ineq], nvars: int, start: Optional[_Simplex] = None
+) -> Optional[tuple[Fraction, ...]]:
+    """A rational point satisfying every constraint (strictness included).
+
+    With start, the point satisfies start's system as well: ineqs are folded
+    onto that solved tableau (see interior_tableau).
+    """
+    lp = interior_tableau(ineqs, nvars, start)
     return None if lp is None else _split_point(lp.values(), nvars)
 
 
-def interior_tableau(ineqs: Sequence[Ineq], nvars: int) -> Optional[_Simplex]:
+def interior_tableau(
+    ineqs: Sequence[Ineq], nvars: int, start: Optional[_Simplex] = None
+) -> Optional[_Simplex]:
     """The solved max-eps tableau of a strictly feasible system, else None.
 
-    The trivial optimum takes the rows one at a time by tighten(); eps* only
-    falls as rows are added, so the first empty or eps* = 0 prefix decides.
+    start (by default the trivial optimum) takes the rows one at a time by
+    tighten(); eps* only falls as rows are added, so the first empty or
+    eps* = 0 prefix decides.  A start other than the default must itself be
+    a tableau with eps* > 0, such as a result of this function or tighten(),
+    and the system solved is then start's rows followed by ineqs.
     """
-    lp: Optional[_Simplex] = _Simplex(nvars)
+    lp: Optional[_Simplex] = _Simplex(nvars) if start is None else start
     for ineq in ineqs:
         lp = tighten(lp, ineq)
         if lp is None:

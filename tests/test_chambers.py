@@ -446,20 +446,20 @@ class TestEnumeration:
             enumerate_chambers(n)
 
     def test_leaf_inconsistency_raises_arithmetic_error(self, monkeypatch):
-        # n=1 has no walls: one fold for the root, then the leaf's strict fold
-        # inside feasible_point, which is made to find no point
+        # n=1 has no walls: the root is the one leaf, and its witness comes
+        # from feasible_point on the root's tableau, which is made to find no
+        # point
         calls = []
-        fold = exactlp.interior_tableau
 
-        def root_only(ineqs, nvars):
-            calls.append(nvars)
-            return fold(ineqs, nvars) if len(calls) == 1 else None
+        def no_point(ineqs, nvars, start):
+            calls.append((list(ineqs), nvars))
+            assert isinstance(start, exactlp._Simplex)
+            return None
 
-        monkeypatch.setattr(exactlp, "interior_tableau", root_only)
-        monkeypatch.setattr(chambers, "interior_tableau", root_only)
+        monkeypatch.setattr(chambers, "feasible_point", no_point)
         with pytest.raises(ArithmeticError, match="sign pattern  at n=1"):
             enumerate_chambers(1)
-        assert len(calls) == 2
+        assert calls == [([], 1)]
 
     def test_four_ball_labels_cover_table(self):
         records = enumerate_chambers(4)
@@ -604,9 +604,9 @@ class TestWarmDescent:
         assert leaves == {rec.signature.bits for rec in enumerate_chambers(n, boundary)}
 
     def test_descent_makes_no_cold_solve_below_the_root(self, monkeypatch):
-        # n=4 has 5 walls: one fold from the trivial optimum for the root, the
-        # leaves' folds come from feasible_point, and every other node is one
-        # warm step on its parent's tableau
+        # n=4 has 5 walls: one fold from the trivial optimum for the root;
+        # every other node, leaves included, is warm-started from its
+        # parent's tableau, and each leaf reads its witness off its own
         starts, leaf_solves = [], []
         real_init = exactlp._Simplex.__init__
 
@@ -614,43 +614,57 @@ class TestWarmDescent:
             starts.append(nvars)
             real_init(lp, nvars)
 
-        def counting_point(ineqs, nvars):
+        def counting_point(ineqs, nvars, start):
             leaf_solves.append(nvars)
-            return feasible_point(ineqs, nvars)
+            return feasible_point(ineqs, nvars, start)
 
         monkeypatch.setattr(exactlp._Simplex, "__init__", counting_init)
         monkeypatch.setattr(chambers, "feasible_point", counting_point)
-        records = enumerate_chambers(4)
-        assert len(leaf_solves) == len(records) == 6
-        assert len(starts) == 1 + len(leaf_solves)
+        for boundary in ("strict", "inclusive"):
+            starts.clear()
+            leaf_solves.clear()
+            records = enumerate_chambers(4, boundary)
+            assert len(leaf_solves) == len(records) == 6
+            assert starts == [4]
 
     def test_cold_solves_and_their_pivots_pinned(self, monkeypatch):
-        # n=3..5 in both modes: 6 root folds and 82 leaf folds.  945 pivots,
-        # one start pivot per fold and the dual pivots of its rows, pin the
-        # dual Bland rule, which picks by label, not by column position
-        solves, pivots, inside = [], [], []
+        # n=3..5 in both modes: 6 root folds from the trivial optimum take 37
+        # pivots, one start pivot each and the dual pivots of their rows.  The
+        # 82 leaves fold only the strict pair rows of inclusive mode onto
+        # their own tableau: 372 appended rows, 10 dual pivots.  The counts
+        # pin the dual Bland rule, which picks by label, not by column position
+        solves, pivots, leaf_rows, leaf_pivots, inside = [], [], [], [], []
         real_fold, real_pivot = exactlp.interior_tableau, exactlp._Simplex._pivot
 
         def counting_fold(ineqs, nvars):
             solves.append(nvars)
-            inside.append(nvars)
+            inside.append("root")
             try:
                 return real_fold(ineqs, nvars)
             finally:
                 inside.pop()
 
+        def counting_point(ineqs, nvars, start):
+            leaf_rows.extend(ineqs)
+            inside.append("leaf")
+            try:
+                return feasible_point(ineqs, nvars, start)
+            finally:
+                inside.pop()
+
         def counting_pivot(lp, r, col):
             if inside:
-                pivots.append(col)
+                (pivots if inside == ["root"] else leaf_pivots).append(col)
             real_pivot(lp, r, col)
 
-        monkeypatch.setattr(exactlp, "interior_tableau", counting_fold)  # leaves
         monkeypatch.setattr(chambers, "interior_tableau", counting_fold)  # roots
+        monkeypatch.setattr(chambers, "feasible_point", counting_point)  # leaves
         monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
         for n in (3, 4, 5):
             for boundary in ("strict", "inclusive"):
                 enumerate_chambers(n, boundary)
-        assert (len(solves), len(pivots)) == (88, 945)
+        assert (len(solves), len(pivots)) == (6, 37)
+        assert (len(leaf_rows), len(leaf_pivots)) == (372, 10)
 
 
 def simplify_reference(point, ineqs):

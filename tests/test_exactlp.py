@@ -35,6 +35,29 @@ def satisfies(rows, point):
     return True
 
 
+def fourier_motzkin_feasible(rows, nvars):
+    """Whether the system has a point, by Fourier-Motzkin elimination over Fraction.
+
+    Independent of exactlp: each variable is eliminated by pairing every row
+    with a positive coefficient with every row with a negative one (the pair
+    is strict if either row is), and the constant rows left decide.
+    """
+    rows = [(tuple(F(a) for a in coeffs), F(rhs), strict) for coeffs, rhs, strict in rows]
+    for k in range(nvars):
+        pos, neg, rest = [], [], []
+        for row in rows:
+            a = row[0][k]
+            (pos if a > 0 else neg if a < 0 else rest).append(row)
+        for cp, bp, sp in pos:
+            for cn, bn, sn in neg:
+                s, t = -cn[k], cp[k]  # s*cp + t*cn has no x_k
+                rest.append(
+                    (tuple(s * x + t * y for x, y in zip(cp, cn)), s * bp + t * bn, sp or sn)
+                )
+        rows = rest
+    return all(rhs > 0 or (rhs == 0 and not strict) for _, rhs, strict in rows)
+
+
 def as_text(point):
     return None if point is None else " ".join(str(x) for x in point)
 
@@ -406,6 +429,14 @@ def test_strict_rows_need_interior():
     assert feasible_point([((1,), 0, False), ((-1,), 0, False)], 1) == (F(0),)
 
 
+def test_fourier_motzkin_oracle_sees_strictness():
+    # x < 0 <= x is empty, 0 <= x <= 0 is not; so is x + y < 1 < x + y
+    assert not fourier_motzkin_feasible([((1,), 0, True), ((-1,), 0, False)], 1)
+    assert fourier_motzkin_feasible([((1,), 0, False), ((-1,), 0, False)], 1)
+    assert not fourier_motzkin_feasible([((1, 1), 1, True), ((-1, -1), -1, False)], 2)
+    assert fourier_motzkin_feasible([((1, 1), 1, False), ((-1, -1), -1, False)], 2)
+
+
 def tableau_state(lp):
     return copy.deepcopy((lp.rows, lp.obj, lp.basis, lp.d))
 
@@ -414,7 +445,8 @@ def tableau_state(lp):
 def test_rows_appended_one_at_a_time_match_cold_solves(seed):
     # the first row is folded into the trivial optimum, every later one is a
     # dual-simplex step on the previous tableau; each prefix must get the
-    # verdict of its own fold from the trivial optimum
+    # verdict of its own fold from the trivial optimum, and that verdict the
+    # one of Fourier-Motzkin elimination, which shares no code with exactlp
     rows, nvars = random_system(seed)
     lp = interior_tableau(rows[:1], nvars)
     for k in range(1, len(rows) + 1):
@@ -425,7 +457,8 @@ def test_rows_appended_one_at_a_time_match_cold_solves(seed):
             assert tableau_state(lp) == before  # the parent is never mutated
             lp = child
         cold = feasible_point(prefix, nvars)
-        assert (lp is not None) == (cold is not None), k
+        oracle = fourier_motzkin_feasible(prefix, nvars)
+        assert (lp is not None) == (cold is not None) == oracle, k
         if lp is None:
             continue  # a superset of an empty system stays empty
         assert lp.d > 0
