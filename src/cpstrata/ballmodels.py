@@ -26,6 +26,7 @@ of three points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
@@ -156,6 +157,28 @@ def _one_ball_model(degree_cap: int) -> DgaSpec:
     )
 
 
+@lru_cache(maxsize=None)
+def _circle_algebra(base: int, free: int) -> PresentedAlgebra:
+    """The algebra of a circle model: base torus circles, free wedge circles.
+
+    It depends on the chamber only, not on the weights, so every model of
+    a chamber shares one algebra and the graded frames it builds lazily.
+    """
+    k = base + free
+    names = [f"T{i}" for i in range(1, k + 1)]
+    table = _model_table(names)
+    T = [GPolynomial.generator(table, name) for name in names]
+    # Wedge summands: the torus circles share one, every free circle is
+    # its own; classes from distinct summands multiply to zero.
+    summand = [0] * base + list(range(1, free + 1))
+    relations = [
+        T[i] * T[j]
+        for i, j in combinations(range(k), 2)
+        if summand[i] != summand[j]
+    ]
+    return PresentedAlgebra(table, relations)
+
+
 def iemb_model(
     n: int,
     chamber: str,
@@ -184,19 +207,9 @@ def iemb_model(
     weights = _coerce_weights(w, _FREE_WEIGHTS[(n, label)], f"chamber {label}")
     torus = (n, label) in ((2, "C_unique"), (3, "big"), (3, "small"))
     base = 2 if torus else 0
-    k = base + len(weights)
-    names = [f"T{i}" for i in range(1, k + 1)]
-    table = _model_table(names)
-    T = [GPolynomial.generator(table, name) for name in names]
-
-    # Wedge summands: the torus circles share one, every free circle is
-    # its own; classes from distinct summands multiply to zero.
-    summand = [0, 0][:base] + list(range(1, len(weights) + 1))
-    relations = [
-        T[i] * T[j]
-        for i, j in combinations(range(k), 2)
-        if summand[i] != summand[j]
-    ]
+    algebra = _circle_algebra(base, len(weights))
+    table = algebra.table
+    T = [GPolynomial.generator(table, name) for name in table.names[: base + len(weights)]]
 
     dbeta = GPolynomial.zero(table)
     dgamma = GPolynomial.zero(table)
@@ -210,7 +223,6 @@ def iemb_model(
         if nn:
             dgamma = dgamma + nn * (t * t * t)
 
-    algebra = PresentedAlgebra(table, relations)
     return DgaSpec(algebra, {"beta": dbeta, "gamma": dgamma}, degree_cap)
 
 

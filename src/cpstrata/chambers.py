@@ -292,7 +292,9 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     Only n in 1..5 is supported: for n >= 6 the linearized volume bound is
     not known to be exact, so no count there is trusted.
     """
-    if not 1 <= n <= MAX_ENUMERATE_N:
+    if n < 1:
+        raise ValueError(f"chamber enumeration supports n in 1..{MAX_ENUMERATE_N}, got {n}")
+    if n > MAX_ENUMERATE_N:
         raise ValueError(
             f"chamber enumeration supports n in 1..{MAX_ENUMERATE_N}, got {n}: for "
             f"n >= 6 the linearized volume bound is not known to be exact"

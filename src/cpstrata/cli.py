@@ -74,10 +74,13 @@ def parse_weights(text: str) -> list[tuple[int, int]]:
         return []
     pairs = []
     for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"weight pair must be 'a,b', got {chunk!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            a, b = (int(part) for part in chunk.split(","))
+        except ValueError:
+            raise ValueError(
+                f"weight pair must be 'a,b' with integers a and b, got {chunk!r}"
+            ) from None
+        pairs.append((a, b))
     return pairs
 
 

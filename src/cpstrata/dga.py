@@ -12,15 +12,19 @@ coboundaries.  Coboundary membership is decided inside the same row-reduced
 frames used for the ranks, so verification of a candidate presentation of
 the cohomology ring cannot disagree with the rank computation.
 
-All arithmetic is exact.  The elimination runs on integer rows; Fractions
-appear only in the differential columns and in the representatives
-returned.  No floating point anywhere.
+All arithmetic is exact.  The differential is integer from the generator
+values to the elimination: each DgaSpec scales its values once by one
+common M, the lcm of their denominators, and the columns of d carry that
+scale beside their integer entries.  Fractions appear only in the
+polynomials returned (differential() and the representatives).  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .gradedalg import (
@@ -33,7 +37,6 @@ from .gradedalg import (
     TableMismatchError,
     _merge_monomials,
     algebra_to_json,
-    integer_row,
 )
 
 
@@ -58,7 +61,8 @@ class DgaSpec:
 
     Generators missing from the mapping are closed.  Every value must be
     homogeneous of degree exactly one more than its generator; mixed-degree
-    values are rejected here, at construction time.
+    values are rejected here, at construction time.  scale is the lcm M of
+    the denominators of all values: M times each value has integer terms.
     """
 
     def __init__(
@@ -91,15 +95,21 @@ class DgaSpec:
         self.table = table
         self.values = values
         self.degree_cap = int(degree_cap)
-        # generator values by table index, and d of each monomial met so far
+        M = self.scale = lcm(*(c.denominator for v in values.values() for c in v.terms.values()))
+        # M times the generator values by table index, and M times d of each
+        # monomial met so far: integer terms
         self._dterms = tuple(
-            values[name].terms if name in values else {} for name in table.names
+            {m: c.numerator * (M // c.denominator) for m, c in values[name].terms.items()}
+            if name in values
+            else {}
+            for name in table.names
         )
-        self._dcache: dict[Monomial, dict[Monomial, Fraction]] = {}
+        self._dcache: dict[Monomial, dict[Monomial, int]] = {}
 
 
-def _monomial_differential(D: DgaSpec, mono: Monomial) -> dict[Monomial, Fraction]:
-    """Terms of d(mono), by the graded Leibniz rule on the exponent vector.
+def _monomial_differential(D: DgaSpec, mono: Monomial) -> dict[Monomial, int]:
+    """Integer terms of M d(mono), M = D.scale, by the graded Leibniz rule
+    on the exponent vector.
 
     Write mono = P g^e S with P, S the generators before and after g.  The
     Leibniz term of g is (-1)^|P| P (e g^(e-1) dg) S; moving dg to the
@@ -142,7 +152,7 @@ def differential(D: DgaSpec, p: GPolynomial) -> GPolynomial:
     return GPolynomial(
         D.table,
         (
-            (m, coeff * c)
+            (m, coeff * Fraction(c, D.scale))
             for mono, coeff in p.terms.items()
             for m, c in _monomial_differential(D, mono).items()
         ),
@@ -236,38 +246,44 @@ class _QuotientDifferential:
 
     A quotient vector of degree q is a sparse row keyed by frame monomial
     index (a position in graded_basis(q).monomials) and supported on the
-    complement.  Each degree q is eliminated once.  The column of d_q at
-    domain index j enters one SparseReducer as the integer row of its
-    target entries, keyed (1, i), plus a tag (0, j) holding the column's
-    scale.  Tags sort below every target key, so a row keeps a target pivot
-    exactly when its column is independent of the earlier ones; those rows,
-    tags stripped, span im(d_q).  A dependent column reduces to tags alone
-    with its own tag as pivot: the unique relation writing it through the
-    earlier independent columns, stored as a primitive integer kernel
-    vector with entry j > 0.
+    complement.  The column of d_q at a complement monomial is an integer
+    residue with a positive scale beside it: the image is column / scale.
+    Each degree q is eliminated once.  The column at domain index j enters
+    one SparseReducer as its integer entries, keyed (1, i), plus a tag
+    (0, j) holding its scale.  Tags sort below every target key, so a row
+    keeps a target pivot exactly when its column is independent of the
+    earlier ones; those rows, tags stripped, span im(d_q).  A dependent
+    column reduces to tags alone with its own tag as pivot: the unique
+    relation writing it through the earlier independent columns, stored as
+    a primitive integer kernel vector with entry j > 0.
     """
 
     def __init__(self, D: DgaSpec):
         self.D = D
         self._columns: dict[int, list[tuple]] = {}
+        self._scales: dict[int, list[int]] = {}
         self._kernels: dict[int, list[dict]] = {}
         self._boundaries: dict[int, SparseReducer] = {0: SparseReducer()}
 
     def columns(self, q: int) -> list[tuple]:
         """Per complement monomial of degree q, in order: the nonzero
-        (target frame index, coefficient) pairs of its image under d."""
+        (target frame index, int) pairs of its image under d, times the
+        column's scale in _scales[q]."""
         cols = self._columns.get(q)
         if cols is None:
             A = self.D.algebra
             frame = A.graded_basis(q)
             target = A.graded_basis(q + 1)
             index = target.index
-            cols = []
+            scale = self.D.scale
+            cols, scales = [], []
             for mono in frame.complement:
+                # the residue of M d(mono) is residue / den
                 image = _monomial_differential(self.D, mono)
-                m, row = integer_row({index[t]: c for t, c in image.items()})
-                den, residue = target.reducer.residue(row)
-                cols.append(tuple((i, Fraction(v, den * m)) for i, v in residue.items()))
+                den, residue = target.reducer.residue({index[t]: c for t, c in image.items()})
+                cols.append(tuple(residue.items()))
+                scales.append(den * scale)
+            self._scales[q] = scales
             self._columns[q] = cols
         return cols
 
@@ -275,12 +291,12 @@ class _QuotientDifferential:
         frame = self.D.algebra.graded_basis(q)
         red = SparseReducer()
         kernel = []
-        for mono, col in zip(frame.complement, self.columns(q)):
-            # the column times its scale m, tagged m: a positive multiple
-            # of (column, tag 1) leaves every stored primitive row as is
-            m, values = integer_row(dict(col))
-            row = {(1, i): v for i, v in values.items()}
-            row[(0, frame.index[mono])] = m
+        cols = self.columns(q)
+        for mono, col, scale in zip(frame.complement, cols, self._scales[q]):
+            # the column tagged with its scale: a positive multiple of
+            # (image, tag 1) leaves every stored primitive row as is
+            row = {(1, i): v for i, v in col}
+            row[(0, frame.index[mono])] = scale
             pivot = red.insert(row)
             if pivot[0] == 0:
                 kernel.append({k: v for (_, k), v in red.rows[pivot].items()})

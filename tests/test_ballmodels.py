@@ -18,8 +18,8 @@ from cpstrata.ballmodels import (
     iemb_presentation,
     weight_independence_check,
 )
-from cpstrata.dga import cohomology_ranks, differential, verify_presentation
-from cpstrata.gradedalg import GPolynomial
+from cpstrata.dga import DgaSpec, cohomology_ranks, differential, verify_presentation
+from cpstrata.gradedalg import GPolynomial, PresentedAlgebra
 from cpstrata.kriz import KrizParams, kriz_model
 
 
@@ -325,6 +325,54 @@ class TestWeightIndependence:
             return
         ranks = cohomology_ranks(iemb_model(4, "C_1", [(a, b)])).rank_list(9)
         assert ranks == RANK_ROWS[(4, "C_1")]
+
+
+class TestSharedCircleAlgebra:
+    """Every model of a chamber shares one algebra, whatever its weights."""
+
+    WEIGHTS = [[(a, b), (b - 2, a + 1)] for a, b in ((1, 0), (1, 1), (2, -1), (3, 5), (-4, 2))]
+    WEIGHTS += [[(a, 1), (1, -a)] for a in range(-7, 8)]
+
+    def test_models_share_one_algebra_and_build_each_frame_once(self, monkeypatch):
+        ballmodels._circle_algebra.cache_clear()  # start from unbuilt frames
+        built = []
+        build = PresentedAlgebra._build_frame
+
+        def counted(self, q):
+            built.append((id(self), q))
+            return build(self, q)
+
+        monkeypatch.setattr(PresentedAlgebra, "_build_frame", counted)
+        assert len(self.WEIGHTS) == 20
+        models = [iemb_model(4, "C_2", w) for w in self.WEIGHTS]
+        assert len({id(D.algebra) for D in models}) == 1
+        assert len({tuple(D.values["beta"].terms.items()) for D in models}) > 1
+        for D in models:
+            assert cohomology_ranks(D).rank_list(9) == RANK_ROWS[(4, "C_2")]
+        algebra = models[0].algebra
+        assert sorted(built) == [(id(algebra), q) for q in range(models[0].degree_cap + 2)]
+
+    def test_chambers_of_one_shape_share_and_others_do_not(self):
+        assert iemb_model(2, "C_unique").algebra is iemb_model(3, "big").algebra
+        shapes = [iemb_model(3, "small"), iemb_model(4, "C_0")]
+        shapes += [iemb_model(4, f"C_{r}") for r in range(1, 5)]
+        assert len({id(D.algebra) for D in shapes}) == len(shapes)
+        assert kriz_model(KrizParams(2, 3)).algebra is not kriz_model(KrizParams(2, 3)).algebra
+
+    @pytest.mark.parametrize(
+        "n, chamber, w",
+        [(3, "small", [(2, 5)]), (4, "C_2", [(3, -1), (1, 4)]),
+         (4, "C_4", [(1, 2), (3, -1), (2, 2), (-1, 4)])],
+    )
+    def test_shared_algebra_matches_a_fresh_one(self, n, chamber, w):
+        cohomology_ranks(iemb_model(n, chamber))  # frames built by another model
+        shared = iemb_model(n, chamber, w)
+        fresh = PresentedAlgebra(shared.table, shared.algebra.relations)
+        assert fresh is not shared.algebra
+        alone = DgaSpec(fresh, shared.values, shared.degree_cap)
+        got, want = cohomology_ranks(shared), cohomology_ranks(alone)
+        assert got.ranks == want.ranks
+        assert got.representatives == want.representatives
 
 
 class TestAbIsomorphism:

@@ -442,7 +442,12 @@ class TestEnumeration:
         monkeypatch.setattr(chambers, "feasible_point", no_lp)
         monkeypatch.setattr(exactlp._Simplex, "__init__", no_lp)  # every fold starts here
         monkeypatch.setattr(exactlp._Simplex, "with_row", no_lp)
-        with pytest.raises(ValueError, match=r"1\.\.5.*volume bound"):
+        # n < 1 is out of range outright; n >= 6 lacks an exact volume bound
+        if n == 0:
+            match = r"^chamber enumeration supports n in 1\.\.5, got 0$"
+        else:
+            match = r"1\.\.5.*volume bound"
+        with pytest.raises(ValueError, match=match):
             enumerate_chambers(n)
 
     def test_leaf_inconsistency_raises_arithmetic_error(self, monkeypatch):

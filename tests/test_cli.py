@@ -54,7 +54,7 @@ class TestParsing:
             parse_weights("1;2")
 
     def test_weights_non_integer_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"got '1,x'$"):
             parse_weights("1,x")
 
     def test_canonical_json_sorted_and_terminated(self):

@@ -16,7 +16,13 @@ from math import gcd, lcm
 
 import pytest
 
-from cpstrata.dga import DgaSpec, _QuotientDifferential, cohomology_ranks, differential
+from cpstrata.dga import (
+    DgaSpec,
+    _monomial_differential,
+    _QuotientDifferential,
+    cohomology_ranks,
+    differential,
+)
 from cpstrata.gradedalg import (
     GeneratorTable,
     GPolynomial,
@@ -281,6 +287,32 @@ def test_differential_matches_word_leibniz(seed):
     assert differential(D, p).terms == {m: c for m, c in expected.items() if c}
 
 
+def test_common_scale_clears_every_denominator():
+    # d(beta) = 1/2 T^2 and d(gamma) = 1/3 T^3 share the scale M = 6
+    table = GeneratorTable(("T", "beta", "gamma"), (2, 3, 5))
+    A = PresentedAlgebra(table, ())
+    D = DgaSpec(
+        A,
+        {
+            "beta": GPolynomial.parse(table, "1/2*T^2"),
+            "gamma": GPolynomial.parse(table, "1/3*T^3"),
+        },
+    )
+    assert D.scale == 6
+    for q in range(12):
+        for mono in reference_monomials(table, q):
+            expected = reference_monomial_differential(D, mono)
+            assert differential(D, GPolynomial.monomial(table, mono)).terms == expected
+            scaled = _monomial_differential(D, mono)
+            assert all(type(c) is int for c in scaled.values())
+            assert {m: Fraction(c, 6) for m, c in scaled.items()} == expected
+
+
+def test_closed_generators_have_scale_one():
+    table = GeneratorTable(("x", "y"), (1, 2))
+    assert DgaSpec(PresentedAlgebra(table, ()), {}).scale == 1
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_differential_columns_match_reference(seed):
     _, D = random_dga(seed)
@@ -295,8 +327,13 @@ def test_differential_columns_match_reference(seed):
             image = reference_monomial_differential(D, mono)
             expected.append(ref.residue({target.index[m]: c for m, c in image.items()}))
         cols = quot.columns(q)
-        assert [dict(col) for col in cols] == expected
-        assert all(type(v) is Fraction and v for col in cols for _, v in col)
+        scales = quot._scales[q]
+        assert len(scales) == len(cols)
+        assert all(type(s) is int and s > 0 for s in scales)
+        assert [
+            {i: Fraction(v, s) for i, v in col} for col, s in zip(cols, scales)
+        ] == expected
+        assert all(type(v) is int and v for col in cols for _, v in col)
 
 
 def test_reducer_rows_are_ints_and_inputs_untouched(monkeypatch):
@@ -336,7 +373,8 @@ def test_reducer_rows_are_ints_and_inputs_untouched(monkeypatch):
 
 def test_random_inputs_exercise_the_kernel():
     # the seeds must reach what the kernel decides: Koszul signs, products
-    # that die on a cap, and quotient columns with non-integer entries
+    # that die on a cap, and quotient columns with non-integer entries: an
+    # entry its column scale (then above 1) does not divide
     signs, dead, entries = set(), 0, []
     for seed in SEEDS:
         _, D = random_dga(seed)
@@ -349,8 +387,13 @@ def test_random_inputs_exercise_the_kernel():
             else:
                 signs.add(merged[0])
         quot = _QuotientDifferential(D)
-        entries += [v for q in range(TOP) for col in quot.columns(q) for _, v in col]
+        entries += [
+            (v, s)
+            for q in range(TOP)
+            for col, s in zip(quot.columns(q), quot._scales[q])
+            for _, v in col
+        ]
     assert signs == {1, -1}
     assert dead > 0
     assert len(entries) >= 50
-    assert any(v.denominator > 1 for v in entries)
+    assert any(s > 1 and v % s for v, s in entries)
