@@ -142,11 +142,15 @@ def _model_table(circle_names: Sequence[str]) -> GeneratorTable:
     return GeneratorTable(names, degrees)
 
 
-def _one_ball_model(degree_cap: int) -> DgaSpec:
+def _one_ball_table() -> GeneratorTable:
     # The stabilizer of a single ball is a rank-2 unitary group, not its
     # maximal torus, so the base carries one generator in degree 2 and
     # one in degree 4.  The resulting cohomology is that of the plane.
-    table = GeneratorTable(("e1", "e2", "beta", "gamma"), (2, 4, 3, 5))
+    return GeneratorTable(("e1", "e2", "beta", "gamma"), (2, 4, 3, 5))
+
+
+def _one_ball_model(degree_cap: int) -> DgaSpec:
+    table = _one_ball_table()
     e1 = GPolynomial.generator(table, "e1")
     e2 = GPolynomial.generator(table, "e2")
     algebra = PresentedAlgebra(table, ())
@@ -179,6 +183,14 @@ def _circle_algebra(base: int, free: int) -> PresentedAlgebra:
     return PresentedAlgebra(table, relations)
 
 
+def _circle_shape(n: int, label: str, w: WeightsLike) -> tuple[CircleWeights, int]:
+    """The checked free-circle weights of a circle-model chamber, and its
+    number of base torus circles."""
+    weights = _coerce_weights(w, _FREE_WEIGHTS[(n, label)], f"chamber {label}")
+    torus = (n, label) in ((2, "C_unique"), (3, "big"), (3, "small"))
+    return weights, 2 if torus else 0
+
+
 def iemb_model(
     n: int,
     chamber: str,
@@ -204,16 +216,14 @@ def iemb_model(
         _coerce_weights(w, 0, "one ball")
         return _one_ball_model(degree_cap)
 
-    weights = _coerce_weights(w, _FREE_WEIGHTS[(n, label)], f"chamber {label}")
-    torus = (n, label) in ((2, "C_unique"), (3, "big"), (3, "small"))
-    base = 2 if torus else 0
+    weights, base = _circle_shape(n, label, w)
     algebra = _circle_algebra(base, len(weights))
     table = algebra.table
     T = [GPolynomial.generator(table, name) for name in table.names[: base + len(weights)]]
 
     dbeta = GPolynomial.zero(table)
     dgamma = GPolynomial.zero(table)
-    if torus:
+    if base:
         t1, t2 = T[0], T[1]
         dbeta = t1 * t1 + t2 * t2 + t1 * t2
         dgamma = t1 * t1 * t2 + t1 * t2 * t2
@@ -300,7 +310,8 @@ def iemb_presentation(
 
     The map sends each presentation generator to a cocycle of the model
     returned by iemb_model(n, chamber, w), so the pair feeds directly
-    into dga.verify_presentation.  Weighted chambers keep the integer
+    into dga.verify_presentation; only that model's generator table is
+    built here, not its differential.  Weighted chambers keep the integer
     coefficients m_i in the relations rather than rescaling the degree-2
     generators by irrational square roots.
     """
@@ -310,14 +321,15 @@ def iemb_presentation(
             "no finite presentation is shipped for chamber C_5; "
             "compare ranks against the four-point configuration model"
         )
-    model = iemb_model(n, label, w)
-    mt = model.table
-
     if (n, label) == (1, "C_unique"):
+        _coerce_weights(w, 0, "one ball")
         ptable = GeneratorTable(("h",), (2,))
         h = GPolynomial.generator(ptable, "h")
         pres = PresentedAlgebra(ptable, (h * h * h,))
-        return pres, {"h": GPolynomial.generator(mt, "e1")}
+        return pres, {"h": GPolynomial.generator(_one_ball_table(), "e1")}
+
+    weights, base = _circle_shape(n, label, w)
+    mt = _circle_algebra(base, len(weights)).table
 
     if (n, label) in ((2, "C_unique"), (3, "big")):
         ptable = GeneratorTable(("T1", "T2"), (2, 2))
@@ -336,7 +348,6 @@ def iemb_presentation(
     gamma = GPolynomial.generator(mt, "gamma")
 
     if (n, label) == (3, "small"):
-        weights = _coerce_weights(w, 1, "chamber small")
         m3, n3 = weights.m[0], weights.n[0]
         ptable = GeneratorTable(("T1", "T2", "T3", "eta"), (2, 2, 2, 7))
         t1, t2, t3, eta = (
@@ -369,7 +380,6 @@ def iemb_presentation(
 
     # Chambers C_1..C_4: r wedge circles with weights.
     r = int(label[-1])
-    weights = _coerce_weights(w, r, f"chamber {label}")
     ms, ns = weights.m, weights.n
     names = tuple(f"T{i}" for i in range(1, r + 1))
     ptable = GeneratorTable(names + ("eta",), (2,) * r + (5,))

@@ -345,8 +345,7 @@ def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
         rank_q = len(kernel) - boundary.rank
         ranks[q] = rank_q
         chosen: list[GPolynomial] = []
-        scratch = SparseReducer()
-        scratch.rows = dict(boundary.rows)  # stored rows are never modified
+        scratch = SparseReducer(rows=dict(boundary.rows))  # stored rows are never modified
         for v in kernel:
             _, residue = scratch.residue(v)
             if not residue:

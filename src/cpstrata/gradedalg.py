@@ -6,17 +6,20 @@ truncated polynomial rings.  Monomials are exponent tuples in table order,
 polynomials are sparse rational combinations, and every per-degree question
 (basis of the quotient, ideal membership, canonical representatives) is
 answered by exact integer row reduction over the finite monomial basis of
-that degree.  No Groebner machinery: all computations live below a small
-degree cap, where spanning sets {relation x monomial} are already complete.
+that degree.  Each algebra keeps one Groebner basis of its ideal (module
+groebner), completed one degree at a time as its frames are built: a
+frame's complement is the standard monomials of its degree, and a residue
+is a normal form, taken by SparseReducer against echelon rows that are
+built only when a residue first needs them.
 
 Monomials are validated once, where they enter from outside (the public
 GPolynomial constructor, parse, from_word).  Inside, the monomial kernel
 _merge_monomials multiplies two valid monomials against the exponent caps
 and odd flags the GeneratorTable computed at construction, so its result is
 valid by construction: products, sums and negations wrap their terms
-without re-checking them, and a graded frame inserts each {relation x
-monomial} product as an integer row of monomial indices without building
-a polynomial at all.
+without re-checking them, and a graded frame builds each product of a
+basis element and a monomial as an integer row of monomial indices
+without building a polynomial at all.
 
 Rows are ints in and out of SparseReducer.  A polynomial or other rational
 row becomes one in a single step, integer_row, which scales it by the lcm
@@ -424,14 +427,20 @@ class SparseReducer:
     cross-multiplies only when the pivot entry does not divide the entry it
     clears, fraction-free in the manner of Bareiss (Math. Comp. 22, 1968).
     The caller's rows are never modified.
+
+    pivots holds the pivot columns, as a plain dict that residue tests
+    every entry against; by default it is rows itself.  A graded frame
+    passes its leading monomials as pivots and a rows mapping that builds
+    each row on first lookup.
     """
 
-    def __init__(self):
-        self.rows: dict = {}  # pivot column -> primitive integer row
+    def __init__(self, pivots: Optional[dict] = None, rows: Optional[dict] = None):
+        self.rows: dict = {} if rows is None else rows  # pivot column -> primitive integer row
+        self.pivots: dict = self.rows if pivots is None else pivots
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @staticmethod
     def _primitive(row: dict) -> dict:
@@ -486,12 +495,13 @@ class SparseReducer:
         when a pivot entry does not divide the entry it clears.
         """
         den, r = 1, dict(row)
+        pivots, rows = self.pivots, self.rows
         while True:
-            hits = [c for c in r if c in self.rows]
+            hits = [c for c in r if c in pivots]
             if not hits:
                 return den, r
             c = max(hits)
-            den *= self._clear(r, self.rows[c], c)
+            den *= self._clear(r, rows[c], c)
 
     def member(self, row: Mapping[object, int]) -> bool:
         return not self.residue(row)[1]
@@ -502,12 +512,15 @@ class GradedBasis:
     """Degree-q linear data of a presented algebra.
 
     monomials: every ambient normal-form monomial of degree q (ascending lex);
-    complement: the pivot-free monomials, a basis of the quotient in degree q;
-    the reducer holds the row space of {relation x monomial} products, over
-    the positions that index gives each monomial in monomials.  A vector of
-    the quotient is a sparse integer row over those same positions, up to a
-    positive scale: reducer.residue gives its canonical form, supported on
-    complement monomials.
+    complement: the standard monomials, which lead no element of the ideal,
+    a basis of the quotient in degree q.  The reducer holds the ideal's
+    degree-q part over the positions that index gives each monomial in
+    monomials: its pivots map each leading monomial mu of the ideal to a
+    Groebner basis element g whose leading monomial divides it, and the
+    echelon row g * (mu / LM g) is built when a residue first needs it.  A
+    vector of the quotient is a sparse integer row over those same
+    positions, up to a positive scale: reducer.residue gives its normal
+    form, supported on complement monomials.
     """
 
     degree: int
@@ -550,40 +563,25 @@ class PresentedAlgebra:
             rels.append(r)
         self.table = table
         self.relations = tuple(rels)
-        # (degree, integer terms) per relation: a frame row is a relation
-        # times a monomial, and a nonzero scale leaves the reducer's
-        # primitive rows unchanged
-        self._relation_rows = tuple(
-            (r.degree(), tuple(integer_row(r.terms)[1].items())) for r in rels
-        )
+        from .groebner import GroebnerBasis  # here: groebner builds on this module
+
+        self._basis = GroebnerBasis(table, rels)
         self._frames: dict[int, GradedBasis] = {}
 
     def graded_basis(self, q: int) -> GradedBasis:
         frame = self._frames.get(q)
         if frame is None:
-            # setdefault keeps exactly one frame if two threads race here
-            frame = self._frames.setdefault(q, self._build_frame(q))
+            # not thread-safe: every new frame extends the one basis that
+            # all frames share
+            frame = self._frames[q] = self._build_frame(q)
         return frame
 
     def _build_frame(self, q: int) -> GradedBasis:
-        table = self.table
-        monos = monomials_of_degree(table, q)
-        index = {m: i for i, m in enumerate(monos)}
-        reducer = SparseReducer()
-        for d, terms in self._relation_rows:
-            if d > q:
-                continue
-            for shift in monomials_of_degree(table, q - d):
-                # distinct terms give distinct products, so nothing cancels
-                row = {}
-                for mono, c in terms:
-                    merged = _merge_monomials(table, mono, shift)
-                    if merged is not None:
-                        row[index[merged[1]]] = merged[0] * c
-                if row:
-                    reducer.insert(row)
-        complement = tuple(m for i, m in enumerate(monos) if i not in reducer.rows)
-        return GradedBasis(q, monos, complement, reducer.rank, table, reducer, index)
+        # in increasing degree: a frame takes leading monomials from below
+        for p in range(q):
+            if p not in self._frames:
+                self.graded_basis(p)
+        return self._basis.frame(q, self._frames)
 
     def quotient_dimension(self, q: int) -> int:
         return self.graded_basis(q).quotient_dimension

@@ -1,5 +1,7 @@
 """Chamberwise models of ball embedding spaces against their frozen answers."""
 
+from operator import ge
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,8 @@ from cpstrata.ballmodels import (
     weight_independence_check,
 )
 from cpstrata.dga import DgaSpec, cohomology_ranks, differential, verify_presentation
-from cpstrata.gradedalg import GPolynomial, PresentedAlgebra
-from cpstrata.kriz import KrizParams, kriz_model
+from cpstrata.gradedalg import GPolynomial, PresentedAlgebra, monomials_of_degree
+from cpstrata.kriz import KrizParams, kriz_model, relabeled_model
 
 
 def P(table, text):
@@ -229,6 +231,22 @@ class TestPresentations:
         with pytest.raises(ValueError):
             iemb_presentation(4, "C_5")
 
+    @pytest.mark.parametrize("n, chamber", sorted(RANK_ROWS))
+    def test_presentation_builds_no_model(self, n, chamber, monkeypatch):
+        # only the model's generator table is needed, not its differential
+        expected = iemb_model(n, chamber)
+        pres, gen_map = iemb_presentation(n, chamber)
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("DgaSpec built")
+
+        monkeypatch.setattr(DgaSpec, "__init__", no_model)
+        again, again_map = iemb_presentation(n, chamber)
+        assert again.relations == pres.relations and again_map == gen_map
+        assert {g.table for g in again_map.values()} == {expected.table}
+        with pytest.raises(ValueError, match="circle weight pair"):
+            iemb_presentation(n, chamber, [(1, 1)] * 5)
+
     def test_weighted_relation_keeps_integer_coefficients(self):
         pres, _ = iemb_presentation(4, "C_2", [(1, 1), (2, -1)])
         t = pres.table
@@ -420,3 +438,49 @@ class TestAbIsomorphism:
         assert len(report.images) == 7
         for _, image_text in report.images:
             assert target.ideal_member(P(target.table, image_text))
+
+
+def beyond_relations(algebra, top):
+    """Leading monomials of the algebra's Groebner basis through degree top
+    that no relation's leading monomial divides."""
+    algebra.graded_basis(top)
+    leads = [max(r.terms) for r in algebra.relations]
+    return [
+        lm
+        for lm, _ in algebra._basis.elements
+        if not any(all(map(ge, lm, lead)) for lead in leads)
+    ]
+
+
+class TestGroebnerCompletion:
+    """Which algebras the frames' Groebner completion extends."""
+
+    @pytest.mark.parametrize(
+        "n, chamber",
+        [(2, "C_unique"), (3, "big"), (3, "small"), (4, "C_2"), (4, "C_3"), (4, "C_4")],
+    )
+    def test_presentations_gain_basis_elements(self, n, chamber):
+        pres, _ = iemb_presentation(n, chamber)
+        assert beyond_relations(pres, 8)
+
+    def test_stabilizer_presentation_gains_basis_elements(self):
+        assert beyond_relations(four_ball_stabilizer_presentation(), 8)
+        assert beyond_relations(bstab_presentation(4, "C_5"), 8)
+
+    def test_model_algebras_are_bases_already(self):
+        algebras = [iemb_model(n, chamber).algebra for n, chamber in RANK_ROWS]
+        algebras += [kriz_model(KrizParams(m, k)).algebra for m, k in ((2, 3), (2, 4), (3, 3))]
+        algebras.append(relabeled_model(KrizParams(2, 4), (3, 1, 4, 2)).algebra)
+        for algebra in algebras:
+            assert beyond_relations(algebra, 10) == []
+
+    def test_four_small_circles_ideal_outgrows_relation_multiples(self):
+        pres, _ = iemb_presentation(4, "C_4")
+        leads = [max(r.terms) for r in pres.relations]
+        multiples = sum(
+            any(all(map(ge, m, lead)) for lead in leads)
+            for q in range(16)
+            for m in monomials_of_degree(pres.table, q)
+        )
+        ideal = sum(pres.graded_basis(q).ideal_dimension for q in range(16))
+        assert (ideal, multiples) == (440, 416)

@@ -5,6 +5,7 @@ zero-differential models, a two-circle wedge model, and a minimal two-point
 configuration model.  Rank tables are pinned degreewise.
 """
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ from cpstrata.dga import (
     substitute,
     verify_presentation,
 )
-from cpstrata.ballmodels import iemb_model
+from cpstrata.ballmodels import iemb_model, iemb_presentation
 from cpstrata.kriz import KrizParams, kriz_model
 
 FLAG_T = GeneratorTable(names=("T1", "T2", "beta", "gamma"), degrees=(2, 2, 3, 5))
@@ -450,3 +451,27 @@ class TestVerifyPresentation:
         report = verify_presentation(flag_model(), pres, {"T1": P(FLAG_T, "T1")})
         assert not report
         assert "dim" in report.first_failure
+
+
+def cyclic_garbage(run) -> int:
+    """Objects that only the cycle collector frees after run()."""
+    gc.collect()
+    gc.disable()  # no automatic pass may free them first
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoCyclicGarbage:
+    # frames refer to their algebra's basis, never back to the algebra
+    def test_kriz_ranks(self):
+        assert cyclic_garbage(lambda: cohomology_ranks(kriz_model(KrizParams(2, 3)))) == 0
+
+    def test_presentation_check(self):
+        def run():
+            pres, gen_map = iemb_presentation(4, "C_4")
+            assert verify_presentation(iemb_model(4, "C_4"), pres, gen_map)
+
+        assert cyclic_garbage(run) == 0

@@ -6,7 +6,9 @@ products sorted by normal_form from concatenated generator words, frames
 spanned by those products in a reducer that cross-multiplies whole rows,
 residues taken over Fractions, and the Leibniz differential applied one
 generator letter of a word at a time.  Every table is drawn from a seed
-and mixes odd, even and nilpotent generators in a shuffled order.
+and mixes odd, even and nilpotent generators in a shuffled order.  The
+frames' Groebner completion is checked against the same brute-force
+frames, spanned by every relation x monomial product.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from cpstrata.gradedalg import (
     monomials_of_degree,
     normal_form,
 )
+from cpstrata.groebner import GroebnerBasis
 
 SEEDS = range(12)
 TOP = 7  # frames and differential columns are compared in degrees 0..TOP
@@ -254,7 +257,10 @@ def test_frames_match_reference(seed):
         frame = A.graded_basis(q)
         monos, ref = reference_frame(table, A.relations, q)
         assert frame.monomials == monos
-        assert frame.reducer.rows == ref.rows
+        # the ideal's leading monomials; the stored echelon rows are basis
+        # element times monomial products, and no output depends on them
+        assert set(frame.reducer.pivots) == set(ref.rows)
+        assert frame.ideal_dimension == len(ref.rows)
         assert frame.complement == tuple(
             m for i, m in enumerate(monos) if i not in ref.rows
         )
@@ -397,3 +403,95 @@ def test_random_inputs_exercise_the_kernel():
     assert dead > 0
     assert len(entries) >= 50
     assert any(s > 1 and v % s for v, s in entries)
+
+
+# ---------------------------------------------------- Groebner completion
+
+COMPLETION_SEEDS = range(16)
+COMPLETION_TOP = 9
+
+
+def completion_algebra(seed):
+    """A random table with 2-4 relations of degree 2-5, of 2-4 terms each."""
+    rng = random.Random(f"completion:{seed}")
+    table = random_table(rng)
+    relations = [
+        random_homogeneous(rng, table, rng.randint(2, 5), rng.randint(2, 4))
+        for _ in range(rng.randint(2, 4))
+    ]
+    return rng, PresentedAlgebra(table, relations)
+
+
+def record_adjoined_kinds(monkeypatch):
+    """Patch the completion to list, per element it adjoins, the kind of
+    candidate that element came from: a relation, a pair, or the killing
+    product of an odd or a nilpotent even generator."""
+    kinds, current = [], [None]
+    candidates, adjoin = GroebnerBasis._candidates, GroebnerBasis._adjoin
+
+    def labelled(self, q):
+        labels = ["relation"] * len(self._relations.get(q, ()))
+        for _, k in self._pending.get(q, ()):
+            if k >= 0:
+                labels += ["pair", "pair"]
+            else:
+                labels.append("odd" if self.table.is_odd(~k) else "nilpotent")
+        for label, item in zip(labels, candidates(self, q), strict=True):
+            current[0] = label
+            yield item
+
+    def recorded(self, q, lm, terms):
+        kinds.append(current[0])
+        return adjoin(self, q, lm, terms)
+
+    monkeypatch.setattr(GroebnerBasis, "_candidates", labelled)
+    monkeypatch.setattr(GroebnerBasis, "_adjoin", recorded)
+    return kinds
+
+
+@pytest.mark.parametrize("seed", COMPLETION_SEEDS)
+def test_completion_matches_reference(seed):
+    rng, A = completion_algebra(seed)
+    table = A.table
+    for q in range(COMPLETION_TOP + 1):
+        frame = A.graded_basis(q)
+        monos, ref = reference_frame(table, A.relations, q)
+        assert frame.monomials == monos
+        assert set(frame.reducer.pivots) == set(ref.rows)
+        assert frame.ideal_dimension == len(ref.rows)
+        assert frame.complement == tuple(
+            m for i, m in enumerate(monos) if i not in ref.rows
+        )
+        for _ in range(3):
+            p = random_homogeneous(rng, table, q, rng.randint(1, 4))
+            if p.is_zero:
+                continue
+            m, row = frame.to_row(p)
+            den, residue = frame.reducer.residue(row)
+            expected = ref.residue({frame.index[mono]: c for mono, c in p.terms.items()})
+            assert {i: Fraction(v, den * m) for i, v in residue.items()} == expected
+            assert A.ideal_member(p) == (not expected)
+            normal = GPolynomial(table, {monos[i]: c for i, c in expected.items()})
+            assert A.ideal_member(p - normal)
+
+
+def test_completion_adjoins_every_kind_of_syzygy(monkeypatch):
+    # the seeds must reach each candidate kind the completion reduces
+    kinds = record_adjoined_kinds(monkeypatch)
+    for seed in COMPLETION_SEEDS:
+        _, A = completion_algebra(seed)
+        A.graded_basis(COMPLETION_TOP)
+    assert {"relation", "pair", "odd", "nilpotent"} <= set(kinds)
+
+
+@pytest.mark.parametrize("seed", COMPLETION_SEEDS)
+def test_first_access_at_the_top_matches_in_order(seed):
+    _, in_order = completion_algebra(seed)
+    top_first = PresentedAlgebra(in_order.table, in_order.relations)
+    top_first.graded_basis(COMPLETION_TOP)
+    assert sorted(top_first._frames) == list(range(COMPLETION_TOP + 1))
+    for q in range(COMPLETION_TOP + 1):
+        a, b = top_first.graded_basis(q), in_order.graded_basis(q)
+        assert a.complement == b.complement
+        assert a.reducer.pivots == b.reducer.pivots
+    assert top_first._basis.elements == in_order._basis.elements
