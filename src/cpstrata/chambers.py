@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Literal, Optional, Sequence, Union
+from typing import Literal, Optional, Sequence, Union
 
-from .exactlp import Ineq as _Ineq, Rational
+from .exactlp import Ineq as _Ineq
 from .exactlp import _Simplex, feasible_point, interior_tableau, tighten
 from .lattice import (
     Capacities,
@@ -97,32 +96,6 @@ class ChamberRecord:
             "witness": self.witness.to_json_list(),
             "label": self.label,
         }
-
-
-def _primitive_key(coeffs: Sequence[Rational], rhs: Rational):
-    """Scale (coeffs, rhs) to a primitive integer vector for deduplication."""
-    vals = (*coeffs, rhs)
-    mult = lcm(*(x.denominator for x in vals))
-    ints = [x.numerator * (mult // x.denominator) for x in vals]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1]
-
-
-def _dedupe(ineqs: Iterable[_Ineq]):
-    """Merge duplicates (strict wins) and resolve constant rows; None = infeasible."""
-    merged: dict[tuple, _Ineq] = {}
-    for coeffs, rhs, strict in ineqs:
-        if all(a == 0 for a in coeffs):
-            if rhs < 0 or (strict and rhs == 0):
-                return None
-            continue
-        key = _primitive_key(coeffs, rhs)
-        prev = merged.get(key)
-        if prev is None or (strict and not prev[2]):
-            merged[key] = (coeffs, rhs, strict)
-    return list(merged.values())
 
 
 def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fraction, ...]:
@@ -250,18 +223,17 @@ def _leaf_record(
     rows of the boundary mode followed by one row per wall.  The witness is
     read off it after folding in relaxed, the strict versions of the rows
     that the boundary mode relaxes (none in strict mode), so it is strictly
-    admissible in either mode; it is then simplified over the deduplicated
-    strict admissibility and wall rows.
+    admissible in either mode; it is then simplified over the strict
+    admissibility and wall rows.
     """
     sig = ChamberSignature(walls, bits)
-    deduped = _dedupe(strict_base + [_wall_ineq(w, b) for w, b in zip(walls, bits)])
-    deep = None if deduped is None else feasible_point(relaxed, n, tableau)
+    deep = feasible_point(relaxed, n, tableau)
     if deep is None:
         raise ArithmeticError(
             f"sign pattern {sig.bit_string()} at n={n} ({boundary}) was "
             f"feasible on descent but has no strictly admissible point"
         )
-    pt = _simplify_point(deep, deduped)
+    pt = _simplify_point(deep, strict_base + [_wall_ineq(w, b) for w, b in zip(walls, bits)])
     cap = Capacities(pt)
     margin = cap.volume_margin()
     if margin <= 0:
@@ -303,8 +275,7 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     base = _admissibility_ineqs(n, boundary)
     strict_base = base if boundary == "strict" else _admissibility_ineqs(n, "strict")
     relaxed = [row for row in strict_base if row not in base]
-    deduped = _dedupe(base)
-    root = None if deduped is None else interior_tableau(deduped, n)
+    root = interior_tableau(base, n)
     if root is None:
         return ()
     found: list[ChamberRecord] = []

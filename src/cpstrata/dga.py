@@ -12,6 +12,12 @@ coboundaries.  Coboundary membership is decided inside the same row-reduced
 frames used for the ranks, so verification of a candidate presentation of
 the cohomology ring cannot disagree with the rank computation.
 
+d(f) modulo the ideal has one route, _d_residue: the integer terms of d
+summed over those of f and reduced in the frame one degree up.  The columns
+of d take it, and so do the checks that d^2 = 0 and d(I) is in I, which run
+before every cohomology computation and raise DifferentialError naming the
+failing generator or relation, and the cocycle test of a presentation.
+
 All arithmetic is exact.  The differential is integer from the generator
 values to the elimination: each DgaSpec scales its values once by one
 common M, the lcm of their denominators, and the columns of d carry that
@@ -25,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .gradedalg import (
     GPolynomial,
     GeneratorTable,
+    GradedBasis,
     InhomogeneousError,
     Monomial,
     PresentedAlgebra,
@@ -37,23 +44,12 @@ from .gradedalg import (
     TableMismatchError,
     _merge_monomials,
     algebra_to_json,
+    integer_row,
 )
 
 
 class DifferentialError(ValueError):
     """A generator value breaks the degree +1 rule, or a check failed."""
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Boolean with a reason attached; falsy results name the offender."""
-
-    ok: bool
-    offender: Optional[str] = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class DgaSpec:
@@ -145,55 +141,73 @@ def _monomial_differential(D: DgaSpec, mono: Monomial) -> dict[Monomial, int]:
     return cached
 
 
+def _d_sum(D: DgaSpec, terms: Iterable[tuple[Monomial, object]]) -> dict:
+    """M d(f), M = D.scale, for f the sum of c * mono over the (mono, c)
+    pairs of terms; the coefficients keep the type of the c's."""
+    image: dict = {}
+    for mono, c in terms:
+        for m, v in _monomial_differential(D, mono).items():
+            s = image.get(m, 0) + c * v
+            if s:
+                image[m] = s
+            else:
+                del image[m]
+    return image
+
+
+def _d_residue(
+    D: DgaSpec,
+    terms: Iterable[tuple[Monomial, int]],
+    target: Optional[GradedBasis] = None,
+) -> tuple[int, dict[int, int]]:
+    """(den, r): M d(f) modulo the ideal is r / den, keyed by target frame index.
+
+    f is given by its (mono, int) terms and is homogeneous of some degree q;
+    target is the frame of degree q + 1.  This is the one route from d(f) to
+    the quotient.  The columns of d pass their target; the checks and the
+    cocycle test leave it to be looked up from the image, so a zero d(f)
+    builds no frame.
+    """
+    image = _d_sum(D, terms)
+    if not image:
+        return 1, {}
+    if target is None:
+        target = D.algebra.graded_basis(D.table.monomial_degree(next(iter(image))))
+    index = target.index
+    return target.reducer.residue({index[m]: c for m, c in image.items()})
+
+
 def differential(D: DgaSpec, p: GPolynomial) -> GPolynomial:
     """Leibniz extension of the generator values; linear over the rationals."""
     if p.table != D.table:
         raise TableMismatchError("polynomial over a different generator table")
-    return GPolynomial(
-        D.table,
-        (
-            (m, coeff * Fraction(c, D.scale))
-            for mono, coeff in p.terms.items()
-            for m, c in _monomial_differential(D, mono).items()
-        ),
-    )
+    M = D.scale
+    return GPolynomial._wrap(D.table, {m: c / M for m, c in _d_sum(D, p.terms.items()).items()})
 
 
-def check_d_squared(D: DgaSpec) -> CheckResult:
-    """d(d(g)) must vanish in the quotient for every generator g."""
-    for name in D.table.names:
-        g = GPolynomial.generator(D.table, name)
-        dd = differential(D, differential(D, g))
-        if dd.is_zero:
-            continue
-        if dd.degree() > D.degree_cap + 2:
-            continue
-        if not D.algebra.ideal_member(dd):
-            return CheckResult(
-                False, name, f"d(d({name})) = {dd.to_text()} is not in the ideal"
+def check_d_squared(D: DgaSpec) -> None:
+    """d(d(g)) must vanish in the quotient for every generator g of degree
+    at most the cap; raises DifferentialError at the first that fails."""
+    for i, name in enumerate(D.table.names):
+        if D.table.degrees[i] <= D.degree_cap and _d_residue(D, D._dterms[i].items())[1]:
+            dd = differential(D, differential(D, GPolynomial.generator(D.table, name)))
+            raise DifferentialError(
+                f"d^2 fails on generator {name}: d(d({name})) = {dd.to_text()} "
+                f"is not in the ideal"
             )
-    return CheckResult(True)
 
 
-def check_ideal_stability(D: DgaSpec) -> CheckResult:
-    """d must map the relation ideal into itself (degreewise, up to the cap).
+def check_ideal_stability(D: DgaSpec) -> None:
+    """d must map the relation ideal into itself (degreewise, up to the cap);
+    raises DifferentialError at the first relation that fails.
 
     For a product r*m one has d(r*m) = d(r)*m +- r*d(m) and the second term
     is an ideal member outright, so stability reduces to d(r) in I for every
     listed relation r.
     """
     for r in D.algebra.relations:
-        if r.degree() > D.degree_cap:
-            continue
-        dr = differential(D, r)
-        if dr.is_zero or D.algebra.ideal_member(dr):
-            continue
-        return CheckResult(
-            False,
-            r.to_text(),
-            f"d({r.to_text()}) = {dr.to_text()} leaves the ideal",
-        )
-    return CheckResult(True)
+        if r.degree() <= D.degree_cap and _d_residue(D, integer_row(r.terms)[1].items())[1]:
+            raise DifferentialError(f"ideal not d-stable at relation {r.to_text()}")
 
 
 # ----------------------------------------------------------------- cohomology
@@ -205,8 +219,6 @@ class CohomologyReport:
 
     ranks: dict[int, int]
     representatives: dict[int, list[GPolynomial]]
-    d_squared_ok: bool
-    ideal_stable_ok: bool
     degree_cap: int
 
     def rank_list(self, upto: Optional[int] = None) -> list[int]:
@@ -216,23 +228,12 @@ class CohomologyReport:
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * r for q, r in self.ranks.items())
 
-    def check_top_vanishing(self) -> CheckResult:
-        """Finite-dimensional targets must have no classes at the cap edge."""
-        for q in (self.degree_cap - 1, self.degree_cap):
-            if self.ranks.get(q, 0):
-                return CheckResult(
-                    False,
-                    str(q),
-                    f"rank {self.ranks[q]} at degree {q} touches the cap "
-                    f"{self.degree_cap}; raise the cap or expect infinite type",
-                )
-        return CheckResult(True)
-
     def to_json_dict(self) -> dict:
         return {
             "degree_cap": self.degree_cap,
-            "d_squared_ok": self.d_squared_ok,
-            "ideal_stable_ok": self.ideal_stable_ok,
+            # the checks raise on failure, so a report is only built when both hold
+            "d_squared_ok": True,
+            "ideal_stable_ok": True,
             "ranks": {str(q): r for q, r in sorted(self.ranks.items())},
             "representatives": {
                 str(q): [p.to_text() for p in reps]
@@ -274,13 +275,11 @@ class _QuotientDifferential:
             A = self.D.algebra
             frame = A.graded_basis(q)
             target = A.graded_basis(q + 1)
-            index = target.index
             scale = self.D.scale
             cols, scales = [], []
             for mono in frame.complement:
                 # the residue of M d(mono) is residue / den
-                image = _monomial_differential(self.D, mono)
-                den, residue = target.reducer.residue({index[t]: c for t, c in image.items()})
+                den, residue = _d_residue(self.D, ((mono, 1),), target)
                 cols.append(tuple(residue.items()))
                 scales.append(den * scale)
             self._scales[q] = scales
@@ -328,12 +327,8 @@ def cohomology_ranks(D: DgaSpec) -> CohomologyReport:
 
 def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
     D = quot.D
-    sq = check_d_squared(D)
-    if not sq:
-        raise DifferentialError(f"d^2 fails on generator {sq.offender}: {sq.detail}")
-    st = check_ideal_stability(D)
-    if not st:
-        raise DifferentialError(f"ideal not d-stable at relation {st.offender}")
+    check_d_squared(D)
+    check_ideal_stability(D)
 
     A = D.algebra
     ranks: dict[int, int] = {}
@@ -364,7 +359,7 @@ def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
                 f"rank {rank_q}"
             )
         reps[q] = chosen
-    return CohomologyReport(ranks, reps, True, True, D.degree_cap)
+    return CohomologyReport(ranks, reps, D.degree_cap)
 
 
 def dga_to_json(D: DgaSpec) -> dict:
@@ -454,8 +449,7 @@ def verify_presentation(
                 f"{table.degrees[i]}"
             )
             continue
-        d_img = differential(D, img)
-        if not (d_img.is_zero or D.algebra.ideal_member(d_img)):
+        if _d_residue(D, integer_row(img.terms)[1].items())[1]:
             failures.append(f"image of generator {name} is not a cocycle")
     if failures:
         return VerificationReport(False, tuple(failures))

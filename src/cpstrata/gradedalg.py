@@ -167,9 +167,7 @@ def monomials_of_degree(table: GeneratorTable, q: int) -> tuple[Monomial, ...]:
     return tuple(tails.get(q, ()))
 
 
-def normal_form(
-    table: GeneratorTable, word: Sequence[str], sign: int = 1
-) -> Optional[tuple[int, Monomial]]:
+def normal_form(table: GeneratorTable, word: Sequence[str]) -> Optional[tuple[int, Monomial]]:
     """Sort a generator word into table order with the Koszul sign.
 
     Returns (sign, monomial), or None when the word dies (an odd generator
@@ -189,7 +187,7 @@ def normal_form(
         cap = table.max_exponent(i)
         if cap is not None and e > cap:
             return None
-    return (sign * (-1 if inversions % 2 else 1), tuple(counts))
+    return (-1 if inversions % 2 else 1, tuple(counts))
 
 
 def _merge_monomials(
@@ -270,12 +268,12 @@ class GPolynomial:
         return cls(table, [(tuple(1 if j == i else 0 for j in range(table.n)), 1)])
 
     @classmethod
-    def from_word(cls, table: GeneratorTable, word: Sequence[str], coeff=1) -> "GPolynomial":
+    def from_word(cls, table: GeneratorTable, word: Sequence[str]) -> "GPolynomial":
         nf = normal_form(table, word)
         if nf is None:
             return cls(table)
         sign, mono = nf
-        return cls(table, [(mono, Fraction(coeff) * sign)])
+        return cls(table, [(mono, sign)])
 
     @classmethod
     def parse(cls, table: GeneratorTable, text: str) -> "GPolynomial":

@@ -54,9 +54,7 @@ def g_name(a: int, b: int) -> str:
     return f"G{a}{b}"
 
 
-def diagonal_pullback(
-    m: int, a: int, b: int, table: Optional[GeneratorTable] = None
-) -> GPolynomial:
+def diagonal_pullback(m: int, a: int, b: int, table: GeneratorTable) -> GPolynomial:
     """The class sum_{i+j=m} x_a^i x_b^j hit by the connecting generator.
 
     This is the image of the diagonal of CP^m x CP^m under the (a,b)
@@ -64,8 +62,6 @@ def diagonal_pullback(
     """
     if a == b:
         raise ValueError("diagonal pullback needs two distinct points")
-    if table is None:
-        table = kriz_table(KrizParams(m, max(a, b)))
     out = GPolynomial.zero(table)
     for i in range(m + 1):
         word = [f"x{a}"] * i + [f"x{b}"] * (m - i)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -44,17 +45,16 @@ def rows_of(constraints):
 
 
 def solve(nvars, constraints):
-    """A chamber leaf's witness path: dedupe, solve exactly, simplify.
+    """A chamber leaf's witness path: solve exactly, simplify, rows as given.
 
     None when the system is infeasible; a point found is checked against
-    every row as given.
+    every row.
     """
     rows = rows_of(constraints)
-    deduped = chambers._dedupe(rows)
-    deep = None if deduped is None else feasible_point(deduped, nvars)
+    deep = feasible_point(rows, nvars)
     if deep is None:
         return None
-    pt = chambers._simplify_point(deep, deduped)
+    pt = chambers._simplify_point(deep, rows)
     for coeffs, rhs, strict in rows:
         lhs = sum(a * x for a, x in zip(coeffs, pt))
         assert lhs < rhs or (not strict and lhs == rhs), f"{pt} violates {coeffs}, {rhs}"
@@ -537,6 +537,31 @@ class TestWitnessQuality:
                 assert area(rec.witness, u) > 0
 
 
+class TestRowsAsGiven:
+    # the root and the leaves hand the LP the admissibility and wall rows as
+    # built: no row is constant and no two are positive multiples of each
+    # other, so there is nothing to merge; admissibility rows plus both signs
+    # of every wall row, n = 1..8
+    ROW_COUNTS = {1: 2, 2: 3, 3: 8, 4: 20, 5: 48, 6: 113, 7: 270, 8: 768}
+
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    def test_rows_are_pairwise_distinct_and_never_constant(self, boundary):
+        for n, count in self.ROW_COUNTS.items():
+            rows = chambers._admissibility_ineqs(n, boundary)
+            rows += [
+                chambers._wall_ineq(w, positive)
+                for w in negative_wall_classes(n)
+                for positive in (False, True)
+            ]
+            assert len(rows) == count, n
+            assert all(any(coeffs) for coeffs, _, _ in rows), n
+            keys = {
+                tuple(v // gcd(*coeffs, rhs) for v in (*coeffs, rhs))
+                for coeffs, rhs, _ in rows
+            }
+            assert len(keys) == count, n
+
+
 def holds(ineq, point):
     coeffs, rhs, strict = ineq
     lhs = sum(a * x for a, x in zip(coeffs, point))
@@ -544,9 +569,8 @@ def holds(ineq, point):
 
 
 def cold_verdict(rows, n):
-    """The decision the warm step replaces: merge the rows, fold them afresh."""
-    deduped = chambers._dedupe(rows)
-    return deduped is not None and feasible_point(deduped, n) is not None
+    """The decision the warm step replaces: fold the rows afresh."""
+    return feasible_point(rows, n) is not None
 
 
 class TestWarmDescent:
@@ -575,7 +599,7 @@ class TestWarmDescent:
         monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
         walls = negative_wall_classes(n)
         base = chambers._admissibility_ineqs(n, boundary)
-        root = exactlp.interior_tableau(chambers._dedupe(base), n)
+        root = exactlp.interior_tableau(base, n)
         assert root is not None and cold_verdict(base, n)
         # each row holds the nonbasic columns of (u, v, eps) and the rhs only,
         # however many rows the tableau has
@@ -725,13 +749,13 @@ class TestSimplifyPoint:
             nvars = rng.randint(1, 3)
             rows = random_rows(rng, nvars, rng.randint(1, 5), True)
             constraints = [(co, rhs, "<" if strict else "<=") for co, rhs, strict in rows]
-            deduped = chambers._dedupe(rows_of(constraints))
-            deep = None if deduped is None else feasible_point(deduped, nvars)
+            rows = rows_of(constraints)
+            deep = feasible_point(rows, nvars)
             if deep is None:
                 assert solve(nvars, constraints) is None
                 continue
             checked += 1
-            assert solve(nvars, constraints) == simplify_reference(deep, deduped)
+            assert solve(nvars, constraints) == simplify_reference(deep, rows)
         assert checked > 50
 
     def test_half_way_rounds_to_even(self):

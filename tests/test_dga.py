@@ -6,6 +6,8 @@ configuration model.  Rank tables are pinned degreewise.
 """
 
 import gc
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,11 +20,14 @@ from cpstrata.gradedalg import (
     InhomogeneousError,
     PresentedAlgebra,
     TableMismatchError,
+    integer_row,
+    monomials_of_degree,
 )
 from cpstrata.dga import (
     DgaSpec,
     DifferentialError,
     _QuotientDifferential,
+    _d_residue,
     check_d_squared,
     check_ideal_stability,
     cohomology_ranks,
@@ -216,13 +221,13 @@ class TestDifferential:
 class TestChecks:
     def test_flag_model_passes(self):
         D = flag_model()
-        assert check_d_squared(D)
-        assert check_ideal_stability(D)
+        check_d_squared(D)
+        check_ideal_stability(D)
 
     def test_two_point_model_passes(self):
         D = two_point_model()
-        assert check_d_squared(D)
-        assert check_ideal_stability(D)
+        check_d_squared(D)
+        check_ideal_stability(D)
         # the connecting relation maps to x1^3 - x2^3 = 0 under nilpotence
         r = P(D.table, "x1*G12 - x2*G12")
         assert differential(D, r).is_zero
@@ -233,18 +238,17 @@ class TestChecks:
             PresentedAlgebra(table, ()),
             {"u": P(table, "beta"), "beta": P(table, "T^2")},
         )
-        result = check_d_squared(D)
-        assert not result
-        assert result.offender == "u"
+        message = "d^2 fails on generator u: d(d(u)) = T^2 is not in the ideal"
+        with pytest.raises(DifferentialError, match=f"^{re.escape(message)}$"):
+            check_d_squared(D)
 
     def test_stability_failure_names_relation(self):
         D = DgaSpec(
             PresentedAlgebra(FLAG_T, (P(FLAG_T, "T1*beta"),)),
             {"beta": P(FLAG_T, "T1^2 + T2^2 + T1*T2")},
         )
-        result = check_ideal_stability(D)
-        assert not result
-        assert "T1*beta" in result.offender
+        with pytest.raises(DifferentialError, match=r"^ideal not d-stable at relation T1\*beta$"):
+            check_ideal_stability(D)
 
     def test_cohomology_refuses_broken_model(self):
         table = GeneratorTable(names=("T", "u", "beta"), degrees=(2, 2, 3))
@@ -252,8 +256,110 @@ class TestChecks:
             PresentedAlgebra(table, ()),
             {"u": P(table, "beta"), "beta": P(table, "T^2")},
         )
-        with pytest.raises(DifferentialError):
+        with pytest.raises(DifferentialError, match=r"^d\^2 fails on generator u: "):
             cohomology_ranks(D)
+
+    def test_d_squared_skips_generators_above_the_cap(self):
+        table = GeneratorTable(names=("T", "u", "beta"), degrees=(2, 2, 3))
+        D = DgaSpec(
+            PresentedAlgebra(table, ()),
+            {"u": P(table, "beta"), "beta": P(table, "T^2")},
+            degree_cap=1,
+        )
+        check_d_squared(D)
+
+    def test_stability_skips_relations_above_the_cap(self):
+        D = DgaSpec(
+            PresentedAlgebra(FLAG_T, (P(FLAG_T, "T1*beta"),)),
+            {"beta": P(FLAG_T, "T1^2 + T2^2 + T1*T2")},
+            degree_cap=4,
+        )
+        check_ideal_stability(D)
+        with pytest.raises(DifferentialError, match="T1\\*beta"):
+            check_ideal_stability(DgaSpec(D.algebra, D.values, degree_cap=5))
+
+
+def reference_residue(D, p):
+    """d(p) modulo the ideal by the polynomial path: the normal form of
+    differential(D, p) in its frame, as exact fractions by frame index."""
+    dp = differential(D, p)
+    if dp.is_zero:
+        return {}
+    frame = D.algebra.graded_basis(dp.degree())
+    m, row = frame.to_row(dp)
+    den, r = frame.reducer.residue(row)
+    return {i: Fraction(c, den * m) for i, c in r.items()}
+
+
+def one_path_residue(D, p):
+    """The same normal form by _d_residue, from the integer terms k * p."""
+    k, terms = integer_row(p.terms)
+    den, r = _d_residue(D, terms.items())
+    return {i: Fraction(c, den * k * D.scale) for i, c in r.items()}
+
+
+# the models of the structural acceptance criterion, kriz for m <= 3 and
+# k <= 4, and the fixtures above
+ONE_PATH_MODELS = {
+    "iemb(1,unique)": lambda: iemb_model(1, "unique"),
+    "iemb(2,unique)": lambda: iemb_model(2, "unique"),
+    "iemb(3,big)": lambda: iemb_model(3, "big"),
+    "iemb(3,small)": lambda: iemb_model(3, "small"),
+    "iemb(3,small,(2,-1))": lambda: iemb_model(3, "small", [(2, -1)]),
+    **{f"iemb(4,C_{r})": (lambda r=r: iemb_model(4, f"C_{r}")) for r in range(6)},
+    **{
+        f"kriz({m},{k})": (lambda m=m, k=k: kriz_model(KrizParams(m, k)))
+        for m in (1, 2, 3)
+        for k in (1, 2, 3, 4)
+    },
+    "flag": flag_model,
+    "two-circle wedge": two_circle_wedge_model,
+    "two-point": two_point_model,
+}
+
+
+class TestOnePath:
+    """_d_residue against differential() followed by the frame's own row."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_PATH_MODELS))
+    def test_checks_agree_with_polynomial_reference(self, name):
+        D = ONE_PATH_MODELS[name]()
+        table = D.table
+        # what the d^2 and stability checks reduce: d(g) per generator and
+        # the relations, up to the cap; both paths must find every d(f) in I
+        checked = [
+            differential(D, GPolynomial.generator(table, g))
+            for g, deg in zip(table.names, table.degrees)
+            if deg <= D.degree_cap
+        ]
+        checked += [r for r in D.algebra.relations if r.degree() <= D.degree_cap]
+        for p in checked:
+            assert one_path_residue(D, p) == reference_residue(D, p) == {}, p.to_text()
+        check_d_squared(D)
+        check_ideal_stability(D)
+        # random polynomials, whose images mostly leave the ideal
+        rng = random.Random(name)
+        for q in range(1, min(D.degree_cap, 8)):
+            monos = monomials_of_degree(table, q)
+            picks = rng.sample(monos, min(3, len(monos)))
+            p = GPolynomial(
+                table, [(m, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))) for m in picks]
+            )
+            assert one_path_residue(D, p) == reference_residue(D, p), p.to_text()
+
+    def test_random_images_reach_nonzero_residues(self):
+        D = flag_model()
+        p = P(FLAG_T, "T1*beta - 1/2*T2*beta")
+        assert one_path_residue(D, p) == reference_residue(D, p) != {}
+
+    def test_zero_images_build_no_frame(self):
+        # d(d(g)) and d(r) are zero polynomials here, and the flag model has
+        # no relations: the checks look up no frame at all
+        for D in (flag_model(), two_point_model()):
+            check_d_squared(D)
+            if not D.algebra.relations:
+                check_ideal_stability(D)
+            assert not D.algebra._frames
 
 
 class TestCohomologyRanks:
@@ -261,7 +367,8 @@ class TestCohomologyRanks:
         rep = cohomology_ranks(flag_model())
         assert rep.rank_list() == [1, 0, 2, 0, 2, 0, 1, 0, 0, 0, 0]
         assert rep.euler_characteristic() == 6
-        assert rep.check_top_vanishing()
+        # the flag manifold's classes stop at degree 6, well below the cap
+        assert rep.ranks[9] == rep.ranks[10] == 0
 
     def test_one_circle_model(self):
         table = GeneratorTable(names=("T", "beta", "gamma"), degrees=(2, 3, 5))
@@ -325,10 +432,9 @@ class TestCohomologyRanks:
         D = DgaSpec(PresentedAlgebra(table, ()), {}, degree_cap=6)
         rep = cohomology_ranks(D)
         assert rep.degree_cap == 6
-        # the polynomial ring keeps classes at the cap: truncation is flagged
-        flagged = rep.check_top_vanishing()
-        assert not flagged
-        assert flagged.offender == "6"
+        # the polynomial ring keeps classes at the cap: the truncation shows
+        # as a nonzero rank in the top degree
+        assert rep.ranks[6] == 1
 
     def test_report_json_shape(self):
         rep = cohomology_ranks(flag_model())
@@ -442,7 +548,23 @@ class TestVerifyPresentation:
         pres = PresentedAlgebra(table, ())
         report = verify_presentation(flag_model(), pres, {"S": P(FLAG_T, "beta")})
         assert not report
-        assert "cocycle" in report.first_failure
+        assert report.failures == ("image of generator S is not a cocycle",)
+
+    def test_image_whose_differential_lies_in_the_ideal_is_a_cocycle(self):
+        # d(beta) = T1*T2 is a nonzero polynomial but zero in the quotient,
+        # so beta is a cocycle there and the presentation matches
+        table = GeneratorTable(names=("T1", "T2", "beta"), degrees=(2, 2, 3))
+        D = DgaSpec(
+            PresentedAlgebra(table, (P(table, "T1*T2"),)),
+            {"beta": P(table, "T1*T2")},
+            degree_cap=8,
+        )
+        assert not differential(D, P(table, "beta")).is_zero
+        pres_t = GeneratorTable(names=("S1", "S2", "S"), degrees=(2, 2, 3))
+        pres = PresentedAlgebra(pres_t, (P(pres_t, "S1*S2"),))
+        gmap = {"S1": P(table, "T1"), "S2": P(table, "T2"), "S": P(table, "beta")}
+        report = verify_presentation(D, pres, gmap)
+        assert report, report.failures
 
     def test_dimension_mismatch_reported(self):
         # free polynomial generator never matches the finite flag cohomology

@@ -437,6 +437,41 @@ def test_fourier_motzkin_oracle_sees_strictness():
     assert fourier_motzkin_feasible([((1, 1), 1, False), ((-1, -1), -1, False)], 2)
 
 
+def test_constant_rows_decide_themselves():
+    # an all-zero row reads 0 < rhs or 0 <= rhs: 0 < 0 and 0 <= -1 empty
+    # the system, 0 <= 1 drops out; no caller has to resolve them first
+    base = [((1, -1), 2, True), ((-1, 0), F(1, 2), False)]
+    for row, feasible in [
+        (((0, 0), 0, True), False),
+        (((0, 0), -1, False), False),
+        (((0, 0), 1, False), True),
+        (((0, 0), 0, False), True),
+    ]:
+        for rows in (base + [row], [row] + base):
+            assert fourier_motzkin_feasible(rows, 2) is feasible
+            point = feasible_point(rows, 2)
+            assert (point is not None) is feasible, rows
+            assert point is None or satisfies(rows, point)
+    assert feasible_point(base + [((0, 0), 1, False)], 2) == feasible_point(base, 2)
+
+
+def test_repeated_rows_decide_themselves():
+    # a row given twice, once strict and once closed, keeps the strict one:
+    # x <= 1, x < 1 and x >= 1 is empty; x <= 1 twice and x >= 1 is {1}
+    closed, strict, floor = ((1,), 1, False), ((2,), 2, True), ((-1,), -1, False)
+    for rows, feasible in [
+        ([closed, strict, floor], False),
+        ([strict, closed, floor], False),
+        ([closed, closed, floor], True),
+        ([strict, strict], True),
+    ]:
+        assert fourier_motzkin_feasible(rows, 1) is feasible
+        point = feasible_point(rows, 1)
+        assert (point is not None) is feasible, rows
+        assert point is None or satisfies(rows, point)
+    assert feasible_point([closed, closed, floor], 1) == (F(1),)
+
+
 def tableau_state(lp):
     return copy.deepcopy((lp.rows, lp.obj, lp.basis, lp.d))
 

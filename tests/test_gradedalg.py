@@ -89,20 +89,17 @@ class TestNormalForm:
         assert sign == -1
         assert mono == (0, 0, 1, 1, 1)
 
-    @given(
-        st.lists(st.sampled_from(CONF.names), min_size=0, max_size=6),
-        st.sampled_from([1, -1]),
-    )
+    @given(st.lists(st.sampled_from(CONF.names), min_size=0, max_size=6))
     @settings(max_examples=200)
-    def test_normalizing_twice_equals_once(self, word, sign):
-        first = normal_form(CONF, word, sign)
+    def test_normalizing_twice_equals_once(self, word):
+        first = normal_form(CONF, word)
         if first is None:
             return
-        s, mono = first
+        _, mono = first
         sorted_word = [
             name for name, e in zip(CONF.names, mono) for _ in range(e)
         ]
-        assert normal_form(CONF, sorted_word, s) == first
+        assert normal_form(CONF, sorted_word) == (1, mono)
 
 
 # --------------------------------------------------------------- products
@@ -167,9 +164,8 @@ class TestMultiply:
             out = GPolynomial.zero(CONF)
             for _ in range(rng.randint(1, 3)):
                 word = [rng.choice(names) for _ in range(rng.randint(0, 3))]
-                out = out + GPolynomial.from_word(
-                    CONF, word, Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                )
+                coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                out = out + coeff * GPolynomial.from_word(CONF, word)
             return out
 
         for _ in range(40):

@@ -81,7 +81,7 @@ class TestDiagonalPullback:
 
     def test_repeated_point_rejected(self):
         with pytest.raises(ValueError):
-            diagonal_pullback(2, 1, 1)
+            diagonal_pullback(2, 1, 1, kriz_table(KrizParams(2, 2)))
         with pytest.raises(ValueError):
             g_name(2, 2)
 
@@ -102,7 +102,7 @@ class TestSmallModels:
     def test_two_points_in_the_plane(self):
         rep = cohomology_ranks(kriz_model(KrizParams(2, 2)))
         assert rep.rank_list(6) == [1, 0, 2, 0, 2, 0, 1]
-        assert rep.check_top_vanishing()
+        assert rep.ranks[9] == rep.ranks[10] == 0
 
     def test_three_points_on_the_line(self):
         rep = cohomology_ranks(kriz_model(KrizParams(1, 3)))
@@ -130,7 +130,7 @@ class TestFourPointModel:
         rep = cohomology_ranks(kriz_model(KrizParams(2, 4)))
         table = {0: 1, 2: 4, 4: 4, 5: 2, 7: 6, 9: 4, 10: 2, 11: 1, 12: 2}
         assert rep.rank_list() == [table.get(q, 0) for q in range(15)]
-        assert rep.check_top_vanishing()
+        assert rep.ranks[13] == rep.ranks[14] == 0
 
     def test_euler_characteristics_follow_falling_factorials(self):
         # chi of k distinct points in CP^m, of Euler characteristic m+1, is
@@ -150,8 +150,8 @@ class TestStructure:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_d_squared_and_stability(self, m, k):
         D = kriz_model(KrizParams(m, k), degree_cap=10)
-        assert check_d_squared(D)
-        assert check_ideal_stability(D)
+        check_d_squared(D)
+        check_ideal_stability(D)
 
     def test_connecting_relation_maps_to_zero(self):
         D = kriz_model(KrizParams(2, 2))

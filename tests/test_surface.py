@@ -1,11 +1,12 @@
-"""Every public module-level name in the package has a caller outside tests.
+"""Every public name in the package has a caller outside tests.
 
 Each module of src/cpstrata is parsed with ast; its public functions,
-classes and constants (module-level names without a leading underscore)
-must each be named somewhere in src/, demos/ or perfbench/ beyond their
-own definition.  A name that only tests reach is surface no workload
-uses.  Any whole-word mention counts, in code, strings or comments.
-Methods are not covered: only module-level definitions are walked.
+classes and constants (module-level names without a leading underscore),
+and the public methods and properties of its module-level classes (dunder
+methods aside), must each be named somewhere in src/, demos/ or
+perfbench/ beyond their own definition.  A name that only tests reach is
+surface no workload uses.  Any whole-word mention counts, in code, strings
+or comments, so a method that shares its name with another use passes.
 """
 
 import ast
@@ -31,18 +32,38 @@ def public_names(path):
     return [n for n in names if not n.startswith("_")]
 
 
+def public_methods(path):
+    """(class, method) for each public method or property of a module-level class."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (node.name, item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            ]
+    return out
+
+
 @cache
 def corpus():
     files = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
     return "\n".join(p.read_text() for p in files)
 
 
+def mentions(name):
+    """Whole-word occurrences of name in src/, demos/ and perfbench/."""
+    return len(re.findall(rf"\b{re.escape(name)}\b", corpus()))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_public_names_have_a_caller_outside_tests(path):
-    text = corpus()
-    unused = [
-        name
-        for name in public_names(path)
-        if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2
-    ]
+    unused = [name for name in public_names(path) if mentions(name) < 2]
+    assert not unused, f"{path.stem}: no caller outside tests for {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_public_methods_have_a_caller_outside_tests(path):
+    unused = [f"{cls}.{name}" for cls, name in public_methods(path) if mentions(name) < 2]
     assert not unused, f"{path.stem}: no caller outside tests for {', '.join(unused)}"
