@@ -23,7 +23,8 @@ values to the elimination: each DgaSpec scales its values once by one
 common M, the lcm of their denominators, and the columns of d carry that
 scale beside their integer entries.  Fractions appear only in the
 polynomials returned (differential() and the representatives).  No
-floating point anywhere.
+floating point anywhere.  Inside, a monomial is a packed int
+(GeneratorTable._pack); polynomials in and out keep exponent tuples.
 """
 
 from __future__ import annotations
@@ -38,11 +39,9 @@ from .gradedalg import (
     GeneratorTable,
     GradedBasis,
     InhomogeneousError,
-    Monomial,
     PresentedAlgebra,
     SparseReducer,
     TableMismatchError,
-    _merge_monomials,
     algebra_to_json,
     integer_row,
 )
@@ -92,58 +91,68 @@ class DgaSpec:
         self.values = values
         self.degree_cap = int(degree_cap)
         M = self.scale = lcm(*(c.denominator for v in values.values() for c in v.terms.values()))
-        # M times the generator values by table index, and M times d of each
-        # monomial met so far: integer terms
-        self._dterms = tuple(
-            {m: c.numerator * (M // c.denominator) for m, c in values[name].terms.items()}
-            if name in values
-            else {}
-            for name in table.names
-        )
-        self._dcache: dict[Monomial, dict[Monomial, int]] = {}
+        # every frame and image the cohomology builds packs, or this raises
+        table._check_degree(max([self.degree_cap + 1] + [v.degree() for v in values.values()]))
+        # For the Leibniz rule on packed monomials, per bit of the field of
+        # a generator with a value: the field's shift and mask, the odd bits
+        # of the generators before it when it is odd (else 0), and the terms
+        # of M times its value with their Koszul masks; _valued holds those
+        # fields' bits.  _dcache holds M times d of each packed monomial met
+        # so far: integer terms.
+        self._by_bit: list = [None] * sum(f.bit_length() for f in table._masks)
+        self._valued = 0
+        for i, name in enumerate(table.names):
+            if name in values:
+                terms = []
+                for m, c in values[name].terms.items():
+                    k = table._pack(m)
+                    terms.append((k, c.numerator * (M // c.denominator), table._koszul(k)))
+                shift, mask = table._shifts[i], table._masks[i]
+                above = table._odd_bits >> shift + 1 << shift + 1 if table._odd[i] else 0
+                width = mask.bit_length()
+                self._by_bit[shift : shift + width] = [(shift, mask, above, tuple(terms))] * width
+                self._valued |= mask << shift
+        self._dcache: dict[int, dict[int, int]] = {}
 
 
-def _monomial_differential(D: DgaSpec, mono: Monomial) -> dict[Monomial, int]:
-    """Integer terms of M d(mono), M = D.scale, by the graded Leibniz rule
-    on the exponent vector.
+def _monomial_differential(D: DgaSpec, mono: int) -> dict[int, int]:
+    """Integer terms of M d(mono), M = D.scale, for a packed monomial, by
+    the graded Leibniz rule on its exponent fields.
 
     Write mono = P g^e S with P, S the generators before and after g.  The
     Leibniz term of g is (-1)^|P| P (e g^(e-1) dg) S; moving dg to the
     front past P g^(e-1) turns it into e (-1)^(|P| |g|) dg (mono / g).  So
     the sign flips only for an odd g behind an odd number of odd generators,
-    and each term of dg meets mono / g in one merge.
+    and each term of dg meets mono / g in one packed product.
     """
     cached = D._dcache.get(mono)
     if cached is None:
-        table = D.table
+        bias, guard = D.table._bias, D.table._guard
         cached = {}
-        behind_odd = False
-        for i, e in enumerate(mono):
-            if not e:
-                continue
-            odd = table.is_odd(i)
-            if D._dterms[i]:
-                rest = mono[:i] + (e - 1,) + mono[i + 1 :]
-                factor = -e if odd and behind_odd else e
-                for t, c in D._dterms[i].items():
-                    merged = _merge_monomials(table, t, rest)
-                    if merged is None:
-                        continue
-                    sign, m = merged
-                    s = cached.get(m, 0) + sign * factor * c
-                    if s:
-                        cached[m] = s
-                    else:
-                        del cached[m]
-            if odd:
-                behind_odd = not behind_odd
+        present = mono & D._valued
+        while present:
+            shift, mask, above, terms = D._by_bit[present.bit_length() - 1]
+            e = (present >> shift) & mask
+            present &= (1 << shift) - 1
+            rest = mono - (1 << shift)
+            factor = -e if (mono & above).bit_count() & 1 else e
+            for t, c, koszul in terms:
+                m = t + rest
+                if (m + bias) & guard:
+                    continue
+                v = -factor * c if (rest & koszul).bit_count() & 1 else factor * c
+                s = cached.get(m, 0) + v
+                if s:
+                    cached[m] = s
+                else:
+                    del cached[m]
         D._dcache[mono] = cached
     return cached
 
 
-def _d_sum(D: DgaSpec, terms: Iterable[tuple[Monomial, object]]) -> dict:
-    """M d(f), M = D.scale, for f the sum of c * mono over the (mono, c)
-    pairs of terms; the coefficients keep the type of the c's."""
+def _d_sum(D: DgaSpec, terms: Iterable[tuple[int, object]]) -> dict:
+    """M d(f), M = D.scale, for f the sum of c * mono over the (packed mono,
+    c) pairs of terms; the coefficients keep the type of the c's."""
     image: dict = {}
     for mono, c in terms:
         for m, v in _monomial_differential(D, mono).items():
@@ -157,12 +166,12 @@ def _d_sum(D: DgaSpec, terms: Iterable[tuple[Monomial, object]]) -> dict:
 
 def _d_residue(
     D: DgaSpec,
-    terms: Iterable[tuple[Monomial, int]],
+    terms: Iterable[tuple[int, int]],
     target: Optional[GradedBasis] = None,
 ) -> tuple[int, dict[int, int]]:
-    """(den, r): M d(f) modulo the ideal is r / den, keyed by target frame index.
+    """(den, r): M d(f) modulo the ideal is r / den, keyed by packed monomial.
 
-    f is given by its (mono, int) terms and is homogeneous of some degree q;
+    f is given by its (packed mono, int) terms and is homogeneous of some degree q;
     target is the frame of degree q + 1.  This is the one route from d(f) to
     the quotient.  The columns of d pass their target; the checks and the
     cocycle test leave it to be looked up from the image, so a zero d(f)
@@ -172,24 +181,31 @@ def _d_residue(
     if not image:
         return 1, {}
     if target is None:
-        target = D.algebra.graded_basis(D.table.monomial_degree(next(iter(image))))
-    index = target.index
-    return target.reducer.residue({index[m]: c for m, c in image.items()})
+        table = D.table
+        target = D.algebra.graded_basis(table.monomial_degree(table._unpack(next(iter(image)))))
+    return target.reducer.residue(image)
+
+
+def _packed(D: DgaSpec, p: GPolynomial) -> list[tuple[int, int]]:
+    """The integer terms of a positive multiple of p, keyed by packed monomial."""
+    return [(D.table._pack(m), c) for m, c in integer_row(p.terms)[1].items()]
 
 
 def differential(D: DgaSpec, p: GPolynomial) -> GPolynomial:
     """Leibniz extension of the generator values; linear over the rationals."""
     if p.table != D.table:
         raise TableMismatchError("polynomial over a different generator table")
-    M = D.scale
-    return GPolynomial._wrap(D.table, {m: c / M for m, c in _d_sum(D, p.terms.items()).items()})
+    table, M = D.table, D.scale
+    table._check_degree(max(map(table.monomial_degree, p.terms), default=0) + 1)
+    image = _d_sum(D, ((table._pack(m), c) for m, c in p.terms.items()))
+    return GPolynomial._wrap(table, {table._unpack(m): c / M for m, c in image.items()})
 
 
 def check_d_squared(D: DgaSpec) -> None:
     """d(d(g)) must vanish in the quotient for every generator g of degree
     at most the cap; raises DifferentialError at the first that fails."""
-    for i, name in enumerate(D.table.names):
-        if D.table.degrees[i] <= D.degree_cap and _d_residue(D, D._dterms[i].items())[1]:
+    for name, d in zip(D.table.names, D.table.degrees):
+        if name in D.values and d <= D.degree_cap and _d_residue(D, _packed(D, D.values[name]))[1]:
             dd = differential(D, differential(D, GPolynomial.generator(D.table, name)))
             raise DifferentialError(
                 f"d^2 fails on generator {name}: d(d({name})) = {dd.to_text()} "
@@ -206,7 +222,7 @@ def check_ideal_stability(D: DgaSpec) -> None:
     listed relation r.
     """
     for r in D.algebra.relations:
-        if r.degree() <= D.degree_cap and _d_residue(D, integer_row(r.terms)[1].items())[1]:
+        if r.degree() <= D.degree_cap and _d_residue(D, _packed(D, r))[1]:
             raise DifferentialError(f"ideal not d-stable at relation {r.to_text()}")
 
 
@@ -245,13 +261,14 @@ class CohomologyReport:
 class _QuotientDifferential:
     """Matrices of d on the quotient frames, eliminated lazily.
 
-    A quotient vector of degree q is a sparse row keyed by frame monomial
-    index (a position in graded_basis(q).monomials) and supported on the
-    complement.  The column of d_q at a complement monomial is an integer
-    residue with a positive scale beside it: the image is column / scale.
-    Each degree q is eliminated once.  The column at domain index j enters
-    one SparseReducer as its integer entries, keyed (1, i), plus a tag
-    (0, j) holding its scale.  Tags sort below every target key, so a row
+    A quotient vector of degree q is a sparse row keyed by packed monomial
+    and supported on the standard monomials of graded_basis(q).  The column
+    of d_q at a standard monomial is an integer residue with a positive
+    scale beside it: the image is column / scale.  Each degree q is
+    eliminated once.  The column at domain monomial j enters one
+    SparseReducer as its integer entries, each keyed by its target monomial
+    plus _top, and a tag keyed j holding its scale.  Tags sort below every
+    target key, so a row
     keeps a target pivot exactly when its column is independent of the
     earlier ones; those rows, tags stripped, span im(d_q).  A dependent
     column reduces to tags alone with its own tag as pivot: the unique
@@ -265,10 +282,12 @@ class _QuotientDifferential:
         self._scales: dict[int, list[int]] = {}
         self._kernels: dict[int, list[dict]] = {}
         self._boundaries: dict[int, SparseReducer] = {0: SparseReducer()}
+        # target keys are shifted by _top, above every packed monomial
+        self._top = 1 << sum(f.bit_length() for f in D.table._masks)
 
     def columns(self, q: int) -> list[tuple]:
-        """Per complement monomial of degree q, in order: the nonzero
-        (target frame index, int) pairs of its image under d, times the
+        """Per standard monomial of degree q, in order: the nonzero
+        (packed target monomial, int) pairs of its image under d, times the
         column's scale in _scales[q]."""
         cols = self._columns.get(q)
         if cols is None:
@@ -277,7 +296,7 @@ class _QuotientDifferential:
             target = A.graded_basis(q + 1)
             scale = self.D.scale
             cols, scales = [], []
-            for mono in frame.complement:
+            for mono in frame.monomials:
                 # the residue of M d(mono) is residue / den
                 den, residue = _d_residue(self.D, ((mono, 1),), target)
                 cols.append(tuple(residue.items()))
@@ -288,33 +307,34 @@ class _QuotientDifferential:
 
     def _eliminate(self, q: int) -> None:
         frame = self.D.algebra.graded_basis(q)
+        top = self._top
         red = SparseReducer()
         kernel = []
         cols = self.columns(q)
-        for mono, col, scale in zip(frame.complement, cols, self._scales[q]):
+        for mono, col, scale in zip(frame.monomials, cols, self._scales[q]):
             # the column tagged with its scale: a positive multiple of
             # (image, tag 1) leaves every stored primitive row as is
-            row = {(1, i): v for i, v in col}
-            row[(0, frame.index[mono])] = scale
+            row = {top + i: v for i, v in col}
+            row[mono] = scale
             pivot = red.insert(row)
-            if pivot[0] == 0:
-                kernel.append({k: v for (_, k), v in red.rows[pivot].items()})
+            if pivot < top:
+                kernel.append(red.rows[pivot])
         image = SparseReducer()
-        for (side, _), row in red.rows.items():
-            if side:
+        for pivot, row in red.rows.items():
+            if pivot >= top:
                 # distinct pivots: each insert stores the row without reducing
-                image.insert({i: v for (s, i), v in row.items() if s})
+                image.insert({i - top: v for i, v in row.items() if i >= top})
         self._kernels[q] = kernel
         self._boundaries[q + 1] = image
 
     def kernel(self, q: int) -> list[dict]:
-        """Basis of ker(d_q) as primitive integer rows keyed by degree-q frame index."""
+        """Basis of ker(d_q) as primitive integer rows keyed by packed monomial."""
         if q not in self._kernels:
             self._eliminate(q)
         return self._kernels[q]
 
     def boundary_reducer(self, q: int) -> SparseReducer:
-        """Row space of im(d_{q-1}), keyed by degree-q frame index."""
+        """Row space of im(d_{q-1}), keyed by packed degree-q monomial."""
         if q not in self._boundaries:
             self._eliminate(q - 1)
         return self._boundaries[q]
@@ -350,7 +370,7 @@ def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
             lead = residue[max(residue)]
             chosen.append(
                 GPolynomial._wrap(
-                    A.table, {frame.monomials[i]: Fraction(c, lead) for i, c in residue.items()}
+                    A.table, {frame.table._unpack(m): Fraction(c, lead) for m, c in residue.items()}
                 )
             )
         if len(chosen) != rank_q:
@@ -449,7 +469,7 @@ def verify_presentation(
                 f"{table.degrees[i]}"
             )
             continue
-        if _d_residue(D, integer_row(img.terms)[1].items())[1]:
+        if _d_residue(D, _packed(D, img))[1]:
             failures.append(f"image of generator {name} is not a cocycle")
     if failures:
         return VerificationReport(False, tuple(failures))

@@ -5,21 +5,16 @@ square to zero, even ones are central, and optional nilpotence bounds model
 truncated polynomial rings.  Monomials are exponent tuples in table order,
 polynomials are sparse rational combinations, and every per-degree question
 (basis of the quotient, ideal membership, canonical representatives) is
-answered by exact integer row reduction over the finite monomial basis of
-that degree.  Each algebra keeps one Groebner basis of its ideal (module
-groebner), completed one degree at a time as its frames are built: a
-frame's complement is the standard monomials of its degree, and a residue
-is a normal form, taken by SparseReducer against echelon rows that are
-built only when a residue first needs them.
+answered by exact integer row reduction in the frame of that degree.  A
+frame lists the standard monomials of its degree for the Groebner basis
+each algebra keeps (module groebner).
 
-Monomials are validated once, where they enter from outside (the public
-GPolynomial constructor, parse, from_word).  Inside, the monomial kernel
-_merge_monomials multiplies two valid monomials against the exponent caps
-and odd flags the GeneratorTable computed at construction, so its result is
-valid by construction: products, sums and negations wrap their terms
-without re-checking them, and a graded frame builds each product of a
-basis element and a monomial as an integer row of monomial indices
-without building a polynomial at all.
+Inside frames and differentials a monomial is one int, its packed exponent
+vector (GeneratorTable._pack).  Generator 0 takes the top bit field, so
+ascending ints are ascending lex order; each field has a guard bit, so a
+product is one addition and one mask test against the caps, and its Koszul
+sign is a bit count over the odd generators' bits (_koszul).  GPolynomial
+products reach that kernel from exponent tuples.
 
 Rows are ints in and out of SparseReducer.  A polynomial or other rational
 row becomes one in a single step, integer_row, which scales it by the lcm
@@ -32,15 +27,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Monomial = tuple[int, ...]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _ZERO = Fraction(0)
+# the field of an uncapped generator: 15 exponent bits and a guard bit
+_FREE_MAX = (1 << 15) - 1
 
 
 class TableMismatchError(ValueError):
@@ -63,12 +59,12 @@ class GeneratorTable:
     names: tuple[str, ...]
     degrees: tuple[int, ...]
     nilpotence: tuple[Optional[int], ...]
-    # Derived once from the three fields above, for the monomial kernel:
-    # each generator's exponent cap (None if unbounded) and odd flag, and
-    # the odd generator indices in descending order.
-    _caps: tuple[Optional[int], ...] = field(init=False, repr=False, compare=False)
-    _odd: tuple[bool, ...] = field(init=False, repr=False, compare=False)
-    _odd_descending: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # Derived once in __init__ for the monomial kernel, and not fields, so
+    # equality and hash ignore them: each generator's exponent cap (None if
+    # unbounded) and odd flag, and the packing: each field's shift and mask,
+    # its unit if capped (else 0), the bias that lifts a capped field past
+    # its cap onto its guard bit,
+    # the guard bits of the capped fields, and the odd fields' exponent bits.
 
     def __init__(
         self,
@@ -97,13 +93,31 @@ class GeneratorTable:
             if is_odd:
                 cap = 1 if cap is None else min(cap, 1)
             caps.append(cap)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "nilpotence", nil)
-        object.__setattr__(self, "_caps", tuple(caps))
-        object.__setattr__(self, "_odd", odd)
-        object.__setattr__(
-            self, "_odd_descending", tuple(i for i in reversed(range(len(odd))) if odd[i])
+        # fields from the last generator up; a capped field holds 2 * cap
+        # plus its bias without a carry out
+        shifts, masks, bias, guard, width = [], [], 0, 0, 0
+        for cap in reversed(caps):
+            w = (_FREE_MAX if cap is None else cap).bit_length() + 1
+            shifts.append(width)
+            masks.append((1 << w) - 1)
+            if cap is not None:
+                bias += ((1 << (w - 1)) - 1 - cap) << width
+                guard += 1 << (width + w - 1)
+            width += w
+        shifts.reverse()
+        masks.reverse()
+        self.__dict__.update(
+            names=names,
+            degrees=degrees,
+            nilpotence=nil,
+            _caps=tuple(caps),
+            _odd=odd,
+            _shifts=tuple(shifts),
+            _masks=tuple(masks),
+            _capped=tuple(0 if c is None else 1 << s for s, c in zip(shifts, caps)),
+            _bias=bias,
+            _guard=guard,
+            _odd_bits=sum(1 << s for s, o in zip(shifts, odd) if o),
         )
 
     @property
@@ -146,25 +160,35 @@ class GeneratorTable:
                 factors.append(f"{name}^{e}")
         return "*".join(factors) if factors else "1"
 
+    # ---- packed monomials
 
-@lru_cache(maxsize=None)
-def monomials_of_degree(table: GeneratorTable, q: int) -> tuple[Monomial, ...]:
-    """All normal-form monomials of total degree q, ascending lexicographic."""
-    if q < 0:
-        return ()
-    # tails[r]: the monomials of degree r <= q in the generators taken so
-    # far, from the last one back; each list stays ascending because the
-    # exponent of the generator just taken is the outer loop
-    tails: dict[int, list[Monomial]] = {0: [()]}
-    for d, cap in zip(reversed(table.degrees), reversed(table._caps)):
-        top = q // d if cap is None else min(q // d, cap)
-        grown: dict[int, list[Monomial]] = {}
-        for e in range(top + 1):
-            for r, rests in tails.items():
-                if r + e * d <= q:
-                    grown.setdefault(r + e * d, []).extend([(e,) + rest for rest in rests])
-        tails = grown
-    return tuple(tails.get(q, ()))
+    def _check_degree(self, q: int) -> None:
+        """Raise ValueError unless every monomial of degree q packs."""
+        for name, d, cap in zip(self.names, self.degrees, self._caps):
+            if cap is None and q // d > _FREE_MAX:
+                raise ValueError(
+                    f"degree {q} is out of range: exponents of {name} "
+                    f"pack only up to {_FREE_MAX}"
+                )
+
+    def _pack(self, mono: Monomial) -> int:
+        return sum(e << s for e, s in zip(mono, self._shifts))
+
+    def _unpack(self, key: int) -> Monomial:
+        return tuple((key >> s) & f for s, f in zip(self._shifts, self._masks))
+
+    def _koszul(self, key: int) -> int:
+        """The odd bits above an odd number of key's odd bits: key * b has
+        sign (-1) ** (b & mask).bit_count(), as a later generator sits lower.
+        """
+        odd = key & self._odd_bits
+        mask, step = 0, -2
+        while odd:
+            low = odd & -odd
+            mask += step * low  # the runs (p1, p2], (p3, p4], ... of set bits
+            step = -step
+            odd ^= low
+        return mask & self._odd_bits
 
 
 def normal_form(table: GeneratorTable, word: Sequence[str]) -> Optional[tuple[int, Monomial]]:
@@ -188,29 +212,6 @@ def normal_form(table: GeneratorTable, word: Sequence[str]) -> Optional[tuple[in
         if cap is not None and e > cap:
             return None
     return (-1 if inversions % 2 else 1, tuple(counts))
-
-
-def _merge_monomials(
-    table: GeneratorTable, m1: Monomial, m2: Monomial
-) -> Optional[tuple[int, Monomial]]:
-    """Product of two normal monomials: combined exponents and Koszul sign.
-
-    Returns None when an exponent passes its cap, so a returned monomial is
-    valid whenever m1 and m2 are.  The sign is the parity of the pairs of
-    odd generators that the merge swaps: one of m2 and one of m1 with a
-    larger index.  A single pass down the odd indices counts them.
-    """
-    merged = tuple(map(add, m1, m2))
-    for e, cap in zip(merged, table._caps):
-        if cap is not None and e > cap:
-            return None
-    parity = above = 0  # above: parity of m1's odd generators seen so far
-    for i in table._odd_descending:
-        if m2[i]:
-            parity ^= above
-        if m1[i]:
-            above ^= 1
-    return (-1 if parity else 1, merged)
 
 
 class GPolynomial:
@@ -242,8 +243,8 @@ class GPolynomial:
     def _wrap(cls, table: GeneratorTable, terms: dict[Monomial, Fraction]) -> "GPolynomial":
         """Adopt terms that are already valid, skipping the public checks.
 
-        Only for terms built from valid monomials by _merge_monomials or
-        taken from existing polynomials, with nonzero Fraction coefficients.
+        Only for products of valid monomials or terms of existing
+        polynomials, with nonzero Fraction coefficients.
         """
         p = object.__new__(cls)
         p.table = table
@@ -257,10 +258,6 @@ class GPolynomial:
     @classmethod
     def constant(cls, table: GeneratorTable, value) -> "GPolynomial":
         return cls(table, [((0,) * table.n, value)])
-
-    @classmethod
-    def monomial(cls, table: GeneratorTable, mono: Monomial, coeff=1) -> "GPolynomial":
-        return cls(table, [(tuple(mono), coeff)])
 
     @classmethod
     def generator(cls, table: GeneratorTable, name: str) -> "GPolynomial":
@@ -353,14 +350,20 @@ class GPolynomial:
     def __mul__(self, other):
         if isinstance(other, GPolynomial):
             self._check(other)
+            table, units = self.table, self.table._capped
+            # the tuple entry point to the packed kernel: the capped fields
+            # always pack, and the cap test and the Koszul sign run on them
+            right = [(m, c, sum(map(mul, m, units))) for m, c in other.terms.items()]
             out: dict[Monomial, Fraction] = {}
             for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    merged = _merge_monomials(self.table, m1, m2)
-                    if merged is None:
+                a = sum(map(mul, m1, units))
+                koszul, a = table._koszul(a), a + table._bias
+                for m2, c2, b in right:
+                    if (a + b) & table._guard:
                         continue
-                    sign, mono = merged
-                    s = out.get(mono, _ZERO) + sign * c1 * c2
+                    mono = tuple(map(add, m1, m2))
+                    v = c1 * c2
+                    s = out.get(mono, _ZERO) + (-v if (b & koszul).bit_count() & 1 else v)
                     if s:
                         out[mono] = s
                     elif mono in out:
@@ -424,21 +427,18 @@ class SparseReducer:
     primitive (gcd 1, positive pivot entry); elimination against a pivot
     cross-multiplies only when the pivot entry does not divide the entry it
     clears, fraction-free in the manner of Bareiss (Math. Comp. 22, 1968).
-    The caller's rows are never modified.
-
-    pivots holds the pivot columns, as a plain dict that residue tests
-    every entry against; by default it is rows itself.  A graded frame
-    passes its leading monomials as pivots and a rows mapping that builds
-    each row on first lookup.
+    The caller's rows are never modified.  A graded frame passes rows that
+    hold every monomial but its standard ones, built on first lookup.
     """
 
-    def __init__(self, pivots: Optional[dict] = None, rows: Optional[dict] = None):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Optional[dict] = None):
         self.rows: dict = {} if rows is None else rows  # pivot column -> primitive integer row
-        self.pivots: dict = self.rows if pivots is None else pivots
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
     @staticmethod
     def _primitive(row: dict) -> dict:
@@ -493,9 +493,9 @@ class SparseReducer:
         when a pivot entry does not divide the entry it clears.
         """
         den, r = 1, dict(row)
-        pivots, rows = self.pivots, self.rows
+        rows = self.rows
         while True:
-            hits = [c for c in r if c in pivots]
+            hits = [c for c in r if c in rows]
             if not hits:
                 return den, r
             c = max(hits)
@@ -509,40 +509,35 @@ class SparseReducer:
 class GradedBasis:
     """Degree-q linear data of a presented algebra.
 
-    monomials: every ambient normal-form monomial of degree q (ascending lex);
-    complement: the standard monomials, which lead no element of the ideal,
-    a basis of the quotient in degree q.  The reducer holds the ideal's
-    degree-q part over the positions that index gives each monomial in
-    monomials: its pivots map each leading monomial mu of the ideal to a
-    Groebner basis element g whose leading monomial divides it, and the
-    echelon row g * (mu / LM g) is built when a residue first needs it.  A
-    vector of the quotient is a sparse integer row over those same
-    positions, up to a positive scale: reducer.residue gives its normal
-    form, supported on complement monomials.
+    monomials: the packed standard monomials of degree q, ascending, which
+    lead no element of the ideal: a basis of the quotient in degree q.
+    ideal_dimension is dim I_q, counted, not enumerated.  A vector of the
+    quotient is a sparse integer row keyed by packed monomials, up to a
+    positive scale; reducer.residue gives its normal form, supported on
+    the standard monomials, and builds the echelon row of each ideal
+    monomial it meets on first use (module groebner).
     """
 
     degree: int
-    monomials: tuple[Monomial, ...]
-    complement: tuple[Monomial, ...]
+    monomials: tuple[int, ...]
     ideal_dimension: int
     table: GeneratorTable = field(compare=False)
     reducer: SparseReducer = field(compare=False, repr=False)
-    index: Mapping[Monomial, int] = field(compare=False, repr=False)
 
     @property
     def quotient_dimension(self) -> int:
-        return len(self.complement)
+        return len(self.monomials)
 
     def to_row(self, p: GPolynomial) -> tuple[int, dict[int, int]]:
-        """integer_row of p keyed by frame monomial index: p is row / m."""
-        index = self.index
+        """integer_row of p keyed by packed monomial: p is row / m."""
+        table = self.table
         row = {}
         for mono, c in p.terms.items():
-            if mono not in index:
+            if table.monomial_degree(mono) != self.degree:
                 raise InhomogeneousError(
                     f"{p.to_text()} is not homogeneous of degree {self.degree}"
                 )
-            row[index[mono]] = c
+            row[table._pack(mono)] = c
         return integer_row(row)
 
 
@@ -575,7 +570,8 @@ class PresentedAlgebra:
         return frame
 
     def _build_frame(self, q: int) -> GradedBasis:
-        # in increasing degree: a frame takes leading monomials from below
+        self.table._check_degree(q)
+        # in increasing degree: a frame takes standard monomials from below
         for p in range(q):
             if p not in self._frames:
                 self.graded_basis(p)

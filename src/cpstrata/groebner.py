@@ -2,11 +2,11 @@
 
 Each PresentedAlgebra keeps one basis of its ideal and completes it one
 degree at a time as its graded frames are built: homogeneous Buchberger,
-cut off at the highest frame built so far.  The monomial order is the
-frames' own, ascending lex on exponent tuples within a degree, so the
-leading monomial LM of a polynomial is its largest frame index (the pivot
-SparseReducer clears first), and LM(g * s) = LM(g) * s whenever that
-product is nonzero.
+cut off at the highest frame built so far.  Monomials are packed ints
+(GeneratorTable._pack) and the monomial order is ascending int, which is
+lex on exponent tuples, so the leading monomial LM of a polynomial is its
+largest key (the pivot SparseReducer clears first), and LM(g * s) =
+LM(g) * s whenever that product is nonzero.
 
 The ring is free graded-commutative, truncated by its exponent caps (odd
 generators square to zero).  Besides Buchberger's pairs, that truncation
@@ -16,19 +16,19 @@ x^(c+1-e) kills it (Stokes, J. Automated Reasoning 6, 1990).  The
 coprime-leading-monomial criterion fails here, with odd and nilpotent
 generators alike, so every pair is reduced.
 
-The leading monomials of the ideal in degree q are those of degree
-q - deg x times x, for each generator x, plus those of the basis elements
-found in degree q; the complement is the rest, the standard monomials.
-Each ideal monomial mu keeps the index of one element g whose leading
-monomial divides it, and the echelon row g * (mu / LM g) is built only
-when a residue first needs it.  Which g supplies mu changes only
-intermediate integers: SparseReducer normalises by positive scale, and
-the complement and every residue depend only on the ideal and the order.
+A frame lists only the standard monomials of its degree q.  Each is
+m = s * x for x its last generator and s standard in degree q - deg x; it
+is kept when every m / x_j is standard one generator down, and it leads no
+basis element found in degree q.  Any other monomial that a residue meets is an
+ideal monomial mu.  It takes its supplier g, a basis element whose leading
+monomial divides it, from the first generator x_j whose quotient mu / x_j
+is an ideal monomial, and its echelon row g * (mu / LM g) is built on first
+use.  Which g supplies mu changes only intermediate integers: the standard
+monomials and every residue depend only on the ideal and the order.
 """
 
 from __future__ import annotations
 
-from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 from .gradedalg import (
@@ -37,120 +37,199 @@ from .gradedalg import (
     GradedBasis,
     Monomial,
     SparseReducer,
-    _merge_monomials,
     integer_row,
-    monomials_of_degree,
 )
 
-Terms = tuple[tuple[Monomial, int], ...]
+# per term: packed monomial, integer coefficient, Koszul mask
+Terms = tuple[tuple[int, int, int], ...]
 
 
-def _times(table: GeneratorTable, terms: Terms, shift: Monomial, index: Mapping) -> dict:
-    """The integer row of terms * shift, keyed by frame monomial index."""
+def _terms(table: GeneratorTable, items: Iterable[tuple[Monomial, int]]) -> Terms:
+    return tuple((k, c, table._koszul(k)) for k, c in items)
+
+
+def _times(table: GeneratorTable, terms: Terms, shift: int) -> dict:
+    """The integer row of terms * shift, keyed by packed monomial."""
     # distinct terms give distinct products, so nothing cancels
+    bias, guard = table._bias, table._guard
     row = {}
-    for mono, c in terms:
-        merged = _merge_monomials(table, mono, shift)
-        if merged is not None:
-            row[index[merged[1]]] = merged[0] * c
+    for t, c, mask in terms:
+        m = t + shift
+        if not (m + bias) & guard:
+            row[m] = -c if (shift & mask).bit_count() & 1 else c
     return row
 
 
-class _PivotRows(dict):
-    """A frame's echelon rows by pivot, each built on its first lookup."""
+def _support(units: tuple[int, ...], owner: list[int], key: int) -> list[int]:
+    """The generators of a packed monomial, ascending; owner maps a bit to
+    the generator whose field holds it."""
+    out = []
+    while key:
+        j = owner[key.bit_length() - 1]
+        out.append(j)
+        key &= units[j] - 1
+    return out
 
-    __slots__ = ("basis", "lead", "monomials", "index")
 
-    def __init__(self, basis: "GroebnerBasis", lead: dict, monomials, index):
+def _ambient_count(table: GeneratorTable, q: int) -> int:
+    """The number of monomials of degree q, from the generating function
+    prod 1/(1 - t^d), times (1 - t^((c+1) d)) per cap c."""
+    if q < 0:
+        return 0
+    counts = [1] + [0] * q
+    for d, cap in zip(table.degrees, table._caps):
+        for r in range(d, q + 1):
+            counts[r] += counts[r - d]
+        if cap is not None:
+            step = (cap + 1) * d
+            for r in range(q, step - 1, -1):
+                counts[r] -= counts[r - step]
+    return counts[q]
+
+
+class _Ideal(dict):
+    """A frame's echelon rows by ideal monomial, each built on its first lookup.
+
+    standard is the frame's set of standard monomials, lead maps an ideal
+    monomial to the basis element that supplies it, and below holds per
+    generator x the _Ideal of the frame deg x lower (None below degree 0).
+    As the rows of the frame's SparseReducer it holds a pivot at every
+    monomial that is not standard, so the reducer's own residue clears
+    against it.
+    """
+
+    __slots__ = ("basis", "standard", "lead", "below")
+
+    def __init__(self, basis: "GroebnerBasis", standard: set, below: tuple):
         super().__init__()
-        self.basis, self.lead, self.monomials, self.index = basis, lead, monomials, index
+        self.basis, self.standard, self.lead, self.below = basis, standard, {}, below
 
-    def __missing__(self, c: int) -> dict:
-        lm, terms = self.basis.elements[self.lead[c]]
-        shift = tuple(map(sub, self.monomials[c], lm))
-        row = self[c] = SparseReducer._primitive(
-            _times(self.basis.table, terms, shift, self.index)
-        )
+    def supplier(self, mu: int) -> int:
+        """The basis element that supplies the ideal monomial mu: mu / x_j's,
+        for x_j the first generator whose quotient is an ideal monomial,
+        down to a monomial whose supplier is known; cached along the way."""
+        basis, ideal, path = self.basis, self, []
+        while True:
+            k = ideal.lead.get(mu)
+            if k is not None:
+                break
+            path.append((ideal.lead, mu))
+            for j in _support(basis._units, basis._owner, mu):
+                lower = mu - basis._units[j]
+                if lower not in ideal.below[j].standard:
+                    ideal, mu = ideal.below[j], lower
+                    break
+        for lead, m in path:
+            lead[m] = k
+        return k
+
+    def __contains__(self, mu) -> bool:
+        return mu not in self.standard
+
+    def __missing__(self, mu: int) -> dict:
+        lm, terms = self.basis.elements[self.supplier(mu)]
+        row = self[mu] = SparseReducer._primitive(_times(self.basis.table, terms, mu - lm))
         return row
 
 
 class GroebnerBasis:
     """The Groebner basis of one algebra's ideal, completed degree by degree.
 
-    elements holds (leading monomial, integer terms) per basis element,
-    primitive with a positive leading coefficient.  Syzygies not yet
-    reduced wait in _pending by degree as index pairs (j, k): elements j
-    and k when k >= 0, else element j times the power of generator ~k that
-    kills its leading monomial.  Nothing here refers to a frame, so the
-    frames, which refer to the basis, make no cycle.
+    elements holds (leading monomial, Terms) per basis element, primitive
+    with a positive leading coefficient.  Syzygies not yet reduced wait in
+    _pending by degree as index pairs (j, k): elements j and k when k >= 0,
+    else element j times the power of generator ~k that kills its leading
+    monomial.  Nothing here refers to a frame, so the frames, which refer
+    to the basis, make no cycle.
     """
 
     def __init__(self, table: GeneratorTable, relations: Iterable[GPolynomial]):
         self.table = table
-        self.elements: list[tuple[Monomial, Terms]] = []
+        self.elements: list[tuple[int, Terms]] = []
+        self._exponents: list[Monomial] = []  # the elements' leading monomials, unpacked
         # degree -> integer terms of the input relations of that degree
-        self._relations: dict[int, list[Terms]] = {}
+        self._relations: dict[int, list] = {}
         for r in relations:
-            terms = tuple(integer_row(r.terms)[1].items())
-            self._relations.setdefault(r.degree(), []).append(terms)
+            self._relations.setdefault(r.degree(), []).append(integer_row(r.terms)[1])
         self._pending: dict[int, list[tuple[int, int]]] = {}
+        self._units = tuple(1 << s for s in table._shifts)
+        self._owner = [j for j in reversed(range(table.n)) for _ in range(table._masks[j].bit_length())]
+        self._by_degree: dict[int, list[int]] = {}
+        for i, d in enumerate(table.degrees):
+            self._by_degree.setdefault(d, []).append(i)
 
     def frame(self, q: int, frames: Mapping[int, GradedBasis]) -> GradedBasis:
         """The degree-q frame; frames must hold every frame below q."""
-        table = self.table
-        monos = monomials_of_degree(table, q)
-        index = {m: i for i, m in enumerate(monos)}
-        lead: dict[int, int] = {}  # leading monomial's index -> element
-        for i, (d, cap) in enumerate(zip(table.degrees, table._caps)):
-            below = frames.get(q - d)
-            if below is None:
+        table, units = self.table, self._units
+        bias, guard = table._bias, table._guard
+        below = tuple(frames[q - d].reducer.rows if d <= q else None for d in table.degrees)
+        stds = [None if b is None else b.standard for b in below]
+        standard = {0} if q == 0 else set()
+        # each candidate m = s * x_i once, x_i its last generator; it is
+        # kept when every m / x_j is standard, and dropped below if it leads
+        # a basis element found in degree q
+        for d, gens in self._by_degree.items():
+            if d > q:
                 continue
-            for c, k in below.reducer.pivots.items():
-                m = below.monomials[c]
-                if cap is None or m[i] < cap:
-                    lead.setdefault(index[m[:i] + (m[i] + 1,) + m[i + 1 :]], k)
-        rows = _PivotRows(self, lead, monos, index)
-        reducer = SparseReducer(lead, rows)
+            for s in frames[q - d].monomials:
+                support = _support(units, self._owner, s)
+                last = support[-1] if support else -1
+                for i in gens:
+                    if i < last:
+                        continue
+                    m = s + units[i]
+                    if (m + bias) & guard:
+                        continue
+                    for j in support:
+                        if j != i and m - units[j] not in stds[j]:
+                            break
+                    else:
+                        standard.add(m)
+        rows = _Ideal(self, standard, below)
+        reducer = SparseReducer(rows)
         for terms, shift in self._candidates(q):
-            _, r = reducer.residue(_times(table, terms, shift, index))
+            _, r = reducer.residue(_times(table, terms, shift))
             if r:
                 r = SparseReducer._primitive(r)
                 p = max(r)
                 rows[p] = r
-                lead[p] = self._adjoin(q, monos[p], tuple((monos[i], v) for i, v in r.items()))
-        complement = tuple(m for i, m in enumerate(monos) if i not in lead)
-        return GradedBasis(q, monos, complement, len(lead), table, reducer, index)
+                standard.discard(p)
+                rows.lead[p] = self._adjoin(q, p, tuple(r.items()))
+        monomials = tuple(sorted(standard))
+        return GradedBasis(q, monomials, _ambient_count(table, q) - len(monomials), table, reducer)
 
-    def _candidates(self, q: int) -> Iterator[tuple[Terms, Monomial]]:
+    def _candidates(self, q: int) -> Iterator[tuple[Terms, int]]:
         """(terms, shift) for every product the completion reduces in degree q:
         the input relations, both sides of each pair whose lcm has degree q,
         and the killing products of degree q."""
         table = self.table
-        for terms in self._relations.pop(q, ()):
-            yield terms, (0,) * table.n
+        for row in self._relations.pop(q, ()):
+            yield _terms(table, ((table._pack(m), c) for m, c in row.items())), 0
         for j, k in self._pending.pop(q, ()):
             lm, terms = self.elements[j]
             if k < 0:
                 i = ~k
-                power = table._caps[i] + 1 - lm[i]
-                yield terms, tuple(power if t == i else 0 for t in range(table.n))
+                power = table._caps[i] + 1 - self._exponents[j][i]
+                yield terms, power << table._shifts[i]
             else:
                 lk, tk = self.elements[k]
-                top = tuple(map(max, lm, lk))
-                yield terms, tuple(map(sub, top, lm))
-                yield tk, tuple(map(sub, top, lk))
+                top = table._pack(tuple(map(max, self._exponents[j], self._exponents[k])))
+                yield terms, top - lm
+                yield tk, top - lk
 
-    def _adjoin(self, q: int, lm: Monomial, terms: Terms) -> int:
+    def _adjoin(self, q: int, lm: int, terms: tuple[tuple[int, int], ...]) -> int:
         """Append an element of degree q, leading monomial lm, and queue its
         syzygies; returns its index."""
         table = self.table
         k = len(self.elements)
+        exponents = table._unpack(lm)
         # every lcm lies above q: no earlier leading monomial divides lm
-        for j, (lj, _) in enumerate(self.elements):
-            top = table.monomial_degree(tuple(map(max, lm, lj)))
+        for j, other in enumerate(self._exponents):
+            top = table.monomial_degree(tuple(map(max, exponents, other)))
             self._pending.setdefault(top, []).append((j, k))
-        for i, (e, cap, d) in enumerate(zip(lm, table._caps, table.degrees)):
+        for i, (e, cap, d) in enumerate(zip(exponents, table._caps, table.degrees)):
             if e and cap is not None:
                 self._pending.setdefault(q + (cap + 1 - e) * d, []).append((k, ~i))
-        self.elements.append((lm, terms))
+        self._exponents.append(exponents)
+        self.elements.append((lm, _terms(table, terms)))
         return k

@@ -54,14 +54,6 @@ class H2Element:
     def n(self) -> int:
         return len(self.multiplicities)
 
-    @classmethod
-    def exceptional(cls, i: int, n: int) -> "H2Element":
-        """E_i, 1-based index."""
-        _check_n(n)
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range 1..{n}")
-        return cls(0, tuple(-1 if j == i - 1 else 0 for j in range(n)))
-
     def self_intersection(self) -> int:
         return intersection(self, self)
 

@@ -26,9 +26,10 @@ from cpstrata.dga import (
     differential,
     verify_presentation,
 )
-from cpstrata.gradedalg import GPolynomial, monomials_of_degree
+from cpstrata.gradedalg import GPolynomial
 from cpstrata.kriz import KrizParams, kriz_model, relabeled_model
 from cpstrata.lattice import Capacities, enumerate_exceptional, negative_wall_classes
+from test_monomial_kernel import reference_monomials
 
 # Frozen expectations.  Counts and rank rows were derived once from the
 # exact enumerations and small-model cohomology and are restated here so
@@ -174,14 +175,14 @@ def _random_homogeneous(rng, table, max_degree):
     """A nonzero random homogeneous polynomial of some degree <= max_degree."""
     while True:
         q = rng.randint(1, max_degree)
-        monos = monomials_of_degree(table, q)
+        monos = reference_monomials(table, q)
         if not monos:
             continue
         picks = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
         out = GPolynomial.zero(table)
         for m in picks:
             coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            out = out + GPolynomial.monomial(table, m, coeff)
+            out = out + GPolynomial(table, [(m, coeff)])
         if not out.is_zero:
             return out
 

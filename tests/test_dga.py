@@ -21,7 +21,6 @@ from cpstrata.gradedalg import (
     PresentedAlgebra,
     TableMismatchError,
     integer_row,
-    monomials_of_degree,
 )
 from cpstrata.dga import (
     DgaSpec,
@@ -37,6 +36,7 @@ from cpstrata.dga import (
 )
 from cpstrata.ballmodels import iemb_model, iemb_presentation
 from cpstrata.kriz import KrizParams, kriz_model
+from test_monomial_kernel import reference_monomials
 
 FLAG_T = GeneratorTable(names=("T1", "T2", "beta", "gamma"), degrees=(2, 2, 3, 5))
 
@@ -281,21 +281,21 @@ class TestChecks:
 
 def reference_residue(D, p):
     """d(p) modulo the ideal by the polynomial path: the normal form of
-    differential(D, p) in its frame, as exact fractions by frame index."""
+    differential(D, p) in its frame, as exact fractions by monomial."""
     dp = differential(D, p)
     if dp.is_zero:
         return {}
     frame = D.algebra.graded_basis(dp.degree())
     m, row = frame.to_row(dp)
     den, r = frame.reducer.residue(row)
-    return {i: Fraction(c, den * m) for i, c in r.items()}
+    return {D.table._unpack(k): Fraction(c, den * m) for k, c in r.items()}
 
 
 def one_path_residue(D, p):
     """The same normal form by _d_residue, from the integer terms k * p."""
     k, terms = integer_row(p.terms)
-    den, r = _d_residue(D, terms.items())
-    return {i: Fraction(c, den * k * D.scale) for i, c in r.items()}
+    den, r = _d_residue(D, [(D.table._pack(m), c) for m, c in terms.items()])
+    return {D.table._unpack(i): Fraction(c, den * k * D.scale) for i, c in r.items()}
 
 
 # the models of the structural acceptance criterion, kriz for m <= 3 and
@@ -340,7 +340,7 @@ class TestOnePath:
         # random polynomials, whose images mostly leave the ideal
         rng = random.Random(name)
         for q in range(1, min(D.degree_cap, 8)):
-            monos = monomials_of_degree(table, q)
+            monos = reference_monomials(table, q)
             picks = rng.sample(monos, min(3, len(monos)))
             p = GPolynomial(
                 table, [(m, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))) for m in picks]
@@ -459,14 +459,14 @@ class TestCohomologyRanks:
 
 
 class TestDifferentialMatrix:
-    """The columns of d_q: sparse (target frame index, coefficient) pairs."""
+    """The columns of d_q: sparse (packed target monomial, coefficient) pairs."""
 
     def test_flag_degree_three(self):
         D = flag_model()
-        assert D.algebra.graded_basis(3).complement == ((0, 0, 1, 0),)  # beta
+        (beta,) = D.algebra.graded_basis(3).monomials
+        assert FLAG_T._unpack(beta) == (0, 0, 1, 0)
         (column,) = _QuotientDifferential(D).columns(3)
-        target = D.algebra.graded_basis(4)
-        assert {target.monomials[i]: c for i, c in column} == P(
+        assert {FLAG_T._unpack(k): c for k, c in column} == P(
             FLAG_T, "T1^2 + T2^2 + T1*T2"
         ).terms
 
@@ -476,9 +476,8 @@ class TestDifferentialMatrix:
         for q in range(6):
             cols = quot.columns(q)
             assert len(cols) == D.algebra.quotient_dimension(q)
-            target = D.algebra.graded_basis(q + 1)
-            on_complement = {target.index[m] for m in target.complement}
-            assert all(i in on_complement and c for col in cols for i, c in col)
+            standard = set(D.algebra.graded_basis(q + 1).monomials)
+            assert all(k in standard and c for col in cols for k, c in col)
 
 
 class TestSubstitute:

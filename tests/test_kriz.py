@@ -196,3 +196,79 @@ class TestRelabeling:
     def test_bad_permutation_rejected(self):
         with pytest.raises(ValueError):
             relabeled_model(KrizParams(2, 3), [1, 1, 2])
+
+
+# ------------------------------------------------------ closed-form oracles
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def poly_pow(p, e):
+    out = [1]
+    for _ in range(e):
+        out = poly_mul(out, p)
+    return out
+
+
+def even_powers(top):
+    """1 + t^2 + ... + t^(2 top)."""
+    return [1 if i % 2 == 0 else 0 for i in range(2 * top + 1)]
+
+
+def hilbert_series(m, k):
+    """dim A^q of the Kriz algebra E(m, k), A before the differential:
+    sum over r of e_r(1, ..., k-1) t^(r(2m-1)) (1 + t^2 + ... + t^(2m))^(k-r),
+    the no-broken-circuit count of the Arnold relations."""
+    elementary = [1]
+    for j in range(1, k):
+        elementary = poly_mul(elementary, [1, j])  # e_r is the t^r coefficient
+    out = [0] * (2 * m * k + 1)
+    for r, e in enumerate(elementary):
+        for q, c in enumerate(poly_pow(even_powers(m), k - r)):
+            out[r * (2 * m - 1) + q] += e * c
+    return out
+
+
+def padded(coefficients, top):
+    return coefficients + [0] * (top + 1 - len(coefficients))
+
+
+class TestClosedForms:
+    """Independent closed forms for E(m, k), checked through degree 2mk + 1.
+
+    A is zero above its top degree 2mk, so the ranks through 2mk are all of
+    the cohomology, and degree 2mk + 1 checks that vanishing."""
+
+    @pytest.mark.parametrize(
+        "m, k", [(m, k) for m in (1, 2, 3) for k in (1, 2, 3, 4)] + [(2, 5)]
+    )
+    def test_hilbert_series_of_the_algebra(self, m, k):
+        A = kriz_model(KrizParams(m, k)).algebra
+        top = 2 * m * k + 1
+        assert [A.quotient_dimension(q) for q in range(top + 1)] == padded(
+            hilbert_series(m, k), top
+        )
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_points_on_the_line(self, k):
+        # F(CP^1, k) = PGL_2(C) x M_{0,k}: (1 + t^3) prod_{j=2}^{k-2} (1 + j t)
+        law = [1, 0, 0, 1]
+        for j in range(2, k - 1):
+            law = poly_mul(law, [1, j])
+        top = 2 * k + 1
+        rep = cohomology_ranks(kriz_model(KrizParams(1, k), degree_cap=top))
+        assert rep.rank_list() == padded(law, top)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_two_points(self, m):
+        # F(CP^m, 2) fibres over CP^m with fibre CP^m minus a point
+        law = poly_mul(even_powers(m), even_powers(m - 1))
+        top = 4 * m + 1
+        rep = cohomology_ranks(kriz_model(KrizParams(m, 2), degree_cap=top))
+        assert rep.rank_list() == padded(law, top)

@@ -34,8 +34,8 @@ class TestIntersection:
         assert intersection(u, u) == -1
 
     def test_exceptional_basis(self):
-        e1 = H2Element.exceptional(1, 2)
-        e2 = H2Element.exceptional(2, 2)
+        e1 = h2(0, -1, 0)
+        e2 = h2(0, 0, -1)
         assert intersection(e1, e1) == -1
         assert intersection(e1, e2) == 0
 
@@ -70,7 +70,7 @@ class TestAnticanonical:
         assert anticanonical(1) == h2(3, 1)
 
     def test_pairs_one_with_exceptional(self):
-        assert intersection(anticanonical(2), H2Element.exceptional(1, 2)) == 1
+        assert intersection(anticanonical(2), h2(0, -1, 0)) == 1
         assert intersection(anticanonical(3), h2(1, 1, 1, 0)) == 1
 
     def test_out_of_range(self):
@@ -82,15 +82,15 @@ class TestAnticanonical:
 
 class TestExceptional:
     def test_criterion(self):
-        assert is_exceptional_numerical(H2Element.exceptional(1, 1))
+        assert is_exceptional_numerical(h2(0, -1))
         assert is_exceptional_numerical(h2(1, 1, 1))
         assert not is_exceptional_numerical(h2(1, 1, 1, 1))
 
     def test_n2_set(self):
         got = enumerate_exceptional(2)
         assert got == (
-            H2Element.exceptional(1, 2),
-            H2Element.exceptional(2, 2),
+            h2(0, -1, 0),
+            h2(0, 0, -1),
             h2(1, 1, 1),
         )
 
@@ -207,7 +207,7 @@ class TestArea:
 
     def test_exceptional_basis_area_is_capacity(self):
         c = Capacities.parse("2/5,1/5")
-        assert area(c, H2Element.exceptional(2, 2)) == Fraction(1, 5)
+        assert area(c, h2(0, 0, -1)) == Fraction(1, 5)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -225,7 +225,7 @@ class TestSerialization:
     def test_text_forms(self):
         assert h2(1, 1, 1).to_text() == "L - E1 - E2"
         assert h2(3, 2, 0, 1).to_text() == "3L - 2E1 - E3"
-        assert H2Element.exceptional(1, 3).to_text() == "E1"
+        assert h2(0, -1, 0, 0).to_text() == "E1"
         assert h2(0, 0, 0).to_text() == "0"
 
     @pytest.mark.parametrize("text,bad", [("1/0", "'1/0'"), ("1/2,3/0", "'3/0'")])

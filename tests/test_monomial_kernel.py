@@ -1,4 +1,4 @@
-"""The monomial kernel against the word-based path it replaced.
+"""The packed monomial kernel against the word-based path it replaced.
 
 The references below are the older, slower formulations, kept here as
 test-local code: monomials enumerated over the whole exponent box,
@@ -8,16 +8,27 @@ residues taken over Fractions, and the Leibniz differential applied one
 generator letter of a word at a time.  Every table is drawn from a seed
 and mixes odd, even and nilpotent generators in a shuffled order.  The
 frames' Groebner completion is checked against the same brute-force
-frames, spanned by every relation x monomial product.
+frames, spanned by every relation x monomial product.  The program keys
+monomials by packed ints; every comparison here unpacks them to exponent
+tuples first.
 """
 
 import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import ge
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpstrata.ballmodels import (
+    _circle_algebra,
+    bstab_presentation,
+    four_ball_stabilizer_presentation,
+    iemb_model,
+)
 from cpstrata.dga import (
     DgaSpec,
     _monomial_differential,
@@ -26,15 +37,15 @@ from cpstrata.dga import (
     differential,
 )
 from cpstrata.gradedalg import (
+    _FREE_MAX as FREE_MAX,
     GeneratorTable,
     GPolynomial,
     PresentedAlgebra,
     SparseReducer,
-    _merge_monomials,
-    monomials_of_degree,
     normal_form,
 )
-from cpstrata.groebner import GroebnerBasis
+from cpstrata.groebner import GroebnerBasis, _ambient_count
+from cpstrata.kriz import KrizParams, kriz_model
 
 SEEDS = range(12)
 TOP = 7  # frames and differential columns are compared in degrees 0..TOP
@@ -60,6 +71,16 @@ def reference_monomials(table, q):
         for m in itertools.product(*(range(t + 1) for t in tops))
         if sum(e * d for e, d in zip(m, table.degrees)) == q
     )
+
+
+def packed_product(table, m1, m2):
+    """(sign, monomial) of m1 * m2 by the packed kernel, or None when a cap
+    kills it: one addition, one mask test and one bit count."""
+    a, b = table._pack(m1), table._pack(m2)
+    s = a + b
+    if (s + table._bias) & table._guard:
+        return None
+    return (-1 if (b & table._koszul(a)).bit_count() & 1 else 1, table._unpack(s))
 
 
 def word(table, mono):
@@ -155,7 +176,7 @@ def reference_frame(table, relations, q):
         if d > q:
             continue
         for shift in reference_monomials(table, q - d):
-            product = reference_product(table, rel, GPolynomial.monomial(table, shift))
+            product = reference_product(table, rel, GPolynomial(table, [(shift, 1)]))
             if product:
                 red.insert({index[m]: c for m, c in product.items()})
     return monos, red
@@ -213,15 +234,31 @@ def random_dga(seed):
 # ------------------------------------------------------------------ tests
 
 
+def unpacked(table, keys):
+    return tuple(map(table._unpack, keys))
+
+
+def reference_standard(monos, ref):
+    """The monomials of a reference frame that lead no row of its ideal."""
+    return tuple(m for i, m in enumerate(monos) if i not in ref.rows)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_caps_and_monomials_match_reference(seed):
     _, A = random_algebra(seed)
     table = A.table
+    free = PresentedAlgebra(table, ())
     for i in range(table.n):
         assert table.max_exponent(i) == reference_cap(table, i)
         assert table.is_odd(i) == (table.degrees[i] % 2 == 1)
     for q in range(TOP + 2):
-        assert monomials_of_degree(table, q) == reference_monomials(table, q)
+        monos = reference_monomials(table, q)
+        keys = [table._pack(m) for m in monos]
+        # lex order on tuples is int order on keys, and packing round-trips
+        assert keys == sorted(keys) and unpacked(table, keys) == monos
+        # with no ideal every monomial is standard
+        assert unpacked(table, free.graded_basis(q).monomials) == monos
+        assert _ambient_count(table, q) == len(monos)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -231,7 +268,7 @@ def test_merge_matches_normal_form_of_words(seed):
     monos = [m for q in range(5) for m in reference_monomials(table, q)]
     for m1, m2 in itertools.product(monos, repeat=2):
         expected = normal_form(table, word(table, m1) + word(table, m2))
-        assert _merge_monomials(table, m1, m2) == expected, (m1, m2)
+        assert packed_product(table, m1, m2) == expected, (m1, m2)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -256,24 +293,28 @@ def test_frames_match_reference(seed):
     for q in range(TOP + 1):
         frame = A.graded_basis(q)
         monos, ref = reference_frame(table, A.relations, q)
-        assert frame.monomials == monos
-        # the ideal's leading monomials; the stored echelon rows are basis
-        # element times monomial products, and no output depends on them
-        assert set(frame.reducer.pivots) == set(ref.rows)
+        index = {m: i for i, m in enumerate(monos)}
+        # the standard monomials, and the ideal's leading monomials: the
+        # rest of the ambient ones
+        assert unpacked(table, frame.monomials) == reference_standard(monos, ref)
         assert frame.ideal_dimension == len(ref.rows)
-        assert frame.complement == tuple(
-            m for i, m in enumerate(monos) if i not in ref.rows
-        )
-        on_complement = {frame.index[m] for m in frame.complement}
+        # each ideal monomial's echelon row, built on first lookup, leads
+        # with it and lies in the ideal
+        for i in ref.rows:
+            row = frame.reducer.rows[table._pack(monos[i])]
+            assert max(row) == table._pack(monos[i])
+            assert not ref.residue({index[table._unpack(k)]: v for k, v in row.items()})
         for _ in range(3):
             p = random_homogeneous(rng, table, q, rng.randint(1, 4))
             if p.is_zero:
                 continue
             m, row = frame.to_row(p)
             den, residue = frame.reducer.residue(row)
-            expected = ref.residue({frame.index[mono]: c for mono, c in p.terms.items()})
-            assert {i: Fraction(v, den * m) for i, v in residue.items()} == expected
-            assert set(residue) <= on_complement
+            expected = ref.residue({index[mono]: c for mono, c in p.terms.items()})
+            assert {
+                table._unpack(k): Fraction(v, den * m) for k, v in residue.items()
+            } == {monos[i]: c for i, c in expected.items()}
+            assert set(residue) <= set(frame.monomials)
             assert all(type(v) is int and v for v in residue.values())
 
 
@@ -283,7 +324,7 @@ def test_differential_matches_word_leibniz(seed):
     table = D.table
     for q in range(TOP + 1):
         for mono in reference_monomials(table, q):
-            got = differential(D, GPolynomial.monomial(table, mono))
+            got = differential(D, GPolynomial(table, [(mono, 1)]))
             assert got.terms == reference_monomial_differential(D, mono), mono
     p = random_homogeneous(rng, table, 4, 3)
     expected = {}
@@ -308,10 +349,10 @@ def test_common_scale_clears_every_denominator():
     for q in range(12):
         for mono in reference_monomials(table, q):
             expected = reference_monomial_differential(D, mono)
-            assert differential(D, GPolynomial.monomial(table, mono)).terms == expected
-            scaled = _monomial_differential(D, mono)
+            assert differential(D, GPolynomial(table, [(mono, 1)])).terms == expected
+            scaled = _monomial_differential(D, table._pack(mono))
             assert all(type(c) is int for c in scaled.values())
-            assert {m: Fraction(c, 6) for m, c in scaled.items()} == expected
+            assert {table._unpack(m): Fraction(c, 6) for m, c in scaled.items()} == expected
 
 
 def test_closed_generators_have_scale_one():
@@ -326,18 +367,19 @@ def test_differential_columns_match_reference(seed):
     quot = _QuotientDifferential(D)
     for q in range(TOP):
         frame = D.algebra.graded_basis(q)
-        target = D.algebra.graded_basis(q + 1)
-        _, ref = reference_frame(table, D.algebra.relations, q + 1)
+        monos, ref = reference_frame(table, D.algebra.relations, q + 1)
+        index = {m: i for i, m in enumerate(monos)}
         expected = []
-        for mono in frame.complement:
+        for mono in unpacked(table, frame.monomials):
             image = reference_monomial_differential(D, mono)
-            expected.append(ref.residue({target.index[m]: c for m, c in image.items()}))
+            residue = ref.residue({index[m]: c for m, c in image.items()})
+            expected.append({monos[i]: c for i, c in residue.items()})
         cols = quot.columns(q)
         scales = quot._scales[q]
         assert len(scales) == len(cols)
         assert all(type(s) is int and s > 0 for s in scales)
         assert [
-            {i: Fraction(v, s) for i, v in col} for col, s in zip(cols, scales)
+            {table._unpack(k): Fraction(v, s) for k, v in col} for col, s in zip(cols, scales)
         ] == expected
         assert all(type(v) is int and v for col in cols for _, v in col)
 
@@ -359,19 +401,22 @@ def test_reducer_rows_are_ints_and_inputs_untouched(monkeypatch):
 
     monkeypatch.setattr(SparseReducer, "insert", recorded(SparseReducer.insert))
     monkeypatch.setattr(SparseReducer, "residue", recorded(SparseReducer.residue))
-    complete = 0
+    complete = tagged = 0
     for seed in SEEDS:
         _, D = random_dga(seed)
         quot = _QuotientDifferential(D)
+        seen = set(reducers)
         for q in range(TOP):
             quot.kernel(q)
+        # the tagged reducer keys the image entries at or above quot._top
+        tagged += any(c >= quot._top for k in reducers.keys() - seen for c in reducers[k].rows)
         try:
             cohomology_ranks(D)
         except ValueError:
             continue  # d^2 or ideal stability fails: no representatives
         complete += 1
     assert complete >= 3
-    assert any(isinstance(c, tuple) for red in reducers.values() for c in red.rows)
+    assert tagged >= 3
     for red in reducers.values():
         for row in red.rows.values():
             assert row and all(type(v) is int and v for v in row.values())
@@ -387,7 +432,7 @@ def test_random_inputs_exercise_the_kernel():
         table = D.table
         monos = [m for q in range(5) for m in reference_monomials(table, q)]
         for m1, m2 in itertools.product(monos, repeat=2):
-            merged = _merge_monomials(table, m1, m2)
+            merged = packed_product(table, m1, m2)
             if merged is None:
                 dead += 1
             else:
@@ -456,20 +501,19 @@ def test_completion_matches_reference(seed):
     for q in range(COMPLETION_TOP + 1):
         frame = A.graded_basis(q)
         monos, ref = reference_frame(table, A.relations, q)
-        assert frame.monomials == monos
-        assert set(frame.reducer.pivots) == set(ref.rows)
+        index = {m: i for i, m in enumerate(monos)}
+        assert unpacked(table, frame.monomials) == reference_standard(monos, ref)
         assert frame.ideal_dimension == len(ref.rows)
-        assert frame.complement == tuple(
-            m for i, m in enumerate(monos) if i not in ref.rows
-        )
         for _ in range(3):
             p = random_homogeneous(rng, table, q, rng.randint(1, 4))
             if p.is_zero:
                 continue
             m, row = frame.to_row(p)
             den, residue = frame.reducer.residue(row)
-            expected = ref.residue({frame.index[mono]: c for mono, c in p.terms.items()})
-            assert {i: Fraction(v, den * m) for i, v in residue.items()} == expected
+            expected = ref.residue({index[mono]: c for mono, c in p.terms.items()})
+            assert {
+                index[table._unpack(k)]: Fraction(v, den * m) for k, v in residue.items()
+            } == expected
             assert A.ideal_member(p) == (not expected)
             normal = GPolynomial(table, {monos[i]: c for i, c in expected.items()})
             assert A.ideal_member(p - normal)
@@ -484,6 +528,11 @@ def test_completion_adjoins_every_kind_of_syzygy(monkeypatch):
     assert {"relation", "pair", "odd", "nilpotent"} <= set(kinds)
 
 
+def found_in(algebra, frame):
+    elements = algebra._basis.elements
+    return {m: k for m, k in frame.reducer.rows.lead.items() if elements[k][0] == m}
+
+
 @pytest.mark.parametrize("seed", COMPLETION_SEEDS)
 def test_first_access_at_the_top_matches_in_order(seed):
     _, in_order = completion_algebra(seed)
@@ -492,6 +541,120 @@ def test_first_access_at_the_top_matches_in_order(seed):
     assert sorted(top_first._frames) == list(range(COMPLETION_TOP + 1))
     for q in range(COMPLETION_TOP + 1):
         a, b = top_first.graded_basis(q), in_order.graded_basis(q)
-        assert a.complement == b.complement
-        assert a.reducer.pivots == b.reducer.pivots
+        assert a.monomials == b.monomials
+        assert a.ideal_dimension == b.ideal_dimension
+        # the basis elements found in degree q, by leading monomial (lead
+        # also caches the supplier of each ideal monomial a residue met)
+        assert found_in(top_first, a) == found_in(in_order, b)
     assert top_first._basis.elements == in_order._basis.elements
+
+
+# ------------------------------------------------ packed fields and frames
+
+
+@st.composite
+def table_and_pair(draw):
+    """A random table with odd, capped and uncapped generators, and two
+    valid monomials; uncapped exponents reach past 15, where a 4-bit
+    field would overflow."""
+    gens = draw(
+        st.lists(
+            st.tuples(st.integers(1, 5), st.sampled_from((None, None, 1, 2, 3, 5, 17))),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    table = GeneratorTable(
+        [f"g{i}" for i in range(len(gens))], [d for d, _ in gens], [b for _, b in gens]
+    )
+    tops = [40 if cap is None else cap for cap in table._caps]
+    pair = [tuple(draw(st.integers(0, t)) for t in tops) for _ in range(2)]
+    return table, pair[0], pair[1]
+
+
+@given(table_and_pair())
+@settings(max_examples=100, deadline=None)
+def test_packed_product_matches_normal_form_of_words(case):
+    table, m1, m2 = case
+    expected = normal_form(table, word(table, m1) + word(table, m2))
+    assert packed_product(table, m1, m2) == expected
+    # the tuple entry point of GPolynomial products takes the same sign
+    product = GPolynomial(table, [(m1, 1)]) * GPolynomial(table, [(m2, 1)])
+    assert product.terms == ({} if expected is None else {expected[1]: expected[0]})
+
+
+def test_uncapped_fields_hold_their_whole_range():
+    table = GeneratorTable(("T", "beta", "S"), (2, 3, 2))
+    for m in [(FREE_MAX, 1, FREE_MAX), (FREE_MAX, 0, 1), (1, 1, FREE_MAX)]:
+        assert table._unpack(table._pack(m)) == m
+        # a sum of two in-range exponents carries into no other field
+        assert table._unpack(table._pack(m) + table._pack(m)) == tuple(2 * e for e in m)
+    table._check_degree(2 * FREE_MAX + 1)
+    with pytest.raises(ValueError, match="degree 65536 .* T "):
+        table._check_degree(2 * FREE_MAX + 2)
+
+
+def test_out_of_range_degree_raises_before_any_frame():
+    algebra = PresentedAlgebra(GeneratorTable(("T", "beta"), (2, 3)), ())
+    with pytest.raises(ValueError, match="degree 70000 .* T "):
+        algebra.graded_basis(70000)
+    assert not algebra._frames
+    # a model whose frames would leave the range fails at construction
+    with pytest.raises(ValueError, match="degree 70001 .* T1 "):
+        iemb_model(4, "C_4", degree_cap=70000)
+
+
+def monomials_by_degree(table, top):
+    """reference_monomials for every degree through top, from one pass over
+    the exponent box."""
+    boxes = []
+    for i, d in enumerate(table.degrees):
+        cap = reference_cap(table, i)
+        boxes.append(range((top // d if cap is None else min(top // d, cap)) + 1))
+    out = {q: [] for q in range(top + 1)}
+    for m in itertools.product(*boxes):
+        q = sum(e * d for e, d in zip(m, table.degrees))
+        if q <= top:
+            out[q].append(m)
+    return out
+
+
+def wide_algebra():
+    """Two uncapped even generators and an odd one, with relations whose
+    completion adds basis elements; frames through 40 carry exponents 20."""
+    table = GeneratorTable(("T", "S", "beta"), (2, 2, 3))
+    return PresentedAlgebra(
+        table,
+        [GPolynomial.parse(table, "T^3*S - S^4"), GPolynomial.parse(table, "T^2*beta + S^2*beta")],
+    )
+
+
+FRAME_ALGEBRAS = {
+    **{
+        f"kriz({m},{k})": (lambda m=m, k=k: (kriz_model(KrizParams(m, k)).algebra, 2 * m * k + 1))
+        for m in (1, 2, 3)
+        for k in (1, 2, 3, 4)
+    },
+    **{
+        f"circles({base},{free})": (lambda base=base, free=free: (_circle_algebra(base, free), 13))
+        for base, free in ((2, 0), (2, 1), (0, 1), (0, 2), (0, 3), (0, 4))
+    },
+    "four-ball stabilizer": lambda: (four_ball_stabilizer_presentation(), 13),
+    "three-small-ball stabilizer": lambda: (bstab_presentation(3, "small"), 13),
+    "wide": lambda: (wide_algebra(), 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_ALGEBRAS))
+def test_standard_monomials_match_brute_force(name):
+    # brute force: the ambient monomials minus the multiples of the basis'
+    # leading monomials
+    A, top = FRAME_ALGEBRAS[name]()
+    table = A.table
+    A.graded_basis(top)
+    leads = [table._unpack(lm) for lm, _ in A._basis.elements]
+    for q, monos in monomials_by_degree(table, top).items():
+        frame = A.graded_basis(q)
+        standard = tuple(m for m in monos if not any(all(map(ge, m, lead)) for lead in leads))
+        assert unpacked(table, frame.monomials) == standard, q
+        assert frame.ideal_dimension == len(monos) - len(standard)
