@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Literal, Optional, Sequence, Union
 
 from .exactlp import Ineq as _Ineq
-from .exactlp import _Simplex, feasible_point, interior_tableau, tighten
+from .exactlp import _Simplex, feasible_point, interior_tableau, scaled_row, tighten_scaled
 from .lattice import (
     Capacities,
     H2Element,
@@ -98,6 +99,20 @@ class ChamberRecord:
         }
 
 
+def _rounded(nums: list[tuple[int, int]], q: int) -> list[int]:
+    """round(num * q / den) for each (num, den) with den > 0, in integers.
+
+    A tie goes to the even neighbour, as round() takes it on a Fraction.
+    """
+    ks = []
+    for num, den in nums:
+        k, r = divmod(num * q, den)
+        if 2 * r > den or (2 * r == den and k & 1):
+            k += 1
+        ks.append(k)
+    return ks
+
+
 def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fraction, ...]:
     """Small-denominator feasible point near the given deep point.
 
@@ -105,12 +120,14 @@ def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fr
     coordinates to a common small denominator usually stays inside; the first
     q whose rounding passes the exact membership check wins.  If no q <= 64
     does, the exact point itself is kept.  The check runs on the numerators
-    k_i = round(x_i * q): sum a_i k_i < b * q (<= for closed rows).
+    k_i = round(x_i * q), taken in integers (_rounded): sum a_i k_i < b * q
+    (<= for closed rows).
     """
+    nums = [(x.numerator, x.denominator) for x in point]
     for q in range(1, 65):
-        ks = [round(x * q) for x in point]
+        ks = _rounded(nums, q)
         for coeffs, rhs, strict in ineqs:
-            lhs = sum(a * k for a, k in zip(coeffs, ks))
+            lhs = sum(map(mul, coeffs, ks))
             if lhs > rhs * q or (strict and lhs == rhs * q):
                 break
         else:
@@ -212,6 +229,7 @@ def _leaf_record(
     n: int,
     boundary: Boundary,
     walls: Sequence[H2Element],
+    signs: Sequence[tuple[_Ineq, _Ineq]],
     strict_base: list[_Ineq],
     relaxed: list[_Ineq],
     bits: tuple[bool, ...],
@@ -220,11 +238,11 @@ def _leaf_record(
     """The record of a feasible full sign pattern, with a simplified witness.
 
     tableau is the leaf's optimal tableau from the descent: the admissibility
-    rows of the boundary mode followed by one row per wall.  The witness is
-    read off it after folding in relaxed, the strict versions of the rows
-    that the boundary mode relaxes (none in strict mode), so it is strictly
-    admissible in either mode; it is then simplified over the strict
-    admissibility and wall rows.
+    rows of the boundary mode followed by one row per wall, signs[k][bit]
+    for wall k.  The witness is read off it after folding in relaxed, the
+    strict versions of the rows that the boundary mode relaxes (none in
+    strict mode), so it is strictly admissible in either mode; it is then
+    simplified over the strict admissibility and wall rows.
     """
     sig = ChamberSignature(walls, bits)
     deep = feasible_point(relaxed, n, tableau)
@@ -233,7 +251,7 @@ def _leaf_record(
             f"sign pattern {sig.bit_string()} at n={n} ({boundary}) was "
             f"feasible on descent but has no strictly admissible point"
         )
-    pt = _simplify_point(deep, strict_base + [_wall_ineq(w, b) for w, b in zip(walls, bits)])
+    pt = _simplify_point(deep, strict_base + [rows[b] for rows, b in zip(signs, bits)])
     cap = Capacities(pt)
     margin = cap.volume_margin()
     if margin <= 0:
@@ -255,6 +273,7 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     subtree.  Each full sign pattern then reads its witness off its own
     tableau, after a few more dual steps in inclusive mode that restore the
     strict pair rows (_leaf_record); no leaf solves from the trivial optimum.
+    Both sign rows of every wall are built and scaled once per call.
 
     The boundary convention decides which sign patterns count as feasible;
     witnesses are drawn from the strictly admissible part of each pattern
@@ -278,6 +297,9 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     root = interior_tableau(base, n)
     if root is None:
         return ()
+    # (False row, True row) of each wall, as inequalities and scaled
+    signs = [(_wall_ineq(w, False), _wall_ineq(w, True)) for w in walls]
+    scaled = [tuple(scaled_row(row, n) for row in rows) for rows in signs]
     found: list[ChamberRecord] = []
     # Depth first with an explicit stack, so no closure refers to itself and
     # the search leaves no cyclic garbage.  An entry is a feasible node: its
@@ -287,10 +309,12 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     while stack:
         bits, tableau = stack.pop()
         if len(bits) == len(walls):
-            found.append(_leaf_record(n, boundary, walls, strict_base, relaxed, bits, tableau))
+            found.append(
+                _leaf_record(n, boundary, walls, signs, strict_base, relaxed, bits, tableau)
+            )
             continue
         for positive in (False, True):
-            child = tighten(tableau, _wall_ineq(walls[len(bits)], positive))
+            child = tighten_scaled(tableau, scaled[len(bits)][positive])
             if child is not None:
                 stack.append((bits + (positive,), child))
     return tuple(sorted(found, key=lambda rec: rec.signature.bits, reverse=True))

@@ -19,22 +19,29 @@ Because eps* only falls as rows are added, the first prefix that fails
 decides the whole system.
 
 The tableau is kept in dictionary form (Chvatal, Linear Programming, 1983,
-ch. 2-3): each row holds only the nonbasic columns and the rhs, one entry
-per structural variable and one more, however many rows there are.  It is
-fraction-free: each input row is scaled by the lcm of its denominators, and
-the entries are Python ints over the basis determinant d (Azulay and Pique,
-ACM TOMS 27, 2001), pivoted by Edmonds-Bareiss integer elimination (every
-entry stays a subdeterminant of the scaled input, so each division is
-exact).  The pivot rule picks by variable label, never by column position,
-so every solve visits the bases of the full tableau.  Fractions appear only
-when the optimal vertex is read off.
+ch. 2-3): a row holds only the nonbasic columns and the rhs, one entry per
+structural variable and one more, however many rows there are.  Only the
+rows of the basic structural variables are stored, at most one per
+structural variable; the row of a basic slack is derived from its scaled
+input row when the dual step needs it (a slack's rhs is tested by one dot
+product, and only the row that leaves is built), so a pivot rewrites the
+structural rows and the objective only.  It is fraction-free: each input row is scaled by
+the lcm of its denominators, and the entries are Python ints over the
+basis determinant d (Azulay and Pique, ACM TOMS 27, 2001), pivoted by
+Edmonds-Bareiss integer elimination (every entry stays a subdeterminant of
+the scaled input, so each division is exact).  The pivot rule picks by
+variable label, never by column position, so every solve visits the bases
+of the full tableau.  Fractions appear only when the optimal vertex is
+read off.  A row that is not nvars ints or Fractions is refused before it
+reaches a tableau.
 
 A solved tableau is never mutated, so chamber enumeration keeps each
 node's tableau and decides every child by one more step of the same fold.
 A fold may also start from such a tableau instead of the trivial optimum
 (the start argument of interior_tableau and feasible_point): a chamber
 leaf's witness is read off the descent's tableau with at most a few rows
-more, never solved afresh.
+more, never solved afresh.  A row appended many times is scaled once by
+scaled_row and appended by tighten_scaled; the tableaux share it.
 
 Free variables are split x = u - v with u, v >= 0 to reach standard form.
 """
@@ -44,6 +51,7 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 # one inequality: (coefficients, rhs, strict) meaning sum a_j x_j < rhs (or <=)
@@ -60,36 +68,58 @@ class _Simplex:
     all entries are ints; its slack variable gets coefficient 1, which
     rescales the slack and leaves every pivot choice as it is over the
     rationals.  Variables are labelled: structural 0..n-1 (eps is n-1), and
-    slack n+i for row i, where row 0 is eps <= 1.  Only the nonbasic columns
-    are stored (the dictionary form): nb[k] labels position k, and row i,
-    whose basic variable is basis[i], holds the entries rows[i][k] / d and
-    the value rows[i][-1] / d (obj likewise, with obj[-1] / d = -eps).  The
-    entries are those of the full tableau over its common denominator d > 0,
-    so a rule applied by label makes the same choices as it would there.
+    slack n+i for input row i, where row 0 is eps <= 1; inputs[i] is the
+    scaled row (a_i, b_i).  Only the nonbasic columns are kept (the
+    dictionary form): nb[k] labels position k, and the row of a basic
+    variable holds the entries row[k] / d and the value row[-1] / d (obj
+    likewise, with obj[-1] / d = -eps).
+
+    Only the rows of basic structural variables are stored, in rows by
+    label.  The row of a basic slack n+i is derived by _row(i): a_i * d on
+    the nonbasic structural columns, 0 on the nonbasic slack columns and
+    b_i * d in the rhs, minus a_i[j] * rows[j] for every basic structural
+    j.  A basic variable's row is fixed by the basis, so over the same basis
+    and d > 0 a stored or derived row is the full tableau's row over its
+    common denominator, entry for entry, and a rule applied by label makes
+    the same choices as it would there.
 
     A new instance is the trivial optimum: eps <= 1 alone, with eps pivoted
     into the basis at 1.  Every other pivot comes from with_row().
     """
 
     def __init__(self, nvars: int):
+        if nvars < 0:
+            raise ValueError(f"nvars must be >= 0, got {nvars}")
         self.n = 2 * nvars + 1
         eps = self.n - 1
-        self.rows = [[0] * eps + [1, 1]]
-        self.basis = [self.n]
+        self.inputs = [([0] * eps + [1], 1)]
+        self.rows: dict[int, list[int]] = {}
         self.nb = list(range(self.n))
         self.obj = [0] * eps + [1, 0]
         self.d = 1
-        self._pivot(0, eps)
+        self._pivot(self.n, self._row(0), eps)
 
-    def _pivot(self, r: int, col: int) -> None:
-        """Exchange basis[r] with nb[col] by one Bareiss step.
+    def _row(self, i: int) -> list[int]:
+        """The row of slack n+i over the current basis, derived from inputs[i]."""
+        a, b = self.inputs[i]
+        d, n = self.d, self.n
+        row = [a[j] * d if j < n else 0 for j in self.nb] + [b * d]
+        for j, other in self.rows.items():
+            f = a[j]
+            if f != 0:
+                row = [v - f * w for v, w in zip(row, other)]
+        return row
+
+    def _pivot(self, leave: int, row: list[int], col: int) -> None:
+        """Exchange the basic variable leave, whose row is row, with nb[col] by one Bareiss step.
 
         The leaving variable takes over position col.  Its full-tableau
-        column, d in row r and 0 elsewhere, comes out as s*d in row r, -s*f
-        in a row with entering entry f and -s*obj[col] in obj, where s is the
-        sign of the pivot.  No row is written in place: rows may be shared.
+        column, d in its own row and 0 elsewhere, comes out as s*d in the
+        pivot row, -s*f in a row with entering entry f and -s*obj[col] in
+        obj, where s is the sign of the pivot.  The pivot row becomes the
+        entering variable's, stored only if that is structural.  No row is
+        written in place: rows may be shared.
         """
-        row = self.rows[r]
         p, d = row[col], self.d
         # keep d > 0 so that signs of entries are signs of values; with the
         # pivot row negated and |p|, every updated row comes out negated too
@@ -106,61 +136,87 @@ class _Simplex:
             new[col] = -s * f
             return new
 
-        self.rows = [base if i == r else eliminate(row) for i, row in enumerate(self.rows)]
+        enter = self.nb[col]
+        rows = {j: eliminate(other) for j, other in self.rows.items() if j != leave}
+        if enter < self.n:
+            rows[enter] = base
+        self.rows = rows
         self.obj = eliminate(self.obj)
         self.d = p
-        self.basis[r], self.nb[col] = self.nb[col], self.basis[r]
+        self.nb[col] = leave
+
+    def _leaving(self, first: int = 0) -> Optional[tuple[int, list[int]]]:
+        """(label, row) of the basic variable of least label with a negative rhs, or None.
+
+        Structural labels come first.  A slack n+i has rhs b_i*d - a_i.x,
+        with x the structural basic values over d, so it is tested by one
+        dot product and only the one that leaves has its row derived; a
+        nonbasic slack's row is tight, b_i*d = a_i.x, so it never leaves.
+        Input rows before first are known to have rhs >= 0.
+        """
+        negative = [j for j, row in self.rows.items() if row[-1] < 0]
+        if negative:
+            j = min(negative)
+            return j, self.rows[j]
+        d, x = self.d, [0] * self.n
+        for j, row in self.rows.items():
+            x[j] = row[-1]
+        for i in range(first, len(self.inputs)):
+            a, b = self.inputs[i]
+            if b * d < sum(map(mul, a, x)):
+                return self.n + i, self._row(i)
+        return None
 
     def _by_label(self) -> list[int]:
         """The column positions in increasing order of their labels."""
         return sorted(range(len(self.nb)), key=self.nb.__getitem__)
 
     def values(self) -> dict[int, Fraction]:
-        """The basic solution as {label: value}."""
-        return {bi: Fraction(row[-1], self.d) for row, bi in zip(self.rows, self.basis)}
+        """The basic structural values as {label: value}; the other structurals are 0."""
+        return {j: Fraction(row[-1], self.d) for j, row in self.rows.items()}
 
     def with_row(self, a: Sequence[int], b: int) -> Optional["_Simplex"]:
         """A solved copy with the row a.z <= b appended, or None if infeasible.
 
-        The new row, raw*d - sum raw[b_i]*rows[i] over the optimal basis and
-        the nonbasic columns, gets the new slack n+m as its basic variable;
-        that leaves the basis determinant, hence d, unchanged.  The dual
-        simplex then pivots out the negative rhs of smallest basis label on
+        The new row's slack n+m is basic, which leaves the basis
+        determinant, hence d, unchanged.  self is optimal, so the new row is
+        the only one whose rhs can be negative until the first pivot.  The
+        dual simplex pivots out the negative rhs of smallest basis label on
         the column of least ratio obj[j] / row[j] over row[j] < 0 (smallest
         label on ties); no such column means the system has no point.  Rows
         that no pivot touches stay shared with self, which is never mutated.
         """
-        d = self.d
-        new = [a[j] * d if j < self.n else 0 for j in self.nb] + [b * d]
-        for row, bi in zip(self.rows, self.basis):
-            f = a[bi] if bi < self.n else 0
-            if f != 0:
-                new = [v - f * w for v, w in zip(new, row)]
         child = copy.copy(self)
-        child.rows = self.rows + [new]
-        child.basis = self.basis + [self.n + len(self.rows)]
+        child.inputs = self.inputs + [(a, b)]
         child.nb = list(self.nb)
-        while True:
-            leave = None
-            for i, row in enumerate(child.rows):
-                if row[-1] < 0 and (leave is None or child.basis[i] < child.basis[leave]):
-                    leave = i
-            if leave is None:
-                return child
-            row, obj = child.rows[leave], child.obj
-            enter = None
+        leave = child._leaving(len(self.inputs))
+        while leave is not None:
+            label, row = leave
+            obj, enter = child.obj, None
             for j in child._by_label():
                 # obj[j] / row[j] < obj[enter] / row[enter], both rows negative
                 if row[j] < 0 and (enter is None or obj[j] * row[enter] < obj[enter] * row[j]):
                     enter = j
             if enter is None:
                 return None
-            child._pivot(leave, enter)
+            child._pivot(label, row, enter)
+            leave = child._leaving()
+        return child
 
 
-def _scaled_row(ineq: Ineq) -> tuple[list[int], int]:
-    """(z-row, rhs) of one inequality, scaled to ints by the lcm of its denominators."""
+def scaled_row(ineq: Ineq, nvars: int) -> tuple[list[int], int]:
+    """(z-row, rhs) of one inequality, scaled to ints by the lcm of its denominators.
+
+    A row of other than nvars coefficients raises ValueError, and an entry
+    that is not an int or a Fraction raises TypeError: no floating point
+    ever reaches a tableau.
+    """
     coeffs, rhs, strict = ineq
+    if len(coeffs) != nvars:
+        raise ValueError(f"row {ineq!r} has {len(coeffs)} coefficients, expected {nvars}")
+    for x in (*coeffs, rhs):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"entry {x!r} of row {ineq!r} is not an int or a Fraction")
     s = lcm(rhs.denominator, *(x.denominator for x in coeffs))
     row = [x.numerator * (s // x.denominator) for x in coeffs]
     return row + [-x for x in row] + [s if strict else 0], rhs.numerator * (s // rhs.denominator)
@@ -168,11 +224,8 @@ def _scaled_row(ineq: Ineq) -> tuple[list[int], int]:
 
 def _interior(lp: _Simplex) -> Optional[_Simplex]:
     """lp if its optimal eps (the last structural column) is positive."""
-    eps = lp.n - 1
-    for row, bi in zip(lp.rows, lp.basis):
-        if bi == eps:
-            return lp if row[-1] > 0 else None
-    return None
+    row = lp.rows.get(lp.n - 1)
+    return lp if row is not None and row[-1] > 0 else None
 
 
 def _split_point(values: dict[int, Fraction], nvars: int) -> tuple[Fraction, ...]:
@@ -200,9 +253,12 @@ def interior_tableau(
     start (by default the trivial optimum) takes the rows one at a time by
     tighten(); eps* only falls as rows are added, so the first empty or
     eps* = 0 prefix decides.  A start other than the default must itself be
-    a tableau with eps* > 0, such as a result of this function or tighten(),
-    and the system solved is then start's rows followed by ineqs.
+    a tableau over nvars variables with eps* > 0, such as a result of this
+    function or tighten(), and the system solved is then start's rows
+    followed by ineqs.
     """
+    if start is not None and start.n != 2 * nvars + 1:
+        raise ValueError(f"start has {start.n // 2} variables, expected {nvars}")
     lp: Optional[_Simplex] = _Simplex(nvars) if start is None else start
     for ineq in ineqs:
         lp = tighten(lp, ineq)
@@ -213,5 +269,10 @@ def interior_tableau(
 
 def tighten(lp: _Simplex, ineq: Ineq) -> Optional[_Simplex]:
     """interior_tableau() of lp's system with ineq appended, warm-started."""
-    child = lp.with_row(*_scaled_row(ineq))
+    return tighten_scaled(lp, scaled_row(ineq, lp.n // 2))
+
+
+def tighten_scaled(lp: _Simplex, row: tuple[list[int], int]) -> Optional[_Simplex]:
+    """tighten() with the row given as its scaled_row(), which is not copied."""
+    child = lp.with_row(*row)
     return None if child is None else _interior(child)

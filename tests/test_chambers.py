@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -592,9 +593,9 @@ class TestWarmDescent:
         pivots = []
         real_pivot = exactlp._Simplex._pivot
 
-        def counting_pivot(lp, r, col):
+        def counting_pivot(lp, leave, row, col):
             pivots.append(col)
-            real_pivot(lp, r, col)
+            real_pivot(lp, leave, row, col)
 
         monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
         walls = negative_wall_classes(n)
@@ -602,9 +603,11 @@ class TestWarmDescent:
         root = exactlp.interior_tableau(base, n)
         assert root is not None and cold_verdict(base, n)
         # each row holds the nonbasic columns of (u, v, eps) and the rhs only,
-        # however many rows the tableau has
+        # however many rows the tableau has, and only the rows of the basic
+        # structural variables are stored
         width = 2 * n + 2
-        assert all(len(row) == width for row in root.rows + [root.obj])
+        assert all(len(row) == width for row in [*root.rows.values(), root.obj])
+        assert set(root.rows) <= set(range(width - 1))
         leaves, decided, pruned, dual = set(), 0, 0, 0
         stack = [((), list(base), root)]
         while stack:
@@ -625,7 +628,8 @@ class TestWarmDescent:
                     continue
                 # the basic point of the warm tableau is itself a witness
                 assert child.d > 0
-                assert all(len(row) == width for row in child.rows + [child.obj])
+                assert all(len(row) == width for row in [*child.rows.values(), child.obj])
+                assert set(child.rows) <= set(range(width - 1))
                 point = exactlp._split_point(child.values(), n)
                 assert all(holds(row, point) for row in child_rows)
                 stack.append((bits + (positive,), child_rows, child))
@@ -681,10 +685,10 @@ class TestWarmDescent:
             finally:
                 inside.pop()
 
-        def counting_pivot(lp, r, col):
+        def counting_pivot(lp, leave, row, col):
             if inside:
                 (pivots if inside == ["root"] else leaf_pivots).append(col)
-            real_pivot(lp, r, col)
+            real_pivot(lp, leave, row, col)
 
         monkeypatch.setattr(chambers, "interior_tableau", counting_fold)  # roots
         monkeypatch.setattr(chambers, "feasible_point", counting_point)  # leaves
@@ -694,6 +698,35 @@ class TestWarmDescent:
                 enumerate_chambers(n, boundary)
         assert (len(solves), len(pivots)) == (6, 37)
         assert (len(leaf_rows), len(leaf_pivots)) == (372, 10)
+
+    def test_lp_steps_pinned_and_wall_rows_built_once(self, monkeypatch):
+        # n=3..5 in both modes: 1,464 appended rows (64 root rows, 1,028
+        # children, 372 leaf rows) and 1,193 pivots.  Each call builds and
+        # scales the two sign rows of every wall once: 88 wall rows over the
+        # six calls, so 64 + 88 + 372 = 524 rows are scaled
+        counts = Counter()
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(exactlp._Simplex, "_pivot", counting("pivot", exactlp._Simplex._pivot))
+        monkeypatch.setattr(
+            exactlp._Simplex, "with_row", counting("with_row", exactlp._Simplex.with_row)
+        )
+        monkeypatch.setattr(exactlp, "scaled_row", counting("scaled", exactlp.scaled_row))
+        monkeypatch.setattr(chambers, "scaled_row", exactlp.scaled_row)
+        monkeypatch.setattr(chambers, "_wall_ineq", counting("walls", chambers._wall_ineq))
+        for n in (3, 4, 5):
+            for boundary in ("strict", "inclusive"):
+                walls = counts["walls"]
+                enumerate_chambers(n, boundary)
+                assert counts["walls"] - walls == 2 * len(negative_wall_classes(n))
+        assert (counts["with_row"], counts["pivot"]) == (1464, 1193)
+        assert (counts["walls"], counts["scaled"]) == (88, 524)
 
 
 def simplify_reference(point, ineqs):
@@ -757,6 +790,25 @@ class TestSimplifyPoint:
             checked += 1
             assert solve(nvars, constraints) == simplify_reference(deep, rows)
         assert checked > 50
+
+    def test_integer_rounding_is_round_of_the_fraction(self):
+        # random points, a coordinate in three lands exactly half way at its q:
+        # x = (2j + 1) / (2q), with j of either sign and either parity
+        rng = random.Random(17)
+        ties = Counter()
+        for _ in range(1500):
+            q = rng.randint(1, 64)
+            point = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 1 / 3:
+                    j = rng.randint(-40, 40)
+                    point.append(F(2 * j + 1, 2 * q))
+                    ties[j % 2, j < 0] += 1
+                else:
+                    point.append(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)))
+            nums = [(x.numerator, x.denominator) for x in point]
+            assert chambers._rounded(nums, q) == [round(x * q) for x in point]
+        assert len(ties) == 4 and min(ties.values()) > 100
 
     def test_half_way_rounds_to_even(self):
         # 5/2 rounds to 2 at q=1, which the closed row x <= 2 admits;

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from cpstrata import exactlp
+from cpstrata import chambers, exactlp
 from cpstrata.exactlp import feasible_point, interior_tableau, tighten
+from cpstrata.lattice import negative_wall_classes
 
 F = Fraction
 
@@ -408,8 +409,8 @@ def test_empty_system_is_origin():
     # the trivial optimum every fold starts from: max eps s.t. eps <= 1,
     # after its one start pivot puts eps (label 4) in the basis at 1
     lp = interior_tableau([], 2)
-    assert (lp.basis, lp.nb, lp.d) == ([4], [0, 1, 2, 3, 5], 1)
-    assert lp.rows == [[0, 0, 0, 0, 1, 1]] and lp.obj == [0, 0, 0, 0, -1, -1]
+    assert (lp.nb, lp.d, lp.inputs) == ([0, 1, 2, 3, 5], 1, [([0, 0, 0, 0, 1], 1)])
+    assert lp.rows == {4: [0, 0, 0, 0, 1, 1]} and lp.obj == [0, 0, 0, 0, -1, -1]
 
 
 def test_fold_order_does_not_change_the_verdict():
@@ -473,7 +474,7 @@ def test_repeated_rows_decide_themselves():
 
 
 def tableau_state(lp):
-    return copy.deepcopy((lp.rows, lp.obj, lp.basis, lp.d))
+    return copy.deepcopy((lp.rows, lp.obj, lp.nb, lp.inputs, lp.d))
 
 
 @pytest.mark.parametrize("seed", range(len(FROZEN)))
@@ -497,7 +498,9 @@ def test_rows_appended_one_at_a_time_match_cold_solves(seed):
         if lp is None:
             continue  # a superset of an empty system stays empty
         assert lp.d > 0
-        assert len(lp.rows) == len(lp.basis) == k + 1
+        # one input row per slack, eps <= 1 first; stored rows for at most
+        # the 2 * nvars + 1 structural variables
+        assert len(lp.inputs) == k + 1 and len(lp.rows) <= 2 * nvars + 1
         assert satisfies(prefix, exactlp._split_point(lp.values(), nvars))
 
 
@@ -508,9 +511,9 @@ def test_appended_rows_reach_both_verdicts_and_dual_pivots(monkeypatch):
     pivots = []
     real_pivot = exactlp._Simplex._pivot
 
-    def counting_pivot(lp, r, col):
+    def counting_pivot(lp, leave, row, col):
         pivots.append(col)
-        real_pivot(lp, r, col)
+        real_pivot(lp, leave, row, col)
 
     monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
     verdicts, dual = set(), 0
@@ -530,7 +533,8 @@ def test_appended_rows_reach_both_verdicts_and_dual_pivots(monkeypatch):
 
 def test_rows_appended_past_any_reserved_width_match_cold_solves():
     # the dictionary reserves no column per future row: a one-row root takes
-    # as many rows as come, and every row keeps 2 * nvars + 2 entries
+    # as many rows as come, every row keeps 2 * nvars + 2 entries, and only
+    # the basic structural variables' rows are stored
     root = ((1, 1), 2, True)  # x + y < 2
     extra = [
         ((-1, 0), 0, False), ((0, -1), 0, False), ((1, -1), 1, True), ((-1, 1), 1, True),
@@ -546,8 +550,8 @@ def test_rows_appended_past_any_reserved_width_match_cold_solves():
         assert (lp is not None) == (cold is not None), k
         if lp is None:
             break
-        assert len(lp.rows) == k + 2
-        assert all(len(row) == 6 for row in lp.rows + [lp.obj])
+        assert len(lp.inputs) == k + 2 and len(lp.rows) <= 5
+        assert all(len(row) == 6 for row in [*lp.rows.values(), lp.obj])
         assert satisfies(prefix, exactlp._split_point(lp.values(), 2))
     assert verdicts == [True] * 9 + [False]
 
@@ -570,3 +574,228 @@ def test_cut_without_interior_prunes_on_eps():
     child = lp.with_row([-1, 1, 0], -1)
     assert child is not None and child.values().get(2, 0) == 0
     assert tighten(lp, ((-1,), -1, False)) is None
+
+
+@pytest.mark.parametrize(
+    "ineqs,nvars,error,match",
+    [
+        # a coefficient too many is not dropped, one too few is not an IndexError
+        ([((1, 2), 1, False)], 1, ValueError, r"row \(\(1, 2\), 1, False\) has 2 .*expected 1"),
+        ([((1,), 1, False)], 2, ValueError, r"row \(\(1,\), 1, False\) has 1 coeff.*expected 2"),
+        ([((1,), 1, False), ((1, 0), 1, True)], 1, ValueError, r"row \(\(1, 0\), 1, True\)"),
+        ([], -1, ValueError, r"nvars must be >= 0, got -1"),
+        ([((), 0, False)], -1, ValueError, r"nvars must be >= 0, got -1"),
+        # no floating point, ever: not in a coefficient, not in a rhs
+        ([((F(1, 2), 0.5), 1, False)], 2, TypeError, r"entry 0\.5 of row \(\(Fraction\(1, 2"),
+        ([((1,), 1.0, True)], 1, TypeError, r"entry 1\.0 of row"),
+        ([(("1",), 1, True)], 1, TypeError, r"entry '1' of row"),
+    ],
+)
+def test_malformed_rows_fail_fast(ineqs, nvars, error, match):
+    with pytest.raises(error, match=match):
+        feasible_point(ineqs, nvars)
+
+
+def test_malformed_rows_fail_on_a_warm_tableau():
+    lp = interior_tableau([((1, 1), 2, True)], 2)
+    with pytest.raises(ValueError, match="has 3 coefficients, expected 2"):
+        tighten(lp, ((1, 1, 1), 2, True))
+    with pytest.raises(TypeError, match="entry 2.5 of row"):
+        tighten(lp, ((1, 1), 2.5, True))
+    with pytest.raises(ValueError, match="start has 2 variables, expected 3"):
+        feasible_point([], 3, lp)
+
+
+def test_zero_variables_decide_constant_rows():
+    assert feasible_point([((), 1, True)], 0) == ()
+    assert feasible_point([((), 0, True)], 0) is None
+
+
+class FullDictionary:
+    """The integer dictionary as it was before only structural rows were stored.
+
+    A test oracle: it keeps one row per basic variable, slacks included, in
+    basis order, and every pivot rewrites all of them.  Same labels, same
+    dual Bland rule, same Bareiss step.
+    """
+
+    def __init__(self, nvars):
+        self.n = 2 * nvars + 1
+        eps = self.n - 1
+        self.rows = [[0] * eps + [1, 1]]
+        self.basis = [self.n]
+        self.nb = list(range(self.n))
+        self.obj = [0] * eps + [1, 0]
+        self.d = 1
+        self._pivot(0, eps)
+
+    def _pivot(self, r, col):
+        row = self.rows[r]
+        p, d = row[col], self.d
+        s = 1 if p > 0 else -1
+        base = list(row) if s > 0 else [-v for v in row]
+        base[col] = s * d
+        p *= s
+
+        def eliminate(row):
+            f = row[col]
+            if f == 0:
+                return row if p == d else [v * p // d for v in row]
+            new = [(v * p - f * w) // d for v, w in zip(row, base)]
+            new[col] = -s * f
+            return new
+
+        self.rows = [base if i == r else eliminate(row) for i, row in enumerate(self.rows)]
+        self.obj = eliminate(self.obj)
+        self.d = p
+        self.basis[r], self.nb[col] = self.nb[col], self.basis[r]
+
+    def with_row(self, a, b):
+        d = self.d
+        new = [a[j] * d if j < self.n else 0 for j in self.nb] + [b * d]
+        for row, bi in zip(self.rows, self.basis):
+            f = a[bi] if bi < self.n else 0
+            if f != 0:
+                new = [v - f * w for v, w in zip(new, row)]
+        child = copy.copy(self)
+        child.rows = self.rows + [new]
+        child.basis = self.basis + [self.n + len(self.rows)]
+        child.nb = list(self.nb)
+        while True:
+            leave = None
+            for i, row in enumerate(child.rows):
+                if row[-1] < 0 and (leave is None or child.basis[i] < child.basis[leave]):
+                    leave = i
+            if leave is None:
+                return child
+            row, obj = child.rows[leave], child.obj
+            enter = None
+            for j in sorted(range(len(child.nb)), key=child.nb.__getitem__):
+                if row[j] < 0 and (enter is None or obj[j] * row[enter] < obj[enter] * row[j]):
+                    enter = j
+            if enter is None:
+                return None
+            child._pivot(leave, enter)
+
+
+def full_rows(lp):
+    """Every basic row of an exactlp tableau by label: the stored ones and the derived."""
+    rows = dict(lp.rows)
+    nonbasic = set(lp.nb)
+    for i in range(len(lp.inputs)):
+        if lp.n + i not in nonbasic:
+            rows[lp.n + i] = lp._row(i)
+    return rows
+
+
+def state(lp):
+    return lp.d, list(lp.nb), lp.obj, full_rows(lp)
+
+
+def oracle_state(lp):
+    return lp.d, list(lp.nb), lp.obj, dict(zip(lp.basis, lp.rows))
+
+
+class Lockstep:
+    """exactlp's tableau and FullDictionary side by side, pivot for pivot.
+
+    Each pivot logs (leaving label, entering label) and the whole state
+    after it, on both sides; the logs, the verdicts and the final states
+    must be equal.  pivots and with_row count what both sides did.
+    """
+
+    def __init__(self, monkeypatch):
+        self.logs = {"new": [], "oracle": []}
+        self.pivots = self.with_row = 0
+        real_new, real_oracle = exactlp._Simplex._pivot, FullDictionary._pivot
+
+        def new_pivot(lp, leave, row, col):
+            enter = lp.nb[col]
+            real_new(lp, leave, row, col)
+            self.logs["new"].append((leave, enter, state(lp)))
+
+        def oracle_pivot(lp, r, col):
+            leave, enter = lp.basis[r], lp.nb[col]
+            real_oracle(lp, r, col)
+            self.logs["oracle"].append((leave, enter, oracle_state(lp)))
+
+        monkeypatch.setattr(exactlp._Simplex, "_pivot", new_pivot)
+        monkeypatch.setattr(FullDictionary, "_pivot", oracle_pivot)
+
+    def _check_pivots(self):
+        assert self.logs["new"] == self.logs["oracle"]
+        self.pivots += len(self.logs["new"])
+        self.logs["new"].clear()
+        self.logs["oracle"].clear()
+
+    def start(self, nvars):
+        """Both trivial optima."""
+        pair = exactlp._Simplex(nvars), FullDictionary(nvars)
+        self._check_pivots()
+        assert state(pair[0]) == oracle_state(pair[1])
+        return pair
+
+    def step(self, lp, oracle, row):
+        """Both children of the scaled row, or None once they are infeasible or have eps* = 0."""
+        parent = state(lp)
+        child, oracle_child = lp.with_row(*row), oracle.with_row(*row)
+        self.with_row += 1
+        self._check_pivots()
+        assert state(lp) == parent  # the parent is never mutated
+        assert (child is None) == (oracle_child is None)
+        if child is None:
+            return None
+        assert state(child) == oracle_state(oracle_child)
+        interior = exactlp._interior(child)
+        eps = oracle_child.rows[oracle_child.basis.index(oracle_child.n - 1)][-1]
+        assert (interior is not None) == (eps > 0)
+        return None if interior is None else (child, oracle_child)
+
+
+@pytest.fixture
+def lockstep(monkeypatch):
+    return Lockstep(monkeypatch)
+
+
+def test_lockstep_with_full_dictionary_on_frozen_systems(lockstep):
+    for seed in range(len(FROZEN)):
+        rows, nvars = random_system(seed)
+        pair = lockstep.start(nvars)
+        for row in rows:
+            pair = lockstep.step(*pair, exactlp.scaled_row(row, nvars))
+            if pair is None:
+                break
+        point = None if pair is None else exactlp._split_point(pair[0].values(), nvars)
+        assert as_text(point) == FROZEN[seed]
+    # 1,056 appended rows; 1,166 pivots: the start pivots of the 300 trivial
+    # optima, 177 dual pivots on the first rows and the 689 on later ones
+    assert (lockstep.with_row, lockstep.pivots) == (1056, 1166)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+def test_lockstep_with_full_dictionary_on_every_chamber_node(n, boundary, lockstep):
+    # the root fold, both children of every node of the descent and the
+    # strict pair rows folded onto every leaf, as enumerate_chambers runs them
+    walls = negative_wall_classes(n)
+    base = chambers._admissibility_ineqs(n, boundary)
+    relaxed = [row for row in chambers._admissibility_ineqs(n, "strict") if row not in base]
+    pair = lockstep.start(n)
+    for row in base:
+        pair = lockstep.step(*pair, exactlp.scaled_row(row, n))
+    assert pair is not None
+    stack, leaves = [((), pair)], 0
+    while stack:
+        bits, pair = stack.pop()
+        if len(bits) == len(walls):
+            leaves += 1
+            for row in relaxed:
+                pair = lockstep.step(*pair, exactlp.scaled_row(row, n))
+            assert pair is not None
+            continue
+        for positive in (False, True):
+            row = chambers._wall_ineq(walls[len(bits)], positive)
+            child = lockstep.step(*pair, exactlp.scaled_row(row, n))
+            if child is not None:
+                stack.append((bits + (positive,), child))
+    assert leaves == len(chambers.enumerate_chambers(n, boundary))
