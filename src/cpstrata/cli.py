@@ -23,7 +23,7 @@ from .chambers import (
     label_from_signature,
 )
 from .confgeom import ProjectivePoint, collinear_triples, cross_ratio, stratum
-from .dga import cohomology_ranks, dga_to_json
+from .dga import cohomology_ranks, complete_through_cap, dga_to_json
 from .kriz import KrizParams, kriz_model
 from .lattice import Capacities, H2Element
 from .verify import SUITES, report_json, run_suites
@@ -211,12 +211,15 @@ def _cmd_model_cohomology(args, cfg) -> int:
 def _cmd_kriz(args, cfg) -> int:
     D = kriz_model(KrizParams(args.m, args.k), degree_cap=_degree_cap(args, cfg))
     report = cohomology_ranks(D)
+    # a chi summed through a cap that cuts classes off would be wrong: print null
+    complete = complete_through_cap(D)
     payload = {
         "m": args.m,
         "k": args.k,
         "degree_cap": D.degree_cap,
         "ranks": report.rank_list(),
-        "euler_characteristic": report.euler_characteristic(),
+        "complete": complete,
+        "euler_characteristic": report.euler_characteristic() if complete else None,
     }
     lines = [f"ranks through degree {D.degree_cap}: {report.rank_list()}"]
     _emit(payload, lines, args, cfg)

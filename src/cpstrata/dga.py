@@ -345,6 +345,18 @@ def cohomology_ranks(D: DgaSpec) -> CohomologyReport:
     return _cohomology(_QuotientDifferential(D))
 
 
+def complete_through_cap(D: DgaSpec) -> bool:
+    """True iff the ranks through the cap are the whole cohomology.
+
+    The quotient algebra A is generated in degrees 1..g, g the largest
+    generator degree, so A = 0 in the window cap+1..cap+g forces A = 0 in
+    every higher degree, and then no cochain lies above the cap.  Decided
+    on request: it builds the window's frames, which the ranks never need.
+    """
+    cap, g = D.degree_cap, max(D.table.degrees, default=0)
+    return all(D.algebra.quotient_dimension(q) == 0 for q in range(cap + 1, cap + g + 1))
+
+
 def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
     D = quot.D
     check_d_squared(D)

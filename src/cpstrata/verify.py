@@ -325,6 +325,7 @@ def suite_conf(rec: Recorder) -> None:
             [pp("1:0:0"), pp("0:1:0"), pp("0:0:1")],
             [pp("1:0:0"), pp("0:1:0"), pp("1:1:0")],
         ]
+        labels = [stratum(pts) for pts in configs]
         agreed = 0
         tried = 0
         while tried < 100:
@@ -333,7 +334,7 @@ def suite_conf(rec: Recorder) -> None:
                 continue
             pts = configs[tried % len(configs)]
             moved = [apply_pgl(M, p) for p in pts]
-            if stratum(moved) == stratum(pts):
+            if stratum(moved) == labels[tried % len(configs)]:
                 agreed += 1
             tried += 1
         return agreed
@@ -353,9 +354,7 @@ def suite_conf(rec: Recorder) -> None:
             a = ProjectivePoint([1, rng.randint(-5, 5), rng.randint(-5, 5)])
             b = ProjectivePoint([0, 1, rng.randint(-5, 5)])
             pts = [
-                ProjectivePoint(
-                    [x + t * y for x, y in zip(a.coords, b.coords)]
-                )
+                ProjectivePoint([x + t * y for x, y in zip(a.triple, b.triple)])
                 for t in params
             ]
             before = cross_ratio(pts)

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, payload shapes, exit codes."""
 
 import json
+import runpy
 import time
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 
 from cpstrata import ballmodels, chambers, verify
 from cpstrata.cli import RunConfig, canonical_json, main, parse_weights
-from cpstrata.kriz import KrizParams
+from cpstrata.dga import cohomology_ranks, complete_through_cap
+from cpstrata.kriz import KrizParams, kriz_model
 from cpstrata.verify import IEMB_ROWS
 
 # stdout of each command, frozen before the monomial kernel replaced the
@@ -17,6 +19,9 @@ PAYLOADS = json.loads((Path(__file__).parent / "data" / "cli_payloads.json").rea
 # stdout of chamber classify in JSON and text form per capacity list, frozen
 # while admissibility and wall signs were still evaluated in Fractions
 CLASSIFY = json.loads((Path(__file__).parent / "data" / "classify_payloads.json").read_text())
+# stdout of conf stratify in JSON and text form per point list, and of the
+# stratify demo, frozen while points were still computed in Fractions
+CONF = json.loads((Path(__file__).parent / "data" / "conf_payloads.json").read_text())
 # the verify all payload without timings, as the benchmark checks it
 VERIFY_ALL = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
@@ -321,12 +326,47 @@ class TestKriz:
     def test_three_points_in_the_plane(self, capsys):
         payload = run_json(capsys, "kriz", "--m", "2", "--k", "3")
         assert payload["ranks"] == [1, 0, 3, 0, 3, 0, 1, 1, 0, 1, 0]
+        # the default cap 10 cuts off degree 12, so chi is not claimed
+        assert payload["complete"] is False
+        assert payload["euler_characteristic"] is None
+        payload = run_json(capsys, "kriz", "--m", "2", "--k", "3", "--cap", "12")
+        assert payload["complete"] is True
         assert payload["euler_characteristic"] == 6
+
+    @pytest.mark.parametrize(
+        "m, k, top, chi", [(3, 4, 24, 24), (2, 4, 16, 0), (3, 2, 12, 12), (1, 4, 8, 0)]
+    )
+    def test_chi_is_printed_only_when_the_cap_reaches_the_top(self, capsys, m, k, top, chi):
+        # chi(F(CP^m, k)) is the falling factorial (m+1) m ... (m+2-k); the
+        # quotient algebra ends in degree 2mk, and no class lies above it
+        below = run_json(capsys, "kriz", "--m", str(m), "--k", str(k), "--cap", str(top - 1))
+        assert below["complete"] is False
+        assert below["euler_characteristic"] is None
+        at = run_json(capsys, "kriz", "--m", str(m), "--k", str(k), "--cap", str(top))
+        assert at["complete"] is True
+        assert at["euler_characteristic"] == chi
+        assert at["ranks"][:top] == below["ranks"]
+
+    def test_default_caps_no_longer_print_a_wrong_chi(self, capsys):
+        # the alternating sums through cap 10 read 46 and -7
+        for m, k in ((3, 4), (2, 5)):
+            payload = run_json(capsys, "kriz", "--m", str(m), "--k", str(k))
+            assert payload["degree_cap"] == 10
+            assert (payload["complete"], payload["euler_characteristic"]) == (False, None)
+
+    def test_window_frames_are_built_only_on_request(self):
+        # cohomology_ranks builds frames through cap + 1 and no further
+        D = kriz_model(KrizParams(2, 3), degree_cap=12)
+        cohomology_ranks(D)
+        assert max(D.algebra._frames) == 13
+        assert complete_through_cap(D)
+        assert max(D.algebra._frames) == 15
 
     def test_cap_flag(self, capsys):
         payload = run_json(capsys, "kriz", "--m", "1", "--k", "2", "--cap", "5")
         assert payload["degree_cap"] == 5
         assert payload["ranks"] == [1, 0, 1, 0, 0, 0]
+        assert payload["complete"] is True
         assert payload["euler_characteristic"] == 2
 
     @pytest.mark.parametrize("cap", ["0", "1", "-3"])
@@ -348,6 +388,32 @@ class TestFrozenPayloads:
         code, out, err = run(capsys, *command.split())
         assert code == 0, err
         assert out == PAYLOADS[command]
+
+
+class TestConfPayloads:
+    def test_cases_cover_every_kind(self):
+        payloads = [json.loads(entry["json"]) for entry in CONF["stratify"].values()]
+        labels = {(len(p["points"]), p["stratum"]) for p in payloads}
+        assert labels == {(3, "F_0"), (3, "F_123")} | {
+            (4, s) for s in ("F_0", "F_123", "F_124", "F_134", "F_234", "F_1234")
+        }
+        ratios = {p["cross_ratio"] for p in payloads if "cross_ratio" in p}
+        assert {"1/2", "4/3", "-1", "16/81", "-35/3"} <= ratios
+        assert any("/" in pt for p in payloads for pt in p["points"])
+
+    @pytest.mark.parametrize("points", sorted(CONF["stratify"]))
+    def test_stdout_byte_identical(self, capsys, tmp_path, points):
+        config = tmp_path / "text.json"
+        config.write_text('{"format": "text"}')
+        for key, extra in (("json", ["--json"]), ("text", ["--config", str(config)])):
+            code, out, err = run(capsys, "conf", "stratify", "--points", points, *extra)
+            assert code == 0, err
+            assert out == CONF["stratify"][points][key]
+
+    def test_demo_stdout_byte_identical(self, capsys):
+        demo = Path(__file__).parents[1] / "demos" / "stratify_configurations.py"
+        runpy.run_path(str(demo), run_name="__main__")
+        assert capsys.readouterr().out == CONF["demo"]
 
 
 class TestConfStratify:

@@ -30,6 +30,7 @@ from cpstrata.dga import (
     check_d_squared,
     check_ideal_stability,
     cohomology_ranks,
+    complete_through_cap,
     differential,
     substitute,
     verify_presentation,
@@ -360,6 +361,24 @@ class TestOnePath:
             if not D.algebra.relations:
                 check_ideal_stability(D)
             assert not D.algebra._frames
+
+
+class TestCompleteThroughCap:
+    def test_polynomial_generators_are_never_complete(self):
+        # H of the flag model stops in degree 6, but the window test reads
+        # the quotient algebra, here a polynomial ring in T1, T2
+        D = flag_model()
+        assert cohomology_ranks(D).ranks[9] == 0
+        assert not complete_through_cap(D)
+
+    def test_exterior_algebra_ends_at_its_top_degree(self):
+        table = GeneratorTable(names=("beta", "gamma"), degrees=(3, 5))
+        for cap, complete in ((7, False), (8, True), (12, True)):
+            assert complete_through_cap(DgaSpec(PresentedAlgebra(table, ()), {}, cap)) is complete
+
+    def test_no_generators(self):
+        table = GeneratorTable((), ())
+        assert complete_through_cap(DgaSpec(PresentedAlgebra(table, ()), {}, degree_cap=2))
 
 
 class TestCohomologyRanks:

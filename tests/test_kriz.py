@@ -14,6 +14,7 @@ from cpstrata.dga import (
     check_d_squared,
     check_ideal_stability,
     cohomology_ranks,
+    complete_through_cap,
     differential,
 )
 from cpstrata.gradedalg import GPolynomial
@@ -254,6 +255,15 @@ class TestClosedForms:
         assert [A.quotient_dimension(q) for q in range(top + 1)] == padded(
             hilbert_series(m, k), top
         )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_window_certifies_exactly_the_caps_from_the_top_degree(self, m):
+        # A lives in degrees 0..2mk, so the window above the cap is zero
+        # once the cap reaches 2mk and not before
+        for k in (1, 2, 3, 4):
+            top = 2 * m * k
+            assert complete_through_cap(kriz_model(KrizParams(m, k), degree_cap=top))
+            assert not complete_through_cap(kriz_model(KrizParams(m, k), degree_cap=top - 1))
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_points_on_the_line(self, k):
