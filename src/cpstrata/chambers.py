@@ -188,12 +188,14 @@ def _is_pair_class(u: H2Element) -> bool:
 def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
     """Open admissibility region intersected with the sorted cone c_1 >= ... >= c_n > 0.
 
-    Every row is integral, so coefficients and right-hand sides are ints.  The
-    volume bound is quadratic; for n in 2..5 it is implied by the strict
-    linear constraints (the supremum of sum c_i^2 over the closed linear
-    region is 1, attained only on excluded faces), and for n=1 it linearizes
-    exactly to c_1 < 1.  Witnesses are volume-checked after the fact, so a
-    hypothetical n >= 6 failure would surface as an error, not a wrong answer.
+    Every row is integral, so coefficients and right-hand sides are ints,
+    the only rows exactlp takes; the cone rows force c > 0, so its x >= 0
+    loses no point.  The volume bound is quadratic; for n in 2..5 it is
+    implied by the strict linear constraints (the supremum of sum c_i^2 over
+    the closed linear region is 1, attained only on excluded faces), and for
+    n=1 it linearizes exactly to c_1 < 1.  Witnesses are volume-checked after
+    the fact, so a hypothetical n >= 6 failure would surface as an error,
+    not a wrong answer.
     """
     ineqs: list[_Ineq] = []
     zero = [0] * n

@@ -97,8 +97,7 @@ class DgaSpec:
         # a generator with a value: the field's shift and mask, the odd bits
         # of the generators before it when it is odd (else 0), and the terms
         # of M times its value with their Koszul masks; _valued holds those
-        # fields' bits.  _dcache holds M times d of each packed monomial met
-        # so far: integer terms.
+        # fields' bits.
         self._by_bit: list = [None] * sum(f.bit_length() for f in table._masks)
         self._valued = 0
         for i, name in enumerate(table.names):
@@ -112,7 +111,6 @@ class DgaSpec:
                 width = mask.bit_length()
                 self._by_bit[shift : shift + width] = [(shift, mask, above, tuple(terms))] * width
                 self._valued |= mask << shift
-        self._dcache: dict[int, dict[int, int]] = {}
 
 
 def _monomial_differential(D: DgaSpec, mono: int) -> dict[int, int]:
@@ -123,31 +121,29 @@ def _monomial_differential(D: DgaSpec, mono: int) -> dict[int, int]:
     Leibniz term of g is (-1)^|P| P (e g^(e-1) dg) S; moving dg to the
     front past P g^(e-1) turns it into e (-1)^(|P| |g|) dg (mono / g).  So
     the sign flips only for an odd g behind an odd number of odd generators,
-    and each term of dg meets mono / g in one packed product.
+    and each term of dg meets mono / g in one packed product.  Nothing is
+    cached: the columns ask for each standard monomial once.
     """
-    cached = D._dcache.get(mono)
-    if cached is None:
-        bias, guard = D.table._bias, D.table._guard
-        cached = {}
-        present = mono & D._valued
-        while present:
-            shift, mask, above, terms = D._by_bit[present.bit_length() - 1]
-            e = (present >> shift) & mask
-            present &= (1 << shift) - 1
-            rest = mono - (1 << shift)
-            factor = -e if (mono & above).bit_count() & 1 else e
-            for t, c, koszul in terms:
-                m = t + rest
-                if (m + bias) & guard:
-                    continue
-                v = -factor * c if (rest & koszul).bit_count() & 1 else factor * c
-                s = cached.get(m, 0) + v
-                if s:
-                    cached[m] = s
-                else:
-                    del cached[m]
-        D._dcache[mono] = cached
-    return cached
+    bias, guard = D.table._bias, D.table._guard
+    image: dict[int, int] = {}
+    present = mono & D._valued
+    while present:
+        shift, mask, above, terms = D._by_bit[present.bit_length() - 1]
+        e = (present >> shift) & mask
+        present &= (1 << shift) - 1
+        rest = mono - (1 << shift)
+        factor = -e if (mono & above).bit_count() & 1 else e
+        for t, c, koszul in terms:
+            m = t + rest
+            if (m + bias) & guard:
+                continue
+            v = -factor * c if (rest & koszul).bit_count() & 1 else factor * c
+            s = image.get(m, 0) + v
+            if s:
+                image[m] = s
+            else:
+                del image[m]
+    return image
 
 
 def _d_sum(D: DgaSpec, terms: Iterable[tuple[int, object]]) -> dict:

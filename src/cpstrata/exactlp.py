@@ -1,75 +1,69 @@
-"""Exact rational linear feasibility for mixed strict/nonstrict systems.
+"""Exact rational linear feasibility for mixed strict/nonstrict integer systems.
 
-A system {sum a_ij x_j REL_i b_i} with REL_i in {<, <=} is strictly feasible
-iff the linear program
+A system {sum a_ij x_j REL_i b_i} with REL_i in {<, <=}, integer a_ij and
+b_i, has a point x >= 0 iff the linear program
 
-    maximize eps  subject to  A x + eps * strict_i <= b,  0 <= eps <= 1
+    maximize eps  subject to  A x + eps * strict_i <= b,  x >= 0,  0 <= eps <= 1
 
-has optimal value eps* > 0.  It is solved by one algorithm, the dual
-simplex (Lemke 1954) under a Bland-style rule (no cycling, no floating
+has optimal value eps* > 0.  The variables are nonnegative because chamber
+enumeration, the only caller, solves over the sorted capacity cone: its rows
+-c_n < 0 and c_{i+1} - c_i <= 0 force x > 0, and x >= eps in the program, so
+x >= 0 changes neither the set nor eps*.  It is solved by one algorithm, the
+dual simplex (Lemke 1954) under a Bland-style rule (no cycling, no floating
 point), which stays polynomial-sized on the tiny systems that chamber
 enumeration produces, unlike Fourier-Motzkin whose intermediate systems can
 blow up doubly exponentially.  Every solve is a fold: it starts from the
-trivial optimum of "max eps s.t. eps <= 1" and appends the input rows one
-at a time.  A row appended in terms of the optimal basis leaves the
-objective row, hence dual feasibility, as it is, and the dual simplex
-pivots back to optimality.  An empty ratio test there is the one place an
-infeasible system is found; eps* = 0 is read off the optimal tableau.
-Because eps* only falls as rows are added, the first prefix that fails
-decides the whole system.
+trivial optimum of "max eps s.t. eps <= 1" and appends the input rows one at
+a time.  A row appended in terms of the optimal basis leaves the objective
+row, hence dual feasibility, as it is, and the dual simplex pivots back to
+optimality.  An empty ratio test there is the one place an infeasible system
+is found; eps* = 0 is read off the optimal tableau.  Because eps* only falls
+as rows are added, the first prefix that fails decides the whole system.
 
 The tableau is kept in dictionary form (Chvatal, Linear Programming, 1983,
 ch. 2-3): a row holds only the nonbasic columns and the rhs, one entry per
-structural variable and one more, however many rows there are.  Only the
-rows of the basic structural variables are stored, at most one per
-structural variable; the row of a basic slack is derived from its scaled
+structural variable (x, then eps) and one more, however many rows there
+are.  Only the rows of the basic structural variables are stored, at most
+one per structural variable; the row of a basic slack is derived from its
 input row when the dual step needs it (a slack's rhs is tested by one dot
 product, and only the row that leaves is built), so a pivot rewrites the
-structural rows and the objective only.  It is fraction-free: each input row is scaled by
-the lcm of its denominators, and the entries are Python ints over the
-basis determinant d (Azulay and Pique, ACM TOMS 27, 2001), pivoted by
-Edmonds-Bareiss integer elimination (every entry stays a subdeterminant of
-the scaled input, so each division is exact).  The pivot rule picks by
-variable label, never by column position, so every solve visits the bases
-of the full tableau.  Fractions appear only when the optimal vertex is
-read off.  A row that is not nvars ints or Fractions is refused before it
-reaches a tableau.
+structural rows and the objective only.  It is fraction-free: the input
+rows are ints, and the entries are Python ints over the basis determinant
+d (Azulay and Pique, ACM TOMS 27, 2001), pivoted by Edmonds-Bareiss
+integer elimination (every entry stays a subdeterminant of the input, so
+each division is exact).  The pivot rule picks by variable label, never by
+column position, so every solve visits the bases of the full tableau.
+Fractions appear only when the optimal vertex is read off.  A row that is
+not nvars ints is refused before it reaches a tableau.
 
 A solved tableau is never mutated, so chamber enumeration keeps each
 node's tableau and decides every child by one more step of the same fold.
 A fold may also start from such a tableau instead of the trivial optimum
 (the start argument of interior_tableau and feasible_point): a chamber
 leaf's witness is read off the descent's tableau with at most a few rows
-more, never solved afresh.  A row appended many times is scaled once by
+more, never solved afresh.  A row appended many times is checked once by
 scaled_row and appended by tighten_scaled; the tableaux share it.
-
-Free variables are split x = u - v with u, v >= 0 to reach standard form.
 """
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
-from math import lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 # one inequality: (coefficients, rhs, strict) meaning sum a_j x_j < rhs (or <=)
-Rational = Union[int, Fraction]
-Ineq = tuple[tuple[Rational, ...], Rational, bool]
-
-_ZERO = Fraction(0)
+Ineq = tuple[tuple[int, ...], int, bool]
 
 
 class _Simplex:
-    """max eps over z = (u, v, eps) subject to A z <= b, z >= 0, as an integer dictionary.
+    """max eps over z = (x, eps) subject to A z <= b, z >= 0, as an integer dictionary.
 
-    Each row of (A | b) is its input row scaled by a positive integer, so
-    all entries are ints; its slack variable gets coefficient 1, which
-    rescales the slack and leaves every pivot choice as it is over the
-    rationals.  Variables are labelled: structural 0..n-1 (eps is n-1), and
-    slack n+i for input row i, where row 0 is eps <= 1; inputs[i] is the
-    scaled row (a_i, b_i).  Only the nonbasic columns are kept (the
+    There are nvars + 1 structural columns: x, then eps.  Each row of
+    (A | b) is an input row as given, its ints followed by the eps entry
+    (1 for a strict row, 0 otherwise), and its slack variable gets
+    coefficient 1.  Variables are labelled: structural 0..n-1 (eps is n-1),
+    and slack n+i for input row i, where row 0 is eps <= 1; inputs[i] is
+    the row (a_i, b_i).  Only the nonbasic columns are kept (the
     dictionary form): nb[k] labels position k, and the row of a basic
     variable holds the entries row[k] / d and the value row[-1] / d (obj
     likewise, with obj[-1] / d = -eps).
@@ -90,7 +84,7 @@ class _Simplex:
     def __init__(self, nvars: int):
         if nvars < 0:
             raise ValueError(f"nvars must be >= 0, got {nvars}")
-        self.n = 2 * nvars + 1
+        self.n = nvars + 1
         eps = self.n - 1
         self.inputs = [([0] * eps + [1], 1)]
         self.rows: dict[int, list[int]] = {}
@@ -176,7 +170,7 @@ class _Simplex:
         return {j: Fraction(row[-1], self.d) for j, row in self.rows.items()}
 
     def with_row(self, a: Sequence[int], b: int) -> Optional["_Simplex"]:
-        """A solved copy with the row a.z <= b appended, or None if infeasible.
+        """A new solved tableau with the row a.z <= b appended, or None if infeasible.
 
         The new row's slack n+m is basic, which leaves the basis
         determinant, hence d, unchanged.  self is optimal, so the new row is
@@ -186,7 +180,8 @@ class _Simplex:
         label on ties); no such column means the system has no point.  Rows
         that no pivot touches stay shared with self, which is never mutated.
         """
-        child = copy.copy(self)
+        child = _Simplex.__new__(_Simplex)
+        child.n, child.rows, child.obj, child.d = self.n, self.rows, self.obj, self.d
         child.inputs = self.inputs + [(a, b)]
         child.nb = list(self.nb)
         leave = child._leaving(len(self.inputs))
@@ -205,74 +200,65 @@ class _Simplex:
 
 
 def scaled_row(ineq: Ineq, nvars: int) -> tuple[list[int], int]:
-    """(z-row, rhs) of one inequality, scaled to ints by the lcm of its denominators.
+    """(z-row, rhs) of one inequality: its coefficients, then 1 on eps if it is strict.
 
     A row of other than nvars coefficients raises ValueError, and an entry
-    that is not an int or a Fraction raises TypeError: no floating point
-    ever reaches a tableau.
+    that is not an int (a Fraction, a float or a bool) raises TypeError:
+    the tableau holds the rows as given.
     """
     coeffs, rhs, strict = ineq
     if len(coeffs) != nvars:
         raise ValueError(f"row {ineq!r} has {len(coeffs)} coefficients, expected {nvars}")
     for x in (*coeffs, rhs):
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"entry {x!r} of row {ineq!r} is not an int or a Fraction")
-    s = lcm(rhs.denominator, *(x.denominator for x in coeffs))
-    row = [x.numerator * (s // x.denominator) for x in coeffs]
-    return row + [-x for x in row] + [s if strict else 0], rhs.numerator * (s // rhs.denominator)
-
-
-def _interior(lp: _Simplex) -> Optional[_Simplex]:
-    """lp if its optimal eps (the last structural column) is positive."""
-    row = lp.rows.get(lp.n - 1)
-    return lp if row is not None and row[-1] > 0 else None
-
-
-def _split_point(values: dict[int, Fraction], nvars: int) -> tuple[Fraction, ...]:
-    """x = u - v from the basic solution of a max-eps program."""
-    return tuple(values.get(j, _ZERO) - values.get(nvars + j, _ZERO) for j in range(nvars))
+        if type(x) is not int:
+            raise TypeError(f"entry {x!r} of row {ineq!r} is not an int")
+    return [*coeffs, 1 if strict else 0], rhs
 
 
 def feasible_point(
     ineqs: Sequence[Ineq], nvars: int, start: Optional[_Simplex] = None
 ) -> Optional[tuple[Fraction, ...]]:
-    """A rational point satisfying every constraint (strictness included).
+    """A rational point x >= 0 satisfying every constraint (strictness included).
 
     With start, the point satisfies start's system as well: ineqs are folded
     onto that solved tableau (see interior_tableau).
     """
     lp = interior_tableau(ineqs, nvars, start)
-    return None if lp is None else _split_point(lp.values(), nvars)
+    if lp is None:
+        return None
+    values = lp.values()
+    return tuple(values.get(j, Fraction(0)) for j in range(nvars))
 
 
 def interior_tableau(
     ineqs: Sequence[Ineq], nvars: int, start: Optional[_Simplex] = None
 ) -> Optional[_Simplex]:
-    """The solved max-eps tableau of a strictly feasible system, else None.
+    """The solved max-eps tableau of a system with a point x >= 0, else None.
 
     start (by default the trivial optimum) takes the rows one at a time by
-    tighten(); eps* only falls as rows are added, so the first empty or
-    eps* = 0 prefix decides.  A start other than the default must itself be
-    a tableau over nvars variables with eps* > 0, such as a result of this
-    function or tighten(), and the system solved is then start's rows
-    followed by ineqs.
+    tighten_scaled(); eps* only falls as rows are added, so the first empty
+    or eps* = 0 prefix decides.  A start other than the default must itself
+    be a tableau over nvars variables with eps* > 0, such as a result of
+    this function or tighten_scaled(), and the system solved is then
+    start's rows followed by ineqs.
     """
-    if start is not None and start.n != 2 * nvars + 1:
-        raise ValueError(f"start has {start.n // 2} variables, expected {nvars}")
+    if start is not None and start.n != nvars + 1:
+        raise ValueError(f"start has {start.n - 1} variables, expected {nvars}")
     lp: Optional[_Simplex] = _Simplex(nvars) if start is None else start
     for ineq in ineqs:
-        lp = tighten(lp, ineq)
+        lp = tighten_scaled(lp, scaled_row(ineq, nvars))
         if lp is None:
             break
     return lp
 
 
-def tighten(lp: _Simplex, ineq: Ineq) -> Optional[_Simplex]:
-    """interior_tableau() of lp's system with ineq appended, warm-started."""
-    return tighten_scaled(lp, scaled_row(ineq, lp.n // 2))
-
-
 def tighten_scaled(lp: _Simplex, row: tuple[list[int], int]) -> Optional[_Simplex]:
-    """tighten() with the row given as its scaled_row(), which is not copied."""
+    """The solved tableau of lp's system with row appended, if its eps* > 0, else None.
+
+    row is a scaled_row(), which the new tableau shares.
+    """
     child = lp.with_row(*row)
-    return None if child is None else _interior(child)
+    if child is None:
+        return None
+    eps = child.rows.get(child.n - 1)  # a nonbasic eps is 0
+    return child if eps is not None and eps[-1] > 0 else None

@@ -93,7 +93,13 @@ class Capacities:
         vals = tuple(values)
         if bad := [v for v in vals if not isinstance(v, (Rational, str))]:
             raise TypeError(f"capacity {bad[0]!r} is not an int, Fraction or rational string")
-        vals = tuple(map(Fraction, vals))
+        parsed = []
+        for v in vals:
+            try:
+                parsed.append(Fraction(v))
+            except ZeroDivisionError:
+                raise ValueError(f"capacity {v!r} has a zero denominator") from None
+        vals = tuple(parsed)
         if not vals:
             raise ValueError("need at least one capacity")
         _check_n(len(vals))
@@ -118,14 +124,8 @@ class Capacities:
 
     @classmethod
     def parse(cls, text: str) -> "Capacities":
-        values = []
-        for part in text.split(","):
-            part = part.strip()
-            try:
-                values.append(Fraction(part))
-            except ZeroDivisionError:
-                raise ValueError(f"capacity {part!r} has a zero denominator") from None
-        return cls(values)
+        """Comma-separated rational strings, each stripped of surrounding space."""
+        return cls(part.strip() for part in text.split(","))
 
     def to_json_list(self) -> list[str]:
         return [str(v) for v in self.values]

@@ -3,7 +3,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -35,13 +35,18 @@ def chambers5():
 
 def rows_of(constraints):
     """(coeffs, rhs, strict) rows sum a_i x_i < rhs (<= when not strict)
-    for constraints (coeffs, rhs, relation), relation one of <, <=, >, >=."""
+    for constraints (coeffs, rhs, relation), relation one of <, <=, >, >=.
+
+    Entries may be Fractions; each row is scaled to ints by their common
+    denominator, the same half-space in the only form exactlp takes.
+    """
     rows = []
     for coeffs, rhs, rel in constraints:
         coeffs, rhs = tuple(F(a) for a in coeffs), F(rhs)
         if rel in (">", ">="):
             coeffs, rhs = tuple(-a for a in coeffs), -rhs
-        rows.append((coeffs, rhs, rel in ("<", ">")))
+        s = lcm(*(x.denominator for x in (*coeffs, rhs)))
+        rows.append((tuple(int(a * s) for a in coeffs), int(rhs * s), rel in ("<", ">")))
     return rows
 
 
@@ -78,8 +83,11 @@ class TestFeasibility:
         assert solve(1, [((1,), 1, "<="), ((2,), 2, "<"), ((1,), 1, ">=")]) is None
 
     def test_negative_region(self):
-        pt = solve(2, [((1, 0), -3, "<="), ((0, 1), -4, "<")])
-        assert pt[0] <= -3 and pt[1] < -4
+        # every variable is nonnegative, so x <= -3, y < -4 is empty on the
+        # orthant; its mirror image x >= 3, y > 4 is not
+        assert solve(2, [((1, 0), -3, "<="), ((0, 1), -4, "<")]) is None
+        pt = solve(2, [((1, 0), 3, ">="), ((0, 1), 4, ">")])
+        assert pt[0] >= 3 and pt[1] > 4
 
     def test_empty_system(self):
         assert solve(3, []) == (F(0), F(0), F(0))
@@ -102,16 +110,20 @@ class TestFeasibility:
         assert F(7, 3) <= pt[0] < 3
 
     def test_random_systems_match_brute_grid(self):
-        # compare the exact decision against a dense rational grid scan
+        # compare the exact decision against a dense rational grid scan of
+        # the nonnegative quadrant, where every point the LP finds lies
         rng = random.Random(11)
-        grid = [F(i, 4) for i in range(-8, 9)]
+        grid = [F(i, 4) for i in range(17)]
         for _ in range(40):
             rows = []
             for _ in range(rng.randint(1, 4)):
                 coeffs = (rng.randint(-2, 2), rng.randint(-2, 2))
                 rel = rng.choice(["<", "<=", ">", ">="])
                 rows.append((coeffs, F(rng.randint(-3, 3)), rel))
-            if solve(2, rows) is None:
+            pt = solve(2, rows)
+            if pt is not None:
+                assert min(pt) >= 0
+            else:
                 # no grid point may satisfy the system either
                 def ok(x, y):
                     for (a, b), rhs, rel in rows:
@@ -563,6 +575,31 @@ class TestRowsAsGiven:
             assert len(keys) == count, n
 
 
+class TestLpPrecondition:
+    # exactlp solves over x >= 0 and takes int rows only.  Chamber systems
+    # meet both: the sorted cone's rows -c_n < 0 and c_{i+1} - c_i <= 0
+    # force every capacity positive, and every row folded is all ints
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cone_rows_present_and_folded_rows_all_ints(self, n, boundary, monkeypatch):
+        rows = chambers._admissibility_ineqs(n, boundary)
+        assert (tuple(-int(j == n - 1) for j in range(n)), 0, True) in rows
+        for i in range(n - 1):
+            co = tuple(1 if j == i + 1 else -1 if j == i else 0 for j in range(n))
+            assert (co, 0, False) in rows
+        folded, real = [], exactlp.scaled_row
+
+        def recording(ineq, nvars):
+            folded.append(ineq)
+            return real(ineq, nvars)
+
+        monkeypatch.setattr(exactlp, "scaled_row", recording)
+        monkeypatch.setattr(chambers, "scaled_row", recording)
+        enumerate_chambers(n, boundary)
+        assert set(rows) <= set(folded)
+        assert all(type(x) is int for coeffs, rhs, _ in folded for x in (*coeffs, rhs))
+
+
 def holds(ineq, point):
     coeffs, rhs, strict = ineq
     lhs = sum(a * x for a, x in zip(coeffs, point))
@@ -576,7 +613,7 @@ def cold_verdict(rows, n):
 
 class TestWarmDescent:
     # (children decided, children pruned, dual pivots) of the full tree,
-    # n=3..5 in both modes; 1028, 438 and 1146 in total.  The pivot counts
+    # n=3..5 in both modes; 1028, 438 and 1114 in total.  The pivot counts
     # pin the dual Bland rule: other leaving or entering choices reach the
     # same verdicts through other bases.
     TREE_SIZES = {
@@ -584,8 +621,8 @@ class TestWarmDescent:
         (3, "inclusive"): (2, 0, 1),
         (4, "strict"): (30, 10, 23),
         (4, "inclusive"): (30, 10, 23),
-        (5, "strict"): (482, 209, 499),
-        (5, "inclusive"): (482, 209, 599),
+        (5, "strict"): (482, 209, 487),
+        (5, "inclusive"): (482, 209, 579),
     }
 
     @pytest.mark.parametrize("n,boundary", sorted(TREE_SIZES))
@@ -602,10 +639,10 @@ class TestWarmDescent:
         base = chambers._admissibility_ineqs(n, boundary)
         root = exactlp.interior_tableau(base, n)
         assert root is not None and cold_verdict(base, n)
-        # each row holds the nonbasic columns of (u, v, eps) and the rhs only,
+        # each row holds the nonbasic columns of (x, eps) and the rhs only,
         # however many rows the tableau has, and only the rows of the basic
         # structural variables are stored
-        width = 2 * n + 2
+        width = n + 2
         assert all(len(row) == width for row in [*root.rows.values(), root.obj])
         assert set(root.rows) <= set(range(width - 1))
         leaves, decided, pruned, dual = set(), 0, 0, 0
@@ -619,7 +656,7 @@ class TestWarmDescent:
                 extra = chambers._wall_ineq(walls[len(bits)], positive)
                 child_rows = rows + [extra]
                 before = len(pivots)
-                child = exactlp.tighten(tableau, extra)
+                child = exactlp.interior_tableau([extra], n, tableau)
                 dual += len(pivots) - before
                 decided += 1
                 assert (child is not None) == cold_verdict(child_rows, n), (bits, positive)
@@ -630,7 +667,7 @@ class TestWarmDescent:
                 assert child.d > 0
                 assert all(len(row) == width for row in [*child.rows.values(), child.obj])
                 assert set(child.rows) <= set(range(width - 1))
-                point = exactlp._split_point(child.values(), n)
+                point = feasible_point([], n, child)
                 assert all(holds(row, point) for row in child_rows)
                 stack.append((bits + (positive,), child_rows, child))
         assert (decided, pruned, dual) == self.TREE_SIZES[n, boundary]
@@ -701,7 +738,7 @@ class TestWarmDescent:
 
     def test_lp_steps_pinned_and_wall_rows_built_once(self, monkeypatch):
         # n=3..5 in both modes: 1,464 appended rows (64 root rows, 1,028
-        # children, 372 leaf rows) and 1,193 pivots.  Each call builds and
+        # children, 372 leaf rows) and 1,161 pivots.  Each call builds and
         # scales the two sign rows of every wall once: 88 wall rows over the
         # six calls, so 64 + 88 + 372 = 524 rows are scaled
         counts = Counter()
@@ -725,7 +762,7 @@ class TestWarmDescent:
                 walls = counts["walls"]
                 enumerate_chambers(n, boundary)
                 assert counts["walls"] - walls == 2 * len(negative_wall_classes(n))
-        assert (counts["with_row"], counts["pivot"]) == (1464, 1193)
+        assert (counts["with_row"], counts["pivot"]) == (1464, 1161)
         assert (counts["walls"], counts["scaled"]) == (88, 524)
 
 

@@ -233,6 +233,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"capacity {bad} has a zero denominator"):
             Capacities.parse(text)
 
+    @pytest.mark.parametrize(
+        "values,bad", [(["1/0"], "'1/0'"), ([Fraction(1, 2), "3/0"], "'3/0'")]
+    )
+    def test_capacities_constructor_rejects_zero_denominator(self, values, bad):
+        # the ValueError parse raises, not a bare ZeroDivisionError
+        with pytest.raises(ValueError, match=f"^capacity {bad} has a zero denominator$"):
+            Capacities(values)
+
     def test_capacities_reject_nonpositive(self):
         with pytest.raises(ValueError):
             Capacities(["1/2", "0"])
