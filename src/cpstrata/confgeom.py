@@ -20,6 +20,8 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence, Union
 
+from .lattice import parse_rational
+
 Rational = Union[int, str, Fraction]
 
 
@@ -30,10 +32,7 @@ def _integers(entries, kind: str, owner) -> Sequence[int]:
     vals = []
     for x in entries:
         if isinstance(x, str):
-            try:
-                x = Fraction(x)
-            except ZeroDivisionError:
-                raise ValueError(f"{kind} {x!r} of {owner()} has a zero denominator") from None
+            x = parse_rational(x, f"{kind} {x!r} of {owner()}")
         elif not isinstance(x, (int, Fraction)):
             raise TypeError(f"{kind} {x!r} of {owner()} is not an int, a Fraction or a str")
         vals.append(x)

@@ -23,8 +23,9 @@ values to the elimination: each DgaSpec scales its values once by one
 common M, the lcm of their denominators, and the columns of d carry that
 scale beside their integer entries.  Fractions appear only in the
 polynomials returned (differential() and the representatives).  No
-floating point anywhere.  Inside, a monomial is a packed int
-(GeneratorTable._pack); polynomials in and out keep exponent tuples.
+floating point anywhere.  A monomial is a packed int (GeneratorTable._pack)
+here as in GPolynomial.terms; only substitute unpacks one, to read its
+exponents.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ class DgaSpec:
         for i, name in enumerate(table.names):
             if name in values:
                 terms = []
-                for m, c in values[name].terms.items():
-                    k = table._pack(m)
+                for k, c in values[name].terms.items():
                     terms.append((k, c.numerator * (M // c.denominator), table._koszul(k)))
                 shift, mask = table._shifts[i], table._masks[i]
                 above = table._odd_bits >> shift + 1 << shift + 1 if table._odd[i] else 0
@@ -177,14 +177,8 @@ def _d_residue(
     if not image:
         return 1, {}
     if target is None:
-        table = D.table
-        target = D.algebra.graded_basis(table.monomial_degree(table._unpack(next(iter(image)))))
+        target = D.algebra.graded_basis(D.table.monomial_degree(next(iter(image))))
     return target.reducer.residue(image)
-
-
-def _packed(D: DgaSpec, p: GPolynomial) -> list[tuple[int, int]]:
-    """The integer terms of a positive multiple of p, keyed by packed monomial."""
-    return [(D.table._pack(m), c) for m, c in integer_row(p.terms)[1].items()]
 
 
 def differential(D: DgaSpec, p: GPolynomial) -> GPolynomial:
@@ -193,15 +187,17 @@ def differential(D: DgaSpec, p: GPolynomial) -> GPolynomial:
         raise TableMismatchError("polynomial over a different generator table")
     table, M = D.table, D.scale
     table._check_degree(max(map(table.monomial_degree, p.terms), default=0) + 1)
-    image = _d_sum(D, ((table._pack(m), c) for m, c in p.terms.items()))
-    return GPolynomial._wrap(table, {table._unpack(m): c / M for m, c in image.items()})
+    image = _d_sum(D, p.terms.items())
+    return GPolynomial._wrap(table, {m: c / M for m, c in image.items()})
 
 
 def check_d_squared(D: DgaSpec) -> None:
     """d(d(g)) must vanish in the quotient for every generator g of degree
     at most the cap; raises DifferentialError at the first that fails."""
     for name, d in zip(D.table.names, D.table.degrees):
-        if name in D.values and d <= D.degree_cap and _d_residue(D, _packed(D, D.values[name]))[1]:
+        if name not in D.values or d > D.degree_cap:
+            continue
+        if _d_residue(D, integer_row(D.values[name].terms)[1].items())[1]:
             dd = differential(D, differential(D, GPolynomial.generator(D.table, name)))
             raise DifferentialError(
                 f"d^2 fails on generator {name}: d(d({name})) = {dd.to_text()} "
@@ -218,7 +214,7 @@ def check_ideal_stability(D: DgaSpec) -> None:
     listed relation r.
     """
     for r in D.algebra.relations:
-        if r.degree() <= D.degree_cap and _d_residue(D, _packed(D, r))[1]:
+        if r.degree() <= D.degree_cap and _d_residue(D, integer_row(r.terms)[1].items())[1]:
             raise DifferentialError(f"ideal not d-stable at relation {r.to_text()}")
 
 
@@ -376,11 +372,7 @@ def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
             scratch.insert(residue)
             # the representative, scaled so its leading monomial has coefficient 1
             lead = residue[max(residue)]
-            chosen.append(
-                GPolynomial._wrap(
-                    A.table, {frame.table._unpack(m): Fraction(c, lead) for m, c in residue.items()}
-                )
-            )
+            chosen.append(GPolynomial._wrap(A.table, {m: Fraction(c, lead) for m, c in residue.items()}))
         if len(chosen) != rank_q:
             raise DifferentialError(
                 f"degree {q}: found {len(chosen)} independent cocycles for "
@@ -421,7 +413,7 @@ def substitute(
     out = GPolynomial.zero(target)
     for mono, coeff in p.terms.items():
         term = GPolynomial.constant(target, coeff)
-        for name, e in zip(p.table.names, mono):
+        for name, e in zip(p.table.names, p.table._unpack(mono)):
             if e == 0:
                 continue
             img = images[name]
@@ -477,7 +469,7 @@ def verify_presentation(
                 f"{table.degrees[i]}"
             )
             continue
-        if _d_residue(D, _packed(D, img))[1]:
+        if _d_residue(D, integer_row(img.terms)[1].items())[1]:
             failures.append(f"image of generator {name} is not a cocycle")
     if failures:
         return VerificationReport(False, tuple(failures))

@@ -2,19 +2,21 @@
 
 Generators carry positive degrees; odd-degree generators anticommute and
 square to zero, even ones are central, and optional nilpotence bounds model
-truncated polynomial rings.  Monomials are exponent tuples in table order,
-polynomials are sparse rational combinations, and every per-degree question
-(basis of the quotient, ideal membership, canonical representatives) is
-answered by exact integer row reduction in the frame of that degree.  A
-frame lists the standard monomials of its degree for the Groebner basis
-each algebra keeps (module groebner).
+truncated polynomial rings.  Polynomials are sparse rational combinations
+of monomials, and every per-degree question (basis of the quotient, ideal
+membership, canonical representatives) is answered by exact integer row
+reduction in the frame of that degree.  A frame lists the standard
+monomials of its degree for the Groebner basis each algebra keeps (module
+groebner).
 
-Inside frames and differentials a monomial is one int, its packed exponent
-vector (GeneratorTable._pack).  Generator 0 takes the top bit field, so
-ascending ints are ascending lex order; each field has a guard bit, so a
-product is one addition and one mask test against the caps, and its Koszul
-sign is a bit count over the odd generators' bits (_koszul).  GPolynomial
-products reach that kernel from exponent tuples.
+A monomial is one int, its packed exponent vector (GeneratorTable._pack),
+everywhere: in GPolynomial.terms, frames, the Groebner basis and the
+differential.  Generator 0 takes the top bit field, so ascending ints are
+ascending lex order; each field has a guard bit, so a product
+(GeneratorTable._product) is one addition and one mask test against the
+caps, and its Koszul sign is a bit count over the odd generators' bits
+(_koszul).  Only the GPolynomial constructor takes exponent tuples, and
+only text and substitution unpack.
 
 Rows are ints in and out of SparseReducer.  A polynomial or other rational
 row becomes one in a single step, integer_row, which scales it by the lcm
@@ -28,8 +30,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from .lattice import parse_rational
 
 Monomial = tuple[int, ...]
 
@@ -51,9 +55,10 @@ class InhomogeneousError(ValueError):
 class GeneratorTable:
     """Ordered generators with degrees and optional nilpotence bounds.
 
-    The order is the normal form: monomials list exponents generator by
-    generator.  A nilpotence bound k means the k-th power vanishes; odd
-    generators implicitly carry bound 2.
+    The order is the normal form: a monomial's exponents are packed
+    generator by generator, the first in the top field.  A nilpotence
+    bound k means the k-th power vanishes; odd generators implicitly carry
+    bound 2, and an unbounded exponent packs up to _FREE_MAX.
     """
 
     names: tuple[str, ...]
@@ -61,10 +66,10 @@ class GeneratorTable:
     nilpotence: tuple[Optional[int], ...]
     # Derived once in __init__ for the monomial kernel, and not fields, so
     # equality and hash ignore them: each generator's exponent cap (None if
-    # unbounded) and odd flag, and the packing: each field's shift and mask,
-    # its unit if capped (else 0), the bias that lifts a capped field past
-    # its cap onto its guard bit,
-    # the guard bits of the capped fields, and the odd fields' exponent bits.
+    # unbounded) and odd flag, and the packing: each field's shift, mask and
+    # unit, the bias that lifts a capped field past its cap onto its guard
+    # bit, the guard bits of the capped and of the uncapped fields, and the
+    # odd fields' exponent bits.
 
     def __init__(
         self,
@@ -88,19 +93,21 @@ class GeneratorTable:
             raise ValueError("nilpotence bounds must be >= 1")
         odd = tuple(d % 2 == 1 for d in degrees)
         caps = []
-        for is_odd, bound in zip(odd, nil):
+        for odd_gen, bound in zip(odd, nil):
             cap = None if bound is None else bound - 1
-            if is_odd:
+            if odd_gen:
                 cap = 1 if cap is None else min(cap, 1)
             caps.append(cap)
         # fields from the last generator up; a capped field holds 2 * cap
         # plus its bias without a carry out
-        shifts, masks, bias, guard, width = [], [], 0, 0, 0
+        shifts, masks, bias, guard, free, width = [], [], 0, 0, 0, 0
         for cap in reversed(caps):
             w = (_FREE_MAX if cap is None else cap).bit_length() + 1
             shifts.append(width)
             masks.append((1 << w) - 1)
-            if cap is not None:
+            if cap is None:
+                free += 1 << (width + w - 1)
+            else:
                 bias += ((1 << (w - 1)) - 1 - cap) << width
                 guard += 1 << (width + w - 1)
             width += w
@@ -114,9 +121,10 @@ class GeneratorTable:
             _odd=odd,
             _shifts=tuple(shifts),
             _masks=tuple(masks),
-            _capped=tuple(0 if c is None else 1 << s for s, c in zip(shifts, caps)),
+            _units=tuple(1 << s for s in shifts),
             _bias=bias,
             _guard=guard,
+            _free_guard=free,
             _odd_bits=sum(1 << s for s, o in zip(shifts, odd) if o),
         )
 
@@ -130,30 +138,23 @@ class GeneratorTable:
         except ValueError:
             raise ValueError(f"unknown generator {name!r}") from None
 
-    def is_odd(self, i: int) -> bool:
-        return self._odd[i]
-
-    def max_exponent(self, i: int) -> Optional[int]:
-        """Largest allowed exponent for generator i, or None if unbounded."""
-        return self._caps[i]
-
-    def monomial_degree(self, mono: Monomial) -> int:
-        return sum(e * d for e, d in zip(mono, self.degrees))
+    def monomial_degree(self, key: int) -> int:
+        return sum(map(mul, self._unpack(key), self.degrees))
 
     def validate_monomial(self, mono: Monomial) -> None:
         if len(mono) != self.n:
             raise ValueError(f"monomial length {len(mono)} != {self.n} generators")
-        for i, (e, cap) in enumerate(zip(mono, self._caps)):
+        for name, e, cap in zip(self.names, mono, self._caps):
             if e < 0:
                 raise ValueError("negative exponent")
             if cap is not None and e > cap:
-                raise ValueError(
-                    f"exponent {e} of {self.names[i]} exceeds its nilpotence bound"
-                )
+                raise ValueError(f"exponent {e} of {name} exceeds its nilpotence bound")
+            if cap is None and e > _FREE_MAX:
+                raise ValueError(f"exponent {e} of {name} exceeds {_FREE_MAX}, the most that packs")
 
-    def monomial_text(self, mono: Monomial) -> str:
+    def monomial_text(self, key: int) -> str:
         factors = []
-        for name, e in zip(self.names, mono):
+        for name, e in zip(self.names, self._unpack(key)):
             if e == 1:
                 factors.append(name)
             elif e > 1:
@@ -177,6 +178,16 @@ class GeneratorTable:
     def _unpack(self, key: int) -> Monomial:
         return tuple((key >> s) & f for s, f in zip(self._shifts, self._masks))
 
+    def _product(self, a: int, b: int) -> Optional[tuple[int, int]]:
+        """(a * b, 1 if its sign is -1 else 0), or None when a cap kills it;
+        ValueError when an uncapped exponent leaves its field."""
+        m = a + b
+        if (m + self._bias) & self._guard:
+            return None
+        if m & self._free_guard:
+            self.validate_monomial(self._unpack(m))  # raises, naming the generator
+        return m, (b & self._koszul(a)).bit_count() & 1
+
     def _koszul(self, key: int) -> int:
         """The odd bits above an odd number of key's odd bits: key * b has
         sign (-1) ** (b & mask).bit_count(), as a later generator sits lower.
@@ -191,31 +202,17 @@ class GeneratorTable:
         return mask & self._odd_bits
 
 
-def normal_form(table: GeneratorTable, word: Sequence[str]) -> Optional[tuple[int, Monomial]]:
-    """Sort a generator word into table order with the Koszul sign.
-
-    Returns (sign, monomial), or None when the word dies (an odd generator
-    repeats, or a nilpotence bound is exceeded).  Each transposition of two
-    odd-degree generators flips the sign; even generators move freely.
-    """
-    counts = [0] * table.n
-    inversions = 0
-    odd_seen: list[int] = []
-    for symbol in word:
-        i = table.index(symbol)
-        if table.is_odd(i):
-            inversions += sum(1 for j in odd_seen if j > i)
-            odd_seen.append(i)
-        counts[i] += 1
-    for i, e in enumerate(counts):
-        cap = table.max_exponent(i)
-        if cap is not None and e > cap:
-            return None
-    return (-1 if inversions % 2 else 1, tuple(counts))
+def _rational(value, kind: str) -> Fraction:
+    """An int, a Fraction or a rational string as a Fraction; kind names it in errors."""
+    if isinstance(value, str):
+        return parse_rational(value, f"{kind} {value!r}")
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{kind} {value!r} is not an int, Fraction or rational string")
+    return Fraction(value)
 
 
 class GPolynomial:
-    """Sparse polynomial: normal-form monomials with exact rational coefficients."""
+    """Sparse polynomial: exact rational coefficients keyed by packed monomial."""
 
     __slots__ = ("table", "terms")
 
@@ -224,23 +221,25 @@ class GPolynomial:
         table: GeneratorTable,
         terms: Union[Mapping[Monomial, object], Iterable[tuple[Monomial, object]]] = (),
     ):
-        data: dict[Monomial, Fraction] = {}
+        """terms: (exponent tuple, coefficient) pairs; like ones are summed."""
+        data: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
             mono = tuple(int(e) for e in mono)
             table.validate_monomial(mono)
-            c = data.get(mono, Fraction(0)) + Fraction(coeff)
+            key = table._pack(mono)
+            c = data.get(key, _ZERO) + _rational(coeff, "coefficient")
             if c:
-                data[mono] = c
-            elif mono in data:
-                del data[mono]
+                data[key] = c
+            elif key in data:
+                del data[key]
         self.table = table
         self.terms = data
 
     # ---- constructors
 
     @classmethod
-    def _wrap(cls, table: GeneratorTable, terms: dict[Monomial, Fraction]) -> "GPolynomial":
+    def _wrap(cls, table: GeneratorTable, terms: dict[int, Fraction]) -> "GPolynomial":
         """Adopt terms that are already valid, skipping the public checks.
 
         Only for products of valid monomials or terms of existing
@@ -261,27 +260,32 @@ class GPolynomial:
 
     @classmethod
     def generator(cls, table: GeneratorTable, name: str) -> "GPolynomial":
-        i = table.index(name)
-        return cls(table, [(tuple(1 if j == i else 0 for j in range(table.n)), 1)])
+        return cls.from_word(table, [name])
 
     @classmethod
     def from_word(cls, table: GeneratorTable, word: Sequence[str]) -> "GPolynomial":
-        nf = normal_form(table, word)
-        if nf is None:
-            return cls(table)
-        sign, mono = nf
-        return cls(table, [(mono, sign)])
+        """The product of the named generators in word order, sorted into
+        table order with its Koszul sign; zero when a cap kills it.  Every
+        name is checked, also after the word has died."""
+        key, sign = 0, 1
+        for unit in [table._units[table.index(symbol)] for symbol in word]:
+            product = table._product(key, unit)
+            if product is None:
+                return cls.zero(table)
+            key, odd = product
+            sign = -sign if odd else sign
+        return cls._wrap(table, {key: Fraction(sign)})
 
     @classmethod
     def parse(cls, table: GeneratorTable, text: str) -> "GPolynomial":
         """Inverse of to_text; also accepts unsorted words like G13*G12."""
         s = text.replace(" ", "")
+        out = cls.zero(table)
         if not s or s == "0":
-            return cls(table)
+            return out
         chunks = re.findall(r"[+-]?[^+-]+", s)
         if "".join(chunks) != s:
             raise ValueError(f"cannot parse polynomial text {text!r}")
-        terms: list[tuple[Monomial, Fraction]] = []
         for chunk in chunks:
             sign = 1
             if chunk[0] == "+":
@@ -294,16 +298,14 @@ class GPolynomial:
             word: list[str] = []
             for factor in chunk.split("*"):
                 if re.fullmatch(r"\d+(/\d+)?", factor):
-                    coeff *= Fraction(factor)
+                    coeff *= parse_rational(factor, f"coefficient {factor!r} in {text!r}")
                     continue
                 m = re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?", factor)
                 if m is None:
                     raise ValueError(f"bad factor {factor!r} in {text!r}")
                 word.extend([m.group(1)] * int(m.group(2) or 1))
-            nf = normal_form(table, word)
-            if nf is not None:
-                terms.append((nf[1], coeff * nf[0]))
-        return cls(table, terms)
+            out = out + cls.from_word(table, word) * coeff
+        return out
 
     # ---- structure
 
@@ -348,31 +350,26 @@ class GPolynomial:
         return GPolynomial._wrap(self.table, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, GPolynomial):
-            self._check(other)
-            table, units = self.table, self.table._capped
-            # the tuple entry point to the packed kernel: the capped fields
-            # always pack, and the cap test and the Koszul sign run on them
-            right = [(m, c, sum(map(mul, m, units))) for m, c in other.terms.items()]
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self.terms.items():
-                a = sum(map(mul, m1, units))
-                koszul, a = table._koszul(a), a + table._bias
-                for m2, c2, b in right:
-                    if (a + b) & table._guard:
-                        continue
-                    mono = tuple(map(add, m1, m2))
-                    v = c1 * c2
-                    s = out.get(mono, _ZERO) + (-v if (b & koszul).bit_count() & 1 else v)
-                    if s:
-                        out[mono] = s
-                    elif mono in out:
-                        del out[mono]
-            return GPolynomial._wrap(self.table, out)
-        f = Fraction(other)
-        if not f:
-            return GPolynomial.zero(self.table)
-        return GPolynomial._wrap(self.table, {m: c * f for m, c in self.terms.items()})
+        if not isinstance(other, GPolynomial):
+            f = _rational(other, "scalar")
+            terms = {m: c * f for m, c in self.terms.items()} if f else {}
+            return GPolynomial._wrap(self.table, terms)
+        self._check(other)
+        product = self.table._product
+        out: dict[int, Fraction] = {}
+        for a, c1 in self.terms.items():
+            for b, c2 in other.terms.items():
+                ab = product(a, b)
+                if ab is None:
+                    continue
+                m, odd = ab
+                v = c1 * c2
+                s = out.get(m, _ZERO) + (-v if odd else v)
+                if s:
+                    out[m] = s
+                elif m in out:
+                    del out[m]
+        return GPolynomial._wrap(self.table, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -529,16 +526,10 @@ class GradedBasis:
         return len(self.monomials)
 
     def to_row(self, p: GPolynomial) -> tuple[int, dict[int, int]]:
-        """integer_row of p keyed by packed monomial: p is row / m."""
-        table = self.table
-        row = {}
-        for mono, c in p.terms.items():
-            if table.monomial_degree(mono) != self.degree:
-                raise InhomogeneousError(
-                    f"{p.to_text()} is not homogeneous of degree {self.degree}"
-                )
-            row[table._pack(mono)] = c
-        return integer_row(row)
+        """integer_row of p: p is row / m."""
+        if any(self.table.monomial_degree(m) != self.degree for m in p.terms):
+            raise InhomogeneousError(f"{p.to_text()} is not homogeneous of degree {self.degree}")
+        return integer_row(p.terms)
 
 
 class PresentedAlgebra:

@@ -29,6 +29,7 @@ monomials and every residue depend only on the ideal and the order.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from .gradedalg import (
@@ -44,7 +45,7 @@ from .gradedalg import (
 Terms = tuple[tuple[int, int, int], ...]
 
 
-def _terms(table: GeneratorTable, items: Iterable[tuple[Monomial, int]]) -> Terms:
+def _terms(table: GeneratorTable, items: Iterable[tuple[int, int]]) -> Terms:
     return tuple((k, c, table._koszul(k)) for k, c in items)
 
 
@@ -109,13 +110,14 @@ class _Ideal(dict):
         for x_j the first generator whose quotient is an ideal monomial,
         down to a monomial whose supplier is known; cached along the way."""
         basis, ideal, path = self.basis, self, []
+        units = basis.table._units
         while True:
             k = ideal.lead.get(mu)
             if k is not None:
                 break
             path.append((ideal.lead, mu))
-            for j in _support(basis._units, basis._owner, mu):
-                lower = mu - basis._units[j]
+            for j in _support(units, basis._owner, mu):
+                lower = mu - units[j]
                 if lower not in ideal.below[j].standard:
                     ideal, mu = ideal.below[j], lower
                     break
@@ -152,7 +154,6 @@ class GroebnerBasis:
         for r in relations:
             self._relations.setdefault(r.degree(), []).append(integer_row(r.terms)[1])
         self._pending: dict[int, list[tuple[int, int]]] = {}
-        self._units = tuple(1 << s for s in table._shifts)
         self._owner = [j for j in reversed(range(table.n)) for _ in range(table._masks[j].bit_length())]
         self._by_degree: dict[int, list[int]] = {}
         for i, d in enumerate(table.degrees):
@@ -160,7 +161,7 @@ class GroebnerBasis:
 
     def frame(self, q: int, frames: Mapping[int, GradedBasis]) -> GradedBasis:
         """The degree-q frame; frames must hold every frame below q."""
-        table, units = self.table, self._units
+        table, units = self.table, self.table._units
         bias, guard = table._bias, table._guard
         below = tuple(frames[q - d].reducer.rows if d <= q else None for d in table.degrees)
         stds = [None if b is None else b.standard for b in below]
@@ -204,7 +205,7 @@ class GroebnerBasis:
         and the killing products of degree q."""
         table = self.table
         for row in self._relations.pop(q, ()):
-            yield _terms(table, ((table._pack(m), c) for m, c in row.items())), 0
+            yield _terms(table, row.items()), 0
         for j, k in self._pending.pop(q, ()):
             lm, terms = self.elements[j]
             if k < 0:
@@ -225,7 +226,7 @@ class GroebnerBasis:
         exponents = table._unpack(lm)
         # every lcm lies above q: no earlier leading monomial divides lm
         for j, other in enumerate(self._exponents):
-            top = table.monomial_degree(tuple(map(max, exponents, other)))
+            top = sum(map(mul, map(max, exponents, other), table.degrees))
             self._pending.setdefault(top, []).append((j, k))
         for i, (e, cap, d) in enumerate(zip(exponents, table._caps, table.degrees)):
             if e and cap is not None:

@@ -95,10 +95,10 @@ class Capacities:
             raise TypeError(f"capacity {bad[0]!r} is not an int, Fraction or rational string")
         parsed = []
         for v in vals:
-            try:
-                parsed.append(Fraction(v))
-            except ZeroDivisionError:
-                raise ValueError(f"capacity {v!r} has a zero denominator") from None
+            if isinstance(v, str):
+                v = parse_rational(v, f"capacity {v!r}")
+            # a Fraction is immutable and kept as given: Fraction(v) would copy it
+            parsed.append(v if type(v) is Fraction else Fraction(v))
         vals = tuple(parsed)
         if not vals:
             raise ValueError("need at least one capacity")
@@ -135,6 +135,20 @@ class Capacities:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def parse_rational(text: str, what: str) -> Fraction:
+    """Fraction(text) for a rational string; what names it in errors.
+
+    Exponent notation is refused: Fraction expands it exactly, so a string
+    like 1e-30000000 alone would take seconds.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError(f"{what} is in exponent notation")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has a zero denominator") from None
 
 
 def intersection(u: H2Element, v: H2Element) -> int:
@@ -236,7 +250,8 @@ def negative_wall_classes(n: int) -> tuple[H2Element, ...]:
 
 
 def scaled_areas(m: int, ks: Sequence[int], classes: Iterable[H2Element]) -> Iterator[int]:
-    """m * area(c, u) = a*m - sum r_i k_i for each class u, where c = k/m (see Capacities)."""
+    """a*m - sum r_i k_i for each class u: m times its area a - sum r_i c_i under c = k/m
+    (see Capacities.scaled)."""
     for u in classes:
         s = u.degree_a * m
         for k, r in zip(ks, u.multiplicities):
@@ -247,12 +262,3 @@ def scaled_areas(m: int, ks: Sequence[int], classes: Iterable[H2Element]) -> Ite
 def scaled_volume_margin(m: int, ks: Sequence[int]) -> int:
     """m^2 (1 - sum c_i^2) for c = k/m; it has the sign of the volume margin."""
     return m * m - sum([k * k for k in ks])
-
-
-def area(c: Capacities, u: H2Element) -> Fraction:
-    """Area a - sum c_i r_i of u under c: the integer a*m - sum r_i k_i of scaled_areas over m."""
-    if len(c) != u.n:
-        raise DimensionMismatchError(f"capacities length {len(c)} vs n={u.n}")
-    m, ks = c.scaled
-    return Fraction(next(scaled_areas(m, ks, (u,))), m)
-

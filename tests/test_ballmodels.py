@@ -452,7 +452,7 @@ def beyond_relations(algebra, top):
     """Leading monomials of the algebra's Groebner basis through degree top
     that no relation's leading monomial divides."""
     algebra.graded_basis(top)
-    leads = [max(r.terms) for r in algebra.relations]
+    leads = [algebra.table._unpack(max(r.terms)) for r in algebra.relations]
     return [
         lm
         for lm in map(algebra.table._unpack, (lm for lm, _ in algebra._basis.elements))
@@ -484,7 +484,7 @@ class TestGroebnerCompletion:
 
     def test_four_small_circles_ideal_outgrows_relation_multiples(self):
         pres, _ = iemb_presentation(4, "C_4")
-        leads = [max(r.terms) for r in pres.relations]
+        leads = [pres.table._unpack(max(r.terms)) for r in pres.relations]
         multiples = sum(
             any(all(map(ge, m, lead)) for lead in leads)
             for q in range(16)

@@ -19,7 +19,8 @@ from cpstrata.chambers import (
     is_admissible,
 )
 from cpstrata.exactlp import feasible_point
-from cpstrata.lattice import Capacities, area, enumerate_exceptional, negative_wall_classes
+from cpstrata.lattice import Capacities, enumerate_exceptional, negative_wall_classes
+from test_lattice import area
 
 F = Fraction
 

@@ -168,6 +168,14 @@ class TestChamberClassify:
         assert err == f"error: capacity {bad} has a zero denominator\n"
 
 
+    def test_exponent_notation_exit_two(self, capsys):
+        # at once: Fraction alone would take seconds to expand the exponent
+        code, out, err = run(capsys, "chamber", "classify", "--capacities", "1e-30000000,1/2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: capacity '1e-30000000' is in exponent notation\n"
+
+
 class TestClassifyPayloads:
     def test_cases_cover_every_kind(self):
         payloads = [json.loads(entry["json"]) for entry in CLASSIFY.values()]
@@ -458,6 +466,12 @@ class TestConfStratify:
         assert code == 2
         assert out == ""
         assert err == "error: coordinate '1/0' of point '1/0:1:1' has a zero denominator\n"
+
+    def test_exponent_notation_exit_two(self, capsys):
+        code, out, err = run(capsys, "conf", "stratify", "--points", "1e-30000000:1:0,0:1:0,0:0:1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: coordinate '1e-30000000' of point '1e-30000000:1:0' is in exponent notation\n"
 
 
 class TestVerify:

@@ -304,6 +304,18 @@ class TestNonRationalInput:
         assert str(built.value) == str(parsed.value)
         assert str(built.value) == "coordinate '1/0' of point '1/0:1:1' has a zero denominator"
 
+    def test_exponent_notation_is_refused(self):
+        # Fraction would expand the exponent exactly, which takes seconds
+        message = "^coordinate '1e-30000000' of point '1e-30000000:1:0' is in exponent notation$"
+        with pytest.raises(ValueError, match=message):
+            pp("1e-30000000:1:0")
+        with pytest.raises(ValueError, match=message):
+            ProjectivePoint(("1e-30000000", 1, 0))
+        with pytest.raises(ValueError, match=r"^entry '2E3' of matrix .* is in exponent notation$"):
+            apply_pgl([[1, 0, 0], [0, "2E3", 0], [0, 0, 1]], E1)
+        # decimals and fractions stay valid
+        assert pp("0.1:2/7:1") == pp("7:20:70")
+
     def test_float_matrix_rejected(self):
         M = [[1, 0, 0], [0, 0.5, 0], [0, 0, 1]]
         with pytest.raises(TypeError, match=r"^entry 0\.5 of matrix .* is not an int, a Fraction or a str$"):

@@ -4,7 +4,8 @@ Frozen values: dimensions and generator choices for the full-flag ring on
 three lines, the stabilizer ring of four disjoint small balls (pinned
 degreewise against its known rank table), and assorted small quotients.
 Property tests cover Koszul signs, grading, and presentation-order
-independence.
+independence; words are sorted by GPolynomial.from_word and checked
+against the inversion-counting oracle of test_monomial_kernel.
 """
 
 import json
@@ -22,8 +23,8 @@ from cpstrata.gradedalg import (
     PresentedAlgebra,
     TableMismatchError,
     algebra_to_json,
-    normal_form,
 )
+from test_monomial_kernel import normal_form, terms_of
 
 # ---------------------------------------------------------------- fixtures
 
@@ -66,45 +67,51 @@ def standard(frame):
 # ------------------------------------------------------------ normal form
 
 
+def sort_word(word):
+    """from_word's single term as (sign, exponent tuple), or None when the
+    word dies; checked against the oracle on the way."""
+    terms = terms_of(GPolynomial.from_word(CONF, word))
+    got = None if not terms else next((int(c), m) for m, c in terms.items())
+    assert got == normal_form(CONF, word)
+    return got
+
+
 class TestNormalForm:
     def test_two_odd_generators_anticommute(self):
-        sign, mono = normal_form(CONF, ["G13", "G12"])
-        assert sign == -1
-        assert mono == (0, 0, 1, 1, 0)
+        assert sort_word(["G13", "G12"]) == (-1, (0, 0, 1, 1, 0))
 
     def test_even_generator_commutes_past_odd(self):
-        sign, mono = normal_form(CONF, ["G12", "x1"])
-        assert sign == 1
-        assert mono == (1, 0, 1, 0, 0)
+        assert sort_word(["G12", "x1"]) == (1, (1, 0, 1, 0, 0))
 
     def test_odd_square_dies(self):
-        assert normal_form(CONF, ["G12", "G12"]) is None
+        assert sort_word(["G12", "G12"]) is None
 
     def test_nilpotence_bound_kills_cube(self):
-        assert normal_form(CONF, ["x1", "x1"]) is not None
-        assert normal_form(CONF, ["x1", "x1", "x1"]) is None
+        assert sort_word(["x1", "x1"]) is not None
+        assert sort_word(["x1", "x1", "x1"]) is None
 
     def test_unknown_symbol(self):
         with pytest.raises(ValueError):
-            normal_form(CONF, ["x1", "nope"])
+            GPolynomial.from_word(CONF, ["x1", "nope"])
+        # every symbol is checked, also behind a word that already died
+        with pytest.raises(ValueError):
+            GPolynomial.from_word(CONF, ["G12", "G12", "nope"])
 
     def test_three_odd_cycle_sign(self):
         # G23 G13 G12 -> G12 G13 G23 needs 3 transpositions
-        sign, mono = normal_form(CONF, ["G23", "G13", "G12"])
-        assert sign == -1
-        assert mono == (0, 0, 1, 1, 1)
+        assert sort_word(["G23", "G13", "G12"]) == (-1, (0, 0, 1, 1, 1))
 
     @given(st.lists(st.sampled_from(CONF.names), min_size=0, max_size=6))
     @settings(max_examples=200)
     def test_normalizing_twice_equals_once(self, word):
-        first = normal_form(CONF, word)
+        first = sort_word(word)
         if first is None:
             return
         _, mono = first
         sorted_word = [
             name for name, e in zip(CONF.names, mono) for _ in range(e)
         ]
-        assert normal_form(CONF, sorted_word) == (1, mono)
+        assert sort_word(sorted_word) == (1, mono)
 
 
 # --------------------------------------------------------------- products
@@ -202,6 +209,42 @@ class TestParseAndText:
         with pytest.raises(ValueError):
             P(TORUS, "T1 + T9")
 
+    def test_terms_are_keyed_by_packed_monomial(self):
+        p = P(CONF, "3/2*x1^2*G12 - x2^2*G12")
+        assert p.terms == {
+            CONF._pack((2, 0, 1, 0, 0)): Fraction(3, 2),
+            CONF._pack((0, 2, 1, 0, 0)): Fraction(-1),
+        }
+        assert p == GPolynomial(CONF, {(2, 0, 1, 0, 0): "3/2", (0, 2, 1, 0, 0): -1})
+
+
+class TestExactCoefficients:
+    def test_float_coefficient_raises(self):
+        with pytest.raises(TypeError, match=r"^coefficient 0\.1 is not an int, Fraction or rational string$"):
+            GPolynomial(TORUS, [((1, 0), 0.1)])
+
+    def test_float_scalar_raises(self):
+        p = P(TORUS, "T1 + T2")
+        with pytest.raises(TypeError, match=r"^scalar 0\.5 is not"):
+            p * 0.5
+        with pytest.raises(TypeError, match=r"^scalar 0\.5 is not"):
+            0.5 * p
+
+    def test_ints_fractions_and_rational_strings_pass(self):
+        p = P(TORUS, "T1")
+        assert GPolynomial(TORUS, [((1, 0), "2/3")]) == p * Fraction(2, 3) == p * "2/3"
+        assert GPolynomial.constant(TORUS, 2) == 2 * GPolynomial.constant(TORUS, "1")
+
+    def test_zero_denominator_in_text_raises_value_error(self):
+        with pytest.raises(ValueError, match=r"^coefficient '1/0' in '1/0\*x1' has a zero denominator$"):
+            P(CONF, "1/0*x1")
+
+    def test_exponent_notation_is_refused(self):
+        with pytest.raises(ValueError, match=r"^coefficient '1e-30000000' is in exponent notation$"):
+            GPolynomial(TORUS, [((1, 0), "1e-30000000")])
+        with pytest.raises(ValueError, match="exponent notation"):
+            P(TORUS, "T1") * "2E3"
+
 
 # ------------------------------------------------------------ graded data
 
@@ -222,12 +265,12 @@ class TestGradedBasis:
 
     def test_flag_ring_degree_four_complement(self):
         frame = flag_ring().graded_basis(4)
-        texts = [TORUS.monomial_text(m) for m in standard(frame)]
+        texts = [TORUS.monomial_text(k) for k in frame.monomials]
         assert texts == ["T2^2", "T1*T2"]
 
     def test_flag_ring_degree_six_complement(self):
         frame = flag_ring().graded_basis(6)
-        texts = [TORUS.monomial_text(m) for m in standard(frame)]
+        texts = [TORUS.monomial_text(k) for k in frame.monomials]
         assert texts == ["T1*T2^2"]
 
     def test_reduce_lands_on_complement(self):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,16 +17,24 @@ from cpstrata.lattice import (
     DimensionMismatchError,
     H2Element,
     anticanonical,
-    area,
     enumerate_exceptional,
     intersection,
     is_exceptional_numerical,
     negative_wall_classes,
+    scaled_areas,
 )
 
 
 def h2(a, *r):
     return H2Element(a, tuple(r))
+
+
+def area(c, u):
+    """The area a - sum r_i c_i of u under c: scaled_areas over
+    Capacities.scaled, divided by the common denominator m."""
+    m, ks = c.scaled
+    (s,) = scaled_areas(m, ks, [u])
+    return Fraction(s, m)
 
 
 class TestIntersection:
@@ -209,10 +218,6 @@ class TestArea:
         c = Capacities.parse("2/5,1/5")
         assert area(c, h2(0, 0, -1)) == Fraction(1, 5)
 
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            area(Capacities(["1/2"]), h2(1, 1, 1))
-
     def test_linear_in_capacities(self):
         u = h2(2, 1, 1, 0)
         c1 = Capacities.parse("1/2,1/4,1/8")
@@ -240,6 +245,17 @@ class TestSerialization:
         # the ValueError parse raises, not a bare ZeroDivisionError
         with pytest.raises(ValueError, match=f"^capacity {bad} has a zero denominator$"):
             Capacities(values)
+
+    @pytest.mark.parametrize("bad", ["1e-30000000", "2E3", "1.5e2", "1/2e3"])
+    def test_capacities_reject_exponent_notation(self, bad):
+        # refused before Fraction expands the exponent, which alone takes
+        # seconds for 1e-30000000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^capacity '{re.escape(bad)}' is in exponent notation$"):
+            Capacities(["1/4", bad])
+        with pytest.raises(ValueError, match="exponent notation"):
+            Capacities.parse(f"1/4, {bad}")
+        assert time.perf_counter() - start < 1
 
     def test_capacities_reject_nonpositive(self):
         with pytest.raises(ValueError):

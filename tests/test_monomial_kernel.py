@@ -2,15 +2,16 @@
 
 The references below are the older, slower formulations, kept here as
 test-local code: monomials enumerated over the whole exponent box,
-products sorted by normal_form from concatenated generator words, frames
+products sorted by normal_form (inversion counting) from concatenated
+generator words, frames
 spanned by those products in a reducer that cross-multiplies whole rows,
 residues taken over Fractions, and the Leibniz differential applied one
 generator letter of a word at a time.  Every table is drawn from a seed
 and mixes odd, even and nilpotent generators in a shuffled order.  The
 frames' Groebner completion is checked against the same brute-force
 frames, spanned by every relation x monomial product.  The program keys
-monomials by packed ints; every comparison here unpacks them to exponent
-tuples first.
+monomials by packed ints, in GPolynomial.terms as everywhere else; every
+comparison here unpacks them to exponent tuples first.
 """
 
 import itertools
@@ -42,7 +43,6 @@ from cpstrata.gradedalg import (
     GPolynomial,
     PresentedAlgebra,
     SparseReducer,
-    normal_form,
 )
 from cpstrata.groebner import GroebnerBasis, _ambient_count
 from cpstrata.kriz import KrizParams, kriz_model
@@ -73,24 +73,52 @@ def reference_monomials(table, q):
     )
 
 
+def normal_form(table, word):
+    """Sort a generator word into table order with the Koszul sign.
+
+    Returns (sign, exponent tuple), or None when the word dies (an odd
+    generator repeats, or a nilpotence bound is exceeded).  Each
+    transposition of two odd-degree generators flips the sign; even
+    generators move freely.
+    """
+    counts = [0] * table.n
+    inversions = 0
+    odd_seen = []
+    for symbol in word:
+        i = table.index(symbol)
+        if table.degrees[i] % 2:
+            inversions += sum(1 for j in odd_seen if j > i)
+            odd_seen.append(i)
+        counts[i] += 1
+    for i, e in enumerate(counts):
+        cap = reference_cap(table, i)
+        if cap is not None and e > cap:
+            return None
+    return (-1 if inversions % 2 else 1, tuple(counts))
+
+
 def packed_product(table, m1, m2):
     """(sign, monomial) of m1 * m2 by the packed kernel, or None when a cap
     kills it: one addition, one mask test and one bit count."""
-    a, b = table._pack(m1), table._pack(m2)
-    s = a + b
-    if (s + table._bias) & table._guard:
+    product = table._product(table._pack(m1), table._pack(m2))
+    if product is None:
         return None
-    return (-1 if (b & table._koszul(a)).bit_count() & 1 else 1, table._unpack(s))
+    return (-1 if product[1] else 1, table._unpack(product[0]))
 
 
 def word(table, mono):
     return [name for name, e in zip(table.names, mono) for _ in range(e)]
 
 
+def terms_of(p):
+    """The terms of p keyed by exponent tuple."""
+    return {p.table._unpack(k): c for k, c in p.terms.items()}
+
+
 def reference_product(table, p, q):
     out = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
+    for m1, c1 in terms_of(p).items():
+        for m2, c2 in terms_of(q).items():
             nf = normal_form(table, word(table, m1) + word(table, m2))
             if nf is not None:
                 sign, m = nf
@@ -106,7 +134,7 @@ def reference_monomial_differential(D, mono):
     for j, name in enumerate(letters):
         dg = D.values.get(name)
         if dg is not None:
-            for t, c in dg.terms.items():
+            for t, c in terms_of(dg).items():
                 nf = normal_form(table, letters[:j] + word(table, t) + letters[j + 1 :])
                 if nf is not None:
                     s, m = nf
@@ -249,8 +277,8 @@ def test_caps_and_monomials_match_reference(seed):
     table = A.table
     free = PresentedAlgebra(table, ())
     for i in range(table.n):
-        assert table.max_exponent(i) == reference_cap(table, i)
-        assert table.is_odd(i) == (table.degrees[i] % 2 == 1)
+        assert table._caps[i] == reference_cap(table, i)
+        assert table._odd[i] == (table.degrees[i] % 2 == 1)
     for q in range(TOP + 2):
         monos = reference_monomials(table, q)
         keys = [table._pack(m) for m in monos]
@@ -279,7 +307,7 @@ def test_polynomial_arithmetic_matches_reference(seed):
         p = random_homogeneous(rng, table, rng.randint(0, 4), rng.randint(1, 3))
         q = random_homogeneous(rng, table, rng.randint(0, 4), rng.randint(1, 3))
         product = p * q
-        assert product.terms == reference_product(table, p, q)
+        assert terms_of(product) == reference_product(table, p, q)
         assert all(type(c) is Fraction and c for c in product.terms.values())
         assert (p + q) - q == p
         assert (p * 0).is_zero and (0 * p).is_zero
@@ -310,7 +338,7 @@ def test_frames_match_reference(seed):
                 continue
             m, row = frame.to_row(p)
             den, residue = frame.reducer.residue(row)
-            expected = ref.residue({index[mono]: c for mono, c in p.terms.items()})
+            expected = ref.residue({index[mono]: c for mono, c in terms_of(p).items()})
             assert {
                 table._unpack(k): Fraction(v, den * m) for k, v in residue.items()
             } == {monos[i]: c for i, c in expected.items()}
@@ -325,13 +353,13 @@ def test_differential_matches_word_leibniz(seed):
     for q in range(TOP + 1):
         for mono in reference_monomials(table, q):
             got = differential(D, GPolynomial(table, [(mono, 1)]))
-            assert got.terms == reference_monomial_differential(D, mono), mono
+            assert terms_of(got) == reference_monomial_differential(D, mono), mono
     p = random_homogeneous(rng, table, 4, 3)
     expected = {}
-    for mono, c in p.terms.items():
+    for mono, c in terms_of(p).items():
         for m, v in reference_monomial_differential(D, mono).items():
             expected[m] = expected.get(m, 0) + c * v
-    assert differential(D, p).terms == {m: c for m, c in expected.items() if c}
+    assert terms_of(differential(D, p)) == {m: c for m, c in expected.items() if c}
 
 
 def test_common_scale_clears_every_denominator():
@@ -349,7 +377,7 @@ def test_common_scale_clears_every_denominator():
     for q in range(12):
         for mono in reference_monomials(table, q):
             expected = reference_monomial_differential(D, mono)
-            assert differential(D, GPolynomial(table, [(mono, 1)])).terms == expected
+            assert terms_of(differential(D, GPolynomial(table, [(mono, 1)]))) == expected
             scaled = _monomial_differential(D, table._pack(mono))
             assert all(type(c) is int for c in scaled.values())
             assert {table._unpack(m): Fraction(c, 6) for m, c in scaled.items()} == expected
@@ -480,7 +508,7 @@ def record_adjoined_kinds(monkeypatch):
             if k >= 0:
                 labels += ["pair", "pair"]
             else:
-                labels.append("odd" if self.table.is_odd(~k) else "nilpotent")
+                labels.append("odd" if self.table._odd[~k] else "nilpotent")
         for label, item in zip(labels, candidates(self, q), strict=True):
             current[0] = label
             yield item
@@ -510,7 +538,7 @@ def test_completion_matches_reference(seed):
                 continue
             m, row = frame.to_row(p)
             den, residue = frame.reducer.residue(row)
-            expected = ref.residue({index[mono]: c for mono, c in p.terms.items()})
+            expected = ref.residue({index[mono]: c for mono, c in terms_of(p).items()})
             assert {
                 index[table._unpack(k)]: Fraction(v, den * m) for k, v in residue.items()
             } == expected
@@ -578,9 +606,48 @@ def test_packed_product_matches_normal_form_of_words(case):
     table, m1, m2 = case
     expected = normal_form(table, word(table, m1) + word(table, m2))
     assert packed_product(table, m1, m2) == expected
-    # the tuple entry point of GPolynomial products takes the same sign
+    # GPolynomial products take the same sign
     product = GPolynomial(table, [(m1, 1)]) * GPolynomial(table, [(m2, 1)])
-    assert product.terms == ({} if expected is None else {expected[1]: expected[0]})
+    assert terms_of(product) == ({} if expected is None else {expected[1]: expected[0]})
+
+
+def test_words_match_normal_form():
+    # from_word and parse sort random words, repeated and dying ones
+    # included, to the oracle's sign and monomial, over shuffled tables
+    # with odd, even and nilpotent generators
+    outcomes = set()
+    for seed in SEEDS:
+        rng = random.Random(f"words:{seed}")
+        table = random_table(rng)
+        for _ in range(40):
+            w = [rng.choice(table.names) for _ in range(rng.randint(0, 6))]
+            expected = normal_form(table, w)
+            outcomes.add(None if expected is None else expected[0])
+            want = {} if expected is None else {expected[1]: expected[0]}
+            assert terms_of(GPolynomial.from_word(table, w)) == want, w
+            # parse reads runs of a letter as powers, so x*y*y is x*y^2
+            text = "*".join(
+                name if n == 1 else f"{name}^{n}"
+                for name, n in ((name, len(list(run))) for name, run in itertools.groupby(w))
+            )
+            assert terms_of(GPolynomial.parse(table, text or "1")) == want, text
+    assert outcomes == {1, -1, None}
+
+
+def test_uncapped_exponent_past_its_field_raises():
+    one = GeneratorTable(("T",), (2,))
+    assert terms_of(GPolynomial(one, [((FREE_MAX,), 1)])) == {(FREE_MAX,): 1}
+    with pytest.raises(ValueError, match=f"^exponent 40000 of T exceeds {FREE_MAX}"):
+        GPolynomial(one, [((40000,), 1)])
+    table = GeneratorTable(("T", "beta", "S"), (2, 3, 2))
+    half = GPolynomial(table, [((0, 1, 20000), 1)])
+    with pytest.raises(ValueError, match="^exponent 40000 of S exceeds"):
+        half * GPolynomial(table, [((0, 0, 20000), 1)])
+    with pytest.raises(ValueError, match=f"^exponent {FREE_MAX + 1} of T exceeds"):
+        GPolynomial.from_word(table, ["T"] * (FREE_MAX + 1))
+    # at the largest exponent that packs the product still holds
+    top = GPolynomial(table, [((FREE_MAX - 1, 0, 0), 1)]) * GPolynomial.generator(table, "T")
+    assert terms_of(top) == {(FREE_MAX, 0, 0): 1}
 
 
 def test_uncapped_fields_hold_their_whole_range():

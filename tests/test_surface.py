@@ -2,16 +2,16 @@
 
 Each module of src/cpstrata is parsed with ast; its public functions,
 classes and constants (module-level names without a leading underscore)
-must each be named somewhere in src/, demos/ or perfbench/ beyond their own
-definition; any whole-word mention counts, in code, strings or comments.
-The public methods and properties of its module-level classes (dunder
-methods aside) must each be reached there as an attribute, `.name` in
-code: a mention in prose or a variable of the same name does not count.  A
-name that only tests reach is surface no workload uses.
+must each be referenced in the code of src/, demos/ or perfbench/: read as
+a name, reached as an attribute `.name`, or imported.  Their own
+definition does not count, and neither does a mention in a string or a
+comment.  The public methods and properties of its module-level classes
+(dunder methods aside) must each be reached there as an attribute, `.name`
+in code: a variable of the same name does not count.  A name that only
+tests reach is surface no workload uses.
 """
 
 import ast
-import re
 from functools import cache
 from pathlib import Path
 
@@ -53,29 +53,30 @@ def files():
 
 
 @cache
-def corpus():
-    return "\n".join(p.read_text() for p in files())
+def nodes():
+    return [node for p in files() for node in ast.walk(ast.parse(p.read_text()))]
 
 
 @cache
 def attributes():
     """Every attribute name referenced as `.name` in src/, demos/ and perfbench/."""
-    return {
-        node.attr
-        for p in files()
-        for node in ast.walk(ast.parse(p.read_text()))
-        if isinstance(node, ast.Attribute)
-    }
+    return {node.attr for node in nodes() if isinstance(node, ast.Attribute)}
 
 
-def mentions(name):
-    """Whole-word occurrences of name in src/, demos/ and perfbench/."""
-    return len(re.findall(rf"\b{re.escape(name)}\b", corpus()))
+@cache
+def references():
+    """Every name the code of src/, demos/ and perfbench/ reads, reaches as
+    an attribute or imports; an assignment target is not a reference."""
+    return (
+        attributes()
+        | {node.id for node in nodes() if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        | {node.name for node in nodes() if isinstance(node, ast.alias)}
+    )
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_public_names_have_a_caller_outside_tests(path):
-    unused = [name for name in public_names(path) if mentions(name) < 2]
+    unused = [name for name in public_names(path) if name not in references()]
     assert not unused, f"{path.stem}: no caller outside tests for {', '.join(unused)}"
 
 
