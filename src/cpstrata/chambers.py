@@ -5,9 +5,10 @@ positive area and the volume margin 1 - sum c_i^2 is positive; the signs of
 the areas of the negative wall classes cut the admissible set into convex
 chambers.  A given c is classified in integers: with m the common denominator
 and k = m*c, an area a - sum r_i c_i has the sign of a*m - sum r_i k_i and the
-volume margin that of m^2 - sum k_i^2, so no Fraction is built per class.  All
-chambers are enumerated by exact rational feasibility checks (a simplex with a
-slack variable standing in for strict inequalities; no floating point anywhere).
+volume margin that of m^2 - sum k_i^2, so no Fraction is built per class; the
+class tables are read as int rows (a, r), built once per n.  All chambers are
+enumerated by exact rational feasibility checks (a simplex with a slack
+variable standing in for strict inequalities; no floating point anywhere).
 
 Conventions: capacities are sorted nonincreasing before any wall evaluation,
 and an area tie (= 0) counts as the nonpositive side of the wall, matching the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Literal, Optional, Sequence, Union
 
@@ -28,7 +30,6 @@ from .lattice import (
     H2Element,
     enumerate_exceptional,
     negative_wall_classes,
-    scaled_areas,
     scaled_volume_margin,
 )
 
@@ -139,12 +140,25 @@ def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fr
 # admissibility and classification
 
 
+@lru_cache(maxsize=None)
+def _class_rows(n: int) -> tuple[tuple, tuple[H2Element, ...], tuple]:
+    """The class tables of n as int rows: (exceptional, walls, wall rows).
+
+    exceptional holds (u, a, r) for every exceptional class u = aL - sum r_i E_i
+    with a > 0, in enumeration order: the basis classes E_i have area c_i,
+    which Capacities keeps positive, so they never decide admissibility.
+    wall rows holds (a, r) for each wall.
+    """
+    exceptional = tuple((u, u.degree_a, u.multiplicities) for u in enumerate_exceptional(n) if u.degree_a)
+    walls = negative_wall_classes(n)
+    return exceptional, walls, tuple((w.degree_a, w.multiplicities) for w in walls)
+
+
 def is_admissible(c: Capacities) -> AdmissibilityResult:
     """Strict positivity on every exceptional class plus the volume bound."""
     m, ks = c.scaled
-    classes = enumerate_exceptional(c.n)
-    for u, s in zip(classes, scaled_areas(m, ks, classes)):
-        if s <= 0:
+    for u, a, r in _class_rows(len(ks))[0]:
+        if a * m <= sum(map(mul, r, ks)):
             return AdmissibilityResult(False, u)
     if scaled_volume_margin(m, ks) <= 0:
         return AdmissibilityResult(False, "volume")
@@ -157,9 +171,9 @@ def chamber_signature(c: Capacities) -> ChamberSignature:
     if not verdict:
         raise AdmissibilityError(verdict.violator)
     m, ks = c.scaled
-    walls = negative_wall_classes(c.n)
-    areas = scaled_areas(m, sorted(ks, reverse=True), walls)
-    return ChamberSignature(walls, tuple(s > 0 for s in areas))
+    ks = sorted(ks, reverse=True)
+    _, walls, rows = _class_rows(len(ks))
+    return ChamberSignature(walls, tuple([a * m > sum(map(mul, r, ks)) for a, r in rows]))
 
 
 def chamber_label(c: Capacities) -> str:
@@ -178,11 +192,6 @@ def label_from_signature(n: int, sig: ChamberSignature) -> Optional[str]:
         # the single wall is the line class; positive area means a small packing
         return "small" if sig.bits[0] else "big"
     return f"C_{sig.true_count()}" if n == 4 else None
-
-
-def _is_pair_class(u: H2Element) -> bool:
-    """L - E_i - E_j, the classes whose strictness the inclusive convention relaxes."""
-    return u.degree_a == 1 and sorted(u.multiplicities, reverse=True) == [1, 1] + [0] * (u.n - 2)
 
 
 def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
@@ -210,11 +219,11 @@ def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
     co = zero.copy()
     co[n - 1] = -1  # c_n > 0
     row(co, 0, True)
-    for u in enumerate_exceptional(n):
-        if u.degree_a == 0:
-            continue  # basis classes: area = c_i > 0 already follows
-        strict = not (boundary == "inclusive" and _is_pair_class(u))
-        row(u.multiplicities, u.degree_a, strict)
+    # the basis classes E_i are left out of _class_rows: area = c_i > 0
+    # already follows; the classes of degree 1 are the pair classes
+    # L - E_i - E_j, whose strictness the inclusive convention relaxes
+    for _, a, r in _class_rows(n)[0]:
+        row(r, a, not (boundary == "inclusive" and a == 1))
     if n == 1:
         row([1], 1, True)  # exact linearization of the volume bound
     return ineqs

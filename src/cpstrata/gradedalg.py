@@ -78,6 +78,9 @@ class GeneratorTable:
         nilpotence: Optional[Sequence[Optional[int]]] = None,
     ):
         names = tuple(names)
+        degrees = tuple(degrees)
+        if bad := [d for d in degrees if not isinstance(d, int)]:
+            raise TypeError(f"generator degree {bad[0]!r} is not an int")
         degrees = tuple(int(d) for d in degrees)
         nil = tuple(nilpotence) if nilpotence is not None else (None,) * len(names)
         if len(names) != len(degrees) or len(names) != len(nil):
@@ -225,7 +228,9 @@ class GPolynomial:
         data: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(mono)
+            if bad := [e for e in mono if not isinstance(e, int)]:
+                raise TypeError(f"exponent {bad[0]!r} in monomial {mono!r} is not an int")
             table.validate_monomial(mono)
             key = table._pack(mono)
             c = data.get(key, _ZERO) + _rational(coeff, "coefficient")

@@ -5,24 +5,29 @@ where the intersection form is diag(+1, -1, ..., -1).  Two finite families drive
 everything downstream:
 
 * exceptional classes (E.E = -1, K.E = 1), whose strict area positivity plus the
-  volume bound characterises admissible capacity vectors;
+  volume bound characterises admissible capacity vectors.  For n <= 8 they are
+  one orbit, that of E_1, under the Weyl group W(E_n) (Manin, *Cubic Forms*,
+  1974, ch. IV), generated by the transpositions of the E_i and the Cremona
+  reflection in L - E_1 - E_2 - E_3;
 * negative classes of square <= -2 drawn from the six degree-bounded shapes
   (aL with a <= 6, multiplicities in {1,2,3}), whose area signs cut the space of
   admissible capacities into stability chambers.
 
-Both sets are tiny for n <= 8, so they are enumerated exhaustively and kept in a
-fixed lexicographic order to make every downstream report reproducible.
+Both tables are computed once per n on plain int tuples (a, r_1, ..., r_n), and
+an H2Element is built only for a class that is kept.  They are kept in a fixed
+lexicographic order to make every downstream report reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 from numbers import Rational
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 MAX_BLOWUPS = 8
 
@@ -44,18 +49,18 @@ class H2Element:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_n(len(self.multiplicities))
-        for x in (self.degree_a, *self.multiplicities):
+        r = self.multiplicities
+        _check_n(len(r))
+        if type(self.degree_a) is int and type(r) is tuple and all(type(x) is int for x in r):
+            return  # exact ints, kept as given
+        for x in (self.degree_a, *r):
             if not (isinstance(x, Rational) and x.denominator == 1):
                 raise ValueError(f"class coefficient {x!r} is not an integer")
-        object.__setattr__(self, "multiplicities", tuple(int(r) for r in self.multiplicities))
+        object.__setattr__(self, "multiplicities", tuple(int(x) for x in r))
 
     @property
     def n(self) -> int:
         return len(self.multiplicities)
-
-    def self_intersection(self) -> int:
-        return intersection(self, self)
 
     def to_text(self) -> str:
         parts = []
@@ -88,34 +93,44 @@ class Capacities:
     """
 
     values: tuple[Fraction, ...]
+    # (m, k): m is the lcm of the denominators and k_i = m*c_i, all integers;
+    # set once in __init__, and outside repr, equality and hash
+    scaled: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __init__(self, values: Iterable[Fraction | int | str]) -> None:
         vals = tuple(values)
-        if bad := [v for v in vals if not isinstance(v, (Rational, str))]:
-            raise TypeError(f"capacity {bad[0]!r} is not an int, Fraction or rational string")
-        parsed = []
+        # exact types first: the ABC check is slow, and only the rare entry
+        # that is neither a Fraction nor an int reaches it
+        parsed, rest = [], False
         for v in vals:
-            if isinstance(v, str):
-                v = parse_rational(v, f"capacity {v!r}")
-            # a Fraction is immutable and kept as given: Fraction(v) would copy it
-            parsed.append(v if type(v) is Fraction else Fraction(v))
+            if type(v) is Fraction:
+                parsed.append(v)  # immutable, kept as given: Fraction(v) would copy it
+            elif type(v) is int:
+                parsed.append(Fraction(v))
+            elif isinstance(v, (Rational, str)):
+                parsed.append(v)
+                rest = True
+            else:
+                raise TypeError(f"capacity {v!r} is not an int, Fraction or rational string")
+        if rest:  # converted once every entry's type is known to be valid
+            for i, v in enumerate(parsed):
+                if isinstance(v, str):
+                    parsed[i] = parse_rational(v, f"capacity {v!r}")
+                elif type(v) is not Fraction:
+                    parsed[i] = Fraction(v)
         vals = tuple(parsed)
         if not vals:
             raise ValueError("need at least one capacity")
         _check_n(len(vals))
-        if any(v <= 0 for v in vals):
+        if any(v.numerator <= 0 for v in vals):
             raise ValueError(f"capacities must be strictly positive, got {vals}")
         object.__setattr__(self, "values", vals)
+        m = lcm(*[v.denominator for v in vals])
+        object.__setattr__(self, "scaled", (m, tuple([v.numerator * (m // v.denominator) for v in vals])))
 
     @property
     def n(self) -> int:
         return len(self.values)
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(m, k): m is the lcm of the denominators and k_i = m*c_i, all integers."""
-        m = lcm(*[v.denominator for v in self.values])
-        return m, tuple([v.numerator * (m // v.denominator) for v in self.values])
 
     def volume_margin(self) -> Fraction:
         """1 - sum c_i^2, positive exactly when the packing fits by volume."""
@@ -154,7 +169,7 @@ def parse_rational(text: str, what: str) -> Fraction:
 def intersection(u: H2Element, v: H2Element) -> int:
     if u.n != v.n:
         raise DimensionMismatchError(f"mixed lattices: n={u.n} vs n={v.n}")
-    return u.degree_a * v.degree_a - sum(r * s for r, s in zip(u.multiplicities, v.multiplicities))
+    return u.degree_a * v.degree_a - sum(map(mul, u.multiplicities, v.multiplicities))
 
 
 def anticanonical(n: int) -> H2Element:
@@ -167,96 +182,89 @@ def is_exceptional_numerical(u: H2Element) -> bool:
     return intersection(u, u) == -1 and intersection(anticanonical(u.n), u) == 1
 
 
+def _orbit(start: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The W(E_N) orbit of start = (a, r_1, ..., r_N), N >= 3, as int tuples.
+
+    The generators are the adjacent transpositions of the r_i and the
+    Cremona reflection in L - E_1 - E_2 - E_3, which adds t = a - r_1 - r_2 - r_3
+    to a, r_1, r_2 and r_3.  The search keeps an explicit stack, so no
+    closure refers to itself and no cyclic garbage is left behind.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        a, r1, r2, r3 = u[:4]
+        t = a - r1 - r2 - r3
+        images = [(a + t, r1 + t, r2 + t, r3 + t) + u[4:]]
+        images += [u[:i] + (u[i + 1], u[i]) + u[i + 2 :] for i in range(1, len(u) - 1) if u[i] != u[i + 1]]
+        for v in images:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 @lru_cache(maxsize=None)
 def enumerate_exceptional(n: int) -> tuple[H2Element, ...]:
-    """All exceptional classes with a in [0,6], r_i in [-1,3], lexicographic.
+    """All exceptional classes, in lexicographic order.
 
-    Depth-first search over the integer box for sum r_i = 3a - 1 and
-    sum r_i^2 = a^2 + 1, pruned by what the remaining entries can still add;
-    the surviving classes are re-checked in exact integer arithmetic.  The
-    search keeps an explicit stack, so no closure refers to itself and no
-    cyclic garbage is left behind.
+    For n <= 8 they are the W(E_n) orbit of E_1 (Manin, *Cubic Forms*, 1974,
+    ch. IV), taken on int tuples over N = max(n, 3) points; for n < 3 the
+    n = 3 orbit is restricted to the classes that vanish beyond n.  Every
+    class is re-checked in exact integer arithmetic before it is kept.
     """
     _check_n(n)
     found: list[H2Element] = []
-    # an entry is (a, prefix, rsum, rsq), rsum and rsq being what the entries
-    # after prefix must add up to; over r in [-1,3] one has
-    # |r| <= r^2 <= 3r + 4, which bounds them by the entries left
-    def reachable(rsum: int, rsq: int, left: int) -> bool:
-        return -left <= rsum <= 3 * left and abs(rsum) <= rsq <= 3 * rsum + 4 * left
-
-    # pushed in reverse, so that a and then each r ascend
-    stack = [
-        (a, (), 3 * a - 1, a * a + 1) for a in range(6, -1, -1) if reachable(3 * a - 1, a * a + 1, n)
-    ]
-    while stack:
-        a, prefix, rsum, rsq = stack.pop()
-        left = n - len(prefix) - 1
-        if left < 0:
-            cand = H2Element(a, prefix)
-            if not is_exceptional_numerical(cand):
-                raise ArithmeticError(f"class {cand} passed the search but is not exceptional")
-            found.append(cand)
+    for row in sorted(_orbit((0, -1) + (0,) * (max(n, 3) - 1))):
+        if any(row[n + 1 :]):
             continue
-        for r in range(3, -2, -1):
-            if reachable(rsum - r, rsq - r * r, left):
-                stack.append((a, prefix + (r,), rsum - r, rsq - r * r))
-    return tuple(sorted(found))
+        cand = H2Element(row[0], row[1 : n + 1])
+        if not is_exceptional_numerical(cand):
+            raise ArithmeticError(f"class {cand} passed the search but is not exceptional")
+        found.append(cand)
+    return tuple(found)
 
 
-def _negative_shape_instances(n: int) -> Iterable[H2Element]:
-    """All instantiations of the six degree <= 6 shapes over index subsets.
-
-    Shape data: coefficient of L, multiplicities for a distinguished index set
-    (2s and 3s), and multiplicity 1 (or 2 for the quintic shape) on a free
-    subset of the remaining indices.
-    """
-    indices = range(n)
-    # (a, heavy coefficient, heavy count, light coefficient)
-    shapes = (
-        (1, 0, 0, 1),  # L - sum E_i
-        (2, 0, 0, 1),  # 2L - sum E_i
-        (3, 2, 1, 1),  # 3L - 2E_m - sum E_i
-        (4, 2, 3, 1),  # 4L - 2E - 2E - 2E - sum E_i
-        (5, 1, 2, 2),  # 5L - E - E - sum 2E_i
-        (6, 3, 1, 2),  # 6L - 3E_m - sum 2E_i
-    )
-    for a, heavy_coeff, heavy_count, light_coeff in shapes:
-        for heavy in itertools.combinations(indices, heavy_count):
-            rest = [i for i in indices if i not in heavy]
-            for size in range(len(rest) + 1):
-                for light in itertools.combinations(rest, size):
-                    r = [0] * n
-                    for i in heavy:
-                        r[i] = heavy_coeff
-                    for i in light:
-                        r[i] = light_coeff
-                    yield H2Element(a, tuple(r))
+# (a, heavy coefficient h, heavy count, light coefficient l) of the six
+# degree <= 6 shapes aL - h*sum_heavy E_i - l*sum_light E_i, the light
+# indices being any subset of those left; no multiplicity is negative
+_SHAPES = (
+    (1, 0, 0, 1),  # L - sum E_i
+    (2, 0, 0, 1),  # 2L - sum E_i
+    (3, 2, 1, 1),  # 3L - 2E_m - sum E_i
+    (4, 2, 3, 1),  # 4L - 2E - 2E - 2E - sum E_i
+    (5, 1, 2, 2),  # 5L - E - E - sum 2E_i
+    (6, 3, 1, 2),  # 6L - 3E_m - sum 2E_i
+)
 
 
 @lru_cache(maxsize=None)
 def negative_wall_classes(n: int) -> tuple[H2Element, ...]:
     """Classes of self-intersection <= -2 from the degree-bounded shapes.
 
-    Their area zero-loci are the walls between stability chambers.
+    Their area zero-loci are the walls between stability chambers.  A
+    shape's square a^2 - h^2*|heavy| - l^2*|light| depends only on the
+    subset sizes, so a size whose square is > -2 is skipped before any
+    class is formed; the rest are deduplicated and sorted as int tuples,
+    and only those are built.
     """
     _check_n(n)
-    keep = {
-        cand
-        for cand in _negative_shape_instances(n)
-        if cand.self_intersection() <= -2 and all(r >= 0 for r in cand.multiplicities)
-    }
-    return tuple(sorted(keep))
-
-
-def scaled_areas(m: int, ks: Sequence[int], classes: Iterable[H2Element]) -> Iterator[int]:
-    """a*m - sum r_i k_i for each class u: m times its area a - sum r_i c_i under c = k/m
-    (see Capacities.scaled)."""
-    for u in classes:
-        s = u.degree_a * m
-        for k, r in zip(ks, u.multiplicities):
-            s -= k * r
-        yield s
+    rows = set()
+    for a, heavy_coeff, heavy_count, light_coeff in _SHAPES:
+        for size in range(n - heavy_count + 1):
+            if a * a - heavy_coeff**2 * heavy_count - light_coeff**2 * size > -2:
+                continue
+            for heavy in itertools.combinations(range(n), heavy_count):
+                rest = [i for i in range(n) if i not in heavy]
+                for light in itertools.combinations(rest, size):
+                    r = [0] * n
+                    for i in heavy:
+                        r[i] = heavy_coeff
+                    for i in light:
+                        r[i] = light_coeff
+                    rows.add((a, *r))
+    return tuple(H2Element(row[0], row[1:]) for row in sorted(rows))
 
 
 def scaled_volume_margin(m: int, ks: Sequence[int]) -> int:

@@ -10,6 +10,7 @@ against the inversion-counting oracle of test_monomial_kernel.
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,30 @@ class TestExactCoefficients:
             GPolynomial(TORUS, [((1, 0), "1e-30000000")])
         with pytest.raises(ValueError, match="exponent notation"):
             P(TORUS, "T1") * "2E3"
+
+
+class TestIntegerDegreesAndExponents:
+    # a degree or an exponent that is not an int is refused, naming it,
+    # instead of being truncated by int()
+    @pytest.mark.parametrize("bad,text", [(2.5, "2.5"), (2.0, "2.0"), (Fraction(2), "Fraction(2, 1)"), ("2", "'2'")])
+    def test_non_int_degree_raises(self, bad, text):
+        with pytest.raises(TypeError, match=rf"^generator degree {re.escape(text)} is not an int$"):
+            GeneratorTable(("x", "y"), (2, bad))
+
+    def test_int_degrees_pass(self):
+        table = GeneratorTable(("x", "y"), [2, True])
+        assert table.degrees == (2, 1) and all(type(d) is int for d in table.degrees)
+
+    @pytest.mark.parametrize(
+        "mono,text", [((1, 0.5), "0.5"), ((2.0, 0), "2.0"), ((Fraction(1), 0), "Fraction(1, 1)")]
+    )
+    def test_non_int_exponent_raises(self, mono, text):
+        with pytest.raises(TypeError, match=rf"^exponent {re.escape(text)} in monomial .* is not an int$"):
+            GPolynomial(TORUS, [(mono, 1)])
+
+    def test_int_exponents_pass(self):
+        assert GPolynomial(TORUS, {(1, 2): 3}) == 3 * P(TORUS, "T1*T2^2")
+        assert GPolynomial(TORUS, [([1, 0], 1)]) == P(TORUS, "T1")
 
 
 # ------------------------------------------------------------ graded data

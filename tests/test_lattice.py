@@ -1,10 +1,12 @@
 import gc
 import itertools
+import numbers
 import os
 import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +23,6 @@ from cpstrata.lattice import (
     intersection,
     is_exceptional_numerical,
     negative_wall_classes,
-    scaled_areas,
 )
 
 
@@ -30,11 +31,66 @@ def h2(a, *r):
 
 
 def area(c, u):
-    """The area a - sum r_i c_i of u under c: scaled_areas over
-    Capacities.scaled, divided by the common denominator m."""
+    """The area a - sum r_i c_i of u under c: a*m - sum r_i k_i over
+    Capacities.scaled = (m, k), divided by the common denominator m."""
     m, ks = c.scaled
-    (s,) = scaled_areas(m, ks, [u])
-    return Fraction(s, m)
+    return Fraction(u.degree_a * m - sum(k * r for k, r in zip(ks, u.multiplicities)), m)
+
+
+def box_exceptional(n):
+    """Oracle: every exceptional class with a in [0,6], r_i in [-1,3],
+    lexicographic, by depth-first search over that box.
+
+    It solves sum r_i = 3a - 1 and sum r_i^2 = a^2 + 1, pruned by what the
+    remaining entries can still add: over r in [-1,3] one has
+    |r| <= r^2 <= 3r + 4.
+    """
+
+    def reachable(rsum, rsq, left):
+        return -left <= rsum <= 3 * left and abs(rsum) <= rsq <= 3 * rsum + 4 * left
+
+    found = []
+    # an entry is (a, prefix, rsum, rsq), rsum and rsq being what the
+    # entries after prefix must add up to
+    stack = [(a, (), 3 * a - 1, a * a + 1) for a in range(7) if reachable(3 * a - 1, a * a + 1, n)]
+    while stack:
+        a, prefix, rsum, rsq = stack.pop()
+        left = n - len(prefix) - 1
+        if left < 0:
+            found.append(H2Element(a, prefix))
+            continue
+        for r in range(-1, 4):
+            if reachable(rsum - r, rsq - r * r, left):
+                stack.append((a, prefix + (r,), rsum - r, rsq - r * r))
+    assert all(is_exceptional_numerical(u) for u in found)
+    return tuple(sorted(found))
+
+
+# (a, heavy coefficient, heavy count, light coefficient) of the six
+# degree <= 6 wall shapes
+SHAPES = ((1, 0, 0, 1), (2, 0, 0, 1), (3, 2, 1, 1), (4, 2, 3, 1), (5, 1, 2, 2), (6, 3, 1, 2))
+
+
+def shape_instances(n):
+    """Oracle: every instance of the six shapes over index subsets, as an
+    H2Element, duplicates and positive squares included."""
+    for a, heavy_coeff, heavy_count, light_coeff in SHAPES:
+        for heavy in itertools.combinations(range(n), heavy_count):
+            rest = [i for i in range(n) if i not in heavy]
+            for size in range(len(rest) + 1):
+                for light in itertools.combinations(rest, size):
+                    r = [0] * n
+                    for i in heavy:
+                        r[i] = heavy_coeff
+                    for i in light:
+                        r[i] = light_coeff
+                    yield H2Element(a, tuple(r))
+
+
+def weyl_orbit(start):
+    """The W(E_n) orbit of the class start, n = len(start.multiplicities) >= 3,
+    through lattice._orbit, as H2Elements."""
+    return {H2Element(row[0], row[1:]) for row in lattice._orbit((start.degree_a, *start.multiplicities))}
 
 
 class TestIntersection:
@@ -119,7 +175,7 @@ class TestExceptional:
 
     def test_every_class_matches_a_shape_or_is_basis(self):
         for n in (5, 8):
-            shapes = set(lattice._negative_shape_instances(n))
+            shapes = set(shape_instances(n))
             for u in enumerate_exceptional(n):
                 assert u.degree_a == 0 or u in shapes
 
@@ -142,6 +198,16 @@ class TestExceptional:
         assert enumerate_exceptional.__wrapped__(n) == tuple(
             sorted(u for u in box if is_exceptional_numerical(u))
         )
+
+    @pytest.mark.parametrize(
+        "n,count", [(1, 1), (2, 3), (3, 6), (4, 10), (5, 16), (6, 27), (7, 56), (8, 240)]
+    )
+    def test_orbit_matches_box_search(self, n, count):
+        # the W(E_n) orbit of E_1 against the box search it replaced, class
+        # for class and in order
+        got = enumerate_exceptional.__wrapped__(n)
+        assert len(got) == count
+        assert got == box_exceptional(n)
 
     def test_search_leaves_no_cyclic_garbage(self):
         # __wrapped__ skips the lru_cache, so every call really searches
@@ -199,7 +265,45 @@ class TestWallClasses:
 
     def test_all_squares_at_most_minus_two(self):
         for u in negative_wall_classes(5):
-            assert u.self_intersection() <= -2
+            assert intersection(u, u) <= -2
+
+    @pytest.mark.parametrize(
+        "n,count", [(1, 0), (2, 0), (3, 1), (4, 5), (5, 16), (6, 43), (7, 107), (8, 264)]
+    )
+    def test_filtered_before_built_matches_build_then_filter(self, n, count):
+        # the oracle builds every shape instance and then filters it by its
+        # square; the program skips subset sizes before building anything
+        want = tuple(
+            sorted(
+                {
+                    u
+                    for u in shape_instances(n)
+                    if intersection(u, u) <= -2 and all(r >= 0 for r in u.multiplicities)
+                }
+            )
+        )
+        assert len(want) == count
+        assert negative_wall_classes.__wrapped__(n) == want
+
+    @pytest.mark.parametrize("n,count", [(4, 4), (5, 10), (6, 21), (7, 42), (8, 92)])
+    def test_square_minus_two_walls_are_the_nonnegative_positive_roots(self, n, count):
+        # the roots of E_n are the W(E_n) orbit of E_1 - E_2 for n >= 4; the
+        # walls of square -2 are exactly those with every r_i >= 0
+        roots = weyl_orbit(h2(0, -1, 1, *[0] * (n - 2)))
+        assert all(intersection(u, u) == -2 and intersection(anticanonical(n), u) == 0 for u in roots)
+        want = sorted(u for u in roots if all(r >= 0 for r in u.multiplicities))
+        assert len(want) == count
+        assert [u for u in negative_wall_classes(n) if intersection(u, u) == -2] == want
+
+    def test_n3_wall_is_outside_the_orbit_of_e1_minus_e2(self):
+        # at n = 3 the roots are A_2 x A_1: the six E_i - E_j, and the
+        # wall L - E1 - E2 - E3 with its negative, a second orbit
+        roots = weyl_orbit(h2(0, -1, 1, 0))
+        assert roots == {h2(0, *r) for r in itertools.permutations((-1, 1, 0))}
+        (wall,) = negative_wall_classes(3)
+        assert wall == h2(1, 1, 1, 1) and intersection(wall, wall) == -2
+        assert wall not in roots
+        assert weyl_orbit(wall) == {wall, h2(-1, -1, -1, -1)}
 
 
 class TestArea:
@@ -268,6 +372,49 @@ class TestSerialization:
         with pytest.raises(TypeError, match=rf"capacity {re.escape(repr(bad))} is not"):
             Capacities(["1/4", bad])
 
+    def test_capacities_repr_equality_and_hash(self):
+        c = Capacities(["1/2"])
+        assert repr(c) == "Capacities(values=(Fraction(1, 2),))"
+        assert c == Capacities([Fraction(1, 2)]) and c != Capacities(["1/3"])
+        assert hash(c) == hash((c.values,))
+        assert c.scaled == (2, (1,))
+
+    def test_capacities_convert_other_rationals(self):
+        class Ratio:  # a numbers.Rational that is not a Fraction
+            def __init__(self, p, q):
+                self.numerator, self.denominator = p, q
+
+        numbers.Rational.register(Ratio)
+        c = Capacities([True, Ratio(1, 3), "1/2", 1])
+        assert c.values == (Fraction(1), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+        assert all(type(v) is Fraction for v in c.values)
+        assert c.scaled == (6, (6, 2, 3, 6))
+        with pytest.raises(ValueError, match=r"^capacities must be strictly positive, got \(Fraction\(0, 1\),\)$"):
+            Capacities([Ratio(0, 1)])
+
+    @pytest.mark.parametrize(
+        "values,error,message",
+        [
+            ([0.5], TypeError, "capacity 0.5 is not an int, Fraction or rational string"),
+            ([Decimal("0.5")], TypeError, "capacity Decimal('0.5') is not an int, Fraction or rational string"),
+            # every entry's type is checked before any string is parsed
+            (["1/0", 0.5], TypeError, "capacity 0.5 is not an int, Fraction or rational string"),
+            ([0], ValueError, "capacities must be strictly positive, got (Fraction(0, 1),)"),
+            (["0"], ValueError, "capacities must be strictly positive, got (Fraction(0, 1),)"),
+            ([False], ValueError, "capacities must be strictly positive, got (Fraction(0, 1),)"),
+            (["1/2", Fraction(-1, 3)], ValueError,
+             "capacities must be strictly positive, got (Fraction(1, 2), Fraction(-1, 3))"),
+            (["2/3", "1E-2"], ValueError, "capacity '1E-2' is in exponent notation"),
+            ([], ValueError, "need at least one capacity"),
+            ([0] * 9, ValueError, "n must be in 1..8, got 9"),
+        ],
+        ids=["float", "decimal", "type-before-parse", "zero", "zero-string", "false", "negative",
+             "exponent", "empty", "too-many"],
+    )
+    def test_capacities_errors(self, values, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            Capacities(values)
+
     def test_capacities_keep_exact_entries(self):
         c = Capacities([1, Fraction(1, 3), "0.1", "2/7"])
         assert c.values == (1, Fraction(1, 3), Fraction(1, 10), Fraction(2, 7))
@@ -282,6 +429,13 @@ class TestSerialization:
     def test_classes_reject_non_integer_entries(self, a, r, bad):
         with pytest.raises(ValueError, match=rf"class coefficient {re.escape(bad)} is not an integer"):
             H2Element(a, r)
+
+    def test_classes_keep_exact_int_entries_as_given(self):
+        r = (2, 1, 0)
+        u = H2Element(2, r)
+        assert u.multiplicities is r
+        assert H2Element(2, [2, 1, 0]) == u  # a list becomes a tuple
+        assert type(H2Element(2, [2, 1, 0]).multiplicities) is tuple
 
     def test_classes_keep_integral_entries(self):
         u = H2Element(Fraction(2), (Fraction(4, 2), True, 0))
