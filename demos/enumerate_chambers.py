@@ -7,7 +7,9 @@ root's rows are added one at a time to the trivial optimum, and each wall
 row is then added to its parent's optimal tableau and re-optimized.  Each
 feasible full pattern reads a rational witness vector off its own optimal
 tableau (in inclusive mode after a few more dual steps that make the
-relaxed pair rows strict again), never from a fresh solve.  Enumeration
+relaxed pair row L - E1 - E2 strict again), never from a fresh solve.
+Only the classes with nonincreasing multiplicities give admissibility
+rows: on the sorted cone they imply all the others.  Enumeration
 stops at n = 5: beyond it the linearized volume bound is not known to be
 exact.
 """

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import ge, mul
 from typing import Literal, Optional, Sequence, Union
 
 from .exactlp import Ineq as _Ineq
@@ -199,12 +199,19 @@ def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
 
     Every row is integral, so coefficients and right-hand sides are ints,
     the only rows exactlp takes; the cone rows force c > 0, so its x >= 0
-    loses no point.  The volume bound is quadratic; for n in 2..5 it is
-    implied by the strict linear constraints (the supremum of sum c_i^2 over
-    the closed linear region is 1, attained only on excluded faces), and for
-    n=1 it linearizes exactly to c_1 < 1.  Witnesses are volume-checked after
-    the fact, so a hypothetical n >= 6 failure would surface as an error,
-    not a wrong answer.
+    loses no point.  A class gives a row only if its multiplicities r are
+    nonincreasing: the classes are closed under permuting the E_i, so each
+    r has its sorted rearrangement r* among them, with the same a and so
+    the same strictness, and on the sorted cone r.c <= r*.c (Hardy,
+    Littlewood and Polya, *Inequalities*, 1934, section 10.2).  The region
+    and its eps-program are unchanged, from 2, 3, 4, 5, 7, 8, 10, 14 rows
+    for n = 1..8 instead of 2, 3, 6, 10, 16, 27, 56, 240.  The volume
+    bound is quadratic; for n in 2..5 it is implied by the strict linear
+    constraints (the supremum of sum c_i^2 over the closed linear region is
+    1, attained only on excluded faces), and for n=1 it linearizes exactly
+    to c_1 < 1.  Witnesses are volume-checked after the fact, so a
+    hypothetical n >= 6 failure would surface as an error, not a wrong
+    answer.
     """
     ineqs: list[_Ineq] = []
     zero = [0] * n
@@ -220,10 +227,11 @@ def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
     co[n - 1] = -1  # c_n > 0
     row(co, 0, True)
     # the basis classes E_i are left out of _class_rows: area = c_i > 0
-    # already follows; the classes of degree 1 are the pair classes
-    # L - E_i - E_j, whose strictness the inclusive convention relaxes
+    # already follows; the one degree 1 class kept is the pair class
+    # L - E_1 - E_2, whose strictness the inclusive convention relaxes
     for _, a, r in _class_rows(n)[0]:
-        row(r, a, not (boundary == "inclusive" and a == 1))
+        if all(map(ge, r, r[1:])):
+            row(r, a, not (boundary == "inclusive" and a == 1))
     if n == 1:
         row([1], 1, True)  # exact linearization of the volume bound
     return ineqs
@@ -283,7 +291,8 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     assignment whose system has no strictly feasible point prunes the whole
     subtree.  Each full sign pattern then reads its witness off its own
     tableau, after a few more dual steps in inclusive mode that restore the
-    strict pair rows (_leaf_record); no leaf solves from the trivial optimum.
+    strict row of L - E_1 - E_2, the only pair class the sorted cone needs
+    (_leaf_record); no leaf solves from the trivial optimum.
     Both sign rows of every wall are built and scaled once per call.
 
     The boundary convention decides which sign patterns count as feasible;

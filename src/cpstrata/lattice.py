@@ -56,6 +56,7 @@ class H2Element:
         for x in (self.degree_a, *r):
             if not (isinstance(x, Rational) and x.denominator == 1):
                 raise ValueError(f"class coefficient {x!r} is not an integer")
+        object.__setattr__(self, "degree_a", int(self.degree_a))
         object.__setattr__(self, "multiplicities", tuple(int(x) for x in r))
 
     @property
@@ -172,14 +173,9 @@ def intersection(u: H2Element, v: H2Element) -> int:
     return u.degree_a * v.degree_a - sum(map(mul, u.multiplicities, v.multiplicities))
 
 
-def anticanonical(n: int) -> H2Element:
-    """-K = 3L - E_1 - ... - E_n."""
-    _check_n(n)
-    return H2Element(3, (1,) * n)
-
-
 def is_exceptional_numerical(u: H2Element) -> bool:
-    return intersection(u, u) == -1 and intersection(anticanonical(u.n), u) == 1
+    """u.u = -1 and K.u = -1, with -K = 3L - E_1 - ... - E_n, so -K.u = 3a - sum r_i."""
+    return intersection(u, u) == -1 and 3 * u.degree_a - sum(u.multiplicities) == 1
 
 
 def _orbit(start: tuple[int, ...]) -> set[tuple[int, ...]]:

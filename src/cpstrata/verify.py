@@ -175,22 +175,22 @@ def suite_thm13(rec: Recorder) -> None:
         )
 
 
+def _dimensions(algebra, top: int) -> list[int]:
+    """Graded dimensions in degrees 0..top-1, all read from one algebra, which
+    builds each frame once and keeps it."""
+    return [algebra.quotient_dimension(q) for q in range(top)]
+
+
 def suite_eq71(rec: Recorder) -> None:
     rec.check(
         "four-ball stabilizer dims through degree 14",
         STAB4_DIMS,
-        lambda: [
-            ballmodels.four_ball_stabilizer_presentation().quotient_dimension(q)
-            for q in range(15)
-        ],
+        lambda: _dimensions(ballmodels.four_ball_stabilizer_presentation(), 15),
     )
     rec.check(
         "stabilizer presentation served for (4, C_5)",
         STAB4_DIMS[:8],
-        lambda: [
-            ballmodels.bstab_presentation(4, "C_5").quotient_dimension(q)
-            for q in range(8)
-        ],
+        lambda: _dimensions(ballmodels.bstab_presentation(4, "C_5"), 8),
     )
 
 

@@ -554,9 +554,10 @@ class TestWitnessQuality:
 class TestRowsAsGiven:
     # the root and the leaves hand the LP the admissibility and wall rows as
     # built: no row is constant and no two are positive multiples of each
-    # other, so there is nothing to merge; admissibility rows plus both signs
-    # of every wall row, n = 1..8
-    ROW_COUNTS = {1: 2, 2: 3, 3: 8, 4: 20, 5: 48, 6: 113, 7: 270, 8: 768}
+    # other, so there is nothing to merge; admissibility rows (only the
+    # classes with nonincreasing multiplicities) plus both signs of every
+    # wall row, n = 1..8
+    ROW_COUNTS = {1: 2, 2: 3, 3: 6, 4: 15, 5: 39, 6: 94, 7: 224, 8: 542}
 
     @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
     def test_rows_are_pairwise_distinct_and_never_constant(self, boundary):
@@ -574,6 +575,79 @@ class TestRowsAsGiven:
                 for coeffs, rhs, _ in rows
             }
             assert len(keys) == count, n
+
+
+def every_class_rows(n, boundary):
+    """The admissibility rows over the sorted cone with a row for every
+    exceptional class of positive degree, sorted or not."""
+    cone = [
+        (tuple(1 if j == i + 1 else -1 if j == i else 0 for j in range(n)), 0, False)
+        for i in range(n - 1)
+    ]
+    cone.append((tuple(-int(j == n - 1) for j in range(n)), 0, True))
+    classes = [
+        (u.multiplicities, u.degree_a, not (boundary == "inclusive" and u.degree_a == 1))
+        for u in enumerate_exceptional(n)
+        if u.degree_a > 0
+    ]
+    return cone + classes + ([((1,), 1, True)] if n == 1 else [])
+
+
+def meets(rows, ks, d):
+    """Whether c = ks/d satisfies every row, in integers."""
+    for coeffs, rhs, strict in rows:
+        lhs = sum(a * k for a, k in zip(coeffs, ks))
+        if lhs > rhs * d or (strict and lhs == rhs * d):
+            return False
+    return True
+
+
+class TestSortedConeRows:
+    # _admissibility_ineqs keeps a class row only if its multiplicities are
+    # nonincreasing.  The exceptional classes are closed under permuting the
+    # E_i, so a dropped class has its sorted rearrangement among the kept
+    # rows, with the same a and strictness; on the sorted cone r.c is at
+    # most that rearrangement's area term, so the dropped row is implied
+    KEPT = {1: 2, 2: 3, 3: 4, 4: 5, 5: 7, 6: 8, 7: 10, 8: 14}
+
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_dropped_class_has_its_rearrangement_kept(self, n, boundary):
+        kept, full = chambers._admissibility_ineqs(n, boundary), every_class_rows(n, boundary)
+        assert len(kept) == self.KEPT[n]
+        assert set(kept) <= set(full)
+        dropped = [row for row in full if row not in kept]
+        assert all(list(coeffs) != sorted(coeffs, reverse=True) for coeffs, _, _ in dropped)
+        for coeffs, rhs, strict in dropped:
+            assert (tuple(sorted(coeffs, reverse=True)), rhs, strict) in kept
+
+    def test_sorted_points_meet_the_kept_rows_iff_every_class(self):
+        rng = random.Random(22)
+        seen = Counter()
+        for n in range(1, 9):
+            rows = {
+                b: (chambers._admissibility_ineqs(n, b), every_class_rows(n, b))
+                for b in ("strict", "inclusive")
+            }
+            for _ in range(150):
+                d = rng.randint(1, 12)
+                top = max(1, d // rng.choice((1, 2, 3)))
+                ks = sorted((rng.randint(1, top) for _ in range(n)), reverse=True)
+                for b, (kept, full) in rows.items():
+                    verdict = meets(full, ks, d)
+                    assert meets(kept, ks, d) == verdict, (n, b, ks, d)
+                    seen[b, verdict] += 1
+        assert all(seen[b, v] for b in ("strict", "inclusive") for v in (False, True))
+        # some points lie on a relaxed row, where the two modes part
+        assert seen["inclusive", True] > seen["strict", True]
+
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    def test_root_eps_optimum_unchanged(self, boundary):
+        # the region and its eps-program are the same, so is eps*
+        for n in range(1, 9):
+            kept = exactlp.interior_tableau(chambers._admissibility_ineqs(n, boundary), n)
+            full = exactlp.interior_tableau(every_class_rows(n, boundary), n)
+            assert F(kept.rows[n][-1], kept.d) == F(full.rows[n][-1], full.d) > 0
 
 
 class TestLpPrecondition:
@@ -614,15 +688,15 @@ def cold_verdict(rows, n):
 
 class TestWarmDescent:
     # (children decided, children pruned, dual pivots) of the full tree,
-    # n=3..5 in both modes; 1028, 438 and 1114 in total.  The pivot counts
+    # n=3..5 in both modes; 1028, 438 and 1153 in total.  The pivot counts
     # pin the dual Bland rule: other leaving or entering choices reach the
     # same verdicts through other bases.
     TREE_SIZES = {
         (3, "strict"): (2, 0, 1),
         (3, "inclusive"): (2, 0, 1),
-        (4, "strict"): (30, 10, 23),
-        (4, "inclusive"): (30, 10, 23),
-        (5, "strict"): (482, 209, 487),
+        (4, "strict"): (30, 10, 26),
+        (4, "inclusive"): (30, 10, 26),
+        (5, "strict"): (482, 209, 520),
         (5, "inclusive"): (482, 209, 579),
     }
 
@@ -700,10 +774,11 @@ class TestWarmDescent:
 
     def test_cold_solves_and_their_pivots_pinned(self, monkeypatch):
         # n=3..5 in both modes: 6 root folds from the trivial optimum take 37
-        # pivots, one start pivot each and the dual pivots of their rows.  The
-        # 82 leaves fold only the strict pair rows of inclusive mode onto
-        # their own tableau: 372 appended rows, 10 dual pivots.  The counts
-        # pin the dual Bland rule, which picks by label, not by column position
+        # pivots, one start pivot each and the dual pivots of their rows.  Of
+        # the 82 leaves only the 41 of inclusive mode fold a row onto their
+        # own tableau, the strict row of L - E1 - E2: 41 appended rows, 10
+        # dual pivots.  The counts pin the dual Bland rule, which picks by
+        # label, not by column position
         solves, pivots, leaf_rows, leaf_pivots, inside = [], [], [], [], []
         real_fold, real_pivot = exactlp.interior_tableau, exactlp._Simplex._pivot
 
@@ -735,13 +810,13 @@ class TestWarmDescent:
             for boundary in ("strict", "inclusive"):
                 enumerate_chambers(n, boundary)
         assert (len(solves), len(pivots)) == (6, 37)
-        assert (len(leaf_rows), len(leaf_pivots)) == (372, 10)
+        assert (len(leaf_rows), len(leaf_pivots)) == (41, 10)
 
     def test_lp_steps_pinned_and_wall_rows_built_once(self, monkeypatch):
-        # n=3..5 in both modes: 1,464 appended rows (64 root rows, 1,028
-        # children, 372 leaf rows) and 1,161 pivots.  Each call builds and
+        # n=3..5 in both modes: 1,101 appended rows (32 root rows, 1,028
+        # children, 41 leaf rows) and 1,200 pivots.  Each call builds and
         # scales the two sign rows of every wall once: 88 wall rows over the
-        # six calls, so 64 + 88 + 372 = 524 rows are scaled
+        # six calls, so 32 + 88 + 41 = 161 rows are scaled
         counts = Counter()
 
         def counting(name, real):
@@ -763,8 +838,8 @@ class TestWarmDescent:
                 walls = counts["walls"]
                 enumerate_chambers(n, boundary)
                 assert counts["walls"] - walls == 2 * len(negative_wall_classes(n))
-        assert (counts["with_row"], counts["pivot"]) == (1464, 1161)
-        assert (counts["walls"], counts["scaled"]) == (88, 524)
+        assert (counts["with_row"], counts["pivot"]) == (1101, 1200)
+        assert (counts["walls"], counts["scaled"]) == (88, 161)
 
 
 def simplify_reference(point, ineqs):

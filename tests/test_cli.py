@@ -10,6 +10,7 @@ import pytest
 from cpstrata import ballmodels, chambers, verify
 from cpstrata.cli import RunConfig, canonical_json, main, parse_weights
 from cpstrata.dga import cohomology_ranks, complete_through_cap
+from cpstrata.gradedalg import PresentedAlgebra
 from cpstrata.kriz import KrizParams, kriz_model
 from cpstrata.verify import IEMB_ROWS
 
@@ -529,6 +530,32 @@ class TestVerify:
         monkeypatch.setattr(verify, "kriz_model", counted)
         assert verify.run_suite("kriz").passed
         assert calls.count(((KrizParams(2, 3),), {})) == 1
+
+    def test_eq71_builds_each_presentation_once(self, monkeypatch):
+        # one algebra per check, all degrees read from it: 2 algebras and
+        # 15 + 8 frames (23 algebras and 156 frames when each degree was
+        # read from a fresh algebra)
+        algebras, frames = [], []
+        real_init, real_frame = PresentedAlgebra.__init__, PresentedAlgebra._build_frame
+
+        def counting_init(algebra, *args, **kwargs):
+            algebras.append(algebra)
+            real_init(algebra, *args, **kwargs)
+
+        def counting_frame(algebra, q):
+            frames.append(q)
+            return real_frame(algebra, q)
+
+        monkeypatch.setattr(PresentedAlgebra, "__init__", counting_init)
+        monkeypatch.setattr(PresentedAlgebra, "_build_frame", counting_frame)
+        report = verify.run_suite("eq71")
+        assert report.passed
+        assert [c.name for c in report.checks] == [
+            "four-ball stabilizer dims through degree 14",
+            "stabilizer presentation served for (4, C_5)",
+        ]
+        assert (len(algebras), len(frames)) == (2, 23)
+        assert frames == [*range(15), *range(8)]
 
     def test_failing_shared_value_gives_every_check_the_same_error(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -808,8 +808,9 @@ def test_lockstep_with_full_dictionary_on_frozen_systems(lockstep):
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
 def test_lockstep_with_full_dictionary_on_every_chamber_node(n, boundary, lockstep):
-    # the root fold, both children of every node of the descent and the
-    # strict pair rows folded onto every leaf, as enumerate_chambers runs them
+    # the root fold, both children of every node of the descent and, in
+    # inclusive mode, the strict row of L - E1 - E2 folded onto every leaf,
+    # as enumerate_chambers runs them
     walls = negative_wall_classes(n)
     base = chambers._admissibility_ineqs(n, boundary)
     relaxed = [row for row in chambers._admissibility_ineqs(n, "strict") if row not in base]

@@ -2,6 +2,7 @@ import gc
 import itertools
 import numbers
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +19,6 @@ from cpstrata.lattice import (
     Capacities,
     DimensionMismatchError,
     H2Element,
-    anticanonical,
     enumerate_exceptional,
     intersection,
     is_exceptional_numerical,
@@ -28,6 +28,11 @@ from cpstrata.lattice import (
 
 def h2(a, *r):
     return H2Element(a, tuple(r))
+
+
+def minus_k(n):
+    """-K = 3L - E_1 - ... - E_n, the oracle for the pairing 3a - sum r_i."""
+    return h2(3, *[1] * n)
 
 
 def area(c, u):
@@ -131,18 +136,53 @@ class TestIntersection:
 
 
 class TestAnticanonical:
+    # is_exceptional_numerical reads -K.u as 3a - sum r_i on the ints; the
+    # oracle pairs u with the class -K itself
     def test_n1(self):
-        assert anticanonical(1) == h2(3, 1)
+        assert minus_k(1) == h2(3, 1)
+        box = [h2(a, r) for a in range(-4, 5) for r in range(-4, 5)]
+        got = [u for u in box if is_exceptional_numerical(u)]
+        assert got == [u for u in box if intersection(u, u) == -1 and intersection(minus_k(1), u) == 1]
+        assert got == [h2(0, -1)]
 
     def test_pairs_one_with_exceptional(self):
-        assert intersection(anticanonical(2), h2(0, -1, 0)) == 1
-        assert intersection(anticanonical(3), h2(1, 1, 1, 0)) == 1
+        assert intersection(minus_k(2), h2(0, -1, 0)) == 1
+        assert intersection(minus_k(3), h2(1, 1, 1, 0)) == 1
+        for n in range(1, 9):
+            for u in enumerate_exceptional(n):
+                assert 3 * u.degree_a - sum(u.multiplicities) == intersection(minus_k(n), u) == 1
+
+    def test_criterion_is_the_pairing_with_minus_k(self):
+        # square -1 alone does not decide: -E1 and 2L - 2E1 - E2 have square
+        # -1 but pair to -1 and 3 with -K
+        assert not is_exceptional_numerical(h2(0, 1, 0))
+        assert not is_exceptional_numerical(h2(2, 2, 1))
+        rng = random.Random(7)
+        for n in range(1, 9):
+            for _ in range(200):
+                u = h2(rng.randint(-3, 6), *[rng.randint(-2, 3) for _ in range(n)])
+                want = intersection(u, u) == -1 and intersection(minus_k(n), u) == 1
+                assert is_exceptional_numerical(u) == want
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            anticanonical(9)
-        with pytest.raises(ValueError):
-            anticanonical(0)
+        # -K, like every class, lives over n in 1..8 only
+        with pytest.raises(ValueError, match="n must be in 1..8, got 9"):
+            minus_k(9)
+        with pytest.raises(ValueError, match="n must be in 1..8, got 0"):
+            minus_k(0)
+
+    def test_one_build_per_exceptional_class(self, monkeypatch):
+        # no -K is built per check: the 359 classes of n = 1..8 take 359
+        # H2Element builds (718 when each check built its own -K)
+        builds, real = [], H2Element.__post_init__
+
+        def counting(u):
+            builds.append(u)
+            real(u)
+
+        monkeypatch.setattr(H2Element, "__post_init__", counting)
+        found = [u for n in range(1, 9) for u in enumerate_exceptional.__wrapped__(n)]
+        assert len(builds) == len(found) == 359
 
 
 class TestExceptional:
@@ -290,7 +330,7 @@ class TestWallClasses:
         # the roots of E_n are the W(E_n) orbit of E_1 - E_2 for n >= 4; the
         # walls of square -2 are exactly those with every r_i >= 0
         roots = weyl_orbit(h2(0, -1, 1, *[0] * (n - 2)))
-        assert all(intersection(u, u) == -2 and intersection(anticanonical(n), u) == 0 for u in roots)
+        assert all(intersection(u, u) == -2 and intersection(minus_k(n), u) == 0 for u in roots)
         want = sorted(u for u in roots if all(r >= 0 for r in u.multiplicities))
         assert len(want) == count
         assert [u for u in negative_wall_classes(n) if intersection(u, u) == -2] == want
@@ -442,3 +482,14 @@ class TestSerialization:
         assert u == h2(2, 2, 1, 0)
         assert u.to_text() == "2L - 2E1 - E2"
         assert all(type(r) is int for r in u.multiplicities)
+
+    @pytest.mark.parametrize("degree", [Fraction(2), Fraction(-3), True, 2])
+    def test_integral_degree_becomes_an_int(self, degree):
+        # the degree is converted as the multiplicities are, so the repr and
+        # every intersection number are plain ints
+        u = H2Element(degree, (1,))
+        assert type(u.degree_a) is int
+        assert repr(u) == f"H2Element(degree_a={int(degree)}, multiplicities=(1,))"
+        square = intersection(u, u)
+        assert type(square) is int and square == int(degree) ** 2 - 1
+        assert type(intersection(u, h2(3, 1))) is int
