@@ -5,12 +5,14 @@ the differential extends by the graded Leibniz rule and descends to the
 quotient once d(I) is contained in I.  Cohomology is computed degree by
 degree as exact linear algebra on the quotient frames:
 
-    rank H^q  =  dim ker(d_q) - rank(d_{q-1})
+    rank H^q  =  dim A^q - rank(d_q) - rank(d_{q-1})
 
-with explicit cocycle representatives taken in a complement of the
-coboundaries.  Coboundary membership is decided inside the same row-reduced
-frames used for the ranks, so verification of a candidate presentation of
-the cohomology ring cannot disagree with the rank computation.
+from one untagged elimination of the columns of each d_q.  Cocycle
+representatives, taken in a complement of the coboundaries, cost a second,
+tagged elimination for the kernel vectors and are chosen only when read.
+Coboundary membership is decided inside the same row-reduced boundaries
+used for the ranks, so verification of a candidate presentation of the
+cohomology ring cannot disagree with the rank computation.
 
 d(f) modulo the ideal has one route, _d_residue: the integer terms of d
 summed over those of f and reduced in the frame one degree up.  The columns
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Optional
 
@@ -223,15 +226,30 @@ def check_ideal_stability(D: DgaSpec) -> None:
 
 @dataclass
 class CohomologyReport:
-    """Degreewise ranks of a DGA with chosen cocycle representatives."""
+    """Degreewise ranks of a DGA, through the cap.
+
+    The cocycle representatives are chosen on first read of
+    representatives, from the complex the ranks were computed on; the
+    report lets go of that complex once they are chosen.
+    """
 
     ranks: dict[int, int]
-    representatives: dict[int, list[GPolynomial]]
     degree_cap: int
+    _quot: Optional[_QuotientDifferential] = field(repr=False, compare=False)
+
+    @cached_property
+    def representatives(self) -> dict[int, list[GPolynomial]]:
+        """Per degree, rank-many cocycles whose classes form a basis of H^q,
+        each scaled so its leading monomial has coefficient 1."""
+        reps = {q: self._quot.representatives(q, r) for q, r in self.ranks.items()}
+        self._quot = None
+        return reps
 
     def rank_list(self, upto: Optional[int] = None) -> list[int]:
         top = self.degree_cap if upto is None else upto
-        return [self.ranks.get(q, 0) for q in range(top + 1)]
+        if not 0 <= top <= self.degree_cap:
+            raise ValueError(f"degree {top} is outside the ranks computed, 0..{self.degree_cap}")
+        return [self.ranks[q] for q in range(top + 1)]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * r for q, r in self.ranks.items())
@@ -256,16 +274,16 @@ class _QuotientDifferential:
     A quotient vector of degree q is a sparse row keyed by packed monomial
     and supported on the standard monomials of graded_basis(q).  The column
     of d_q at a standard monomial is an integer residue with a positive
-    scale beside it: the image is column / scale.  Each degree q is
-    eliminated once.  The column at domain monomial j enters one
-    SparseReducer as its integer entries, each keyed by its target monomial
-    plus _top, and a tag keyed j holding its scale.  Tags sort below every
-    target key, so a row
-    keeps a target pivot exactly when its column is independent of the
-    earlier ones; those rows, tags stripped, span im(d_q).  A dependent
-    column reduces to tags alone with its own tag as pivot: the unique
-    relation writing it through the earlier independent columns, stored as
-    a primitive integer kernel vector with entry j > 0.
+    scale beside it: the image is column / scale.  Two cached passes read
+    the columns of d_q, each once.  boundary_reducer(q + 1) inserts them as
+    they are, a plain row space of im(d_q), which is all the ranks need.
+    kernel(q) runs the tagged pass: the column at domain monomial j enters
+    one SparseReducer as its integer entries, each keyed by its target
+    monomial plus _top, and a tag keyed j holding its scale.  Tags sort
+    below every target key, so a dependent column reduces to tags alone
+    with its own tag as pivot: the unique relation writing it through the
+    earlier independent columns, stored as a primitive integer kernel
+    vector with entry j > 0.  Only the representatives read the kernels.
     """
 
     def __init__(self, D: DgaSpec):
@@ -297,39 +315,48 @@ class _QuotientDifferential:
             self._columns[q] = cols
         return cols
 
-    def _eliminate(self, q: int) -> None:
-        frame = self.D.algebra.graded_basis(q)
-        top = self._top
-        red = SparseReducer()
-        kernel = []
-        cols = self.columns(q)
-        for mono, col, scale in zip(frame.monomials, cols, self._scales[q]):
-            # the column tagged with its scale: a positive multiple of
-            # (image, tag 1) leaves every stored primitive row as is
-            row = {top + i: v for i, v in col}
-            row[mono] = scale
-            pivot = red.insert(row)
-            if pivot < top:
-                kernel.append(red.rows[pivot])
-        image = SparseReducer()
-        for pivot, row in red.rows.items():
-            if pivot >= top:
-                # distinct pivots: each insert stores the row without reducing
-                image.insert({i - top: v for i, v in row.items() if i >= top})
-        self._kernels[q] = kernel
-        self._boundaries[q + 1] = image
-
     def kernel(self, q: int) -> list[dict]:
         """Basis of ker(d_q) as primitive integer rows keyed by packed monomial."""
-        if q not in self._kernels:
-            self._eliminate(q)
-        return self._kernels[q]
+        kernel = self._kernels.get(q)
+        if kernel is None:
+            top, red = self._top, SparseReducer()
+            kernel = self._kernels[q] = []
+            monos = self.D.algebra.graded_basis(q).monomials
+            for mono, col, scale in zip(monos, self.columns(q), self._scales[q]):
+                # the column tagged with its scale: a positive multiple of
+                # (image, tag 1) leaves every stored primitive row as is
+                row = {top + i: v for i, v in col}
+                row[mono] = scale
+                pivot = red.insert(row)
+                if pivot < top:
+                    kernel.append(red.rows[pivot])
+        return kernel
 
     def boundary_reducer(self, q: int) -> SparseReducer:
         """Row space of im(d_{q-1}), keyed by packed degree-q monomial."""
-        if q not in self._boundaries:
-            self._eliminate(q - 1)
-        return self._boundaries[q]
+        red = self._boundaries.get(q)
+        if red is None:
+            red = self._boundaries[q] = SparseReducer()
+            for col in self.columns(q - 1):
+                if col:  # the image times a positive scale: the same line
+                    red.insert(dict(col))
+        return red
+
+    def representatives(self, q: int, rank: int) -> list[GPolynomial]:
+        """rank cocycles of degree q, each the kernel vector's unique coset
+        member off the pivots of the boundaries and the earlier choices,
+        with leading coefficient 1; which echelon rows hold them is moot."""
+        chosen: list[GPolynomial] = []
+        scratch = SparseReducer(rows=dict(self.boundary_reducer(q).rows))  # rows are never modified
+        for v in self.kernel(q):
+            _, r = scratch.residue(v)
+            if r:
+                scratch.insert(r)
+                lead = r[max(r)]
+                chosen.append(GPolynomial._wrap(self.D.table, {m: Fraction(c, lead) for m, c in r.items()}))
+        if len(chosen) != rank:
+            raise DifferentialError(f"degree {q}: {len(chosen)} independent cocycles for rank {rank}")
+        return chosen
 
 
 def cohomology_ranks(D: DgaSpec) -> CohomologyReport:
@@ -354,32 +381,13 @@ def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
     check_d_squared(D)
     check_ideal_stability(D)
 
-    A = D.algebra
     ranks: dict[int, int] = {}
-    reps: dict[int, list[GPolynomial]] = {}
     for q in range(D.degree_cap + 1):
-        frame = A.graded_basis(q)
-        kernel = quot.kernel(q)
-        boundary = quot.boundary_reducer(q)
-        rank_q = len(kernel) - boundary.rank
-        ranks[q] = rank_q
-        chosen: list[GPolynomial] = []
-        scratch = SparseReducer(rows=dict(boundary.rows))  # stored rows are never modified
-        for v in kernel:
-            _, residue = scratch.residue(v)
-            if not residue:
-                continue
-            scratch.insert(residue)
-            # the representative, scaled so its leading monomial has coefficient 1
-            lead = residue[max(residue)]
-            chosen.append(GPolynomial._wrap(A.table, {m: Fraction(c, lead) for m, c in residue.items()}))
-        if len(chosen) != rank_q:
-            raise DifferentialError(
-                f"degree {q}: found {len(chosen)} independent cocycles for "
-                f"rank {rank_q}"
-            )
-        reps[q] = chosen
-    return CohomologyReport(ranks, reps, D.degree_cap)
+        kernel = D.algebra.quotient_dimension(q) - quot.boundary_reducer(q + 1).rank
+        ranks[q] = kernel - quot.boundary_reducer(q).rank
+        if ranks[q] < 0:
+            raise DifferentialError(f"degree {q}: im(d) has rank above dim ker(d) = {kernel}")
+    return CohomologyReport(ranks, D.degree_cap, quot)
 
 
 def dga_to_json(D: DgaSpec) -> dict:

@@ -8,6 +8,7 @@ configuration model.  Rank tables are pinned degreewise.
 import gc
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,11 @@ from cpstrata.gradedalg import (
     GPolynomial,
     InhomogeneousError,
     PresentedAlgebra,
+    SparseReducer,
     TableMismatchError,
     integer_row,
 )
+from cpstrata import cli
 from cpstrata.dga import (
     DgaSpec,
     DifferentialError,
@@ -35,9 +38,9 @@ from cpstrata.dga import (
     substitute,
     verify_presentation,
 )
-from cpstrata.ballmodels import iemb_model, iemb_presentation
+from cpstrata.ballmodels import iemb_model, iemb_presentation, weight_independence_check
 from cpstrata.kriz import KrizParams, kriz_model
-from test_monomial_kernel import reference_monomials
+from test_monomial_kernel import SEEDS, random_dga, reference_monomials
 
 FLAG_T = GeneratorTable(names=("T1", "T2", "beta", "gamma"), degrees=(2, 2, 3, 5))
 
@@ -455,6 +458,15 @@ class TestCohomologyRanks:
         # as a nonzero rank in the top degree
         assert rep.ranks[6] == 1
 
+    @pytest.mark.parametrize("upto", [-1, 11, 14])
+    def test_rank_list_refuses_degrees_outside_the_cap(self, upto):
+        # degrees above the cap were never computed: no zeros stand in for them
+        rep = cohomology_ranks(flag_model())
+        with pytest.raises(ValueError, match=f"^degree {upto} is outside the ranks computed, 0..10$"):
+            rep.rank_list(upto)
+        assert rep.rank_list(0) == [1]
+        assert rep.rank_list(10) == rep.rank_list()
+
     def test_report_json_shape(self):
         rep = cohomology_ranks(flag_model())
         data = rep.to_json_dict()
@@ -495,6 +507,120 @@ class TestDifferentialMatrix:
             assert len(cols) == D.algebra.quotient_dimension(q)
             standard = set(D.algebra.graded_basis(q + 1).monomials)
             assert all(k in standard and c for col in cols for k, c in col)
+
+
+def tagged_boundary(quot, q, order=1):
+    """Oracle for boundary_reducer(q + 1): the tagged pass over the columns
+    of d_q, whose rows that keep a target pivot, tags stripped, span im(d_q).
+    order=-1 inserts the columns last to first, which stores other rows."""
+    top, tagged, image = quot._top, SparseReducer(), SparseReducer()
+    monos = quot.D.algebra.graded_basis(q).monomials
+    for mono, col, scale in list(zip(monos, quot.columns(q), quot._scales[q]))[::order]:
+        tagged.insert({top + i: v for i, v in col} | {mono: scale})
+    for pivot, row in tagged.rows.items():
+        if pivot >= top:
+            image.insert({i - top: v for i, v in row.items() if i >= top})
+    return image
+
+
+ORACLE_MODELS = {f"random_dga({seed})": lambda seed=seed: random_dga(seed)[1] for seed in SEEDS}
+ORACLE_MODELS |= {name: build for name, (build, *_) in FROZEN_REPORTS.items()}
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["in-order", "reversed"])
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_untagged_boundaries_match_the_tagged_oracle(name, order):
+    # a row space has one pivot set and one coset member off it per vector,
+    # whichever echelon rows hold it; d^2 need not vanish on a random model
+    D = ORACLE_MODELS[name]()
+    quot = _QuotientDifferential(D)
+    for q in range(1, D.degree_cap + 1):
+        boundary, oracle = quot.boundary_reducer(q), tagged_boundary(quot, q - 1, order)
+        assert set(boundary.rows) == set(oracle.rows)
+        assert boundary.rank == oracle.rank
+        for v in quot.kernel(q):
+            (d1, r1), (d2, r2) = boundary.residue(v), oracle.residue(v)
+            assert {m: Fraction(c, d1) for m, c in r1.items()} == {m: Fraction(c, d2) for m, c in r2.items()}
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Record, while a test runs: the kernel(q) calls per degree, the
+    largest key of every row inserted into any reducer, and every
+    _QuotientDifferential built."""
+    kernels, keys, quots = Counter(), [], []
+    kernel, insert, init = (
+        _QuotientDifferential.kernel, SparseReducer.insert, _QuotientDifferential.__init__
+    )
+
+    def counted_kernel(self, q):
+        kernels[q] += 1
+        return kernel(self, q)
+
+    def recorded_insert(self, row):
+        keys.append(max(row, default=0))
+        return insert(self, row)
+
+    def recorded_init(self, D):
+        init(self, D)
+        quots.append(self)
+
+    monkeypatch.setattr(_QuotientDifferential, "kernel", counted_kernel)
+    monkeypatch.setattr(SparseReducer, "insert", recorded_insert)
+    monkeypatch.setattr(_QuotientDifferential, "__init__", recorded_init)
+    return kernels, keys, quots
+
+
+def tagged_keys(keys, quots):
+    """The recorded keys at or above _top, which only a tagged row holds;
+    every complex recorded must share one table, so one _top."""
+    assert quots and len({q._top for q in quots}) == 1
+    return [k for k in keys if k >= quots[0]._top]
+
+
+def presentation_check():
+    # the presentation's frames, over another table, are built ahead
+    D = iemb_model(4, "C_4")
+    pres, gen_map = iemb_presentation(4, "C_4")
+    for q in range(D.degree_cap + 1):
+        pres.graded_basis(q)
+    return lambda: verify_presentation(D, pres, gen_map).ok
+
+
+# name -> set-up returning the ranks-only call, which returns a true value
+RANKS_ONLY = {
+    "cohomology_ranks": lambda: lambda: cohomology_ranks(kriz_model(KrizParams(2, 3))).ranks,
+    "verify_presentation": presentation_check,
+    "weight_independence_check": lambda: lambda: weight_independence_check(
+        4, "C_2", [[(1, 2), (3, -1)], [(2, 1), (1, 4)], [(1, 1), (1, 1)]]
+    ),
+    "cli kriz": lambda: lambda: cli.main(["kriz", "--m", "2", "--k", "4", "--json"]) == 0,
+}
+
+
+class TestRanksOnly:
+    """Ranks come from the untagged boundaries alone; the tagged pass runs
+    only for the representatives, once per degree."""
+
+    @pytest.mark.parametrize("name", sorted(RANKS_ONLY))
+    def test_ranks_run_no_tagged_pass(self, name, passes, capsys):
+        kernels, keys, quots = passes
+        run = RANKS_ONLY[name]()
+        keys.clear()  # rows the set-up inserted
+        assert run()
+        assert not kernels
+        assert keys and not tagged_keys(keys, quots)
+
+    def test_representatives_run_the_tagged_pass_once_per_degree(self, passes):
+        kernels, keys, quots = passes
+        rep = cohomology_ranks(kriz_model(KrizParams(2, 3)))
+        assert not kernels
+        first = rep.representatives
+        assert rep.representatives is first
+        assert kernels == Counter(range(rep.degree_cap + 1))
+        assert tagged_keys(keys, quots)
+        # the report lets go of its complex once the representatives are chosen
+        assert rep._quot is None
 
 
 class TestSubstitute:
