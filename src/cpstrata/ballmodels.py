@@ -26,6 +26,7 @@ of three points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -45,25 +46,24 @@ class CircleWeights:
     are the coefficients the circle feeds into d(beta) and d(gamma).
     The pair (0, 0) is rejected at construction: it is the only integer
     pair with m = 0, and a circle acting with zero weights is no circle.
+    A pair must hold two ints (ValueError for another length, TypeError
+    for an entry of another type, a bool or a float among them).
     """
 
     def __init__(self, pairs: Sequence[Pair]):
         clean = []
         for pair in pairs:
-            a, b = pair
-            a, b = int(a), int(b)
-            if a == 0 and b == 0:
+            pair = tuple(pair)
+            if len(pair) != 2:
+                raise ValueError(f"circle weight {pair!r} is not a pair")
+            if any(type(x) is not int for x in pair):
+                raise TypeError(f"circle weight {pair!r} has an entry that is not an int")
+            if pair == (0, 0):
                 raise ValueError("degenerate circle weight (0, 0)")
-            clean.append((a, b))
+            clean.append(pair)
         self.pairs: tuple[Pair, ...] = tuple(clean)
-
-    @property
-    def m(self) -> tuple[int, ...]:
-        return tuple(a * a + a * b + b * b for a, b in self.pairs)
-
-    @property
-    def n(self) -> tuple[int, ...]:
-        return tuple(a * a * b + a * b * b for a, b in self.pairs)
+        self.m: tuple[int, ...] = tuple(a * a + a * b + b * b for a, b in clean)
+        self.n: tuple[int, ...] = tuple(a * a * b + a * b * b for a, b in clean)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -205,6 +205,11 @@ def iemb_model(
     default cap 12 leaves two degrees of headroom above the top nonzero
     cohomology group (degree 9), so a class cut off by the cap would show
     as a nonzero rank in degree 11 or 12.
+
+    A circle model's values are written down as packed terms, in the key
+    order the module docstring's sums give: the torus terms, then per free
+    circle m_i * T_i^2 in d(beta) and, when n_i != 0, n_i * T_i^3 in
+    d(gamma).  No polynomial product is taken, and the algebra is shared.
     """
     label = canonical_chamber(n, chamber)
     if (n, label) == (4, "C_5"):
@@ -219,21 +224,22 @@ def iemb_model(
     weights, base = _circle_shape(n, label, w)
     algebra = _circle_algebra(base, len(weights))
     table = algebra.table
-    T = [GPolynomial.generator(table, name) for name in table.names[: base + len(weights)]]
-
-    dbeta = GPolynomial.zero(table)
-    dgamma = GPolynomial.zero(table)
+    # the values as packed terms, T_i^e keyed e * unit_i: the T_i are even
+    # and uncapped, and no two keys coincide, so nothing cancels
+    unit, one = table._units, Fraction(1)
     if base:
-        t1, t2 = T[0], T[1]
-        dbeta = t1 * t1 + t2 * t2 + t1 * t2
-        dgamma = t1 * t1 * t2 + t1 * t2 * t2
-    for j, (m, nn) in enumerate(zip(weights.m, weights.n)):
-        t = T[base + j]
-        dbeta = dbeta + m * (t * t)
+        u1, u2 = unit[0], unit[1]
+        dbeta = {2 * u1: one, 2 * u2: one, u1 + u2: one}
+        dgamma = {2 * u1 + u2: one, u1 + 2 * u2: one}
+    else:
+        dbeta, dgamma = {}, {}
+    for u, m, nn in zip(unit[base:], weights.m, weights.n):
+        dbeta[2 * u] = Fraction(m)
         if nn:
-            dgamma = dgamma + nn * (t * t * t)
+            dgamma[3 * u] = Fraction(nn)
 
-    return DgaSpec(algebra, {"beta": dbeta, "gamma": dgamma}, degree_cap)
+    values = {"beta": GPolynomial._wrap(table, dbeta), "gamma": GPolynomial._wrap(table, dgamma)}
+    return DgaSpec(algebra, values, degree_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ used for the ranks, so verification of a candidate presentation of the
 cohomology ring cannot disagree with the rank computation.
 
 d(f) modulo the ideal has one route, _d_residue: the integer terms of d
-summed over those of f and reduced in the frame one degree up.  The columns
-of d take it, and so do the checks that d^2 = 0 and d(I) is in I, which run
-before every cohomology computation and raise DifferentialError naming the
-failing generator or relation, and the cocycle test of a presentation.
+summed over those of f and reduced in the frame one degree up, unless every
+monomial of the image is standard there already (a set test), when the
+image is its own residue.  The columns of d take it, one monomial each,
+and so do the checks that d^2 = 0 and d(I) is in I, which run before every
+cohomology computation and raise DifferentialError naming the failing
+generator or relation, and the cocycle test of a presentation.
 
 All arithmetic is exact.  The differential is integer from the generator
 values to the elimination: each DgaSpec scales its values once by one
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 from .gradedalg import (
     GPolynomial,
@@ -60,8 +62,10 @@ class DgaSpec:
 
     Generators missing from the mapping are closed.  Every value must be
     homogeneous of degree exactly one more than its generator; mixed-degree
-    values are rejected here, at construction time.  scale is the lcm M of
-    the denominators of all values: M times each value has integer terms.
+    values are rejected here, at construction time, from one pass over each
+    value's terms.  degree_cap is an int >= 0 (TypeError for any other type,
+    a bool or a float included; ValueError when negative).  scale is the lcm
+    M of the denominators of all values: M times each value has integer terms.
     """
 
     def __init__(
@@ -70,8 +74,13 @@ class DgaSpec:
         differential: Mapping[str, GPolynomial],
         degree_cap: int = 10,
     ):
+        if type(degree_cap) is not int:
+            raise TypeError(f"degree_cap {degree_cap!r} is not an int")
+        if degree_cap < 0:
+            raise ValueError(f"degree_cap {degree_cap} is negative")
         table = algebra.table
         values: dict[str, GPolynomial] = {}
+        top = degree_cap + 1
         for name, value in differential.items():
             i = table.index(name)
             if value.table != table:
@@ -80,23 +89,26 @@ class DgaSpec:
                 )
             if value.is_zero:
                 continue
-            if not value.is_homogeneous:
+            degrees = set(map(table.monomial_degree, value.terms))
+            if len(degrees) > 1:
                 raise InhomogeneousError(
                     f"d({name}) = {value.to_text()} is not homogeneous"
                 )
-            if value.degree() != table.degrees[i] + 1:
+            (degree,) = degrees
+            if degree != table.degrees[i] + 1:
                 raise DifferentialError(
-                    f"d({name}) has degree {value.degree()}, "
+                    f"d({name}) has degree {degree}, "
                     f"expected {table.degrees[i] + 1}"
                 )
             values[name] = value
+            top = max(top, degree)
         self.algebra = algebra
         self.table = table
         self.values = values
-        self.degree_cap = int(degree_cap)
+        self.degree_cap = degree_cap
         M = self.scale = lcm(*(c.denominator for v in values.values() for c in v.terms.values()))
         # every frame and image the cohomology builds packs, or this raises
-        table._check_degree(max([self.degree_cap + 1] + [v.degree() for v in values.values()]))
+        table._check_degree(top)
         # For the Leibniz rule on packed monomials, per bit of the field of
         # a generator with a value: the field's shift and mask, the odd bits
         # of the generators before it when it is odd (else 0), and the terms
@@ -165,22 +177,28 @@ def _d_sum(D: DgaSpec, terms: Iterable[tuple[int, object]]) -> dict:
 
 def _d_residue(
     D: DgaSpec,
-    terms: Iterable[tuple[int, int]],
+    f: Union[int, Iterable[tuple[int, int]]],
     target: Optional[GradedBasis] = None,
 ) -> tuple[int, dict[int, int]]:
     """(den, r): M d(f) modulo the ideal is r / den, keyed by packed monomial.
 
-    f is given by its (packed mono, int) terms and is homogeneous of some degree q;
-    target is the frame of degree q + 1.  This is the one route from d(f) to
-    the quotient.  The columns of d pass their target; the checks and the
-    cocycle test leave it to be looked up from the image, so a zero d(f)
-    builds no frame.
+    f is a packed monomial, as each column of d passes it, or its (packed
+    mono, int) terms, and is homogeneous of some degree q; target is the
+    frame of degree q + 1.  This is the one route from d(f) to the quotient.
+    The columns of d pass their target; the checks and the cocycle test
+    leave it to be looked up from the image, so a zero d(f) builds no
+    frame.  A monomial's image comes fresh from _monomial_differential, not
+    copied through _d_sum, and an image whose monomials are all standard in
+    the target (a set test) is its own residue, returned unreduced.
     """
-    image = _d_sum(D, terms)
+    image = _monomial_differential(D, f) if type(f) is int else _d_sum(D, f)
     if not image:
         return 1, {}
     if target is None:
         target = D.algebra.graded_basis(D.table.monomial_degree(next(iter(image))))
+    # a frame's reducer rows (groebner._Ideal) hold its standard monomials
+    if target.reducer.rows.standard.issuperset(image):
+        return 1, image
     return target.reducer.residue(image)
 
 
@@ -308,7 +326,7 @@ class _QuotientDifferential:
             cols, scales = [], []
             for mono in frame.monomials:
                 # the residue of M d(mono) is residue / den
-                den, residue = _d_residue(self.D, ((mono, 1),), target)
+                den, residue = _d_residue(self.D, mono, target)
                 cols.append(tuple(residue.items()))
                 scales.append(den * scale)
             self._scales[q] = scales

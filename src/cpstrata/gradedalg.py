@@ -492,7 +492,9 @@ class SparseReducer:
 
         Pivot columns are cleared from the largest down; r / den is the
         unique coset member supported on pivot-free columns.  den grows only
-        when a pivot entry does not divide the entry it clears.
+        when a pivot entry does not divide the entry it clears.  A pivot row
+        of one entry (a monomial of a frame's ideal) is {c: 1}, so clearing
+        against it deletes entry c and touches nothing else.
         """
         den, r = 1, dict(row)
         rows = self.rows
@@ -501,7 +503,11 @@ class SparseReducer:
             if not hits:
                 return den, r
             c = max(hits)
-            den *= self._clear(r, rows[c], c)
+            pivot_row = rows[c]
+            if len(pivot_row) == 1:
+                del r[c]
+            else:
+                den *= self._clear(r, pivot_row, c)
 
     def member(self, row: Mapping[object, int]) -> bool:
         return not self.residue(row)[1]

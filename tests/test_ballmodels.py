@@ -1,5 +1,9 @@
 """Chamberwise models of ball embedding spaces against their frozen answers."""
 
+import random
+import re
+from collections import Counter
+from fractions import Fraction
 from operator import ge
 
 import pytest
@@ -20,8 +24,15 @@ from cpstrata.ballmodels import (
     iemb_presentation,
     weight_independence_check,
 )
-from cpstrata.dga import DgaSpec, cohomology_ranks, differential, verify_presentation
-from cpstrata.gradedalg import GPolynomial, PresentedAlgebra
+from cpstrata.dga import (
+    DgaSpec,
+    _QuotientDifferential,
+    cohomology_ranks,
+    dga_to_json,
+    differential,
+    verify_presentation,
+)
+from cpstrata.gradedalg import GPolynomial, PresentedAlgebra, SparseReducer
 from cpstrata.kriz import KrizParams, kriz_model, relabeled_model
 from test_monomial_kernel import reference_monomials
 
@@ -75,6 +86,28 @@ class TestCircleWeights:
         assert w == CircleWeights([(1, 0), (2, 3)])
         assert w != CircleWeights([(1, 0), (3, 2)])
         assert hash(w) == hash(CircleWeights([(1, 0), (2, 3)]))
+
+    @pytest.mark.parametrize(
+        "pair", [(1.7, 0), (True, 2), (2, False), (Fraction(2), 1), (2.0, 1), ("1", 2), (1, None)]
+    )
+    def test_non_int_entry_rejected(self, pair):
+        with pytest.raises(TypeError, match=re.escape(repr(pair))):
+            CircleWeights([(1, 1), pair])
+
+    @pytest.mark.parametrize("pair", [(), (1,), (1, 2, 3)])
+    def test_pair_without_two_entries_rejected(self, pair):
+        with pytest.raises(ValueError, match="not a pair"):
+            CircleWeights([pair])
+
+    def test_float_weight_reaches_no_model(self):
+        # int() used to truncate it: d(beta) = T1^2 + 7*T2^2
+        with pytest.raises(TypeError, match=re.escape("(1.7, 0)")):
+            iemb_model(4, "C_2", [(1.7, 0), (2, 1)])
+
+    def test_derived_quantities_are_computed_once(self):
+        w = CircleWeights([(2, -1), [3, 5]])
+        assert w.pairs == ((2, -1), (3, 5))
+        assert vars(w)["m"] == (3, 49) and vars(w)["n"] == (-2, 120)
 
 
 class TestChamberBookkeeping:
@@ -399,6 +432,115 @@ class TestSharedCircleAlgebra:
         got, want = cohomology_ranks(shared), cohomology_ranks(alone)
         assert got.ranks == want.ranks
         assert got.representatives == want.representatives
+
+
+# (n, chamber) -> (base torus circles, free circle weights) of every circle model
+CIRCLE_SHAPES = {
+    (2, "C_unique"): (2, 0),
+    (3, "big"): (2, 0),
+    (3, "small"): (2, 1),
+    (4, "C_0"): (0, 0),
+    **{(4, f"C_{r}"): (0, r) for r in range(1, 5)},
+}
+
+
+def arithmetic_values(D, n, chamber, w):
+    """d(beta), d(gamma) of a circle model by GPolynomial arithmetic, zero
+    values dropped: the construction iemb_model used before it wrote the
+    packed terms down, kept as the oracle for their values and key order."""
+    base, free = CIRCLE_SHAPES[(n, chamber)]
+    table = D.table
+    T = [GPolynomial.generator(table, name) for name in table.names[: base + free]]
+    dbeta = GPolynomial.zero(table)
+    dgamma = GPolynomial.zero(table)
+    if base:
+        t1, t2 = T[0], T[1]
+        dbeta = t1 * t1 + t2 * t2 + t1 * t2
+        dgamma = t1 * t1 * t2 + t1 * t2 * t2
+    for j, (a, b) in enumerate(w or [(1, 1)] * free):
+        t = T[base + j]
+        dbeta = dbeta + (a * a + a * b + b * b) * (t * t)
+        if a * a * b + a * b * b:
+            dgamma = dgamma + (a * a * b + a * b * b) * (t * t * t)
+    return {k: v for k, v in (("beta", dbeta), ("gamma", dgamma)) if not v.is_zero}
+
+
+def seeded_weight_sets():
+    """Per circle chamber: the default, pairs with n = 0 and with n < 0,
+    and seeded pairs from [-4, 4]^2."""
+    rng = random.Random(24)
+    fixed = [(1, -1), (2, 0), (0, 3), (-1, -1), (3, -1), (-4, 2), (1, 0), (4, 4)]
+    cases = []
+    for (n, chamber), (_, free) in CIRCLE_SHAPES.items():
+        cases.append((n, chamber, None))
+        if not free:
+            continue
+        for i in range(len(fixed)):
+            cases.append((n, chamber, [fixed[(i + j) % len(fixed)] for j in range(free)]))
+        for _ in range(8):
+            w = []
+            while len(w) < free:
+                pair = (rng.randint(-4, 4), rng.randint(-4, 4))
+                if pair != (0, 0):
+                    w.append(pair)
+            cases.append((n, chamber, w))
+    return cases
+
+
+# circle models whose differential columns are counted, frames built ahead
+COUNTED_MODELS = [
+    (2, "C_unique", None),
+    (3, "big", None),
+    (3, "small", [(2, -1)]),
+    (4, "C_0", None),
+    (4, "C_1", [(1, -1)]),
+    (4, "C_2", [(2, 0), (1, 2)]),
+    (4, "C_3", [(0, 3), (-1, -2), (3, 1)]),
+    (4, "C_4", [(1, 1), (2, -3), (-4, 1), (1, 0)]),
+]
+
+
+class TestPackedCircleValues:
+    """Circle models write their values as packed terms, and their columns
+    reduce only the images that leave the standard monomials."""
+
+    def test_values_match_the_arithmetic_oracle(self):
+        cases = seeded_weight_sets()
+        assert {len(w) for _, _, w in cases if w} == {1, 2, 3, 4}
+        for n, chamber, w in cases:
+            D = iemb_model(n, chamber, w)
+            want = arithmetic_values(D, n, chamber, w)
+            assert list(D.values) == list(want)
+            for name, value in want.items():
+                assert list(D.values[name].terms.items()) == list(value.terms.items())
+                assert {type(c) for c in D.values[name].terms.values()} == {Fraction}
+            assert dga_to_json(D) == dga_to_json(DgaSpec(D.algebra, want, D.degree_cap))
+
+    def test_counts(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name, method):
+            def run(*args):
+                counts[name] += 1
+                return method(*args)
+            return run
+
+        for n, chamber, w in COUNTED_MODELS:  # algebras and frames built ahead
+            D = iemb_model(n, chamber, w)
+            for q in range(D.degree_cap + 2):
+                D.algebra.graded_basis(q)
+        monkeypatch.setattr(GPolynomial, "__mul__", counted("mul", GPolynomial.__mul__))
+        monkeypatch.setattr(SparseReducer, "residue", counted("residue", SparseReducer.residue))
+        monkeypatch.setattr(SparseReducer, "_clear", staticmethod(counted("_clear", SparseReducer._clear)))
+        entries = 0
+        for n, chamber, w in COUNTED_MODELS:
+            quot = _QuotientDifferential(iemb_model(n, chamber, w))
+            assert counts["mul"] == 0
+            entries += sum(1 for q in range(quot.D.degree_cap + 1) for col in quot.columns(q) for v in col if v)
+        # the values once took 64 products here, and the columns 200
+        # residues and 251 clears for the same 422 entries
+        assert counts == {"residue": 115}
+        assert entries == 422
 
 
 class TestAbIsomorphism:

@@ -167,6 +167,41 @@ class TestConstruction:
         assert "T1" not in D.values
         assert not D.values["beta"].is_zero
 
+    # the messages as printed before the degrees were taken in one pass
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ({"beta": "T1^2 + T2"}, InhomogeneousError, "d(beta) = T1^2 + T2 is not homogeneous"),
+            ({"gamma": "T1*beta"}, DifferentialError, "d(gamma) has degree 5, expected 6"),
+            ({"beta": "T1^2*T2 + T1*T2^2"}, DifferentialError, "d(beta) has degree 6, expected 4"),
+        ],
+    )
+    def test_value_error_messages(self, values, error, message):
+        with pytest.raises(error) as info:
+            DgaSpec(PresentedAlgebra(FLAG_T, ()), {k: P(FLAG_T, v) for k, v in values.items()})
+        assert str(info.value) == message
+
+    def test_foreign_table_message(self):
+        other = GeneratorTable(names=("S",), degrees=(4,))
+        with pytest.raises(TableMismatchError) as info:
+            DgaSpec(PresentedAlgebra(FLAG_T, ()), {"beta": P(other, "S")})
+        assert str(info.value) == "d(beta) lives over a different generator table"
+
+    @pytest.mark.parametrize("cap", [7.9, 7.0, True, "7", Fraction(7)])
+    def test_non_int_cap_rejected(self, cap):
+        with pytest.raises(TypeError, match="degree_cap"):
+            DgaSpec(PresentedAlgebra(FLAG_T, ()), {}, cap)
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="degree_cap -3 is negative"):
+            DgaSpec(PresentedAlgebra(FLAG_T, ()), {}, -3)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_small_caps_stay_legal(self, cap):
+        D = flag_model(cap)
+        assert D.degree_cap == cap
+        assert cohomology_ranks(D).rank_list() == [1, 0][: cap + 1]
+
 
 class TestDifferential:
     def test_product_of_odd_generators(self):
