@@ -133,15 +133,6 @@ def _coerce_weights(w: WeightsLike, count: int, context: str) -> CircleWeights:
 # ---------------------------------------------------------------------------
 # Models of the embedding spaces
 
-_FIBER_GENS = (("beta", 3), ("gamma", 5))
-
-
-def _model_table(circle_names: Sequence[str]) -> GeneratorTable:
-    names = tuple(circle_names) + tuple(g for g, _ in _FIBER_GENS)
-    degrees = (2,) * len(circle_names) + tuple(d for _, d in _FIBER_GENS)
-    return GeneratorTable(names, degrees)
-
-
 def _one_ball_table() -> GeneratorTable:
     # The stabilizer of a single ball is a rank-2 unitary group, not its
     # maximal torus, so the base carries one generator in degree 2 and
@@ -161,19 +152,20 @@ def _one_ball_model(degree_cap: int) -> DgaSpec:
     )
 
 
-@lru_cache(maxsize=None)
-def _circle_algebra(base: int, free: int) -> PresentedAlgebra:
-    """The algebra of a circle model: base torus circles, free wedge circles.
+def _wedge_algebra(base: int, free: int, fiber: bool) -> PresentedAlgebra:
+    """T_1..T_k in degree 2 for base torus circles and free wedge circles,
+    then beta (degree 3) and gamma (degree 5) when fiber is set.
 
-    It depends on the chamber only, not on the weights, so every model of
-    a chamber shares one algebra and the graded frames it builds lazily.
+    Wedge summands: the torus circles share one, every free circle is its
+    own; classes from distinct summands multiply to zero.
     """
     k = base + free
-    names = [f"T{i}" for i in range(1, k + 1)]
-    table = _model_table(names)
+    names = tuple(f"T{i}" for i in range(1, k + 1))
+    table = GeneratorTable(
+        names + (("beta", "gamma") if fiber else ()),
+        (2,) * k + ((3, 5) if fiber else ()),
+    )
     T = [GPolynomial.generator(table, name) for name in names]
-    # Wedge summands: the torus circles share one, every free circle is
-    # its own; classes from distinct summands multiply to zero.
     summand = [0] * base + list(range(1, free + 1))
     relations = [
         T[i] * T[j]
@@ -183,12 +175,26 @@ def _circle_algebra(base: int, free: int) -> PresentedAlgebra:
     return PresentedAlgebra(table, relations)
 
 
+@lru_cache(maxsize=None)
+def _circle_algebra(base: int, free: int) -> PresentedAlgebra:
+    """The algebra of a circle model: the wedge algebra with beta, gamma.
+
+    It depends on the chamber only, not on the weights, so every model of
+    a chamber shares one algebra and the graded frames it builds lazily.
+    """
+    return _wedge_algebra(base, free, fiber=True)
+
+
+def _base_circles(n: int, label: str) -> int:
+    """The number of torus circles of a circle-model chamber."""
+    return 2 if (n, label) in ((2, "C_unique"), (3, "big"), (3, "small")) else 0
+
+
 def _circle_shape(n: int, label: str, w: WeightsLike) -> tuple[CircleWeights, int]:
     """The checked free-circle weights of a circle-model chamber, and its
     number of base torus circles."""
     weights = _coerce_weights(w, _FREE_WEIGHTS[(n, label)], f"chamber {label}")
-    torus = (n, label) in ((2, "C_unique"), (3, "big"), (3, "small"))
-    return weights, 2 if torus else 0
+    return weights, _base_circles(n, label)
 
 
 def iemb_model(
@@ -281,27 +287,17 @@ def four_ball_stabilizer_presentation() -> PresentedAlgebra:
 
 
 def bstab_presentation(n: int, chamber: str) -> PresentedAlgebra:
-    """Cohomology presentation of the stabilizer classifying space."""
+    """Cohomology presentation of the stabilizer classifying space.
+
+    A circle chamber's ring is its model's wedge algebra without the fiber
+    generators, built afresh on each call.
+    """
     label = canonical_chamber(n, chamber)
     if (n, label) == (1, "C_unique"):
         return PresentedAlgebra(GeneratorTable(("e1", "e2"), (2, 4)), ())
-    if (n, label) in ((2, "C_unique"), (3, "big")):
-        return PresentedAlgebra(GeneratorTable(("T1", "T2"), (2, 2)), ())
-    if (n, label) == (3, "small"):
-        table = GeneratorTable(("T1", "T2", "T3"), (2, 2, 2))
-        t1, t2, t3 = (GPolynomial.generator(table, f"T{i}") for i in (1, 2, 3))
-        return PresentedAlgebra(table, (t1 * t3, t2 * t3))
-    if (n, label) == (4, "C_0"):
-        # Contractible stabilizer: the trivial algebra.
-        return PresentedAlgebra(GeneratorTable((), ()), ())
     if (n, label) == (4, "C_5"):
         return four_ball_stabilizer_presentation()
-    r = int(label[-1])
-    names = [f"T{i}" for i in range(1, r + 1)]
-    table = GeneratorTable(names, (2,) * r)
-    T = [GPolynomial.generator(table, name) for name in names]
-    relations = [T[i] * T[j] for i, j in combinations(range(r), 2)]
-    return PresentedAlgebra(table, relations)
+    return _wedge_algebra(_base_circles(n, label), _FREE_WEIGHTS[(n, label)], fiber=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,6 +31,7 @@ from .verify import SUITES, report_json, run_suites
 
 _FORMATS = ("json", "csv", "text")
 _BOUNDARIES = ("strict", "inclusive")
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 @dataclass
@@ -68,19 +70,21 @@ class RunConfig:
 
 
 def parse_weights(text: str) -> list[tuple[int, int]]:
-    """Parse "a,b;a,b;..." into weight pairs; empty text means none."""
+    """Parse "a,b;a,b;..." into weight pairs; empty text means none.
+
+    An entry is ASCII digits with an optional sign: int() alone would also
+    read "1_0" as 10, and the digits of other scripts."""
     text = text.strip()
     if not text:
         return []
     pairs = []
     for chunk in text.split(";"):
-        try:
-            a, b = (int(part) for part in chunk.split(","))
-        except ValueError:
+        parts = chunk.split(",")
+        if len(parts) != 2 or not all(map(_INT_RE.fullmatch, parts)):
             raise ValueError(
                 f"weight pair must be 'a,b' with integers a and b, got {chunk!r}"
-            ) from None
-        pairs.append((a, b))
+            )
+        pairs.append((int(parts[0]), int(parts[1])))
     return pairs
 
 

@@ -8,14 +8,22 @@ G_ab.  Relations identify x_a^i G_ab with x_b^i G_ab and impose the
 three-term relation on G products over each triple of points; the
 differential sends G_ab to the diagonal class sum_{i+j=m} x_a^i x_b^j and
 kills every x_a.
+
+One builder writes the model under any labeling of the points, so the
+relabeled models that test the symmetric-group action are built directly,
+not pushed through a substitution.  The pair relations and diagonal
+classes are packed terms, linear in m; only the Arnold relations go
+through GPolynomial.from_word, for their Koszul signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
-from .dga import DgaSpec, substitute
+from .dga import DgaSpec
 from .gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra
 
 
@@ -27,6 +35,10 @@ class KrizParams:
     k: int
 
     def __post_init__(self):
+        for field in ("m", "k"):
+            value = getattr(self, field)
+            if type(value) is not int:
+                raise TypeError(f"{field} {value!r} is not an int")
         if self.m < 1:
             raise ValueError(f"complex dimension m must be >= 1, got {self.m}")
         if self.k < 1:
@@ -58,57 +70,52 @@ def diagonal_pullback(m: int, a: int, b: int, table: GeneratorTable) -> GPolynom
     """The class sum_{i+j=m} x_a^i x_b^j hit by the connecting generator.
 
     This is the image of the diagonal of CP^m x CP^m under the (a,b)
-    projection, written in the dual bases x^i <-> x^{m-i}.
+    projection, written in the dual bases x^i <-> x^{m-i}.  Its terms are
+    packed directly, so m + 1 must be the bound of x_a and x_b.
     """
     if a == b:
         raise ValueError("diagonal pullback needs two distinct points")
-    out = GPolynomial.zero(table)
-    for i in range(m + 1):
-        word = [f"x{a}"] * i + [f"x{b}"] * (m - i)
-        out = out + GPolynomial.from_word(table, word)
-    return out
-
-
-def _pair_relations(p: KrizParams, table: GeneratorTable) -> list[GPolynomial]:
-    rels = []
-    for a, b in point_pairs(p.k):
-        for i in range(1, p.m + 1):
-            left = GPolynomial.from_word(table, [f"x{a}"] * i + [g_name(a, b)])
-            right = GPolynomial.from_word(table, [f"x{b}"] * i + [g_name(a, b)])
-            rels.append(left - right)
-    return rels
-
-
-def _arnold_relations(p: KrizParams, table: GeneratorTable) -> list[GPolynomial]:
-    rels = []
-    for a in range(1, p.k + 1):
-        for b in range(a + 1, p.k + 1):
-            for c in range(b + 1, p.k + 1):
-                # G_ab G_bc + G_bc G_ca + G_ca G_ab, indices normalized;
-                # from_word applies the Koszul signs.
-                rel = (
-                    GPolynomial.from_word(table, [g_name(a, b), g_name(b, c)])
-                    + GPolynomial.from_word(table, [g_name(b, c), g_name(c, a)])
-                    + GPolynomial.from_word(table, [g_name(c, a), g_name(a, b)])
-                )
-                rels.append(rel)
-    return rels
+    ia, ib = table.index(f"x{a}"), table.index(f"x{b}")
+    if table.nilpotence[ia] != m + 1 or table.nilpotence[ib] != m + 1:
+        raise ValueError(f"x{a} and x{b} must have nilpotence bound m + 1 = {m + 1}")
+    ua, ub, one = table._units[ia], table._units[ib], Fraction(1)
+    return GPolynomial._wrap(table, {i * ua + (m - i) * ub: one for i in range(m + 1)})
 
 
 def default_cap(p: KrizParams) -> int:
     return 14 if (p.m, p.k) == (2, 4) else 10
 
 
-def kriz_model(p: KrizParams, degree_cap: Optional[int] = None) -> DgaSpec:
-    """The configuration model E(m, k) as a DgaSpec."""
+def _model(p: KrizParams, label: Sequence[int], degree_cap: Optional[int]) -> DgaSpec:
+    """E(m, k) with point a named label[a-1]: per pair a < b the relations
+    x_a^i G_ab - x_b^i G_ab, i = 1..m, then per triple a < b < c the Arnold
+    relation G_ab G_bc + G_bc G_ca + G_ca G_ab."""
     table = kriz_table(p)
-    relations = _pair_relations(p, table) + _arnold_relations(p, table)
-    values = {
-        g_name(a, b): diagonal_pullback(p.m, a, b, table)
-        for a, b in point_pairs(p.k)
-    }
+    unit, one, minus = table._units, Fraction(1), Fraction(-1)
+    relations, values = [], {}
+    for a, b in point_pairs(p.k):
+        a, b = label[a - 1], label[b - 1]
+        g = g_name(a, b)
+        values[g] = diagonal_pullback(p.m, a, b, table)
+        xa, xb, ug = unit[a - 1], unit[b - 1], unit[table.index(g)]  # x_a is generator a - 1
+        relations += [
+            GPolynomial._wrap(table, {i * xa + ug: one, i * xb + ug: minus})
+            for i in range(1, p.m + 1)
+        ]
+    for a, b, c in combinations(label, 3):
+        ab, bc, ca = g_name(a, b), g_name(b, c), g_name(c, a)
+        relations.append(
+            GPolynomial.from_word(table, [ab, bc])
+            + GPolynomial.from_word(table, [bc, ca])
+            + GPolynomial.from_word(table, [ca, ab])
+        )
     cap = default_cap(p) if degree_cap is None else degree_cap
     return DgaSpec(PresentedAlgebra(table, tuple(relations)), values, cap)
+
+
+def kriz_model(p: KrizParams, degree_cap: Optional[int] = None) -> DgaSpec:
+    """The configuration model E(m, k) as a DgaSpec."""
+    return _model(p, range(1, p.k + 1), degree_cap)
 
 
 def relabeled_model(
@@ -119,24 +126,6 @@ def relabeled_model(
     The result presents the same DGA through the relabeling automorphism;
     cohomology ranks must agree with the unpermuted model.
     """
-    if sorted(perm) != list(range(1, p.k + 1)):
+    if any(type(a) is not int for a in perm) or sorted(perm) != list(range(1, p.k + 1)):
         raise ValueError(f"not a permutation of 1..{p.k}: {perm}")
-    table = kriz_table(p)
-    image = {f"x{a}": GPolynomial.generator(table, f"x{perm[a - 1]}")
-             for a in range(1, p.k + 1)}
-    for a, b in point_pairs(p.k):
-        image[g_name(a, b)] = GPolynomial.generator(
-            table, g_name(perm[a - 1], perm[b - 1])
-        )
-
-    def push(poly: GPolynomial) -> GPolynomial:
-        return substitute(poly, image, table)
-
-    base = kriz_model(p)
-    relations = tuple(push(r) for r in base.algebra.relations)
-    values = {
-        g_name(perm[a - 1], perm[b - 1]): push(base.values[g_name(a, b)])
-        for a, b in point_pairs(p.k)
-    }
-    cap = default_cap(p) if degree_cap is None else degree_cap
-    return DgaSpec(PresentedAlgebra(table, relations), values, cap)
+    return _model(p, tuple(perm), degree_cap)

@@ -4,6 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from operator import ge
 
 import pytest
@@ -32,7 +33,7 @@ from cpstrata.dga import (
     differential,
     verify_presentation,
 )
-from cpstrata.gradedalg import GPolynomial, PresentedAlgebra, SparseReducer
+from cpstrata.gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra, SparseReducer
 from cpstrata.kriz import KrizParams, kriz_model, relabeled_model
 from test_monomial_kernel import reference_monomials
 
@@ -541,6 +542,45 @@ class TestPackedCircleValues:
         # residues and 251 clears for the same 422 entries
         assert counts == {"residue": 115}
         assert entries == 422
+
+
+def branch_bstab(n, label):
+    """The stabilizer ring of a circle chamber spelled out branch by branch:
+    the construction bstab_presentation used before it took the wedge
+    algebra, kept as its oracle."""
+    if (n, label) in ((2, "C_unique"), (3, "big")):
+        return PresentedAlgebra(GeneratorTable(("T1", "T2"), (2, 2)), ())
+    if (n, label) == (3, "small"):
+        table = GeneratorTable(("T1", "T2", "T3"), (2, 2, 2))
+        t1, t2, t3 = (GPolynomial.generator(table, f"T{i}") for i in (1, 2, 3))
+        return PresentedAlgebra(table, (t1 * t3, t2 * t3))
+    if (n, label) == (4, "C_0"):
+        return PresentedAlgebra(GeneratorTable((), ()), ())
+    r = int(label[-1])
+    names = [f"T{i}" for i in range(1, r + 1)]
+    table = GeneratorTable(names, (2,) * r)
+    T = [GPolynomial.generator(table, name) for name in names]
+    return PresentedAlgebra(table, [T[i] * T[j] for i, j in combinations(range(r), 2)])
+
+
+class TestWedgeAlgebra:
+    def test_stabilizer_rings_match_the_branch_oracle(self):
+        for n, chamber in CIRCLE_SHAPES:
+            got, want = bstab_presentation(n, chamber), branch_bstab(n, chamber)
+            assert got.table == want.table
+            assert [list(r.terms.items()) for r in got.relations] == [
+                list(r.terms.items()) for r in want.relations
+            ]
+            assert all(type(c) is Fraction for r in got.relations for c in r.terms.values())
+            assert bstab_presentation(n, chamber) is not got  # fresh per call
+
+    def test_stabilizer_ring_is_the_model_algebra_without_the_fiber(self):
+        for (n, chamber), (base, free) in CIRCLE_SHAPES.items():
+            ring = bstab_presentation(n, chamber)
+            model = iemb_model(n, chamber).algebra
+            assert model.table.names == ring.table.names + ("beta", "gamma")
+            assert [r.to_text() for r in ring.relations] == [r.to_text() for r in model.relations]
+            assert len(ring.relations) == base * free + free * (free - 1) // 2
 
 
 class TestAbIsomorphism:

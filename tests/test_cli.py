@@ -1,6 +1,7 @@
 """Command-line interface: parsing, payload shapes, exit codes."""
 
 import json
+import re
 import runpy
 import time
 from pathlib import Path
@@ -62,6 +63,34 @@ class TestParsing:
     def test_weights_non_integer_rejected(self):
         with pytest.raises(ValueError, match=r"got '1,x'$"):
             parse_weights("1,x")
+
+    def test_weights_signs_and_spaces_tolerated(self):
+        assert parse_weights("+1, -2 ;\t3 ,4") == [(1, -2), (3, 4)]
+
+    @pytest.mark.parametrize(
+        "text,chunk",
+        [
+            ("1_0,1;2,1", "1_0,1"),  # int() would read 10
+            ("\u0663,1", "\u0663,1"),  # int() would read the Arabic-Indic 3
+            ("2,\uff11", "2,\uff11"),  # a fullwidth 1
+            ("1,2;3,+-4", "3,+-4"),
+            ("1.0,2", "1.0,2"),
+            ("1,2,3", "1,2,3"),
+            ("1,", "1,"),
+        ],
+    )
+    def test_weights_only_ascii_integers(self, text, chunk):
+        with pytest.raises(ValueError, match=re.escape(f"got {chunk!r}") + "$"):
+            parse_weights(text)
+
+    @pytest.mark.parametrize("weights", ["1_0,1;2,1", "\u0663,1"])
+    def test_non_ascii_integer_weights_exit_two(self, capsys, weights):
+        code, out, err = run(
+            capsys, "model", "build", "--n", "4", "--chamber", "C_2", "--weights", weights
+        )
+        assert code == 2
+        assert out == ""
+        assert f"got {weights.split(';')[0]!r}" in err
 
     def test_canonical_json_sorted_and_terminated(self):
         blob = canonical_json({"b": 1, "a": [2]})

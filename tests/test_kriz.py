@@ -3,23 +3,33 @@
 Rank tables for small (m, k) are pinned; the four-point planar model is
 checked against its known degreewise ranks through degree 14.  Structural
 properties: d squared vanishes, the relation ideal is d-stable, and point
-relabeling never changes a rank.
+relabeling never changes a rank.  The one builder of the plain and the
+relabeled models is checked term for term against the word and
+substitution constructions it replaced.
 """
 
 import random
+from collections import Counter
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
+from cpstrata import dga, kriz
 from cpstrata.dga import (
+    DgaSpec,
     check_d_squared,
     check_ideal_stability,
     cohomology_ranks,
     complete_through_cap,
+    dga_to_json,
     differential,
+    substitute,
 )
-from cpstrata.gradedalg import GPolynomial
+from cpstrata.gradedalg import GPolynomial, PresentedAlgebra
 from cpstrata.kriz import (
     KrizParams,
+    default_cap,
     diagonal_pullback,
     g_name,
     kriz_model,
@@ -37,6 +47,13 @@ class TestParams:
             KrizParams(2, 0)
         with pytest.raises(ValueError):
             KrizParams(1, 10)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "2", None])
+    def test_non_int_fields_rejected(self, bad):
+        with pytest.raises(TypeError, match=rf"^m {bad!r} is not an int$"):
+            KrizParams(bad, 3)
+        with pytest.raises(TypeError, match=rf"^k {bad!r} is not an int$"):
+            KrizParams(2, bad)
 
     def test_table_shape(self):
         table = kriz_table(KrizParams(2, 3))
@@ -85,6 +102,14 @@ class TestDiagonalPullback:
             diagonal_pullback(2, 1, 1, kriz_table(KrizParams(2, 2)))
         with pytest.raises(ValueError):
             g_name(2, 2)
+
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    def test_dimension_must_match_the_bound(self, m):
+        # x1, x2 have bound 3 = m + 1 for m = 2 only; a larger m would pack
+        # an exponent past the cap
+        table = kriz_table(KrizParams(2, 2))
+        with pytest.raises(ValueError, match=r"nilpotence bound m \+ 1"):
+            diagonal_pullback(m, 1, 2, table)
 
 
 class TestParsing:
@@ -197,6 +222,138 @@ class TestRelabeling:
     def test_bad_permutation_rejected(self):
         with pytest.raises(ValueError):
             relabeled_model(KrizParams(2, 3), [1, 1, 2])
+        for perm in ([True], [1.0]):
+            with pytest.raises(ValueError):
+                relabeled_model(KrizParams(2, 1), perm)
+
+    def test_every_other_relabeling_moves_the_relations(self):
+        # otherwise the relabeling checks would compare a model with itself
+        for k in (2, 3, 4):
+            p = KrizParams(2, k)
+            base = [r.terms for r in kriz_model(p).algebra.relations]
+            for perm in permutations(range(1, k + 1)):
+                moved = [r.terms for r in relabeled_model(p, perm).algebra.relations]
+                assert (moved == base) == (perm == tuple(range(1, k + 1))), perm
+
+
+# ------------------------------------------------- the old constructions
+
+
+def word_model(p):
+    """Relations and values of E(m, k) from GPolynomial.from_word words and
+    their sums: the construction kriz_model used before it packed the pair
+    relations and diagonal classes, kept as their oracle."""
+    table = kriz_table(p)
+
+    def w(*word):
+        return GPolynomial.from_word(table, word)
+
+    relations = [
+        w(*[f"x{a}"] * i, g_name(a, b)) - w(*[f"x{b}"] * i, g_name(a, b))
+        for a, b in point_pairs(p.k)
+        for i in range(1, p.m + 1)
+    ]
+    for a, b, c in combinations(range(1, p.k + 1), 3):
+        ab, bc, ca = g_name(a, b), g_name(b, c), g_name(c, a)
+        relations.append(w(ab, bc) + w(bc, ca) + w(ca, ab))
+    values = {}
+    for a, b in point_pairs(p.k):
+        value = GPolynomial.zero(table)
+        for i in range(p.m + 1):
+            value = value + w(*[f"x{a}"] * i, *[f"x{b}"] * (p.m - i))
+        values[g_name(a, b)] = value
+    return relations, values
+
+
+def substituted_model(p, base, perm):
+    """The word model's relations and values pushed through the relabeling
+    by dga.substitute: the construction relabeled_model used before it
+    wrote the relabeled words."""
+    relations, values = base
+    table = kriz_table(p)
+    image = {f"x{a}": GPolynomial.generator(table, f"x{perm[a - 1]}") for a in range(1, p.k + 1)}
+    for a, b in point_pairs(p.k):
+        image[g_name(a, b)] = GPolynomial.generator(table, g_name(perm[a - 1], perm[b - 1]))
+    return [substitute(r, image, table) for r in relations], {
+        g_name(perm[a - 1], perm[b - 1]): substitute(values[g_name(a, b)], image, table)
+        for a, b in point_pairs(p.k)
+    }
+
+
+def spelled(relations, values):
+    """Relations and values term by term: keys, their order, coefficients
+    and the coefficients' types."""
+    def terms(poly):
+        return [(key, type(c), c) for key, c in poly.terms.items()]
+
+    return [terms(r) for r in relations], [(name, terms(v)) for name, v in values.items()]
+
+
+def relabelings(m, k, rng):
+    """Every relabeling for k <= 3, and for k = 4 when m <= 2; six seeded
+    ones for k = 4 at m = 3, 4 and three for k = 5, to keep the oracle
+    under half a second."""
+    if k <= 3 or (k == 4 and m <= 2):
+        return list(permutations(range(1, k + 1)))
+    return [tuple(rng.sample(range(1, k + 1), k)) for _ in range(6 if k == 4 else 3)]
+
+
+class TestOneBuilder:
+    def test_models_match_the_word_and_substitution_oracles(self):
+        # m <= 4, k <= 5: the model at its default cap and at 2mk, and its
+        # relabelings at the default cap
+        rng = random.Random(25)
+        count = 0
+        for m in range(1, 5):
+            for k in range(1, 6):
+                p = KrizParams(m, k)
+                base = word_model(p)
+                for cap in (None, 2 * m * k):
+                    D = kriz_model(p, cap)
+                    assert spelled(D.algebra.relations, D.values) == spelled(*base)
+                    want = DgaSpec(PresentedAlgebra(D.table, base[0]), base[1], D.degree_cap)
+                    assert dga_to_json(D) == dga_to_json(want)
+                for perm in relabelings(m, k, rng):
+                    D = relabeled_model(p, perm)
+                    want = substituted_model(p, base, perm)
+                    assert D.table == kriz_table(p) and D.degree_cap == default_cap(p)
+                    assert spelled(D.algebra.relations, D.values) == spelled(*want), perm
+                    count += 1
+        assert count == 4 * (1 + 2 + 6 + 3) + 2 * 24 + 2 * 6
+
+    def test_diagonal_pullback_matches_the_words(self):
+        for m in (1, 2, 5):
+            table = kriz_table(KrizParams(m, 3))
+            for a, b in ((1, 2), (3, 1)):
+                want = GPolynomial.zero(table)
+                for i in range(m + 1):
+                    want = want + GPolynomial.from_word(table, [f"x{a}"] * i + [f"x{b}"] * (m - i))
+                got = diagonal_pullback(m, a, b, table)
+                assert list(got.terms.items()) == list(want.terms.items())
+
+    def test_only_the_arnold_relations_take_words(self, monkeypatch):
+        counts = Counter()
+        from_word = GPolynomial.from_word.__func__
+
+        def counted(cls, table, word):
+            counts["from_word"] += 1
+            return from_word(cls, table, word)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("relabeled_model rebuilt the base model")
+
+        monkeypatch.setattr(GPolynomial, "from_word", classmethod(counted))
+        for m, ks in ((1, range(1, 7)), (2, range(1, 7)), (7, range(1, 7)), (3000, (2,))):
+            for k in ks:
+                counts.clear()
+                kriz_model(KrizParams(m, k))
+                assert counts["from_word"] == 3 * comb(k, 3), (m, k)
+        monkeypatch.setattr(kriz, "kriz_model", refused)
+        monkeypatch.setattr(dga, "substitute", refused)
+        monkeypatch.setattr(kriz, "substitute", refused, raising=False)
+        counts.clear()
+        relabeled_model(KrizParams(2, 4), (3, 1, 4, 2))
+        assert counts["from_word"] == 3 * comb(4, 3)
 
 
 # ------------------------------------------------------ closed-form oracles
