@@ -24,7 +24,7 @@ from .chambers import (
     label_from_signature,
 )
 from .confgeom import ProjectivePoint, collinear_triples, cross_ratio, stratum
-from .dga import cohomology_ranks, complete_through_cap, dga_to_json
+from .dga import cohomology_ranks, cohomology_representatives, complete_through_cap, dga_to_json
 from .kriz import KrizParams, kriz_model
 from .lattice import Capacities, H2Element
 from .verify import SUITES, report_json, run_suites
@@ -194,11 +194,11 @@ def _cmd_model_build(args, cfg) -> int:
 
 def _cmd_model_cohomology(args, cfg) -> int:
     D = _resolve_model(args, cfg)
-    report = cohomology_ranks(D)
+    report, representatives = cohomology_representatives(D)
     payload = {
         "n": args.n,
         "chamber": args.chamber,
-        "cohomology": report.to_json_dict(),
+        "cohomology": report.to_json_dict(representatives),
         "rank_list": report.rank_list(),
     }
     fmt = "json" if args.json else cfg.format

@@ -7,12 +7,11 @@ degree as exact linear algebra on the quotient frames:
 
     rank H^q  =  dim A^q - rank(d_q) - rank(d_{q-1})
 
-from one untagged elimination of the columns of each d_q.  Cocycle
-representatives, taken in a complement of the coboundaries, cost a second,
-tagged elimination for the kernel vectors and are chosen only when read.
-Coboundary membership is decided inside the same row-reduced boundaries
-used for the ranks, so verification of a candidate presentation of the
-cohomology ring cannot disagree with the rank computation.
+streamed through the cap: each d_q is eliminated once and dropped, and
+only the previous degree's image is kept.  cohomology_representatives
+tags its one elimination per degree, which gives the kernel vectors too.
+verify_presentation decides coboundary membership inside the boundaries
+the ranks were read from, so it cannot disagree with the ranks.
 
 d(f) modulo the ideal has one route, _d_residue: the integer terms of d
 summed over those of f and reduced in the frame one degree up, unless every
@@ -36,9 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .gradedalg import (
     GPolynomial,
@@ -219,7 +217,8 @@ def check_d_squared(D: DgaSpec) -> None:
         if name not in D.values or d > D.degree_cap:
             continue
         if _d_residue(D, integer_row(D.values[name].terms)[1].items())[1]:
-            dd = differential(D, differential(D, GPolynomial.generator(D.table, name)))
+            # d of the value, not of the generator: a generator of bound 1 is 0
+            dd = differential(D, D.values[name])
             raise DifferentialError(
                 f"d^2 fails on generator {name}: d(d({name})) = {dd.to_text()} "
                 f"is not in the ideal"
@@ -232,36 +231,34 @@ def check_ideal_stability(D: DgaSpec) -> None:
 
     For a product r*m one has d(r*m) = d(r)*m +- r*d(m) and the second term
     is an ideal member outright, so stability reduces to d(r) in I for every
-    listed relation r.
+    listed relation r, and for every nilpotence bound N on a generator x
+    with a value: the relation x^N = 0, with d(x^N) = N x^(N-1) d(x) for an
+    even x.  An odd x squares to zero whatever d(x) is, so only a bound of
+    1 on it, the relation x = 0, asks that d(x) be in I.
     """
     for r in D.algebra.relations:
         if r.degree() <= D.degree_cap and _d_residue(D, integer_row(r.terms)[1].items())[1]:
             raise DifferentialError(f"ideal not d-stable at relation {r.to_text()}")
+    table = D.table
+    for name, deg, N, odd in zip(table.names, table.degrees, table.nilpotence, table._odd):
+        if name not in D.values or N is None or N * deg > D.degree_cap or (odd and N > 1):
+            continue
+        image, x = D.values[name], GPolynomial.generator(table, name)
+        for _ in range(N - 1):
+            image = x * image
+        if not D.algebra.ideal_member(image):
+            raise DifferentialError(f"ideal not d-stable at the nilpotence bound {name}^{N} = 0")
 
 
 # ----------------------------------------------------------------- cohomology
 
 
-@dataclass
+@dataclass(frozen=True)
 class CohomologyReport:
-    """Degreewise ranks of a DGA, through the cap.
-
-    The cocycle representatives are chosen on first read of
-    representatives, from the complex the ranks were computed on; the
-    report lets go of that complex once they are chosen.
-    """
+    """Degreewise ranks of a DGA, through the cap."""
 
     ranks: dict[int, int]
     degree_cap: int
-    _quot: Optional[_QuotientDifferential] = field(repr=False, compare=False)
-
-    @cached_property
-    def representatives(self) -> dict[int, list[GPolynomial]]:
-        """Per degree, rank-many cocycles whose classes form a basis of H^q,
-        each scaled so its leading monomial has coefficient 1."""
-        reps = {q: self._quot.representatives(q, r) for q, r in self.ranks.items()}
-        self._quot = None
-        return reps
 
     def rank_list(self, upto: Optional[int] = None) -> list[int]:
         top = self.degree_cap if upto is None else upto
@@ -272,7 +269,7 @@ class CohomologyReport:
     def euler_characteristic(self) -> int:
         return sum((-1) ** q * r for q, r in self.ranks.items())
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, representatives: Mapping[int, list[GPolynomial]]) -> dict:
         return {
             "degree_cap": self.degree_cap,
             # the checks raise on failure, so a report is only built when both hold
@@ -281,36 +278,26 @@ class CohomologyReport:
             "ranks": {str(q): r for q, r in sorted(self.ranks.items())},
             "representatives": {
                 str(q): [p.to_text() for p in reps]
-                for q, reps in sorted(self.representatives.items())
+                for q, reps in sorted(representatives.items())
             },
         }
 
 
 class _QuotientDifferential:
-    """Matrices of d on the quotient frames, eliminated lazily.
+    """The matrices of d on the quotient frames, one degree at a time.
 
     A quotient vector of degree q is a sparse row keyed by packed monomial
     and supported on the standard monomials of graded_basis(q).  The column
     of d_q at a standard monomial is an integer residue with a positive
-    scale beside it: the image is column / scale.  Two cached passes read
-    the columns of d_q, each once.  boundary_reducer(q + 1) inserts them as
-    they are, a plain row space of im(d_q), which is all the ranks need.
-    kernel(q) runs the tagged pass: the column at domain monomial j enters
-    one SparseReducer as its integer entries, each keyed by its target
-    monomial plus _top, and a tag keyed j holding its scale.  Tags sort
-    below every target key, so a dependent column reduces to tags alone
-    with its own tag as pivot: the unique relation writing it through the
-    earlier independent columns, stored as a primitive integer kernel
-    vector with entry j > 0.  Only the representatives read the kernels.
+    scale beside it: the image is column / scale.  _eliminate reads the
+    columns of each degree once and then drops them.
     """
 
     def __init__(self, D: DgaSpec):
         self.D = D
         self._columns: dict[int, list[tuple]] = {}
         self._scales: dict[int, list[int]] = {}
-        self._kernels: dict[int, list[dict]] = {}
-        self._boundaries: dict[int, SparseReducer] = {0: SparseReducer()}
-        # target keys are shifted by _top, above every packed monomial
+        # target keys of a tagged row are shifted by _top, above every packed monomial
         self._top = 1 << sum(f.bit_length() for f in D.table._masks)
 
     def columns(self, q: int) -> list[tuple]:
@@ -333,53 +320,83 @@ class _QuotientDifferential:
             self._columns[q] = cols
         return cols
 
-    def kernel(self, q: int) -> list[dict]:
-        """Basis of ker(d_q) as primitive integer rows keyed by packed monomial."""
-        kernel = self._kernels.get(q)
-        if kernel is None:
-            top, red = self._top, SparseReducer()
-            kernel = self._kernels[q] = []
-            monos = self.D.algebra.graded_basis(q).monomials
-            for mono, col, scale in zip(monos, self.columns(q), self._scales[q]):
-                # the column tagged with its scale: a positive multiple of
-                # (image, tag 1) leaves every stored primitive row as is
-                row = {top + i: v for i, v in col}
-                row[mono] = scale
-                pivot = red.insert(row)
-                if pivot < top:
-                    kernel.append(red.rows[pivot])
-        return kernel
 
-    def boundary_reducer(self, q: int) -> SparseReducer:
-        """Row space of im(d_{q-1}), keyed by packed degree-q monomial."""
-        red = self._boundaries.get(q)
-        if red is None:
-            red = self._boundaries[q] = SparseReducer()
-            for col in self.columns(q - 1):
-                if col:  # the image times a positive scale: the same line
-                    red.insert(dict(col))
-        return red
+def _eliminate(quot: _QuotientDifferential, q: int, tagged: bool) -> tuple[SparseReducer, list[dict]]:
+    """(image, kernel) of d_q from one elimination of its columns, which are
+    then dropped; image is the row space of im(d_q).  Untagged, the columns
+    go in as they are and kernel is [].  Tagged, the column at domain
+    monomial j goes in keyed by target monomial plus _top, with a tag keyed
+    j holding its scale.  Tags sort below every target key, so a dependent
+    column reduces to tags alone with its own tag as pivot: the unique
+    relation writing it through the earlier independent columns, a
+    primitive kernel vector with entry j > 0.  The rows with a target
+    pivot, tags stripped, have distinct pivots and span im(d_q): the image
+    adopts them without reducing them again.
+    """
+    cols, scales = quot.columns(q), quot._scales.pop(q)
+    del quot._columns[q]
+    image = SparseReducer()
+    if not tagged:
+        for col in cols:
+            if col:  # the image times a positive scale: the same line
+                image.insert(dict(col))
+        return image, []
+    top, red = quot._top, SparseReducer()
+    for mono, col, scale in zip(quot.D.algebra.graded_basis(q).monomials, cols, scales):
+        # the column tagged with its scale: a positive multiple of
+        # (image, tag 1) leaves every stored primitive row as is
+        row = {top + i: v for i, v in col}
+        row[mono] = scale
+        red.insert(row)
+    image.rows = {
+        p - top: SparseReducer._primitive({i - top: v for i, v in row.items() if i >= top})
+        for p, row in red.rows.items() if p >= top
+    }
+    return image, [row for p, row in red.rows.items() if p < top]
 
-    def representatives(self, q: int, rank: int) -> list[GPolynomial]:
-        """rank cocycles of degree q, each the kernel vector's unique coset
-        member off the pivots of the boundaries and the earlier choices,
-        with leading coefficient 1; which echelon rows hold them is moot."""
-        chosen: list[GPolynomial] = []
-        scratch = SparseReducer(rows=dict(self.boundary_reducer(q).rows))  # rows are never modified
-        for v in self.kernel(q):
-            _, r = scratch.residue(v)
-            if r:
-                scratch.insert(r)
-                lead = r[max(r)]
-                chosen.append(GPolynomial._wrap(self.D.table, {m: Fraction(c, lead) for m, c in r.items()}))
-        if len(chosen) != rank:
-            raise DifferentialError(f"degree {q}: {len(chosen)} independent cocycles for rank {rank}")
-        return chosen
+
+def _stream(D: DgaSpec, tagged: bool = False) -> Iterator[tuple[int, int, SparseReducer, list[dict]]]:
+    """Per degree q through the cap, after the checks: q, rank H^q, the row
+    space of im(d_{q-1}) and, tagged, the kernel of d_q (else []).  Only
+    the previous degree's image outlives a degree."""
+    check_d_squared(D)
+    check_ideal_stability(D)
+    quot = _QuotientDifferential(D)
+    below = SparseReducer()
+    for q in range(D.degree_cap + 1):
+        image, kernel = _eliminate(quot, q, tagged)
+        dim_ker = D.algebra.quotient_dimension(q) - image.rank
+        rank = dim_ker - below.rank
+        if rank < 0:
+            raise DifferentialError(f"degree {q}: im(d) has rank above dim ker(d) = {dim_ker}")
+        yield q, rank, below, kernel
+        below = image
 
 
 def cohomology_ranks(D: DgaSpec) -> CohomologyReport:
     """Degreewise cohomology of the quotient DGA through the cap."""
-    return _cohomology(_QuotientDifferential(D))
+    return CohomologyReport({q: rank for q, rank, _, _ in _stream(D)}, D.degree_cap)
+
+
+def cohomology_representatives(D: DgaSpec) -> tuple[CohomologyReport, dict[int, list[GPolynomial]]]:
+    """The ranks, and per degree rank-many cocycles whose classes form a
+    basis of H^q, each scaled so its leading monomial has coefficient 1:
+    a kernel vector's unique coset member off the pivots of the boundaries
+    and the earlier choices, whichever echelon rows hold the boundaries."""
+    ranks, reps = {}, {}
+    for q, rank, below, kernel in _stream(D, tagged=True):
+        chosen: list[GPolynomial] = []
+        scratch = SparseReducer(rows=dict(below.rows))  # rows are never modified
+        for v in kernel:
+            _, r = scratch.residue(v)
+            if r:
+                scratch.insert(r)
+                lead = r[max(r)]
+                chosen.append(GPolynomial._wrap(D.table, {m: Fraction(c, lead) for m, c in r.items()}))
+        if len(chosen) != rank:
+            raise DifferentialError(f"degree {q}: {len(chosen)} independent cocycles for rank {rank}")
+        ranks[q], reps[q] = rank, chosen
+    return CohomologyReport(ranks, D.degree_cap), reps
 
 
 def complete_through_cap(D: DgaSpec) -> bool:
@@ -392,20 +409,6 @@ def complete_through_cap(D: DgaSpec) -> bool:
     """
     cap, g = D.degree_cap, max(D.table.degrees, default=0)
     return all(D.algebra.quotient_dimension(q) == 0 for q in range(cap + 1, cap + g + 1))
-
-
-def _cohomology(quot: _QuotientDifferential) -> CohomologyReport:
-    D = quot.D
-    check_d_squared(D)
-    check_ideal_stability(D)
-
-    ranks: dict[int, int] = {}
-    for q in range(D.degree_cap + 1):
-        kernel = D.algebra.quotient_dimension(q) - quot.boundary_reducer(q + 1).rank
-        ranks[q] = kernel - quot.boundary_reducer(q).rank
-        if ranks[q] < 0:
-            raise DifferentialError(f"degree {q}: im(d) has rank above dim ker(d) = {kernel}")
-    return CohomologyReport(ranks, D.degree_cap, quot)
 
 
 def dga_to_json(D: DgaSpec) -> dict:
@@ -500,7 +503,13 @@ def verify_presentation(
     if failures:
         return VerificationReport(False, tuple(failures))
 
-    quot = _QuotientDifferential(D)
+    # a nonzero image of a relation has the relation's degree
+    degrees = {rel.degree() for rel in P.relations}
+    ranks, boundaries = {}, {}
+    for q, rank, below, _ in _stream(D):
+        ranks[q] = rank
+        if q in degrees:
+            boundaries[q] = below
     for rel in P.relations:
         image = substitute(rel, gen_map, D.table)
         if image.is_zero:
@@ -510,17 +519,16 @@ def verify_presentation(
             continue
         frame = D.algebra.graded_basis(q)
         _, residue = frame.reducer.residue(frame.to_row(image)[1])
-        if not quot.boundary_reducer(q).member(residue):
+        if not boundaries[q].member(residue):
             failures.append(
                 f"relation {rel.to_text()} does not map into im(d) + ideal"
             )
             break
 
-    report = _cohomology(quot)
     dims = []
     for q in range(D.degree_cap + 1):
         dp = P.quotient_dimension(q)
-        dm = report.ranks.get(q, 0)
+        dm = ranks[q]
         dims.append((q, dp, dm))
         if dp != dm:
             failures.append(f"degree {q}: presentation dim {dp} != model rank {dm}")

@@ -142,22 +142,16 @@ def suite_chambers(rec: Recorder) -> None:
 
 def suite_thm13(rec: Recorder) -> None:
     for (n, label), row in sorted(IEMB_ROWS.items()):
+        model = cache(lambda: ballmodels.iemb_model(n, label))
         rec.check(
             f"rank table ({n}, {label})",
             row,
-            lambda n=n, c=label: cohomology_ranks(
-                ballmodels.iemb_model(n, c)
-            ).rank_list(9),
+            lambda: cohomology_ranks(model()).rank_list(9),
         )
         rec.check(
             f"presentation check ({n}, {label})",
             True,
-            lambda n=n, c=label: bool(
-                verify_presentation(
-                    ballmodels.iemb_model(n, c),
-                    *ballmodels.iemb_presentation(n, c),
-                )
-            ),
+            lambda: bool(verify_presentation(model(), *ballmodels.iemb_presentation(n, label))),
         )
     rec.check(
         "rank table (4, C_5) through cap 14",

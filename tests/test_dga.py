@@ -5,6 +5,7 @@ zero-differential models, a two-circle wedge model, and a minimal two-point
 configuration model.  Rank tables are pinned degreewise.
 """
 
+import dataclasses
 import gc
 import random
 import re
@@ -24,15 +25,18 @@ from cpstrata.gradedalg import (
     TableMismatchError,
     integer_row,
 )
-from cpstrata import cli
+from cpstrata import cli, dga
 from cpstrata.dga import (
+    CohomologyReport,
     DgaSpec,
     DifferentialError,
     _QuotientDifferential,
     _d_residue,
+    _eliminate,
     check_d_squared,
     check_ideal_stability,
     cohomology_ranks,
+    cohomology_representatives,
     complete_through_cap,
     differential,
     substitute,
@@ -281,6 +285,46 @@ class TestChecks:
         with pytest.raises(DifferentialError, match=f"^{re.escape(message)}$"):
             check_d_squared(D)
 
+    def test_d_squared_message_differentiates_the_value(self):
+        # g2 has bound 1, so the generator is 0 in the algebra, but d(g2) is not
+        _, D = random_dga(2)
+        assert D.table.nilpotence[D.table.index("g2")] == 1
+        message = (
+            "d^2 fails on generator g2: d(d(g2)) = -2/9*g0*g1*g4 - 1/9*g0*g3*g4 "
+            "- 1/3*g1^2*g4 + 1/3*g1*g3*g4 is not in the ideal"
+        )
+        with pytest.raises(DifferentialError, match=f"^{re.escape(message)}$"):
+            cohomology_ranks(D)
+
+    @pytest.mark.parametrize(
+        "names, degrees, bounds, relations, values, cap, failing",
+        [
+            # z^2 = 0, but d(z^2) = 2 z w is not: d is not well defined
+            (("z", "w"), (2, 3), (2, None), (), {"z": "w"}, 8, "z^2"),
+            # z w = 0 makes it so
+            (("z", "w"), (2, 3), (2, None), ("z*w",), {"z": "w"}, 8, None),
+            # z^2 = 0 lives in degree 4, above this cap
+            (("z", "w"), (2, 3), (2, None), (), {"z": "w"}, 3, None),
+            # x = 0, but d(x) = y is not
+            (("x", "y"), (2, 3), (1, None), (), {"x": "y"}, 2, "x^1"),
+            # an odd u squares to zero whatever d(u) is
+            (("u", "T"), (1, 2), (2, None), (), {"u": "T"}, 8, None),
+        ],
+    )
+    def test_stability_checks_nilpotence_bounds(self, names, degrees, bounds, relations, values, cap, failing):
+        table = GeneratorTable(names, degrees, bounds)
+        D = DgaSpec(
+            PresentedAlgebra(table, tuple(P(table, r) for r in relations)),
+            {name: P(table, v) for name, v in values.items()},
+            degree_cap=cap,
+        )
+        if failing is None:
+            check_ideal_stability(D)
+            return
+        message = f"ideal not d-stable at the nilpotence bound {failing} = 0"
+        with pytest.raises(DifferentialError, match=f"^{re.escape(message)}$"):
+            cohomology_ranks(D)
+
     def test_stability_failure_names_relation(self):
         D = DgaSpec(
             PresentedAlgebra(FLAG_T, (P(FLAG_T, "T1*beta"),)),
@@ -455,8 +499,8 @@ class TestCohomologyRanks:
 
     def test_representatives_are_normalized_cocycles(self):
         D = flag_model()
-        rep = cohomology_ranks(D)
-        for q, reps in rep.representatives.items():
+        rep, representatives = cohomology_representatives(D)
+        for q, reps in representatives.items():
             assert len(reps) == rep.ranks[q]
             for p in reps:
                 image = differential(D, p)
@@ -503,25 +547,29 @@ class TestCohomologyRanks:
         assert rep.rank_list(10) == rep.rank_list()
 
     def test_report_json_shape(self):
-        rep = cohomology_ranks(flag_model())
-        data = rep.to_json_dict()
+        rep, representatives = cohomology_representatives(flag_model())
+        data = rep.to_json_dict(representatives)
         assert data["degree_cap"] == 10
         assert data["d_squared_ok"] is True
         assert data["ranks"]["4"] == 2
         assert isinstance(data["representatives"]["2"], list)
+        assert list(data) == ["degree_cap", "d_squared_ok", "ideal_stable_ok", "ranks", "representatives"]
 
     @pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
     def test_report_frozen(self, name):
         # the whole payload, representative text included, is what
         # `cpstrata model cohomology --json` prints
         build, cap, ranks, reps = FROZEN_REPORTS[name]
-        assert cohomology_ranks(build()).to_json_dict() == {
+        report, representatives = cohomology_representatives(build())
+        assert report.to_json_dict(representatives) == {
             "degree_cap": cap,
             "d_squared_ok": True,
             "ideal_stable_ok": True,
             "ranks": {str(q): r for q, r in enumerate(ranks)},
             "representatives": {str(q): reps.get(q, []) for q in range(cap + 1)},
         }
+        # the ranks-only report is the same report
+        assert cohomology_ranks(build()) == report
 
 
 class TestDifferentialMatrix:
@@ -545,9 +593,10 @@ class TestDifferentialMatrix:
 
 
 def tagged_boundary(quot, q, order=1):
-    """Oracle for boundary_reducer(q + 1): the tagged pass over the columns
-    of d_q, whose rows that keep a target pivot, tags stripped, span im(d_q).
-    order=-1 inserts the columns last to first, which stores other rows."""
+    """Oracle for the image of d_q: the tagged pass over the columns of d_q,
+    whose rows that keep a target pivot, tags stripped, span im(d_q), each
+    inserted again.  order=-1 inserts the columns last to first, which
+    stores other rows."""
     top, tagged, image = quot._top, SparseReducer(), SparseReducer()
     monos = quot.D.algebra.graded_basis(q).monomials
     for mono, col, scale in list(zip(monos, quot.columns(q), quot._scales[q]))[::order]:
@@ -566,31 +615,36 @@ ORACLE_MODELS |= {name: build for name, (build, *_) in FROZEN_REPORTS.items()}
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
 def test_untagged_boundaries_match_the_tagged_oracle(name, order):
     # a row space has one pivot set and one coset member off it per vector,
-    # whichever echelon rows hold it; d^2 need not vanish on a random model
+    # whichever echelon rows hold it; d^2 need not vanish on a random model.
+    # Each elimination drops its columns, so each takes a fresh complex.
     D = ORACLE_MODELS[name]()
     quot = _QuotientDifferential(D)
     for q in range(1, D.degree_cap + 1):
-        boundary, oracle = quot.boundary_reducer(q), tagged_boundary(quot, q - 1, order)
-        assert set(boundary.rows) == set(oracle.rows)
-        assert boundary.rank == oracle.rank
-        for v in quot.kernel(q):
-            (d1, r1), (d2, r2) = boundary.residue(v), oracle.residue(v)
-            assert {m: Fraction(c, d1) for m, c in r1.items()} == {m: Fraction(c, d2) for m, c in r2.items()}
+        oracle = tagged_boundary(quot, q - 1, order)
+        untagged, _ = _eliminate(_QuotientDifferential(D), q - 1, tagged=False)
+        adopted, _ = _eliminate(_QuotientDifferential(D), q - 1, tagged=True)
+        _, kernel = _eliminate(_QuotientDifferential(D), q, tagged=True)
+        assert set(untagged.rows) == set(adopted.rows) == set(oracle.rows)
+        assert untagged.rank == adopted.rank == oracle.rank
+        for v in kernel:
+            residues = [
+                {m: Fraction(c, den) for m, c in r.items()}
+                for den, r in (red.residue(v) for red in (untagged, adopted, oracle))
+            ]
+            assert residues[0] == residues[1] == residues[2]
 
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Record, while a test runs: the kernel(q) calls per degree, the
-    largest key of every row inserted into any reducer, and every
+    """Record, while a test runs: the eliminations per (degree, tagged),
+    the largest key of every row inserted into any reducer, and every
     _QuotientDifferential built."""
-    kernels, keys, quots = Counter(), [], []
-    kernel, insert, init = (
-        _QuotientDifferential.kernel, SparseReducer.insert, _QuotientDifferential.__init__
-    )
+    eliminations, keys, quots = Counter(), [], []
+    eliminate, insert, init = dga._eliminate, SparseReducer.insert, _QuotientDifferential.__init__
 
-    def counted_kernel(self, q):
-        kernels[q] += 1
-        return kernel(self, q)
+    def counted_eliminate(quot, q, tagged):
+        eliminations[q, tagged] += 1
+        return eliminate(quot, q, tagged)
 
     def recorded_insert(self, row):
         keys.append(max(row, default=0))
@@ -600,10 +654,10 @@ def passes(monkeypatch):
         init(self, D)
         quots.append(self)
 
-    monkeypatch.setattr(_QuotientDifferential, "kernel", counted_kernel)
+    monkeypatch.setattr(dga, "_eliminate", counted_eliminate)
     monkeypatch.setattr(SparseReducer, "insert", recorded_insert)
     monkeypatch.setattr(_QuotientDifferential, "__init__", recorded_init)
-    return kernels, keys, quots
+    return eliminations, keys, quots
 
 
 def tagged_keys(keys, quots):
@@ -634,28 +688,32 @@ RANKS_ONLY = {
 
 
 class TestRanksOnly:
-    """Ranks come from the untagged boundaries alone; the tagged pass runs
-    only for the representatives, once per degree."""
+    """Ranks come from untagged eliminations alone; the representatives
+    take one tagged elimination per degree and no untagged one."""
 
     @pytest.mark.parametrize("name", sorted(RANKS_ONLY))
     def test_ranks_run_no_tagged_pass(self, name, passes, capsys):
-        kernels, keys, quots = passes
+        eliminations, keys, quots = passes
         run = RANKS_ONLY[name]()
         keys.clear()  # rows the set-up inserted
         assert run()
-        assert not kernels
+        assert eliminations and not any(tagged for _, tagged in eliminations)
         assert keys and not tagged_keys(keys, quots)
 
     def test_representatives_run_the_tagged_pass_once_per_degree(self, passes):
-        kernels, keys, quots = passes
-        rep = cohomology_ranks(kriz_model(KrizParams(2, 3)))
-        assert not kernels
-        first = rep.representatives
-        assert rep.representatives is first
-        assert kernels == Counter(range(rep.degree_cap + 1))
-        assert tagged_keys(keys, quots)
-        # the report lets go of its complex once the representatives are chosen
-        assert rep._quot is None
+        eliminations, keys, quots = passes
+        rep, _ = cohomology_representatives(kriz_model(KrizParams(2, 3)))
+        assert eliminations == Counter({(q, True): 1 for q in range(rep.degree_cap + 1)})
+        assert len(quots) == 1 and tagged_keys(keys, quots)
+
+    @pytest.mark.parametrize("name", ["cohomology_ranks", "verify_presentation"])
+    def test_no_degree_keeps_its_columns(self, name, passes):
+        # the report holds the ranks and the cap, and every complex built
+        # let go of each degree's columns once that degree was eliminated
+        _, _, quots = passes
+        assert RANKS_ONLY[name]()()
+        assert quots and all(not q._columns and not q._scales for q in quots)
+        assert [f.name for f in dataclasses.fields(CohomologyReport)] == ["ranks", "degree_cap"]
 
 
 class TestSubstitute:

@@ -32,9 +32,11 @@ from cpstrata.ballmodels import (
 )
 from cpstrata.dga import (
     DgaSpec,
+    _eliminate,
     _monomial_differential,
     _QuotientDifferential,
     cohomology_ranks,
+    cohomology_representatives,
     differential,
 )
 from cpstrata.gradedalg import (
@@ -413,9 +415,9 @@ def test_differential_columns_match_reference(seed):
 
 
 def test_reducer_rows_are_ints_and_inputs_untouched(monkeypatch):
-    # every reducer of the elimination: the frames, the tagged one and the
-    # boundary of each degree, and the scratch one choosing representatives,
-    # which runs only when they are read
+    # every reducer of the elimination: the frames, the tagged and the
+    # untagged one of each degree, and the scratch one choosing
+    # representatives, which holds the rows the tagged image adopted
     reducers = {}
 
     def recorded(method):
@@ -436,11 +438,12 @@ def test_reducer_rows_are_ints_and_inputs_untouched(monkeypatch):
         quot = _QuotientDifferential(D)
         seen = set(reducers)
         for q in range(TOP):
-            quot.kernel(q)
+            _eliminate(quot, q, tagged=True)
         # the tagged reducer keys the image entries at or above quot._top
         tagged += any(c >= quot._top for k in reducers.keys() - seen for c in reducers[k].rows)
         try:
-            assert cohomology_ranks(D).representatives
+            assert cohomology_ranks(D).ranks
+            assert cohomology_representatives(D)[1]
         except ValueError:
             continue  # d^2 or ideal stability fails: no representatives
         complete += 1
