@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Union
 from .dga import DgaSpec, cohomology_ranks, substitute
 from .gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra, SparseReducer, integer_row
 from .kriz import KrizParams, kriz_model
+from .lattice import exact_ints
 
 Pair = tuple[int, int]
 WeightsLike = Union["CircleWeights", Sequence[Pair], None]
@@ -47,20 +48,17 @@ class CircleWeights:
     The pair (0, 0) is rejected at construction: it is the only integer
     pair with m = 0, and a circle acting with zero weights is no circle.
     A pair must hold two ints (ValueError for another length, TypeError
-    for an entry of another type, a bool or a float among them).
+    for an entry that fails lattice.exact_ints, a bool or a float among them).
     """
 
     def __init__(self, pairs: Sequence[Pair]):
-        clean = []
-        for pair in pairs:
-            pair = tuple(pair)
+        clean = [tuple(pair) for pair in pairs]
+        for pair in clean:
             if len(pair) != 2:
                 raise ValueError(f"circle weight {pair!r} is not a pair")
-            if any(type(x) is not int for x in pair):
-                raise TypeError(f"circle weight {pair!r} has an entry that is not an int")
-            if pair == (0, 0):
-                raise ValueError("degenerate circle weight (0, 0)")
-            clean.append(pair)
+        exact_ints([x for pair in clean for x in pair], "circle weight entry", f" of {clean!r}")
+        if (0, 0) in clean:
+            raise ValueError("degenerate circle weight (0, 0)")
         self.pairs: tuple[Pair, ...] = tuple(clean)
         self.m: tuple[int, ...] = tuple(a * a + a * b + b * b for a, b in clean)
         self.n: tuple[int, ...] = tuple(a * a * b + a * b * b for a, b in clean)

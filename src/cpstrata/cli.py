@@ -26,12 +26,20 @@ from .chambers import (
 from .confgeom import ProjectivePoint, collinear_triples, cross_ratio, stratum
 from .dga import cohomology_ranks, cohomology_representatives, complete_through_cap, dga_to_json
 from .kriz import KrizParams, kriz_model
-from .lattice import Capacities, H2Element
+from .lattice import Capacities
 from .verify import SUITES, report_json, run_suites
 
 _FORMATS = ("json", "csv", "text")
 _BOUNDARIES = ("strict", "inclusive")
 _INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+_INT_FLAGS = ("n", "m", "k", "cap")
+# (flag attribute, RunConfig field): the config fills a flag not given
+_CONFIG_FLAGS = (
+    ("cap", "degree_cap"),
+    ("weights", "weights"),
+    ("boundary", "boundary_convention"),
+    ("out", "output"),
+)
 
 
 @dataclass
@@ -92,14 +100,35 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(payload: dict, text_lines: list[str], args, cfg: RunConfig) -> None:
+def _resolve_flags(args) -> None:
+    """Read the integer flags and merge --config into args, once.
+
+    An integer flag is ASCII digits with an optional sign, as in
+    parse_weights; --cap must be at least 2.  A flag given on the command
+    line wins over the config file, and --json over its format.
+    """
+    for flag in _INT_FLAGS:
+        text = getattr(args, flag, None)
+        if text is None:
+            continue
+        if not _INT_RE.fullmatch(text):
+            raise ValueError(f"--{flag} must be an integer, got {text!r}")
+        setattr(args, flag, int(text))
+    if getattr(args, "cap", None) is not None and args.cap < 2:
+        raise ValueError(f"--cap must be at least 2, got {args.cap}")
+    cfg = RunConfig.load(args.config) if args.config else RunConfig()
+    for flag, key in _CONFIG_FLAGS:
+        if getattr(args, flag, None) is None:
+            setattr(args, flag, getattr(cfg, key))
+    args.format = "json" if args.json else cfg.format
+
+
+def _emit(payload: dict, text_lines: list[str], args) -> None:
     """Print JSON or text per the effective format; optionally write JSON."""
-    out = args.out or cfg.output
     blob = canonical_json(payload)
-    if out:
-        Path(out).write_text(blob)
-    fmt = "json" if args.json else cfg.format
-    if fmt == "json":
+    if args.out:
+        Path(args.out).write_text(blob)
+    if args.format == "json":
         sys.stdout.write(blob)
     else:
         for line in text_lines:
@@ -109,7 +138,7 @@ def _emit(payload: dict, text_lines: list[str], args, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
-def _cmd_chamber_classify(args, cfg) -> int:
+def _cmd_chamber_classify(args) -> int:
     caps = Capacities.parse(args.capacities)
     payload: dict = {
         "n": caps.n,
@@ -119,11 +148,8 @@ def _cmd_chamber_classify(args, cfg) -> int:
     try:
         sig = chamber_signature(caps)
     except AdmissibilityError as exc:
-        violator = exc.violator
         payload["admissible"] = False
-        payload["violator"] = (
-            violator.to_text() if isinstance(violator, H2Element) else str(violator)
-        )
+        payload["violator"] = str(exc.violator)
         lines.append(f"inadmissible: violates {payload['violator']}")
     else:
         payload["admissible"] = True
@@ -135,46 +161,35 @@ def _cmd_chamber_classify(args, cfg) -> int:
         else:
             payload["label"] = label
             lines.append(f"chamber {label}  bits={payload['bits']}")
-    _emit(payload, lines, args, cfg)
+    _emit(payload, lines, args)
     return 0
 
 
-def _cmd_chamber_enumerate(args, cfg) -> int:
-    boundary = args.boundary or cfg.boundary_convention
-    records = enumerate_chambers(args.n, boundary)
+def _cmd_chamber_enumerate(args) -> int:
+    records = enumerate_chambers(args.n, args.boundary)
     payload = {
         "n": args.n,
-        "boundary": boundary,
+        "boundary": args.boundary,
         "count": len(records),
         "chambers": [r.to_json_dict() for r in records],
     }
-    lines = [f"{len(records)} chambers at n={args.n} ({boundary} boundary)"]
+    lines = [f"{len(records)} chambers at n={args.n} ({args.boundary} boundary)"]
     lines += [
         f"  {r.to_json_dict()['bits']}  {r.label or '-'}  witness "
         + ",".join(r.witness.to_json_list())
         for r in records
     ]
-    _emit(payload, lines, args, cfg)
+    _emit(payload, lines, args)
     return 0
 
 
-def _degree_cap(args, cfg) -> Optional[int]:
-    """--cap if given, else the config's degree_cap; both must be at least 2."""
-    if args.cap is None:
-        return cfg.degree_cap
-    if args.cap < 2:
-        raise ValueError(f"--cap must be at least 2, got {args.cap}")
-    return args.cap
+def _resolve_model(args):
+    w = parse_weights(args.weights) if args.weights is not None else None
+    return iemb_model(args.n, args.chamber, w, degree_cap=args.cap)
 
 
-def _resolve_model(args, cfg):
-    weights_text = args.weights if args.weights is not None else cfg.weights
-    w = parse_weights(weights_text) if weights_text is not None else None
-    return iemb_model(args.n, args.chamber, w, degree_cap=_degree_cap(args, cfg))
-
-
-def _cmd_model_build(args, cfg) -> int:
-    D = _resolve_model(args, cfg)
+def _cmd_model_build(args) -> int:
+    D = _resolve_model(args)
     payload = {
         "n": args.n,
         "chamber": args.chamber,
@@ -188,12 +203,12 @@ def _cmd_model_build(args, cfg) -> int:
         + ("; ".join(r.to_text() for r in D.algebra.relations) or "none"),
     ]
     lines += [f"d({name}) = {value.to_text()}" for name, value in sorted(D.values.items())]
-    _emit(payload, lines, args, cfg)
+    _emit(payload, lines, args)
     return 0
 
 
-def _cmd_model_cohomology(args, cfg) -> int:
-    D = _resolve_model(args, cfg)
+def _cmd_model_cohomology(args) -> int:
+    D = _resolve_model(args)
     report, representatives = cohomology_representatives(D)
     payload = {
         "n": args.n,
@@ -201,19 +216,18 @@ def _cmd_model_cohomology(args, cfg) -> int:
         "cohomology": report.to_json_dict(representatives),
         "rank_list": report.rank_list(),
     }
-    fmt = "json" if args.json else cfg.format
-    if fmt == "csv":
+    if args.format == "csv":
         lines = ["degree,rank"] + [
             f"{q},{r}" for q, r in enumerate(report.rank_list())
         ]
     else:
         lines = [f"ranks through degree {D.degree_cap}: {report.rank_list()}"]
-    _emit(payload, lines, args, cfg)
+    _emit(payload, lines, args)
     return 0
 
 
-def _cmd_kriz(args, cfg) -> int:
-    D = kriz_model(KrizParams(args.m, args.k), degree_cap=_degree_cap(args, cfg))
+def _cmd_kriz(args) -> int:
+    D = kriz_model(KrizParams(args.m, args.k), degree_cap=args.cap)
     report = cohomology_ranks(D)
     # a chi summed through a cap that cuts classes off would be wrong: print null
     complete = complete_through_cap(D)
@@ -226,11 +240,11 @@ def _cmd_kriz(args, cfg) -> int:
         "euler_characteristic": report.euler_characteristic() if complete else None,
     }
     lines = [f"ranks through degree {D.degree_cap}: {report.rank_list()}"]
-    _emit(payload, lines, args, cfg)
+    _emit(payload, lines, args)
     return 0
 
 
-def _cmd_conf_stratify(args, cfg) -> int:
+def _cmd_conf_stratify(args) -> int:
     points = [ProjectivePoint.parse(p) for p in args.points.split(",")]
     label = stratum(points)
     payload = {
@@ -243,11 +257,11 @@ def _cmd_conf_stratify(args, cfg) -> int:
         ratio = cross_ratio(points)
         payload["cross_ratio"] = str(ratio)
         lines.append(f"cross ratio {ratio}")
-    _emit(payload, lines, args, cfg)
+    _emit(payload, lines, args)
     return 0
 
 
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify(args) -> int:
     reports = run_suites(args.suite)
     payload = report_json(reports)
     # with --json, stdout carries the canonical payload alone
@@ -262,9 +276,8 @@ def _cmd_verify(args, cfg) -> int:
     total = sum(len(r.checks) for r in reports)
     good = sum(1 for r in reports for c in r.checks if c.passed)
     print(f"{good}/{total} checks passed", file=log)
-    out = args.out or cfg.output
-    if out:
-        Path(out).write_text(canonical_json(payload))
+    if args.out:
+        Path(args.out).write_text(canonical_json(payload))
     if args.json:
         sys.stdout.write(canonical_json(payload))
     return 0 if payload["pass"] else 1
@@ -300,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum = chsub.add_parser(
         "enumerate", parents=[common], help="enumerate chambers at fixed n"
     )
-    enum.add_argument("--n", type=int, required=True)
+    enum.add_argument("--n", required=True)
     enum.add_argument("--boundary", choices=_BOUNDARIES, default=None)
     enum.set_defaults(handler=_cmd_chamber_enumerate)
 
@@ -311,20 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("cohomology", _cmd_model_cohomology),
     ):
         p = msub.add_parser(name, parents=[common])
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", required=True)
         p.add_argument("--chamber", required=True, help="e.g. C_2, big, small, unique")
         p.add_argument(
             "--weights", default=None, help="circle weights 'a,b;a,b;...'"
         )
-        p.add_argument("--cap", type=int, default=None, help="degree cap")
+        p.add_argument("--cap", default=None, help="degree cap")
         p.set_defaults(handler=handler)
 
     kz = sub.add_parser(
         "kriz", parents=[common], help="configuration-space model ranks"
     )
-    kz.add_argument("--m", type=int, required=True, help="complex dimension")
-    kz.add_argument("--k", type=int, required=True, help="number of points")
-    kz.add_argument("--cap", type=int, default=None, help="degree cap")
+    kz.add_argument("--m", required=True, help="complex dimension")
+    kz.add_argument("--k", required=True, help="number of points")
+    kz.add_argument("--cap", default=None, help="degree cap")
     kz.set_defaults(handler=_cmd_kriz)
 
     conf = sub.add_parser("conf", help="point configurations in the plane")
@@ -348,8 +361,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.load(args.config) if args.config else RunConfig()
-        return args.handler(args, cfg)
+        _resolve_flags(args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ fully collinear stratum (F_123 for three points, F_1234 for four).  On
 a collinear quadruple the cross ratio, a quotient of 2x2 determinants
 along the line, is a complete invariant of the projective class; for
 four distinct points it is never 0, 1, or infinity.  Everything is
-exact: an entry that is not an int, a Fraction or a str is refused.
+exact: every entry passes lattice.exact_rationals.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .lattice import parse_rational
+from .lattice import exact_rationals
 
 Rational = Union[int, str, Fraction]
 
@@ -29,13 +29,7 @@ def _integers(entries, kind: str, owner) -> Sequence[int]:
     """Entries times their denominators' lcm (ints pass as given); owner() names them in errors."""
     if all(type(x) is int for x in entries):
         return entries
-    vals = []
-    for x in entries:
-        if isinstance(x, str):
-            x = parse_rational(x, f"{kind} {x!r} of {owner()}")
-        elif not isinstance(x, (int, Fraction)):
-            raise TypeError(f"{kind} {x!r} of {owner()} is not an int, a Fraction or a str")
-        vals.append(x)
+    vals = exact_rationals(entries, kind, f" of {owner()}")
     s = lcm(*(x.denominator for x in vals))
     return [x.numerator * (s // x.denominator) for x in vals]
 

@@ -49,6 +49,7 @@ from .gradedalg import (
     algebra_to_json,
     integer_row,
 )
+from .lattice import exact_ints
 
 
 class DifferentialError(ValueError):
@@ -61,9 +62,10 @@ class DgaSpec:
     Generators missing from the mapping are closed.  Every value must be
     homogeneous of degree exactly one more than its generator; mixed-degree
     values are rejected here, at construction time, from one pass over each
-    value's terms.  degree_cap is an int >= 0 (TypeError for any other type,
-    a bool or a float included; ValueError when negative).  scale is the lcm
-    M of the denominators of all values: M times each value has integer terms.
+    value's terms.  degree_cap is an int >= 0 (TypeError when it fails
+    lattice.exact_ints, a bool or a float included; ValueError when
+    negative).  scale is the lcm M of the denominators of all values: M
+    times each value has integer terms.
     """
 
     def __init__(
@@ -72,8 +74,7 @@ class DgaSpec:
         differential: Mapping[str, GPolynomial],
         degree_cap: int = 10,
     ):
-        if type(degree_cap) is not int:
-            raise TypeError(f"degree_cap {degree_cap!r} is not an int")
+        exact_ints((degree_cap,), "degree_cap")
         if degree_cap < 0:
             raise ValueError(f"degree_cap {degree_cap} is negative")
         table = algebra.table

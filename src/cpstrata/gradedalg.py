@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .lattice import parse_rational
+from .lattice import exact_ints, exact_rationals
 
 Monomial = tuple[int, ...]
 
@@ -78,11 +78,9 @@ class GeneratorTable:
         nilpotence: Optional[Sequence[Optional[int]]] = None,
     ):
         names = tuple(names)
-        degrees = tuple(degrees)
-        if bad := [d for d in degrees if not isinstance(d, int)]:
-            raise TypeError(f"generator degree {bad[0]!r} is not an int")
-        degrees = tuple(int(d) for d in degrees)
+        degrees = exact_ints(degrees, "generator degree")
         nil = tuple(nilpotence) if nilpotence is not None else (None,) * len(names)
+        exact_ints([b for b in nil if b is not None], "nilpotence bound")
         if len(names) != len(degrees) or len(names) != len(nil):
             raise ValueError("names, degrees, and nilpotence must align")
         if len(set(names)) != len(names):
@@ -205,15 +203,6 @@ class GeneratorTable:
         return mask & self._odd_bits
 
 
-def _rational(value, kind: str) -> Fraction:
-    """An int, a Fraction or a rational string as a Fraction; kind names it in errors."""
-    if isinstance(value, str):
-        return parse_rational(value, f"{kind} {value!r}")
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"{kind} {value!r} is not an int, Fraction or rational string")
-    return Fraction(value)
-
-
 class GPolynomial:
     """Sparse polynomial: exact rational coefficients keyed by packed monomial."""
 
@@ -226,14 +215,14 @@ class GPolynomial:
     ):
         """terms: (exponent tuple, coefficient) pairs; like ones are summed."""
         data: dict[int, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for mono, coeff in items:
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        coeffs = exact_rationals([coeff for _, coeff in items], "coefficient")
+        for (mono, _), coeff in zip(items, coeffs):
             mono = tuple(mono)
-            if bad := [e for e in mono if not isinstance(e, int)]:
-                raise TypeError(f"exponent {bad[0]!r} in monomial {mono!r} is not an int")
+            exact_ints(mono, "exponent", f" in monomial {mono!r}")
             table.validate_monomial(mono)
             key = table._pack(mono)
-            c = data.get(key, _ZERO) + _rational(coeff, "coefficient")
+            c = data.get(key, _ZERO) + coeff
             if c:
                 data[key] = c
             elif key in data:
@@ -261,7 +250,8 @@ class GPolynomial:
 
     @classmethod
     def constant(cls, table: GeneratorTable, value) -> "GPolynomial":
-        return cls(table, [((0,) * table.n, value)])
+        (c,) = exact_rationals((value,), "coefficient")
+        return cls._wrap(table, {0: c} if c else {})  # 0 packs the empty monomial
 
     @classmethod
     def generator(cls, table: GeneratorTable, name: str) -> "GPolynomial":
@@ -280,37 +270,6 @@ class GPolynomial:
             key, odd = product
             sign = -sign if odd else sign
         return cls._wrap(table, {key: Fraction(sign)})
-
-    @classmethod
-    def parse(cls, table: GeneratorTable, text: str) -> "GPolynomial":
-        """Inverse of to_text; also accepts unsorted words like G13*G12."""
-        s = text.replace(" ", "")
-        out = cls.zero(table)
-        if not s or s == "0":
-            return out
-        chunks = re.findall(r"[+-]?[^+-]+", s)
-        if "".join(chunks) != s:
-            raise ValueError(f"cannot parse polynomial text {text!r}")
-        for chunk in chunks:
-            sign = 1
-            if chunk[0] == "+":
-                chunk = chunk[1:]
-            elif chunk[0] == "-":
-                sign, chunk = -1, chunk[1:]
-            if not chunk:
-                raise ValueError(f"empty term in {text!r}")
-            coeff = Fraction(sign)
-            word: list[str] = []
-            for factor in chunk.split("*"):
-                if re.fullmatch(r"\d+(/\d+)?", factor):
-                    coeff *= parse_rational(factor, f"coefficient {factor!r} in {text!r}")
-                    continue
-                m = re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?", factor)
-                if m is None:
-                    raise ValueError(f"bad factor {factor!r} in {text!r}")
-                word.extend([m.group(1)] * int(m.group(2) or 1))
-            out = out + cls.from_word(table, word) * coeff
-        return out
 
     # ---- structure
 
@@ -356,7 +315,7 @@ class GPolynomial:
 
     def __mul__(self, other):
         if not isinstance(other, GPolynomial):
-            f = _rational(other, "scalar")
+            (f,) = exact_rationals((other,), "scalar")
             terms = {m: c * f for m, c in self.terms.items()} if f else {}
             return GPolynomial._wrap(self.table, terms)
         self._check(other)

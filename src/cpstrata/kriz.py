@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from .dga import DgaSpec
 from .gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra
+from .lattice import exact_ints
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,8 @@ class KrizParams:
     k: int
 
     def __post_init__(self):
-        for field in ("m", "k"):
-            value = getattr(self, field)
-            if type(value) is not int:
-                raise TypeError(f"{field} {value!r} is not an int")
+        exact_ints((self.m,), "m")
+        exact_ints((self.k,), "k")
         if self.m < 1:
             raise ValueError(f"complex dimension m must be >= 1, got {self.m}")
         if self.k < 1:

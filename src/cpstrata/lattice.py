@@ -89,8 +89,8 @@ class H2Element:
 class Capacities:
     """Exact rational ball capacities; all strictly positive.
 
-    Entries are ints, Fractions or rational strings, never floats, in any
-    order; the chamber tables read them sorted nonincreasing.
+    Entries pass exact_rationals, in any order; the chamber tables read
+    them sorted nonincreasing.
     """
 
     values: tuple[Fraction, ...]
@@ -99,27 +99,7 @@ class Capacities:
     scaled: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __init__(self, values: Iterable[Fraction | int | str]) -> None:
-        vals = tuple(values)
-        # exact types first: the ABC check is slow, and only the rare entry
-        # that is neither a Fraction nor an int reaches it
-        parsed, rest = [], False
-        for v in vals:
-            if type(v) is Fraction:
-                parsed.append(v)  # immutable, kept as given: Fraction(v) would copy it
-            elif type(v) is int:
-                parsed.append(Fraction(v))
-            elif isinstance(v, (Rational, str)):
-                parsed.append(v)
-                rest = True
-            else:
-                raise TypeError(f"capacity {v!r} is not an int, Fraction or rational string")
-        if rest:  # converted once every entry's type is known to be valid
-            for i, v in enumerate(parsed):
-                if isinstance(v, str):
-                    parsed[i] = parse_rational(v, f"capacity {v!r}")
-                elif type(v) is not Fraction:
-                    parsed[i] = Fraction(v)
-        vals = tuple(parsed)
+        vals = exact_rationals(values, "capacity")
         if not vals:
             raise ValueError("need at least one capacity")
         _check_n(len(vals))
@@ -154,17 +134,50 @@ class Capacities:
 
 
 def parse_rational(text: str, what: str) -> Fraction:
-    """Fraction(text) for a rational string; what names it in errors.
+    """Fraction(text) for an ASCII rational string; what names it in errors.
 
     Exponent notation is refused: Fraction expands it exactly, so a string
-    like 1e-30000000 alone would take seconds.
+    like 1e-30000000 alone would take seconds.  Digit-group underscores and
+    non-ASCII digits, which Fraction also reads, are refused as well.
     """
     if "e" in text or "E" in text:
         raise ValueError(f"{what} is in exponent notation")
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{what} has an underscore or a non-ASCII character")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{what} has a zero denominator") from None
+
+
+def exact_rationals(values: Iterable, what: str, where: str = "") -> tuple[Fraction, ...]:
+    """values as a tuple of Fractions, in one pass: each must be an int
+    (exactly: a bool is refused), a Fraction, kept as given, or an ASCII
+    rational string (parse_rational).  A refused value is named as
+    "{what} {value!r}{where}".
+    """
+    out = []
+    for v in values:
+        t = type(v)
+        if t is Fraction:
+            out.append(v)
+        elif t is int:
+            out.append(Fraction(v))
+        elif t is str:
+            out.append(parse_rational(v, f"{what} {v!r}{where}"))
+        else:
+            raise TypeError(f"{what} {v!r}{where} is not an int, Fraction or rational string")
+    return tuple(out)
+
+
+def exact_ints(values: Iterable, what: str, where: str = "") -> tuple[int, ...]:
+    """values as a tuple of ints (exactly int: a bool is refused); a
+    refused value is named as "{what} {value!r}{where}"."""
+    vals = tuple(values)
+    for v in vals:
+        if type(v) is not int:
+            raise TypeError(f"{what} {v!r}{where} is not an int")
+    return vals
 
 
 def intersection(u: H2Element, v: H2Element) -> int:

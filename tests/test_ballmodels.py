@@ -36,11 +36,8 @@ from cpstrata.dga import (
 )
 from cpstrata.gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra, SparseReducer
 from cpstrata.kriz import KrizParams, kriz_model, relabeled_model
+from polytext import P
 from test_monomial_kernel import reference_monomials
-
-
-def P(table, text):
-    return GPolynomial.parse(table, text)
 
 
 # Rank tables for the embedding spaces, degrees 0..9, everything above

@@ -92,6 +92,24 @@ class TestParsing:
         assert out == ""
         assert f"got {weights.split(';')[0]!r}" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["kriz", "--m", "1_0", "--k", "2"], "--m must be an integer, got '1_0'"),
+            (["kriz", "--m", "2", "--k", "\u0663"], "--k must be an integer, got '\u0663'"),
+            (["chamber", "enumerate", "--n", "\u0663"], "--n must be an integer, got '\u0663'"),
+            (["kriz", "--m", "2", "--k", "3", "--cap", "1_2"], "--cap must be an integer, got '1_2'"),
+            (["chamber", "classify", "--capacities", "1_0/30,1/4"],
+             "capacity '1_0/30' has an underscore or a non-ASCII character"),
+            (["conf", "stratify", "--points", "1_0:1:0,0:1:0,0:0:1"],
+             "coordinate '1_0' of point '1_0:1:0' has an underscore or a non-ASCII character"),
+        ],
+        ids=["m", "k", "n", "cap", "capacities", "points"],
+    )
+    def test_loose_numbers_exit_two(self, capsys, argv, message):
+        # int() and Fraction() would read 10, 3 and 12 here
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_canonical_json_sorted_and_terminated(self):
         blob = canonical_json({"b": 1, "a": [2]})
         assert blob.endswith("\n")
@@ -123,6 +141,20 @@ class TestRunConfig:
         cfg = RunConfig.load(str(p))
         assert cfg.degree_cap == 8
         assert cfg.format == "text"
+
+    def test_flags_win_over_config(self, capsys, tmp_path):
+        p = tmp_path / "cfg.json"
+        out = tmp_path / "from-config.json"
+        p.write_text(json.dumps({"degree_cap": 8, "weights": "2,3", "output": str(out)}))
+        base = ["model", "build", "--n", "3", "--chamber", "small", "--json", "--config", str(p)]
+        model = run_json(capsys, *base)["model"]
+        assert model["degree_cap"] == 8 and "19*T3^2" in model["differential"]["beta"]
+        assert json.loads(out.read_text())["model"] == model
+        out.unlink()
+        flagged = tmp_path / "from-flag.json"
+        model = run_json(capsys, *base, "--cap", "5", "--weights", "1,1", "--out", str(flagged))["model"]
+        assert model["degree_cap"] == 5 and "3*T3^2" in model["differential"]["beta"]
+        assert flagged.exists() and not out.exists()
 
     def test_load_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"

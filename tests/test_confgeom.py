@@ -292,7 +292,7 @@ class TestNonRationalInput:
     def test_point_entry_type_is_named(self, coords, entry):
         text = ":".join(map(str, coords))
         with pytest.raises(
-            TypeError, match=rf"^coordinate {entry} of point '{re.escape(text)}' is not an int, a Fraction or a str$"
+            TypeError, match=rf"^coordinate {entry} of point '{re.escape(text)}' is not an int, Fraction or rational string$"
         ):
             ProjectivePoint(coords)
 
@@ -318,7 +318,7 @@ class TestNonRationalInput:
 
     def test_float_matrix_rejected(self):
         M = [[1, 0, 0], [0, 0.5, 0], [0, 0, 1]]
-        with pytest.raises(TypeError, match=r"^entry 0\.5 of matrix .* is not an int, a Fraction or a str$"):
+        with pytest.raises(TypeError, match=r"^entry 0\.5 of matrix .* is not an int, Fraction or rational string$"):
             apply_pgl(M, E1)
 
     def test_zero_denominator_matrix_entry_rejected(self):

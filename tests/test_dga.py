@@ -44,13 +44,10 @@ from cpstrata.dga import (
 )
 from cpstrata.ballmodels import iemb_model, iemb_presentation, weight_independence_check
 from cpstrata.kriz import KrizParams, kriz_model
+from polytext import P
 from test_monomial_kernel import SEEDS, random_dga, reference_monomials
 
 FLAG_T = GeneratorTable(names=("T1", "T2", "beta", "gamma"), degrees=(2, 2, 3, 5))
-
-
-def P(table, text):
-    return GPolynomial.parse(table, text)
 
 
 def flag_model(cap=10):

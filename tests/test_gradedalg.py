@@ -25,6 +25,7 @@ from cpstrata.gradedalg import (
     TableMismatchError,
     algebra_to_json,
 )
+from polytext import P
 from test_monomial_kernel import normal_form, terms_of
 
 # ---------------------------------------------------------------- fixtures
@@ -39,10 +40,6 @@ CONF = GeneratorTable(
 TORUS = GeneratorTable(names=("T1", "T2"), degrees=(2, 2))
 
 ODD = GeneratorTable(names=("beta", "gamma"), degrees=(3, 5))
-
-
-def P(table, text):
-    return GPolynomial.parse(table, text)
 
 
 def flag_ring():
@@ -256,7 +253,8 @@ class TestIntegerDegreesAndExponents:
             GeneratorTable(("x", "y"), (2, bad))
 
     def test_int_degrees_pass(self):
-        table = GeneratorTable(("x", "y"), [2, True])
+        # a bool is refused (tests/test_exact_numbers.py)
+        table = GeneratorTable(("x", "y"), [2, 1])
         assert table.degrees == (2, 1) and all(type(d) is int for d in table.degrees)
 
     @pytest.mark.parametrize(

@@ -37,6 +37,7 @@ from cpstrata.kriz import (
     point_pairs,
     relabeled_model,
 )
+from polytext import P
 
 
 class TestParams:
@@ -77,19 +78,19 @@ class TestParams:
 class TestDiagonalPullback:
     def test_plane(self):
         table = kriz_table(KrizParams(2, 2))
-        assert diagonal_pullback(2, 1, 2, table) == GPolynomial.parse(
+        assert diagonal_pullback(2, 1, 2, table) == P(
             table, "x1^2 + x1*x2 + x2^2"
         )
 
     def test_line(self):
         table = kriz_table(KrizParams(1, 2))
-        assert diagonal_pullback(1, 1, 2, table) == GPolynomial.parse(
+        assert diagonal_pullback(1, 1, 2, table) == P(
             table, "x1 + x2"
         )
 
     def test_threefold(self):
         table = kriz_table(KrizParams(3, 2))
-        assert diagonal_pullback(3, 1, 2, table) == GPolynomial.parse(
+        assert diagonal_pullback(3, 1, 2, table) == P(
             table, "x1^3 + x1^2*x2 + x1*x2^2 + x2^3"
         )
 
@@ -119,7 +120,7 @@ class TestParsing:
 
     def test_reversed_product_keeps_koszul_sign(self):
         table = kriz_table(KrizParams(2, 3))
-        assert GPolynomial.parse(table, "G13*G12") == -GPolynomial.parse(
+        assert P(table, "G13*G12") == -P(
             table, "G12*G13"
         )
 
@@ -181,12 +182,12 @@ class TestStructure:
 
     def test_connecting_relation_maps_to_zero(self):
         D = kriz_model(KrizParams(2, 2))
-        r = GPolynomial.parse(D.table, "x1*G12 - x2*G12")
+        r = P(D.table, "x1*G12 - x2*G12")
         assert differential(D, r).is_zero  # x1^3 - x2^3 dies by nilpotence
 
     def test_arnold_relation_in_ideal_after_d(self):
         D = kriz_model(KrizParams(2, 3))
-        arnold = GPolynomial.parse(D.table, "G12*G23 + G23*G13 + G13*G12")
+        arnold = P(D.table, "G12*G23 + G23*G13 + G13*G12")
         assert D.algebra.ideal_member(arnold)
         d_arnold = differential(D, arnold)
         assert d_arnold.is_zero or D.algebra.ideal_member(d_arnold)

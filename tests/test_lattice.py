@@ -420,28 +420,31 @@ class TestSerialization:
         assert c.scaled == (2, (1,))
 
     def test_capacities_convert_other_rationals(self):
+        # only ints, Fractions and rational strings convert: a bool or a
+        # numbers.Rational of another type is refused
         class Ratio:  # a numbers.Rational that is not a Fraction
             def __init__(self, p, q):
                 self.numerator, self.denominator = p, q
 
         numbers.Rational.register(Ratio)
-        c = Capacities([True, Ratio(1, 3), "1/2", 1])
-        assert c.values == (Fraction(1), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+        c = Capacities([Fraction(1, 3), "1/2", 1])
+        assert c.values == (Fraction(1, 3), Fraction(1, 2), Fraction(1))
         assert all(type(v) is Fraction for v in c.values)
-        assert c.scaled == (6, (6, 2, 3, 6))
-        with pytest.raises(ValueError, match=r"^capacities must be strictly positive, got \(Fraction\(0, 1\),\)$"):
-            Capacities([Ratio(0, 1)])
+        assert c.scaled == (6, (2, 3, 6))
+        for bad in (True, Ratio(1, 3)):
+            with pytest.raises(TypeError, match=r"is not an int, Fraction or rational string$"):
+                Capacities(["1/2", bad])
 
     @pytest.mark.parametrize(
         "values,error,message",
         [
             ([0.5], TypeError, "capacity 0.5 is not an int, Fraction or rational string"),
             ([Decimal("0.5")], TypeError, "capacity Decimal('0.5') is not an int, Fraction or rational string"),
-            # every entry's type is checked before any string is parsed
-            (["1/0", 0.5], TypeError, "capacity 0.5 is not an int, Fraction or rational string"),
+            # one pass over the entries: the first bad one is named
+            (["1/0", 0.5], ValueError, "capacity '1/0' has a zero denominator"),
             ([0], ValueError, "capacities must be strictly positive, got (Fraction(0, 1),)"),
             (["0"], ValueError, "capacities must be strictly positive, got (Fraction(0, 1),)"),
-            ([False], ValueError, "capacities must be strictly positive, got (Fraction(0, 1),)"),
+            ([False], TypeError, "capacity False is not an int, Fraction or rational string"),
             (["1/2", Fraction(-1, 3)], ValueError,
              "capacities must be strictly positive, got (Fraction(1, 2), Fraction(-1, 3))"),
             (["2/3", "1E-2"], ValueError, "capacity '1E-2' is in exponent notation"),

@@ -48,6 +48,7 @@ from cpstrata.gradedalg import (
 )
 from cpstrata.groebner import GroebnerBasis, _ambient_count
 from cpstrata.kriz import KrizParams, kriz_model
+from polytext import P
 
 SEEDS = range(12)
 TOP = 7  # frames and differential columns are compared in degrees 0..TOP
@@ -371,8 +372,8 @@ def test_common_scale_clears_every_denominator():
     D = DgaSpec(
         A,
         {
-            "beta": GPolynomial.parse(table, "1/2*T^2"),
-            "gamma": GPolynomial.parse(table, "1/3*T^3"),
+            "beta": P(table, "1/2*T^2"),
+            "gamma": P(table, "1/3*T^3"),
         },
     )
     assert D.scale == 6
@@ -634,7 +635,7 @@ def test_words_match_normal_form():
                 name if n == 1 else f"{name}^{n}"
                 for name, n in ((name, len(list(run))) for name, run in itertools.groupby(w))
             )
-            assert terms_of(GPolynomial.parse(table, text or "1")) == want, text
+            assert terms_of(P(table, text or "1")) == want, text
     assert outcomes == {1, -1, None}
 
 
@@ -696,7 +697,7 @@ def wide_algebra():
     table = GeneratorTable(("T", "S", "beta"), (2, 2, 3))
     return PresentedAlgebra(
         table,
-        [GPolynomial.parse(table, "T^3*S - S^4"), GPolynomial.parse(table, "T^2*beta + S^2*beta")],
+        [P(table, "T^3*S - S^4"), P(table, "T^2*beta + S^2*beta")],
     )
 
 
