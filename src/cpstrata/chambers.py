@@ -21,19 +21,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import ge, mul
-from typing import Literal, Optional, Sequence, Union
+from typing import Literal, Optional, Sequence, Union, get_args
 
 from .exactlp import Ineq as _Ineq
-from .exactlp import _Simplex, feasible_point, interior_tableau, scaled_row, tighten_scaled
+from .exactlp import _Simplex, feasible_point, interior_tableau, scaled_row
 from .lattice import (
     Capacities,
     H2Element,
     enumerate_exceptional,
+    exact_ints,
     negative_wall_classes,
     scaled_volume_margin,
 )
 
 Boundary = Literal["strict", "inclusive"]
+BOUNDARIES: tuple[str, ...] = get_args(Boundary)
 
 # largest n whose chamber count enumerate_chambers can vouch for
 MAX_ENUMERATE_N = 5
@@ -285,15 +287,17 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     """All feasible wall signatures over the sorted admissible cone, with witnesses.
 
     Depth-first over the wall bits.  The root's rows are folded once into
-    the trivial optimum of the exact LP; every other node is decided by
-    appending its wall row to the parent's optimal integer tableau and
-    re-optimizing by the dual simplex, usually in a few pivots.  A partial
-    assignment whose system has no strictly feasible point prunes the whole
-    subtree.  Each full sign pattern then reads its witness off its own
-    tableau, after a few more dual steps in inclusive mode that restore the
-    strict row of L - E_1 - E_2, the only pair class the sorted cone needs
-    (_leaf_record); no leaf solves from the trivial optimum.
-    Both sign rows of every wall are built and scaled once per call.
+    the trivial optimum of the exact LP; every other node is decided by one
+    LP step, _Simplex.with_row, which appends its wall row to the parent's
+    optimal integer tableau and re-optimizes by the dual simplex, usually in
+    a few pivots.  A child without a strictly feasible point prunes its
+    whole subtree, and its step stops as soon as the dual bound of a basis
+    shows eps* <= 0, often before any pivot.  Each full sign pattern then
+    reads its witness off its own tableau, after a few more dual steps in
+    inclusive mode that restore the strict row of L - E_1 - E_2, the only
+    pair class the sorted cone needs (_leaf_record); no leaf solves from the
+    trivial optimum.  Both sign rows of every wall are built and scaled once
+    per call.
 
     The boundary convention decides which sign patterns count as feasible;
     witnesses are drawn from the strictly admissible part of each pattern
@@ -301,8 +305,13 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     so they round-trip through chamber_signature in either mode.
 
     Only n in 1..5 is supported: for n >= 6 the linearized volume bound is
-    not known to be exact, so no count there is trusted.
+    not known to be exact, so no count there is trusted.  A non-int n (a
+    bool or a float included) raises TypeError and a boundary other than
+    "strict" or "inclusive" ValueError, before any LP call.
     """
+    exact_ints((n,), "n")
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}")
     if n < 1:
         raise ValueError(f"chamber enumeration supports n in 1..{MAX_ENUMERATE_N}, got {n}")
     if n > MAX_ENUMERATE_N:
@@ -334,7 +343,7 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
             )
             continue
         for positive in (False, True):
-            child = tighten_scaled(tableau, scaled[len(bits)][positive])
+            child = tableau.with_row(*scaled[len(bits)][positive])
             if child is not None:
                 stack.append((bits + (positive,), child))
     return tuple(sorted(found, key=lambda rec: rec.signature.bits, reverse=True))

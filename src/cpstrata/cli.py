@@ -18,6 +18,7 @@ from typing import Optional
 
 from .ballmodels import iemb_model
 from .chambers import (
+    BOUNDARIES,
     AdmissibilityError,
     chamber_signature,
     enumerate_chambers,
@@ -30,7 +31,6 @@ from .lattice import Capacities
 from .verify import SUITES, report_json, run_suites
 
 _FORMATS = ("json", "csv", "text")
-_BOUNDARIES = ("strict", "inclusive")
 _INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 _INT_FLAGS = ("n", "m", "k", "cap")
 # (flag attribute, RunConfig field): the config fills a flag not given
@@ -60,8 +60,8 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"{key} must be a string, got {value!r}")
-        if self.boundary_convention not in _BOUNDARIES:
-            raise ValueError(f"boundary_convention must be one of {_BOUNDARIES}")
+        if self.boundary_convention not in BOUNDARIES:
+            raise ValueError(f"boundary_convention must be one of {BOUNDARIES}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
 
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate", parents=[common], help="enumerate chambers at fixed n"
     )
     enum.add_argument("--n", required=True)
-    enum.add_argument("--boundary", choices=_BOUNDARIES, default=None)
+    enum.add_argument("--boundary", choices=BOUNDARIES, default=None)
     enum.set_defaults(handler=_cmd_chamber_enumerate)
 
     model = sub.add_parser("model", help="embedding-space models per chamber")

@@ -16,9 +16,12 @@ blow up doubly exponentially.  Every solve is a fold: it starts from the
 trivial optimum of "max eps s.t. eps <= 1" and appends the input rows one at
 a time.  A row appended in terms of the optimal basis leaves the objective
 row, hence dual feasibility, as it is, and the dual simplex pivots back to
-optimality.  An empty ratio test there is the one place an infeasible system
-is found; eps* = 0 is read off the optimal tableau.  Because eps* only falls
-as rows are added, the first prefix that fails decides the whole system.
+optimality through dual feasible bases, each of whose objective values
+bounds eps* from above (weak duality; Chvatal, Linear Programming, 1983,
+ch. 10).  So a step stops, with no tableau, at an empty ratio test or at
+the first pivot that would bring that bound to 0 or below, and a step that
+ends has eps* > 0.  Because eps* only falls as rows are added, the first
+prefix that fails decides the whole system.
 
 The tableau is kept in dictionary form (Chvatal, Linear Programming, 1983,
 ch. 2-3): a row holds only the nonbasic columns and the rhs, one entry per
@@ -42,7 +45,7 @@ A fold may also start from such a tableau instead of the trivial optimum
 (the start argument of interior_tableau and feasible_point): a chamber
 leaf's witness is read off the descent's tableau with at most a few rows
 more, never solved afresh.  A row appended many times is checked once by
-scaled_row and appended by tighten_scaled; the tableaux share it.
+scaled_row and appended by with_row; the tableaux share it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
+
+from .lattice import exact_ints
 
 # one inequality: (coefficients, rhs, strict) meaning sum a_j x_j < rhs (or <=)
 Ineq = tuple[tuple[int, ...], int, bool]
@@ -170,14 +175,16 @@ class _Simplex:
         return {j: Fraction(row[-1], self.d) for j, row in self.rows.items()}
 
     def with_row(self, a: Sequence[int], b: int) -> Optional["_Simplex"]:
-        """A new solved tableau with the row a.z <= b appended, or None if infeasible.
+        """A new solved tableau with the row a.z <= b appended if its eps* > 0, else None.
 
-        The new row's slack n+m is basic, which leaves the basis
-        determinant, hence d, unchanged.  self is optimal, so the new row is
-        the only one whose rhs can be negative until the first pivot.  The
-        dual simplex pivots out the negative rhs of smallest basis label on
-        the column of least ratio obj[j] / row[j] over row[j] < 0 (smallest
-        label on ties); no such column means the system has no point.  Rows
+        self has eps* > 0.  The new row's slack n+m is basic, which leaves
+        the basis determinant, hence d, unchanged, and its rhs is the only
+        one that can be negative until the first pivot.  The dual simplex
+        pivots out the negative rhs of smallest basis label on the column j
+        of least ratio obj[j] / row[j] over row[j] < 0 (smallest label on
+        ties).  No such column means the system has no point.  Else the
+        pivot would bring eps to (obj[j]*row[-1] - obj[-1]*row[j]) / (d*row[j]),
+        an upper bound on eps*, so a numerator >= 0 stops the step.  Rows
         that no pivot touches stay shared with self, which is never mutated.
         """
         child = _Simplex.__new__(_Simplex)
@@ -192,7 +199,7 @@ class _Simplex:
                 # obj[j] / row[j] < obj[enter] / row[enter], both rows negative
                 if row[j] < 0 and (enter is None or obj[j] * row[enter] < obj[enter] * row[j]):
                     enter = j
-            if enter is None:
+            if enter is None or obj[enter] * row[-1] - obj[-1] * row[enter] >= 0:
                 return None
             child._pivot(label, row, enter)
             leave = child._leaving()
@@ -236,29 +243,18 @@ def interior_tableau(
     """The solved max-eps tableau of a system with a point x >= 0, else None.
 
     start (by default the trivial optimum) takes the rows one at a time by
-    tighten_scaled(); eps* only falls as rows are added, so the first empty
-    or eps* = 0 prefix decides.  A start other than the default must itself
-    be a tableau over nvars variables with eps* > 0, such as a result of
-    this function or tighten_scaled(), and the system solved is then
-    start's rows followed by ineqs.
+    with_row(); eps* only falls as rows are added, so the first row whose
+    step stops decides.  A start other than the default must itself be a
+    tableau over nvars variables with eps* > 0, such as a result of this
+    function or with_row(), and the system solved is then start's rows
+    followed by ineqs.  nvars must be an int (lattice.exact_ints).
     """
+    exact_ints((nvars,), "nvars")
     if start is not None and start.n != nvars + 1:
         raise ValueError(f"start has {start.n - 1} variables, expected {nvars}")
     lp: Optional[_Simplex] = _Simplex(nvars) if start is None else start
     for ineq in ineqs:
-        lp = tighten_scaled(lp, scaled_row(ineq, nvars))
+        lp = lp.with_row(*scaled_row(ineq, nvars))
         if lp is None:
             break
     return lp
-
-
-def tighten_scaled(lp: _Simplex, row: tuple[list[int], int]) -> Optional[_Simplex]:
-    """The solved tableau of lp's system with row appended, if its eps* > 0, else None.
-
-    row is a scaled_row(), which the new tableau shares.
-    """
-    child = lp.with_row(*row)
-    if child is None:
-        return None
-    eps = child.rows.get(child.n - 1)  # a nonbasic eps is 0
-    return child if eps is not None and eps[-1] > 0 else None

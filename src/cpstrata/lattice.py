@@ -138,7 +138,8 @@ def parse_rational(text: str, what: str) -> Fraction:
 
     Exponent notation is refused: Fraction expands it exactly, so a string
     like 1e-30000000 alone would take seconds.  Digit-group underscores and
-    non-ASCII digits, which Fraction also reads, are refused as well.
+    non-ASCII digits, which Fraction also reads, are refused as well, and a
+    string Fraction refuses is reported as what, not in Fraction's words.
     """
     if "e" in text or "E" in text:
         raise ValueError(f"{what} is in exponent notation")
@@ -148,6 +149,8 @@ def parse_rational(text: str, what: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{what} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{what} is not a rational") from None
 
 
 def exact_rationals(values: Iterable, what: str, where: str = "") -> tuple[Fraction, ...]:

@@ -464,6 +464,28 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=match):
             enumerate_chambers(n)
 
+    @pytest.mark.parametrize(
+        "args,error,match",
+        [
+            # a bool is not an int, and neither is a float or a digit string
+            ((True,), TypeError, r"^n True is not an int$"),
+            ((5.0,), TypeError, r"^n 5\.0 is not an int$"),
+            (("3",), TypeError, r"^n '3' is not an int$"),
+            # the boundary mode is one of two names, spelled exactly
+            ((3, "foo"), ValueError, r"^unknown boundary 'foo', expected one of \('strict', 'inclusive'\)$"),
+            ((3, "Strict"), ValueError, r"^unknown boundary 'Strict'"),
+            ((3, None), ValueError, r"^unknown boundary None"),
+        ],
+    )
+    def test_bad_arguments_fail_before_any_lp_call(self, args, error, match, monkeypatch):
+        def no_lp(*args):
+            raise AssertionError("LP called")
+
+        monkeypatch.setattr(exactlp._Simplex, "__init__", no_lp)
+        monkeypatch.setattr(exactlp._Simplex, "with_row", no_lp)
+        with pytest.raises(error, match=match):
+            enumerate_chambers(*args)
+
     def test_leaf_inconsistency_raises_arithmetic_error(self, monkeypatch):
         # n=1 has no walls: the root is the one leaf, and its witness comes
         # from feasible_point on the root's tableau, which is made to find no
@@ -688,16 +710,17 @@ def cold_verdict(rows, n):
 
 class TestWarmDescent:
     # (children decided, children pruned, dual pivots) of the full tree,
-    # n=3..5 in both modes; 1028, 438 and 1153 in total.  The pivot counts
-    # pin the dual Bland rule: other leaving or entering choices reach the
-    # same verdicts through other bases.
+    # n=3..5 in both modes; 1028, 438 and 423 in total.  The pivot counts
+    # pin the dual Bland rule and the stop on the dual bound: other leaving
+    # or entering choices reach the same verdicts through other bases, and
+    # pruned children run on to their optima take more pivots.
     TREE_SIZES = {
         (3, "strict"): (2, 0, 1),
         (3, "inclusive"): (2, 0, 1),
-        (4, "strict"): (30, 10, 26),
-        (4, "inclusive"): (30, 10, 26),
-        (5, "strict"): (482, 209, 520),
-        (5, "inclusive"): (482, 209, 579),
+        (4, "strict"): (30, 10, 15),
+        (4, "inclusive"): (30, 10, 15),
+        (5, "strict"): (482, 209, 176),
+        (5, "inclusive"): (482, 209, 215),
     }
 
     @pytest.mark.parametrize("n,boundary", sorted(TREE_SIZES))
@@ -814,7 +837,7 @@ class TestWarmDescent:
 
     def test_lp_steps_pinned_and_wall_rows_built_once(self, monkeypatch):
         # n=3..5 in both modes: 1,101 appended rows (32 root rows, 1,028
-        # children, 41 leaf rows) and 1,200 pivots.  Each call builds and
+        # children, 41 leaf rows) and 470 pivots.  Each call builds and
         # scales the two sign rows of every wall once: 88 wall rows over the
         # six calls, so 32 + 88 + 41 = 161 rows are scaled
         counts = Counter()
@@ -838,7 +861,7 @@ class TestWarmDescent:
                 walls = counts["walls"]
                 enumerate_chambers(n, boundary)
                 assert counts["walls"] - walls == 2 * len(negative_wall_classes(n))
-        assert (counts["with_row"], counts["pivot"]) == (1101, 1200)
+        assert (counts["with_row"], counts["pivot"]) == (1101, 470)
         assert (counts["walls"], counts["scaled"]) == (88, 161)
 
 

@@ -218,9 +218,10 @@ class TestChamberClassify:
         assert len(payload["bits"]) > 0
 
     def test_malformed_capacities_exit_two(self, capsys):
-        code, _, err = run(capsys, "chamber", "classify", "--capacities", "1/2,oops")
+        code, out, err = run(capsys, "chamber", "classify", "--capacities", "1/2,oops")
         assert code == 2
-        assert "error:" in err
+        assert out == ""
+        assert err == "error: capacity 'oops' is not a rational\n"
 
     @pytest.mark.parametrize("text,bad", [("1/0", "'1/0'"), ("1/2,3/0", "'3/0'")])
     def test_zero_denominator_exit_two(self, capsys, text, bad):
@@ -528,6 +529,12 @@ class TestConfStratify:
         assert code == 2
         assert out == ""
         assert err == "error: coordinate '1/0' of point '1/0:1:1' has a zero denominator\n"
+
+    def test_non_rational_coordinate_named(self, capsys):
+        code, out, err = run(capsys, "conf", "stratify", "--points", "1:x:0,0:1:0,0:0:1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: coordinate 'x' of point '1:x:0' is not a rational\n"
 
     def test_exponent_notation_exit_two(self, capsys):
         code, out, err = run(capsys, "conf", "stratify", "--points", "1e-30000000:1:0,0:1:0,0:0:1")

@@ -361,7 +361,15 @@ class FractionPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        vals = tuple(Fraction(c) for c in coords)
+        coords = tuple(coords)
+        vals = []
+        for c in coords:
+            try:
+                vals.append(Fraction(c))
+            except ValueError:
+                raise ValueError(
+                    f"coordinate {c!r} of point {':'.join(map(str, coords))!r} is not a rational"
+                ) from None
         if len(vals) != 3:
             raise ValueError("a projective point needs three coordinates")
         pivot = next((c for c in vals if c != 0), None)
@@ -383,6 +391,8 @@ class FractionPoint:
                 raise ValueError(
                     f"coordinate {part!r} of point {text!r} has a zero denominator"
                 ) from None
+            except ValueError:
+                raise ValueError(f"coordinate {part!r} of point {text!r} is not a rational") from None
         return cls(coords)
 
     def to_text(self):

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -533,9 +534,10 @@ def test_rows_appended_one_at_a_time_match_cold_solves(seed):
 
 
 def test_appended_rows_reach_both_verdicts_and_dual_pivots(monkeypatch):
-    # 313 dual pivots pin the dual Bland rule (smallest basis index leaves,
-    # least ratio enters, smallest column on ties): other choices reach the
-    # same verdicts through other bases
+    # 226 dual pivots pin the dual Bland rule (smallest basis index leaves,
+    # least ratio enters, smallest column on ties) and the stop on the dual
+    # bound: other choices reach the same verdicts through other bases, and
+    # a step run on to its optimum takes more pivots
     pivots = []
     real_pivot = exactlp._Simplex._pivot
 
@@ -556,7 +558,7 @@ def test_appended_rows_reach_both_verdicts_and_dual_pivots(monkeypatch):
             dual += len(pivots) - before
             verdicts.add(lp is not None)
     assert verdicts == {False, True}
-    assert dual == 313
+    assert dual == 226
 
 
 def test_rows_appended_past_any_reserved_width_match_cold_solves():
@@ -590,18 +592,38 @@ def test_opposite_rows_pin_their_point():
 
 
 def test_ratio_test_prunes_an_empty_cut():
-    # x < 1 then x >= 2: the dual simplex finds no entering column
+    # x < 1 then x <= -1: the new row has no negative entry over the basis
+    # of x < 1, so the dual simplex finds no entering column
     lp = interior_tableau([((1,), 1, True)], 1)
+    assert lp.with_row([1, 0], -1) is None
+    assert interior_tableau([((1,), -1, False)], 1, lp) is None
+    oracle = FullDictionary(1).with_row([1, 0], 1)[0]
+    assert oracle.with_row([1, 0], -1) == (None, "ratio")
+
+
+def test_cut_without_interior_prunes_on_eps(monkeypatch):
+    # x < 1 then x >= 1 (x >= 2): the first pivot puts x in the basis at 1
+    # (at 2) and leaves the slack of x + eps <= 1 negative; the pivot that
+    # would clear it brings eps to 0 (to -1), so the step stops before it,
+    # on the bound.  Run on to its optimum, the step ends at eps = 0 (on an
+    # empty ratio test)
+    lp = interior_tableau([((1,), 1, True)], 1)
+    pivots, real_pivot = [], exactlp._Simplex._pivot
+
+    def counting_pivot(lp, leave, row, col):
+        pivots.append(leave)
+        real_pivot(lp, leave, row, col)
+
+    monkeypatch.setattr(exactlp._Simplex, "_pivot", counting_pivot)
+    assert lp.with_row([-1, 0], -1) is None
     assert lp.with_row([-1, 0], -2) is None
-    assert interior_tableau([((-1,), -2, False)], 1, lp) is None
-
-
-def test_cut_without_interior_prunes_on_eps():
-    # x < 1 then x >= 1: feasible only at eps = 0, so the node is pruned
-    lp = interior_tableau([((1,), 1, True)], 1)
-    child = lp.with_row([-1, 0], -1)
-    assert child is not None and child.values().get(1, 0) == 0
     assert interior_tableau([((-1,), -1, False)], 1, lp) is None
+    assert pivots == [4, 4, 4]  # the new row's slack leaves, once per step
+    oracle = FullDictionary(1).with_row([1, 1], 1)[0]
+    assert oracle.with_row([-1, 0], -1) == (None, "bound")
+    assert oracle.with_row([-1, 0], -2) == (None, "bound")
+    assert optimum_eps(oracle.with_row([-1, 0], -1, to_optimum=True)[0]) == 0
+    assert oracle.with_row([-1, 0], -2, to_optimum=True) == (None, "ratio")
 
 
 @pytest.mark.parametrize(
@@ -622,6 +644,10 @@ def test_cut_without_interior_prunes_on_eps():
         ([((1,), F(2), False)], 1, TypeError, r"entry Fraction\(2, 1\) of row"),
         ([((True, 0), 1, False)], 2, TypeError, r"entry True of row \(\(True, 0\)"),
         ([((1,), False, True)], 1, TypeError, r"entry False of row"),
+        # nvars is an int, not a bool or a float
+        ([], True, TypeError, r"^nvars True is not an int$"),
+        ([], 2.0, TypeError, r"^nvars 2\.0 is not an int$"),
+        ([((1,), 1, False)], True, TypeError, r"^nvars True is not an int$"),
     ],
 )
 def test_malformed_rows_fail_fast(ineqs, nvars, error, match):
@@ -649,7 +675,7 @@ class FullDictionary:
 
     A test oracle: it keeps one row per basic variable, slacks included, in
     basis order, and every pivot rewrites all of them.  Same labels, same
-    dual Bland rule, same Bareiss step.
+    dual Bland rule, same Bareiss step, the same stop on the dual bound.
     """
 
     def __init__(self, nvars):
@@ -683,7 +709,14 @@ class FullDictionary:
         self.d = p
         self.basis[r], self.nb[col] = self.nb[col], self.basis[r]
 
-    def with_row(self, a, b):
+    def with_row(self, a, b, to_optimum=False):
+        """(child, None) for a child with eps* > 0, else (None, cause).
+
+        The cause is "ratio" for an empty ratio test and "bound" when the
+        objective value of the basis the next pivot would reach, computed in
+        Fractions, is <= 0.  With to_optimum, no bound stops the step: it
+        ends at an optimum, eps* = 0 included, or on the ratio test.
+        """
         d = self.d
         new = [a[j] * d if j < self.n else 0 for j in self.nb] + [b * d]
         for row, bi in zip(self.rows, self.basis):
@@ -700,15 +733,25 @@ class FullDictionary:
                 if row[-1] < 0 and (leave is None or child.basis[i] < child.basis[leave]):
                     leave = i
             if leave is None:
-                return child
+                return child, None
             row, obj = child.rows[leave], child.obj
             enter = None
             for j in sorted(range(len(child.nb)), key=child.nb.__getitem__):
                 if row[j] < 0 and (enter is None or obj[j] * row[enter] < obj[enter] * row[j]):
                     enter = j
             if enter is None:
-                return None
+                return None, "ratio"
+            # the entering variable would take the value row[-1] / row[enter]
+            # and move the objective by obj[enter] / d per unit
+            value = F(-obj[-1], child.d) + F(obj[enter], child.d) * F(row[-1], row[enter])
+            if value <= 0 and not to_optimum:
+                return None, "bound"
             child._pivot(leave, enter)
+
+
+def optimum_eps(oracle):
+    """eps at the oracle's basis: its objective value, -obj[-1] / d."""
+    return F(-oracle.obj[-1], oracle.d)
 
 
 def full_rows(lp):
@@ -734,12 +777,16 @@ class Lockstep:
 
     Each pivot logs (leaving label, entering label) and the whole state
     after it, on both sides; the logs, the verdicts and the final states
-    must be equal.  pivots and with_row count what both sides did.
+    must be equal.  pivots and with_row count what both sides did, and
+    stops counts the oracle's causes of the steps that stopped.  Every stop
+    is checked against the oracle run on to its optimum, which must find no
+    point or eps* = 0 there: no step may stop a node with eps* > 0.
     """
 
     def __init__(self, monkeypatch):
         self.logs = {"new": [], "oracle": []}
         self.pivots = self.with_row = 0
+        self.stops = Counter()
         real_new, real_oracle = exactlp._Simplex._pivot, FullDictionary._pivot
 
         def new_pivot(lp, leave, row, col):
@@ -769,20 +816,22 @@ class Lockstep:
         return pair
 
     def step(self, lp, oracle, row):
-        """Both children of the scaled row, or None once they are infeasible or have eps* = 0."""
+        """Both children of the scaled row, or None once the steps stop."""
         parent = state(lp)
-        child, oracle_child = lp.with_row(*row), oracle.with_row(*row)
+        child, (oracle_child, cause) = lp.with_row(*row), oracle.with_row(*row)
         self.with_row += 1
         self._check_pivots()
         assert state(lp) == parent  # the parent is never mutated
         assert (child is None) == (oracle_child is None)
         if child is None:
+            self.stops[cause] += 1
+            full, _ = oracle.with_row(*row, to_optimum=True)
+            self.logs["oracle"].clear()  # pivots past the stop, made by the oracle alone
+            assert full is None or optimum_eps(full) == 0
             return None
         assert state(child) == oracle_state(oracle_child)
-        interior = child.values().get(child.n - 1, 0) > 0
-        eps = oracle_child.rows[oracle_child.basis.index(oracle_child.n - 1)][-1]
-        assert interior == (eps > 0)
-        return (child, oracle_child) if interior else None
+        assert child.values().get(child.n - 1, 0) == optimum_eps(oracle_child) > 0
+        return child, oracle_child
 
 
 @pytest.fixture
@@ -800,9 +849,16 @@ def test_lockstep_with_full_dictionary_on_frozen_systems(lockstep):
                 break
         point = None if pair is None else feasible_point([], nvars, pair[0])
         assert as_text(point) == FROZEN[seed]
-    # 836 appended rows; 753 pivots: the start pivots of the 300 trivial
-    # optima, 140 dual pivots on the first rows and the 313 on later ones
-    assert (lockstep.with_row, lockstep.pivots) == (836, 753)
+    # 836 appended rows; 641 pivots: the start pivots of the 300 trivial
+    # optima, 115 dual pivots on the first rows and the 226 on later ones.
+    # The 164 infeasible systems stop 103 times on the dual bound and 61
+    # times on the ratio test
+    assert (lockstep.with_row, lockstep.pivots) == (836, 641)
+    assert lockstep.stops == Counter(bound=103, ratio=61)
+
+
+# pruned children of the chamber descent per n, the same in both modes
+PRUNED = {3: 0, 4: 10, 5: 209}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -833,3 +889,6 @@ def test_lockstep_with_full_dictionary_on_every_chamber_node(n, boundary, lockst
             if child is not None:
                 stack.append((bits + (positive,), child))
     assert leaves == len(chambers.enumerate_chambers(n, boundary))
+    # every pruned child of the descent stops on the dual bound, none on
+    # the ratio test: 438 over n = 3..5 in both modes
+    assert lockstep.stops == Counter(bound=PRUNED[n])

@@ -450,9 +450,12 @@ class TestSerialization:
             (["2/3", "1E-2"], ValueError, "capacity '1E-2' is in exponent notation"),
             ([], ValueError, "need at least one capacity"),
             ([0] * 9, ValueError, "n must be in 1..8, got 9"),
+            # a string Fraction refuses is named, not passed on in Fraction's words
+            (["1/2", "oops"], ValueError, "capacity 'oops' is not a rational"),
+            (["1/2/3"], ValueError, "capacity '1/2/3' is not a rational"),
         ],
         ids=["float", "decimal", "type-before-parse", "zero", "zero-string", "false", "negative",
-             "exponent", "empty", "too-many"],
+             "exponent", "empty", "too-many", "not-rational", "two-slashes"],
     )
     def test_capacities_errors(self, values, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
