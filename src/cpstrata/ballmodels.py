@@ -16,6 +16,15 @@ m = a^2 + a*b + b^2 and n = a^2*b + a*b^2; the full torus contributes
 the symmetric polynomials T1^2 + T2^2 + T1*T2 and T1^2*T2 + T1*T2^2.
 Circles living in distinct wedge summands multiply to zero.
 
+One table, _CHAMBERS, gives each circle chamber its torus circles (0 or
+2, one summand) and free circles (one summand each).  One rule writes
+every circle presentation: beta is a generator only when there is no
+circle, else d(beta) is a relation; so are the products T_i*T_j across
+summands and, over the torus, T1^3.  eta maps to
+(prod m)*gamma - sum n_i*(prod m/m_i)*T_i*beta in degree 5, times T3 over
+the torus (degree 7, with relations eta*T1, eta*T2); a torus with no free
+circle has no eta.
+
 This module builds those models, the frozen presentations their
 cohomology is checked against, the stabilizer cohomology rings, the
 weight-independence sweep, and the comparison of the three-small-balls
@@ -29,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from typing import Optional, Sequence, Union
 
 from .dga import DgaSpec, cohomology_ranks, substitute
@@ -84,39 +94,47 @@ class CircleWeights:
 # ---------------------------------------------------------------------------
 # Chamber bookkeeping
 
-# (n, label) -> number of free circle weights the caller supplies.  The
-# torus factor of the n <= 3 models is pinned to weights (1,0), (0,1)
-# and never parameterized.
-_FREE_WEIGHTS = {
-    (1, "C_unique"): 0,
-    (2, "C_unique"): 0,
-    (3, "big"): 0,
-    (3, "small"): 1,
-    (4, "C_0"): 0,
-    (4, "C_1"): 1,
-    (4, "C_2"): 2,
-    (4, "C_3"): 3,
-    (4, "C_4"): 4,
-    (4, "C_5"): 0,
+# (n, label) -> (torus circles, free circles), or None for the two chambers
+# that are not circle models: one ball and four small balls.  The torus
+# circles have the pinned weights (1,0), (0,1); a free circle takes a pair.
+_CHAMBERS = {
+    (1, "C_unique"): None,
+    (2, "C_unique"): (2, 0),
+    (3, "big"): (2, 0),
+    (3, "small"): (2, 1),
+    (4, "C_0"): (0, 0),
+    (4, "C_1"): (0, 1),
+    (4, "C_2"): (0, 2),
+    (4, "C_3"): (0, 3),
+    (4, "C_4"): (0, 4),
+    (4, "C_5"): None,
 }
 
+
 def canonical_chamber(n: int, chamber: str) -> str:
-    """Normalize a chamber label and reject unsupported (n, label) pairs."""
+    """Normalize a chamber label and reject unsupported (n, label) pairs.
+    n must be an int: True and 4.0 would hash like the keys 1 and 4."""
+    exact_ints((n,), "ball count")
     label = str(chamber).strip()
     if label == "unique":
         label = "C_unique"
     elif len(label) == 2 and label[0] == "C" and label[1].isdigit():
         label = f"C_{label[1]}"
-    if (n, label) not in _FREE_WEIGHTS:
+    if (n, label) not in _CHAMBERS:
         raise ValueError(f"unsupported ball count / chamber pair ({n}, {chamber!r})")
     return label
 
 
 def free_weight_count(n: int, chamber: str) -> int:
-    return _FREE_WEIGHTS[(n, canonical_chamber(n, chamber))]
+    shape = _CHAMBERS[(n, canonical_chamber(n, chamber))]
+    return 0 if shape is None else shape[1]
 
 
-def _coerce_weights(w: WeightsLike, count: int, context: str) -> CircleWeights:
+def _coerce_weights(n: int, label: str, w: WeightsLike) -> CircleWeights:
+    """The checked free-circle weights of a canonical chamber; None gives
+    (1, 1) to each free circle."""
+    count = free_weight_count(n, label)
+    context = "one ball" if n == 1 else f"chamber {label}"
     if w is None:
         return CircleWeights([(1, 1)] * count)
     if not isinstance(w, CircleWeights):
@@ -150,13 +168,16 @@ def _one_ball_model(degree_cap: int) -> DgaSpec:
     )
 
 
+def _wedge_products(T: Sequence[GPolynomial], base: int) -> list[GPolynomial]:
+    """T_i * T_j for the circles T of distinct wedge summands, which
+    multiply to zero: the base torus circles T[:base] share one summand,
+    every free circle is its own."""
+    return [T[i] * T[j] for i, j in combinations(range(len(T)), 2) if j >= base]
+
+
 def _wedge_algebra(base: int, free: int, fiber: bool) -> PresentedAlgebra:
     """T_1..T_k in degree 2 for base torus circles and free wedge circles,
-    then beta (degree 3) and gamma (degree 5) when fiber is set.
-
-    Wedge summands: the torus circles share one, every free circle is its
-    own; classes from distinct summands multiply to zero.
-    """
+    then beta (degree 3) and gamma (degree 5) when fiber is set."""
     k = base + free
     names = tuple(f"T{i}" for i in range(1, k + 1))
     table = GeneratorTable(
@@ -164,13 +185,7 @@ def _wedge_algebra(base: int, free: int, fiber: bool) -> PresentedAlgebra:
         (2,) * k + ((3, 5) if fiber else ()),
     )
     T = [GPolynomial.generator(table, name) for name in names]
-    summand = [0] * base + list(range(1, free + 1))
-    relations = [
-        T[i] * T[j]
-        for i, j in combinations(range(k), 2)
-        if summand[i] != summand[j]
-    ]
-    return PresentedAlgebra(table, relations)
+    return PresentedAlgebra(table, _wedge_products(T, base))
 
 
 @lru_cache(maxsize=None)
@@ -183,16 +198,26 @@ def _circle_algebra(base: int, free: int) -> PresentedAlgebra:
     return _wedge_algebra(base, free, fiber=True)
 
 
-def _base_circles(n: int, label: str) -> int:
-    """The number of torus circles of a circle-model chamber."""
-    return 2 if (n, label) in ((2, "C_unique"), (3, "big"), (3, "small")) else 0
-
-
-def _circle_shape(n: int, label: str, w: WeightsLike) -> tuple[CircleWeights, int]:
-    """The checked free-circle weights of a circle-model chamber, and its
-    number of base torus circles."""
-    weights = _coerce_weights(w, _FREE_WEIGHTS[(n, label)], f"chamber {label}")
-    return weights, _base_circles(n, label)
+def _circle_values(
+    table: GeneratorTable, base: int, weights: CircleWeights
+) -> tuple[GPolynomial, GPolynomial]:
+    """d(beta) and d(gamma) over the leading T_i of table, as packed terms
+    in the key order of the module docstring's sums: the torus terms, then
+    per free circle m_i * T_i^2 and, when n_i != 0, n_i * T_i^3."""
+    # T_i^e keyed e * unit_i: the T_i are even and uncapped, and no two
+    # keys coincide, so nothing cancels
+    unit, one = table._units, Fraction(1)
+    if base:
+        u1, u2 = unit[0], unit[1]
+        dbeta = {2 * u1: one, 2 * u2: one, u1 + u2: one}
+        dgamma = {2 * u1 + u2: one, u1 + 2 * u2: one}
+    else:
+        dbeta, dgamma = {}, {}
+    for u, m, nn in zip(unit[base:], weights.m, weights.n):
+        dbeta[2 * u] = Fraction(m)
+        if nn:
+            dgamma[3 * u] = Fraction(nn)
+    return GPolynomial._wrap(table, dbeta), GPolynomial._wrap(table, dgamma)
 
 
 def iemb_model(
@@ -209,41 +234,19 @@ def iemb_model(
     default cap 12 leaves two degrees of headroom above the top nonzero
     cohomology group (degree 9), so a class cut off by the cap would show
     as a nonzero rank in degree 11 or 12.
-
-    A circle model's values are written down as packed terms, in the key
-    order the module docstring's sums give: the torus terms, then per free
-    circle m_i * T_i^2 in d(beta) and, when n_i != 0, n_i * T_i^3 in
-    d(gamma).  No polynomial product is taken, and the algebra is shared.
     """
     label = canonical_chamber(n, chamber)
+    weights = _coerce_weights(n, label, w)
     if (n, label) == (4, "C_5"):
-        _coerce_weights(w, 0, "chamber C_5")
         return kriz_model(KrizParams(2, 4), degree_cap)
     if degree_cap is None:
         degree_cap = 12
-    if (n, label) == (1, "C_unique"):
-        _coerce_weights(w, 0, "one ball")
+    shape = _CHAMBERS[(n, label)]
+    if shape is None:
         return _one_ball_model(degree_cap)
-
-    weights, base = _circle_shape(n, label, w)
-    algebra = _circle_algebra(base, len(weights))
-    table = algebra.table
-    # the values as packed terms, T_i^e keyed e * unit_i: the T_i are even
-    # and uncapped, and no two keys coincide, so nothing cancels
-    unit, one = table._units, Fraction(1)
-    if base:
-        u1, u2 = unit[0], unit[1]
-        dbeta = {2 * u1: one, 2 * u2: one, u1 + u2: one}
-        dgamma = {2 * u1 + u2: one, u1 + 2 * u2: one}
-    else:
-        dbeta, dgamma = {}, {}
-    for u, m, nn in zip(unit[base:], weights.m, weights.n):
-        dbeta[2 * u] = Fraction(m)
-        if nn:
-            dgamma[3 * u] = Fraction(nn)
-
-    values = {"beta": GPolynomial._wrap(table, dbeta), "gamma": GPolynomial._wrap(table, dgamma)}
-    return DgaSpec(algebra, values, degree_cap)
+    algebra = _circle_algebra(*shape)
+    dbeta, dgamma = _circle_values(algebra.table, shape[0], weights)
+    return DgaSpec(algebra, {"beta": dbeta, "gamma": dgamma}, degree_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +294,12 @@ def bstab_presentation(n: int, chamber: str) -> PresentedAlgebra:
     generators, built afresh on each call.
     """
     label = canonical_chamber(n, chamber)
-    if (n, label) == (1, "C_unique"):
+    shape = _CHAMBERS[(n, label)]
+    if shape is not None:
+        return _wedge_algebra(*shape, fiber=False)
+    if n == 1:
         return PresentedAlgebra(GeneratorTable(("e1", "e2"), (2, 4)), ())
-    if (n, label) == (4, "C_5"):
-        return four_ball_stabilizer_presentation()
-    return _wedge_algebra(_base_circles(n, label), _FREE_WEIGHTS[(n, label)], fiber=False)
+    return four_ball_stabilizer_presentation()
 
 
 # ---------------------------------------------------------------------------
@@ -321,89 +325,42 @@ def iemb_presentation(
             "no finite presentation is shipped for chamber C_5; "
             "compare ranks against the four-point configuration model"
         )
-    if (n, label) == (1, "C_unique"):
-        _coerce_weights(w, 0, "one ball")
+    weights = _coerce_weights(n, label, w)
+    if n == 1:
         ptable = GeneratorTable(("h",), (2,))
         h = GPolynomial.generator(ptable, "h")
         pres = PresentedAlgebra(ptable, (h * h * h,))
         return pres, {"h": GPolynomial.generator(_one_ball_table(), "e1")}
 
-    weights, base = _circle_shape(n, label, w)
-    mt = _circle_algebra(base, len(weights)).table
-
-    if (n, label) in ((2, "C_unique"), (3, "big")):
-        ptable = GeneratorTable(("T1", "T2"), (2, 2))
-        t1 = GPolynomial.generator(ptable, "T1")
-        t2 = GPolynomial.generator(ptable, "T2")
-        pres = PresentedAlgebra(
-            ptable, (t1 * t1 + t2 * t2 + t1 * t2, t1 * t1 * t1)
-        )
-        gen_map = {
-            "T1": GPolynomial.generator(mt, "T1"),
-            "T2": GPolynomial.generator(mt, "T2"),
-        }
-        return pres, gen_map
-
-    beta = GPolynomial.generator(mt, "beta")
-    gamma = GPolynomial.generator(mt, "gamma")
-
-    if (n, label) == (3, "small"):
-        m3, n3 = weights.m[0], weights.n[0]
-        ptable = GeneratorTable(("T1", "T2", "T3", "eta"), (2, 2, 2, 7))
-        t1, t2, t3, eta = (
-            GPolynomial.generator(ptable, g) for g in ptable.names
-        )
-        pres = PresentedAlgebra(
-            ptable,
-            (
-                t1 * t1 + t2 * t2 + t1 * t2 + m3 * (t3 * t3),
-                t1 * t3,
-                t2 * t3,
-                t1 * t1 * t1,
-                eta * t1,
-                eta * t2,
-            ),
-        )
-        mt3 = GPolynomial.generator(mt, "T3")
-        gen_map = {
-            "T1": GPolynomial.generator(mt, "T1"),
-            "T2": GPolynomial.generator(mt, "T2"),
-            "T3": mt3,
-            "eta": m3 * (mt3 * gamma) - n3 * (mt3 * mt3 * beta),
-        }
-        return pres, gen_map
-
-    if (n, label) == (4, "C_0"):
-        ptable = GeneratorTable(("beta", "eta"), (3, 5))
-        pres = PresentedAlgebra(ptable, ())
-        return pres, {"beta": beta, "eta": gamma}
-
-    # Chambers C_1..C_4: r wedge circles with weights.
-    r = int(label[-1])
-    ms, ns = weights.m, weights.n
-    names = tuple(f"T{i}" for i in range(1, r + 1))
-    ptable = GeneratorTable(names + ("eta",), (2,) * r + (5,))
-    T = [GPolynomial.generator(ptable, name) for name in names]
-    quad = GPolynomial.zero(ptable)
-    for m, t in zip(ms, T):
-        quad = quad + m * (t * t)
-    relations = [quad] + [
-        T[i] * T[j] for i, j in combinations(range(r), 2)
-    ]
-    pres = PresentedAlgebra(ptable, relations)
-
-    # eta pulls back to the evident closed combination of gamma with the
-    # T_i * beta corrections; the product of the m_j clears denominators.
-    total = 1
-    for m in ms:
-        total *= m
-    eta_img = total * gamma
-    for i in range(r):
-        t = GPolynomial.generator(mt, f"T{i + 1}")
-        eta_img = eta_img - ns[i] * (total // ms[i]) * (t * beta)
+    base, free = _CHAMBERS[(n, label)]
+    mt = _circle_algebra(base, free).table
+    names = mt.names[: base + free]
     gen_map = {name: GPolynomial.generator(mt, name) for name in names}
-    gen_map["eta"] = eta_img
-    return pres, gen_map
+    beta = GPolynomial.generator(mt, "beta")
+    if not names:  # no circle: d(beta) = 0, so beta is a class
+        gen_map["beta"] = beta
+    if free or not base:  # a torus with no free circle has no eta
+        # gamma with the T_i * beta corrections that close it; the product
+        # of the m_i clears denominators
+        total = prod(weights.m)
+        eta = total * GPolynomial.generator(mt, "gamma")
+        for name, m, nn in zip(names[base:], weights.m, weights.n):
+            eta = eta - nn * (total // m) * (gen_map[name] * beta)
+        # over the torus eta is not closed but T3 * eta is: degree 7
+        gen_map["eta"] = gen_map[names[base]] * eta if base else eta
+
+    # each generator has the degree of its image
+    ptable = GeneratorTable(tuple(gen_map), tuple(g.degree() for g in gen_map.values()))
+    T = [GPolynomial.generator(ptable, name) for name in names]
+    # d(beta) is a relation whenever there is a circle (zero, and dropped,
+    # when there is none)
+    relations = [_circle_values(ptable, base, weights)[0]] + _wedge_products(T, base)
+    if base:
+        relations.append(T[0] * T[0] * T[0])
+        if "eta" in gen_map:
+            eta = GPolynomial.generator(ptable, "eta")
+            relations += [eta * T[0], eta * T[1]]
+    return PresentedAlgebra(ptable, relations), gen_map
 
 
 # ---------------------------------------------------------------------------

@@ -71,12 +71,6 @@ class ChamberSignature:
         if len(self.walls) != len(self.bits):
             raise ValueError("walls and bits must align")
 
-    def __getitem__(self, wall: H2Element) -> bool:
-        return self.bits[self.walls.index(wall)]
-
-    def items(self):
-        return tuple(zip(self.walls, self.bits))
-
     def true_count(self) -> int:
         return sum(self.bits)
 

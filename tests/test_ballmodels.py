@@ -111,7 +111,7 @@ class TestCircleWeights:
 
 class TestChamberBookkeeping:
     def test_supported_pairs(self):
-        supported = sorted(ballmodels._FREE_WEIGHTS)
+        supported = sorted(ballmodels._CHAMBERS)
         assert len(supported) == 10
         assert (4, "C_5") in supported
 
@@ -132,10 +132,21 @@ class TestChamberBookkeeping:
             canonical_chamber(n, chamber)
 
     def test_free_weight_counts(self):
-        counts = {ch: free_weight_count(n, ch) for n, ch in ballmodels._FREE_WEIGHTS}
+        counts = {ch: free_weight_count(n, ch) for n, ch in ballmodels._CHAMBERS}
         assert counts["small"] == 1
         assert counts["big"] == 0
         assert [counts[f"C_{r}"] for r in range(6)] == [0, 1, 2, 3, 4, 0]
+
+    @pytest.mark.parametrize(
+        "call, n, chamber",
+        [(iemb_model, True, "C_unique"), (iemb_model, 4.0, "C_2"), (iemb_model, 3.0, "small"),
+         (bstab_presentation, True, "unique"), (free_weight_count, 4.0, "C_3"),
+         (iemb_presentation, 2.0, "C_unique"), (canonical_chamber, False, "C_0")],
+    )
+    def test_bool_or_float_ball_count_rejected(self, call, n, chamber):
+        # True and 4.0 hash like the int keys 1 and 4
+        with pytest.raises(TypeError, match=f"ball count {n!r} is not an int"):
+            call(n, chamber)
 
 
 class TestModelShapes:
@@ -557,6 +568,80 @@ def branch_bstab(n, label):
     table = GeneratorTable(names, (2,) * r)
     T = [GPolynomial.generator(table, name) for name in names]
     return PresentedAlgebra(table, [T[i] * T[j] for i, j in combinations(range(r), 2)])
+
+
+def branch_presentation(n, label, w=None):
+    """The presentation of a circle chamber spelled out branch by branch:
+    the construction iemb_presentation used before it read the chamber
+    table and one rule, kept as its oracle."""
+    mt = iemb_model(n, label, w).table
+    weights = CircleWeights(w or [(1, 1)] * free_weight_count(n, label))
+    if (n, label) in ((2, "C_unique"), (3, "big")):
+        ptable = GeneratorTable(("T1", "T2"), (2, 2))
+        t1 = GPolynomial.generator(ptable, "T1")
+        t2 = GPolynomial.generator(ptable, "T2")
+        pres = PresentedAlgebra(ptable, (t1 * t1 + t2 * t2 + t1 * t2, t1 * t1 * t1))
+        return pres, {"T1": GPolynomial.generator(mt, "T1"), "T2": GPolynomial.generator(mt, "T2")}
+    beta = GPolynomial.generator(mt, "beta")
+    gamma = GPolynomial.generator(mt, "gamma")
+    if (n, label) == (3, "small"):
+        m3, n3 = weights.m[0], weights.n[0]
+        ptable = GeneratorTable(("T1", "T2", "T3", "eta"), (2, 2, 2, 7))
+        t1, t2, t3, eta = (GPolynomial.generator(ptable, g) for g in ptable.names)
+        pres = PresentedAlgebra(
+            ptable,
+            (t1 * t1 + t2 * t2 + t1 * t2 + m3 * (t3 * t3), t1 * t3, t2 * t3,
+             t1 * t1 * t1, eta * t1, eta * t2),
+        )
+        mt3 = GPolynomial.generator(mt, "T3")
+        return pres, {
+            "T1": GPolynomial.generator(mt, "T1"),
+            "T2": GPolynomial.generator(mt, "T2"),
+            "T3": mt3,
+            "eta": m3 * (mt3 * gamma) - n3 * (mt3 * mt3 * beta),
+        }
+    if (n, label) == (4, "C_0"):
+        return PresentedAlgebra(GeneratorTable(("beta", "eta"), (3, 5)), ()), {"beta": beta, "eta": gamma}
+    r = int(label[-1])
+    ms, ns = weights.m, weights.n
+    names = tuple(f"T{i}" for i in range(1, r + 1))
+    ptable = GeneratorTable(names + ("eta",), (2,) * r + (5,))
+    T = [GPolynomial.generator(ptable, name) for name in names]
+    quad = GPolynomial.zero(ptable)
+    for m, t in zip(ms, T):
+        quad = quad + m * (t * t)
+    pres = PresentedAlgebra(ptable, [quad] + [T[i] * T[j] for i, j in combinations(range(r), 2)])
+    total = 1
+    for m in ms:
+        total *= m
+    eta_img = total * gamma
+    for i in range(r):
+        t = GPolynomial.generator(mt, f"T{i + 1}")
+        eta_img = eta_img - ns[i] * (total // ms[i]) * (t * beta)
+    gen_map = {name: GPolynomial.generator(mt, name) for name in names}
+    gen_map["eta"] = eta_img
+    return pres, gen_map
+
+
+def terms(p):
+    return [(key, c, type(c)) for key, c in p.terms.items()]
+
+
+class TestPresentationRule:
+    CASES = [(n, chamber, None) for n, chamber in CIRCLE_SHAPES] + [
+        (3, "small", [(2, -1)]), (3, "small", [(3, 5)]),
+        (4, "C_1", [(5, 2)]), (4, "C_2", [(1, 0), (2, 1)]),
+        (4, "C_3", [(1, 0), (1, 1), (2, 1)]),
+    ]
+
+    @pytest.mark.parametrize("n, chamber, w", CASES)
+    def test_presentations_match_the_branch_oracle(self, n, chamber, w):
+        (got, got_map), (want, want_map) = iemb_presentation(n, chamber, w), branch_presentation(n, chamber, w)
+        assert got.table == want.table
+        assert [terms(r) for r in got.relations] == [terms(r) for r in want.relations]
+        assert list(got_map) == list(want_map)
+        assert [terms(g) for g in got_map.values()] == [terms(g) for g in want_map.values()]
+        assert all(g.table == want_map[name].table for name, g in got_map.items())
 
 
 class TestWedgeAlgebra:

@@ -228,7 +228,8 @@ class TestIntegerKernel:
         assert sig.walls == negative_wall_classes(len(values))
         cs = sorted(values, reverse=True)
         zero = [w for w in sig.walls if w.degree_a == sum(x * r for x, r in zip(cs, w.multiplicities))]
-        assert all(sig[w] is False for w in zero)  # a zero area is never positive
+        # a zero area is never positive
+        assert all(bit is False for w, bit in zip(sig.walls, sig.bits) if w in zero)
         if tied in sig.walls:  # walls are closed under permuting the E_i
             assert zero
 
@@ -254,7 +255,7 @@ class TestIntegerKernel:
         # on the sorted vector the three walls L - E1 - Ei - Ej have area
         # 1 - 1/2 - 1/4 - 1/4 = 0, and L - E1 - ... - E4 has area -1/4
         sig = chamber_signature(caps("1/4,1/2,1/4,1/4"))
-        assert [w.to_text() for w, bit in sig.items() if bit] == ["L - E2 - E3 - E4"]
+        assert [w.to_text() for w, bit in zip(sig.walls, sig.bits) if bit] == ["L - E2 - E3 - E4"]
 
 
 class TestClassification:
@@ -557,7 +558,7 @@ class TestEnumeration:
 
     def test_wall_areas_match_bits(self, chambers5):
         for rec in chambers5[:5]:
-            for wall, bit in rec.signature.items():
+            for wall, bit in zip(rec.signature.walls, rec.signature.bits):
                 assert (area(rec.witness, wall) > 0) == bit
 
 
