@@ -19,7 +19,9 @@ monomial of the image is standard there already (a set test), when the
 image is its own residue.  The columns of d take it, one monomial each,
 and so do the checks that d^2 = 0 and d(I) is in I, which run before every
 cohomology computation and raise DifferentialError naming the failing
-generator or relation, and the cocycle test of a presentation.
+generator or relation, and the cocycle test of a presentation.  A closed
+monomial, one whose generators all have no value, has d = 0: its column
+is empty without a call.
 
 All arithmetic is exact.  The differential is integer from the generator
 values to the elimination: each DgaSpec scales its values once by one
@@ -310,9 +312,13 @@ class _QuotientDifferential:
             A = self.D.algebra
             frame = A.graded_basis(q)
             target = A.graded_basis(q + 1)
-            scale = self.D.scale
+            scale, valued = self.D.scale, self.D._valued
             cols, scales = [], []
             for mono in frame.monomials:
+                if not mono & valued:  # every generator of mono is closed
+                    cols.append(())
+                    scales.append(scale)
+                    continue
                 # the residue of M d(mono) is residue / den
                 den, residue = _d_residue(self.D, mono, target)
                 cols.append(tuple(residue.items()))

@@ -27,6 +27,7 @@ returned.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -454,19 +455,29 @@ class SparseReducer:
         when a pivot entry does not divide the entry it clears.  A pivot row
         of one entry (a monomial of a frame's ideal) is {c: 1}, so clearing
         against it deletes entry c and touches nothing else.
+
+        Each column is tested for a pivot once, when it enters r: the hits
+        wait in an ascending worklist, popped from the top.  A clear at c
+        brings in only columns below c, the largest entry of its pivot row,
+        so only those new to r are pushed, and a popped column that has
+        cancelled meanwhile is skipped.
         """
         den, r = 1, dict(row)
         rows = self.rows
-        while True:
-            hits = [c for c in r if c in rows]
-            if not hits:
-                return den, r
-            c = max(hits)
+        hits = sorted(c for c in r if c in rows)
+        while hits:
+            c = hits.pop()
+            if c not in r:
+                continue
             pivot_row = rows[c]
             if len(pivot_row) == 1:
                 del r[c]
-            else:
-                den *= self._clear(r, pivot_row, c)
+                continue
+            new = [k for k in pivot_row if k not in r and k in rows]
+            den *= self._clear(r, pivot_row, c)
+            for k in new:
+                insort(hits, k)
+        return den, r
 
     def member(self, row: Mapping[object, int]) -> bool:
         return not self.residue(row)[1]
@@ -527,15 +538,17 @@ class PresentedAlgebra:
         if frame is None:
             # not thread-safe: every new frame extends the one basis that
             # all frames share
-            frame = self._frames[q] = self._build_frame(q)
+            frame = self._build_frame(q)
+            if q >= 0:  # an empty frame below degree 0 is not kept
+                self._frames[q] = frame
         return frame
 
     def _build_frame(self, q: int) -> GradedBasis:
         self.table._check_degree(q)
-        # in increasing degree: a frame takes standard monomials from below
-        for p in range(q):
-            if p not in self._frames:
-                self.graded_basis(p)
+        # in increasing degree: a frame takes standard monomials from below,
+        # and the frames kept are those of degrees 0 .. len - 1
+        for p in range(len(self._frames), q):
+            self.graded_basis(p)
         return self._basis.frame(q, self._frames)
 
     def quotient_dimension(self, q: int) -> int:

@@ -72,20 +72,18 @@ def _support(units: tuple[int, ...], owner: list[int], key: int) -> list[int]:
     return out
 
 
-def _ambient_count(table: GeneratorTable, q: int) -> int:
-    """The number of monomials of degree q, from the generating function
-    prod 1/(1 - t^d), times (1 - t^((c+1) d)) per cap c."""
-    if q < 0:
-        return 0
-    counts = [1] + [0] * q
+def _ambient_counts(table: GeneratorTable, length: int) -> list[int]:
+    """The numbers of monomials of degrees 0 .. length - 1, from the
+    generating function prod 1/(1 - t^d), times (1 - t^((c+1) d)) per cap c."""
+    counts = [1] + [0] * (length - 1)
     for d, cap in zip(table.degrees, table._caps):
-        for r in range(d, q + 1):
+        for r in range(d, length):
             counts[r] += counts[r - d]
         if cap is not None:
             step = (cap + 1) * d
-            for r in range(q, step - 1, -1):
+            for r in range(length - 1, step - 1, -1):
                 counts[r] -= counts[r - step]
-    return counts[q]
+    return counts
 
 
 class _Ideal(dict):
@@ -156,6 +154,7 @@ class GroebnerBasis:
         self._pending: dict[int, list[tuple[int, int]]] = {}
         self._owner = [j for j in reversed(range(table.n)) for _ in range(table._masks[j].bit_length())]
         self._by_degree: dict[int, list[int]] = {}
+        self._ambient: list[int] = []  # monomial counts by degree, from 0
         for i, d in enumerate(table.degrees):
             self._by_degree.setdefault(d, []).append(i)
 
@@ -197,7 +196,16 @@ class GroebnerBasis:
                 standard.discard(p)
                 rows.lead[p] = self._adjoin(q, p, tuple(r.items()))
         monomials = tuple(sorted(standard))
-        return GradedBasis(q, monomials, _ambient_count(table, q) - len(monomials), table, reducer)
+        return GradedBasis(q, monomials, self._ambient_count(q) - len(monomials), table, reducer)
+
+    def _ambient_count(self, q: int) -> int:
+        """The number of monomials of degree q, read off a kept series that
+        is recomputed to twice its length when q passes it."""
+        if q < 0:
+            return 0
+        if q >= len(self._ambient):
+            self._ambient = _ambient_counts(self.table, max(q + 1, 2 * len(self._ambient)))
+        return self._ambient[q]
 
     def _candidates(self, q: int) -> Iterator[tuple[Terms, int]]:
         """(terms, shift) for every product the completion reduces in degree q:

@@ -21,9 +21,11 @@ PAYLOADS = json.loads((Path(__file__).parent / "data" / "cli_payloads.json").rea
 # stdout of chamber classify in JSON and text form per capacity list, frozen
 # while admissibility and wall signs were still evaluated in Fractions
 CLASSIFY = json.loads((Path(__file__).parent / "data" / "classify_payloads.json").read_text())
-# stdout of conf stratify in JSON and text form per point list, and of the
-# stratify demo, frozen while points were still computed in Fractions
+# stdout of conf stratify in JSON and text form per point list, frozen
+# while points were still computed in Fractions
 CONF = json.loads((Path(__file__).parent / "data" / "conf_payloads.json").read_text())
+# stdout of every demo, the stratify demo's among them
+DEMO_STDOUT = json.loads((Path(__file__).parent / "data" / "demo_stdout.json").read_text())
 # the verify all payload without timings, as the benchmark checks it
 VERIFY_ALL = json.loads(
     (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
@@ -484,7 +486,7 @@ class TestConfPayloads:
     def test_demo_stdout_byte_identical(self, capsys):
         demo = Path(__file__).parents[1] / "demos" / "stratify_configurations.py"
         runpy.run_path(str(demo), run_name="__main__")
-        assert capsys.readouterr().out == CONF["demo"]
+        assert capsys.readouterr().out == DEMO_STDOUT["stratify_configurations"]
 
 
 class TestConfStratify:

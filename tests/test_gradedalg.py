@@ -17,14 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpstrata.ballmodels import iemb_model
+from cpstrata.dga import _monomial_differential
 from cpstrata.gradedalg import (
     GeneratorTable,
     GPolynomial,
     InhomogeneousError,
     PresentedAlgebra,
+    SparseReducer,
     TableMismatchError,
     algebra_to_json,
 )
+from cpstrata.kriz import KrizParams, kriz_model
 from polytext import P
 from test_monomial_kernel import normal_form, terms_of
 
@@ -286,6 +290,13 @@ class TestGradedBasis:
             1, 0, 2, 0, 2, 0, 1, 0, 0,
         ]
 
+    def test_negative_degree_is_empty_and_leaves_the_frames_contiguous(self):
+        A = flag_ring()
+        assert A.quotient_dimension(-1) == 0
+        assert A.graded_basis(-2).ideal_dimension == 0
+        assert [A.quotient_dimension(q) for q in (6, 4)] == [1, 2]
+        assert sorted(A._frames) == list(range(7))
+
     def test_flag_ring_degree_four_complement(self):
         frame = flag_ring().graded_basis(4)
         texts = [TORUS.monomial_text(k) for k in frame.monomials]
@@ -533,3 +544,96 @@ class TestJsonRoundTrip:
     def test_presented_algebra_rejects_foreign_relation(self):
         with pytest.raises(TableMismatchError):
             PresentedAlgebra(TORUS, (P(CONF, "x1"),))
+
+
+# ------------------------------------------------------- one-pass residues
+
+
+def rescanning_residue(reducer, row):
+    """SparseReducer.residue as it was before its worklist, kept as the
+    oracle: the pivot hits are found again by a scan of the whole row
+    after every clear."""
+    den, r = 1, dict(row)
+    rows = reducer.rows
+    while True:
+        hits = [c for c in r if c in rows]
+        if not hits:
+            return den, r
+        c = max(hits)
+        pivot_row = rows[c]
+        if len(pivot_row) == 1:
+            del r[c]
+        else:
+            den *= reducer._clear(r, pivot_row, c)
+
+
+def column_residues():
+    """(target reducer, image) for every residue the differential columns
+    of the cohomology-large workload take: kriz(2,4) and kriz(3,4) at cap
+    14, kriz(2,5) at cap 8 and the (4, C_4) model at cap 14."""
+    models = [kriz_model(KrizParams(m, k), degree_cap=cap) for m, k, cap in ((2, 4, 14), (2, 5, 8), (3, 4, 14))]
+    models.append(iemb_model(4, "C_4", degree_cap=14))
+    for D in models:
+        for q in range(D.degree_cap + 1):
+            target = D.algebra.graded_basis(q + 1)
+            for mono in D.algebra.graded_basis(q).monomials:
+                image = _monomial_differential(D, mono)
+                if image and not target.reducer.rows.standard.issuperset(image):
+                    yield target.reducer, image
+
+
+def random_rows(rng, count, width):
+    rows = []
+    for _ in range(count):
+        cols = rng.sample(range(width), rng.choice((1, 2, 3, 5, 8)))
+        rows.append({c: rng.choice((-6, -3, -2, -1, 1, 2, 4, 5)) for c in cols})
+    return rows
+
+
+class TestOnePassResidue:
+    """The worklist residue clears the same columns, in the same order,
+    against the same rows as the rescanning one, so den, r and every
+    _clear call agree."""
+
+    @staticmethod
+    def assert_same_clears(monkeypatch, cases):
+        calls = []
+        clear = SparseReducer._clear
+
+        def recorded(r, pivot_row, c):
+            calls.append((c, pivot_row))
+            return clear(r, pivot_row, c)
+
+        monkeypatch.setattr(SparseReducer, "_clear", staticmethod(recorded))
+        clears = scaled = 0
+        for reducer, row in cases:
+            before = dict(row)
+            got = reducer.residue(row)
+            ours = calls[:]
+            calls.clear()
+            want = rescanning_residue(reducer, row)
+            assert row == before
+            assert got == want
+            assert [c for c, _ in ours] == [c for c, _ in calls]
+            assert all(a is b for (_, a), (_, b) in zip(ours, calls))
+            clears += len(ours)
+            scaled += got[0] > 1
+            calls.clear()
+        return clears, scaled
+
+    def test_column_residues_of_the_large_models(self, monkeypatch):
+        cases = list(column_residues())
+        assert len(cases) == 163
+        # no clear of these residues scales the row: den stays 1
+        assert self.assert_same_clears(monkeypatch, cases) == (337, 0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_rows_over_inserted_rows(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        reducer = SparseReducer()
+        for row in random_rows(rng, 25, 30):
+            reducer.insert(row)
+        assert any(len(row) == 1 for row in reducer.rows.values())
+        cases = [(reducer, row) for row in random_rows(rng, 60, 30)]
+        clears, scaled = self.assert_same_clears(monkeypatch, cases)
+        assert clears > 300 and scaled > 30

@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from cpstrata import dga, kriz
+from cpstrata import dga, groebner, kriz
 from cpstrata.dga import (
     DgaSpec,
     check_d_squared,
@@ -433,6 +433,22 @@ class TestClosedForms:
         rep = cohomology_ranks(kriz_model(KrizParams(1, k), degree_cap=top))
         assert rep.rank_list() == padded(law, top)
 
+    @pytest.mark.parametrize("m, k", [(1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 3)])
+    def test_point_count_of_the_frames(self, m, k):
+        # F(P^m, k) has prod_{i<k} ([m+1]_Q - i) points over F_Q, Q = p^r;
+        # a standard monomial of degree q with g odd factors (the G_ab)
+        # has weight q + g, and contributes (-1)^q Q^(mk - (q + g)/2)
+        A = kriz_model(KrizParams(m, k)).algebra
+        odd, top = A.table._odd_bits, m * k
+        count = [0] * (top + 1)
+        for q in range(2 * m * k + 2 * m + 1):
+            for mono in A.graded_basis(q).monomials:
+                count[top - (q + (mono & odd).bit_count()) // 2] += (-1) ** q
+        law = [1]
+        for i in range(k):
+            law = poly_mul(law, [1 - i] + [1] * m)
+        assert count == law
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
     def test_two_points(self, m):
         # F(CP^m, 2) fibres over CP^m with fibre CP^m minus a point
@@ -440,3 +456,37 @@ class TestClosedForms:
         top = 4 * m + 1
         rep = cohomology_ranks(kriz_model(KrizParams(m, 2), degree_cap=top))
         assert rep.rank_list() == padded(law, top)
+
+
+class TestLargeCaps:
+    """Frames through a large cap take linear work: the fill loop starts at
+    the first frame not built, and the monomial counts come from one kept
+    series, recomputed to twice its length when a frame passes it."""
+
+    def test_frame_lookups_and_series_lengths_grow_linearly(self, monkeypatch):
+        lengths, lookups = [], Counter()
+        counts = groebner._ambient_counts
+
+        def counted(table, length):
+            lengths.append(length)
+            return counts(table, length)
+
+        class CountedFrames(dict):
+            def get(self, q, default=None):
+                lookups["get"] += 1
+                return super().get(q, default)
+
+            def __contains__(self, q):
+                lookups["contains"] += 1
+                return super().__contains__(q)
+
+        monkeypatch.setattr(groebner, "_ambient_counts", counted)
+        A = kriz_model(KrizParams(2, 3), degree_cap=1000).algebra
+        A._frames = CountedFrames()
+        assert A.quotient_dimension(1000) == 0
+        assert sorted(A._frames) == list(range(1001))
+        # one lookup per frame (the fill loop once tested every lower
+        # degree per frame: 500,500 tests), and 11 series of total length
+        # 2,047 (once one series per frame, of total length 501,501)
+        assert lookups == {"get": 1001}
+        assert lengths == [2**i for i in range(11)]
