@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .dga import DgaSpec, cohomology_ranks, substitute
 from .gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra, SparseReducer, integer_row
@@ -47,7 +47,7 @@ from .kriz import KrizParams, kriz_model
 from .lattice import exact_ints
 
 Pair = tuple[int, int]
-WeightsLike = Union["CircleWeights", Sequence[Pair], None]
+WeightsLike = Optional[Sequence[Pair]]
 
 
 class CircleWeights:
@@ -72,23 +72,6 @@ class CircleWeights:
         self.pairs: tuple[Pair, ...] = tuple(clean)
         self.m: tuple[int, ...] = tuple(a * a + a * b + b * b for a, b in clean)
         self.n: tuple[int, ...] = tuple(a * a * b + a * b * b for a, b in clean)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CircleWeights):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __repr__(self) -> str:
-        return f"CircleWeights({list(self.pairs)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +118,10 @@ def _coerce_weights(n: int, label: str, w: WeightsLike) -> CircleWeights:
     (1, 1) to each free circle."""
     count = free_weight_count(n, label)
     context = "one ball" if n == 1 else f"chamber {label}"
-    if w is None:
-        return CircleWeights([(1, 1)] * count)
-    if not isinstance(w, CircleWeights):
-        w = CircleWeights(w)
-    if len(w) != count:
+    w = CircleWeights([(1, 1)] * count if w is None else w)
+    if len(w.pairs) != count:
         raise ValueError(
-            f"{context} takes {count} circle weight pair(s), got {len(w)}"
+            f"{context} takes {count} circle weight pair(s), got {len(w.pairs)}"
         )
     return w
 

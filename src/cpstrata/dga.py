@@ -525,7 +525,7 @@ def verify_presentation(
         if q > D.degree_cap:
             continue
         frame = D.algebra.graded_basis(q)
-        _, residue = frame.reducer.residue(frame.to_row(image)[1])
+        _, residue = frame.reducer.residue(integer_row(image.terms)[1])
         if not boundaries[q].member(residue):
             failures.append(
                 f"relation {rel.to_text()} does not map into im(d) + ideal"

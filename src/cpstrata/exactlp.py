@@ -216,9 +216,7 @@ def scaled_row(ineq: Ineq, nvars: int) -> tuple[list[int], int]:
     coeffs, rhs, strict = ineq
     if len(coeffs) != nvars:
         raise ValueError(f"row {ineq!r} has {len(coeffs)} coefficients, expected {nvars}")
-    for x in (*coeffs, rhs):
-        if type(x) is not int:
-            raise TypeError(f"entry {x!r} of row {ineq!r} is not an int")
+    exact_ints((*coeffs, rhs), "entry", f" of row {ineq!r}")
     return [*coeffs, 1 if strict else 0], rhs
 
 

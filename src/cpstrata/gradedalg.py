@@ -15,8 +15,9 @@ differential.  Generator 0 takes the top bit field, so ascending ints are
 ascending lex order; each field has a guard bit, so a product
 (GeneratorTable._product) is one addition and one mask test against the
 caps, and its Koszul sign is a bit count over the odd generators' bits
-(_koszul).  Only the GPolynomial constructor takes exponent tuples, and
-only text and substitution unpack.
+(_koszul).  No polynomial is built from exponent tuples: zero, constant,
+generator and from_word start one, arithmetic grows it, and only text and
+substitution unpack.
 
 Rows are ints in and out of SparseReducer.  A polynomial or other rational
 row becomes one in a single step, integer_row, which scales it by the lcm
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .lattice import exact_ints, exact_rationals
 
@@ -143,17 +144,6 @@ class GeneratorTable:
     def monomial_degree(self, key: int) -> int:
         return sum(map(mul, self._unpack(key), self.degrees))
 
-    def validate_monomial(self, mono: Monomial) -> None:
-        if len(mono) != self.n:
-            raise ValueError(f"monomial length {len(mono)} != {self.n} generators")
-        for name, e, cap in zip(self.names, mono, self._caps):
-            if e < 0:
-                raise ValueError("negative exponent")
-            if cap is not None and e > cap:
-                raise ValueError(f"exponent {e} of {name} exceeds its nilpotence bound")
-            if cap is None and e > _FREE_MAX:
-                raise ValueError(f"exponent {e} of {name} exceeds {_FREE_MAX}, the most that packs")
-
     def monomial_text(self, key: int) -> str:
         factors = []
         for name, e in zip(self.names, self._unpack(key)):
@@ -187,7 +177,9 @@ class GeneratorTable:
         if (m + self._bias) & self._guard:
             return None
         if m & self._free_guard:
-            self.validate_monomial(self._unpack(m))  # raises, naming the generator
+            for name, e, cap in zip(self.names, self._unpack(m), self._caps):
+                if cap is None and e > _FREE_MAX:
+                    raise ValueError(f"exponent {e} of {name} exceeds {_FREE_MAX}, the most that packs")
         return m, (b & self._koszul(a)).bit_count() & 1
 
     def _koszul(self, key: int) -> int:
@@ -209,33 +201,11 @@ class GPolynomial:
 
     __slots__ = ("table", "terms")
 
-    def __init__(
-        self,
-        table: GeneratorTable,
-        terms: Union[Mapping[Monomial, object], Iterable[tuple[Monomial, object]]] = (),
-    ):
-        """terms: (exponent tuple, coefficient) pairs; like ones are summed."""
-        data: dict[int, Fraction] = {}
-        items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        coeffs = exact_rationals([coeff for _, coeff in items], "coefficient")
-        for (mono, _), coeff in zip(items, coeffs):
-            mono = tuple(mono)
-            exact_ints(mono, "exponent", f" in monomial {mono!r}")
-            table.validate_monomial(mono)
-            key = table._pack(mono)
-            c = data.get(key, _ZERO) + coeff
-            if c:
-                data[key] = c
-            elif key in data:
-                del data[key]
-        self.table = table
-        self.terms = data
-
     # ---- constructors
 
     @classmethod
     def _wrap(cls, table: GeneratorTable, terms: dict[int, Fraction]) -> "GPolynomial":
-        """Adopt terms that are already valid, skipping the public checks.
+        """Adopt terms that are already valid, unchecked.
 
         Only for products of valid monomials or terms of existing
         polynomials, with nonzero Fraction coefficients.
@@ -499,18 +469,11 @@ class GradedBasis:
     degree: int
     monomials: tuple[int, ...]
     ideal_dimension: int
-    table: GeneratorTable = field(compare=False)
     reducer: SparseReducer = field(compare=False, repr=False)
 
     @property
     def quotient_dimension(self) -> int:
         return len(self.monomials)
-
-    def to_row(self, p: GPolynomial) -> tuple[int, dict[int, int]]:
-        """integer_row of p: p is row / m."""
-        if any(self.table.monomial_degree(m) != self.degree for m in p.terms):
-            raise InhomogeneousError(f"{p.to_text()} is not homogeneous of degree {self.degree}")
-        return integer_row(p.terms)
 
 
 class PresentedAlgebra:
@@ -560,7 +523,7 @@ class PresentedAlgebra:
         if p.is_zero:
             return True
         frame = self.graded_basis(p.degree())  # raises InhomogeneousError on mixed input
-        return frame.reducer.member(frame.to_row(p)[1])
+        return frame.reducer.member(integer_row(p.terms)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ class GroebnerBasis:
                 standard.discard(p)
                 rows.lead[p] = self._adjoin(q, p, tuple(r.items()))
         monomials = tuple(sorted(standard))
-        return GradedBasis(q, monomials, self._ambient_count(q) - len(monomials), table, reducer)
+        return GradedBasis(q, monomials, self._ambient_count(q) - len(monomials), reducer)
 
     def _ambient_count(self, q: int) -> int:
         """The number of monomials of degree q, read off a kept series that

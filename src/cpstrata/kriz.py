@@ -125,6 +125,6 @@ def relabeled_model(
     The result presents the same DGA through the relabeling automorphism;
     cohomology ranks must agree with the unpermuted model.
     """
-    if any(type(a) is not int for a in perm) or sorted(perm) != list(range(1, p.k + 1)):
+    if sorted(exact_ints(perm, "point label")) != list(range(1, p.k + 1)):
         raise ValueError(f"not a permutation of 1..{p.k}: {perm}")
     return _model(p, tuple(perm), degree_cap)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -51,13 +50,8 @@ class H2Element:
     def __post_init__(self) -> None:
         r = self.multiplicities
         _check_n(len(r))
-        if type(self.degree_a) is int and type(r) is tuple and all(type(x) is int for x in r):
-            return  # exact ints, kept as given
-        for x in (self.degree_a, *r):
-            if not (isinstance(x, Rational) and x.denominator == 1):
-                raise ValueError(f"class coefficient {x!r} is not an integer")
-        object.__setattr__(self, "degree_a", int(self.degree_a))
-        object.__setattr__(self, "multiplicities", tuple(int(x) for x in r))
+        exact_ints((self.degree_a, *r), "class coefficient")
+        object.__setattr__(self, "multiplicities", tuple(r))  # a tuple stays the same object
 
     @property
     def n(self) -> int:

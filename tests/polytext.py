@@ -1,14 +1,38 @@
-"""Polynomials written as text, for tests: P(table, text) reads what
-GPolynomial.to_text writes.
+"""Polynomials for tests: P(table, text) reads what GPolynomial.to_text
+writes, and from_exponents(table, terms) builds one from exponent tuples.
 
-The package only ever writes polynomials as text, so the reader lives
-here.  Its round-trip tests are test_gradedalg.TestParseAndText.
+The package only ever writes polynomials as text and builds them from
+generators, so both readers live here.  P's round-trip tests are
+test_gradedalg.TestParseAndText.
 """
 
 import re
+from fractions import Fraction
+from typing import Iterable, Mapping, Union
 
-from cpstrata.gradedalg import GPolynomial
+from cpstrata.gradedalg import _FREE_MAX, GPolynomial
 from cpstrata.lattice import parse_rational
+
+
+def from_exponents(table, terms: Union[Mapping, Iterable]) -> GPolynomial:
+    """The sum of coeff * x^mono over (exponent tuple, coefficient) pairs, or
+    a dict of them; like terms are summed and coefficients go through
+    Fraction.  Oracle inputs: each monomial is packed by table._pack and the
+    terms adopted by GPolynomial._wrap, so no product (the kernel that
+    test_monomial_kernel checks) builds any of it."""
+    out: dict[int, Fraction] = {}
+    for mono, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+        mono = tuple(mono)
+        assert len(mono) == table.n and all(
+            0 <= e <= (_FREE_MAX if cap is None else cap) for e, cap in zip(mono, table._caps)
+        ), f"{mono} is not a monomial over {table.names}"
+        key = table._pack(mono)
+        c = out.get(key, 0) + Fraction(coeff)
+        if c:
+            out[key] = c
+        elif key in out:
+            del out[key]
+    return GPolynomial._wrap(table, out)
 
 
 def P(table, text: str) -> GPolynomial:

@@ -29,6 +29,7 @@ from cpstrata.dga import (
 from cpstrata.gradedalg import GPolynomial
 from cpstrata.kriz import KrizParams, kriz_model, relabeled_model
 from cpstrata.lattice import Capacities, enumerate_exceptional, negative_wall_classes
+from polytext import from_exponents
 from test_monomial_kernel import reference_monomials
 
 # Frozen expectations.  Counts and rank rows were derived once from the
@@ -182,7 +183,7 @@ def _random_homogeneous(rng, table, max_degree):
         out = GPolynomial.zero(table)
         for m in picks:
             coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            out = out + GPolynomial(table, [(m, coeff)])
+            out = out + from_exponents(table, [(m, coeff)])
         if not out.is_zero:
             return out
 

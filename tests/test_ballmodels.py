@@ -78,14 +78,6 @@ class TestCircleWeights:
                 if (a, b) != (0, 0):
                     assert CircleWeights([(a, b)]).m[0] > 0
 
-    def test_container_protocol(self):
-        w = CircleWeights([(1, 0), (2, 3)])
-        assert len(w) == 2
-        assert list(w) == [(1, 0), (2, 3)]
-        assert w == CircleWeights([(1, 0), (2, 3)])
-        assert w != CircleWeights([(1, 0), (3, 2)])
-        assert hash(w) == hash(CircleWeights([(1, 0), (2, 3)]))
-
     @pytest.mark.parametrize(
         "pair", [(1.7, 0), (True, 2), (2, False), (Fraction(2), 1), (2.0, 1), ("1", 2), (1, None)]
     )

@@ -17,8 +17,9 @@ from cpstrata.ballmodels import CircleWeights
 from cpstrata.confgeom import ProjectivePoint, apply_pgl
 from cpstrata.dga import DgaSpec
 from cpstrata.gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra
-from cpstrata.kriz import KrizParams
-from cpstrata.lattice import Capacities
+from cpstrata.exactlp import scaled_row
+from cpstrata.kriz import KrizParams, relabeled_model
+from cpstrata.lattice import Capacities, H2Element
 
 
 class Ratio:
@@ -39,7 +40,6 @@ E1 = ProjectivePoint((1, 0, 0))
 # (entry, name in messages, call on one value)
 RATIONAL_ENTRIES = [
     ("capacity", "capacity", lambda v: Capacities(["1/2", v])),
-    ("coefficient", "coefficient", lambda v: GPolynomial(TORUS, [((1, 0), v)])),
     ("constant", "coefficient", lambda v: GPolynomial.constant(TORUS, v)),
     ("scalar", "scalar", lambda v: GPolynomial.generator(TORUS, "T1") * v),
     ("coordinate", "coordinate", lambda v: ProjectivePoint((1, v, 0))),
@@ -48,11 +48,14 @@ RATIONAL_ENTRIES = [
 INT_ENTRIES = [
     ("degree", "generator degree", lambda v: GeneratorTable(("x", "y"), (2, v))),
     ("nilpotence", "nilpotence bound", lambda v: GeneratorTable(("x",), (2,), (v,))),
-    ("exponent", "exponent", lambda v: GPolynomial(TORUS, [((1, v), 1)])),
     ("kriz-m", "m", lambda v: KrizParams(v, 2)),
     ("kriz-k", "k", lambda v: KrizParams(2, v)),
     ("circle-weight", "circle weight entry", lambda v: CircleWeights([(1, 1), (v, 2)])),
     ("degree-cap", "degree_cap", lambda v: DgaSpec(PresentedAlgebra(TORUS, ()), {}, v)),
+    ("class-degree", "class coefficient", lambda v: H2Element(v, (1, 0))),
+    ("class-multiplicity", "class coefficient", lambda v: H2Element(1, (1, v))),
+    ("lp-row-entry", "entry", lambda v: scaled_row(((1, v), 0, False), 2)),
+    ("point-label", "point label", lambda v: relabeled_model(KrizParams(2, 2), [1, v])),
 ]
 INEXACT = [("bool", True), ("float", 2.5), ("decimal", Decimal("0.5")), ("foreign-rational", Ratio(2))]
 # strings that Fraction and int() read but the gates refuse

@@ -224,7 +224,7 @@ class TestRelabeling:
         with pytest.raises(ValueError):
             relabeled_model(KrizParams(2, 3), [1, 1, 2])
         for perm in ([True], [1.0]):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError, match=rf"^point label {perm[0]!r} is not an int$"):
                 relabeled_model(KrizParams(2, 1), perm)
 
     def test_every_other_relabeling_moves_the_relations(self):

@@ -469,11 +469,15 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "a,r,bad",
         [(1, (1.7, 0.2), "1.7"), (1, (1, Fraction(1, 2)), "Fraction(1, 2)"), (1.5, (1,), "1.5"),
-         (Fraction(3, 2), (1,), "Fraction(3, 2)"), (1, ("1",), "'1'"), (1, (1.0,), "1.0")],
-        ids=["float", "half", "float-degree", "fraction-degree", "string", "integral-float"],
+         (Fraction(3, 2), (1,), "Fraction(3, 2)"), (1, ("1",), "'1'"), (1, (1.0,), "1.0"),
+         (1, (1, Fraction(2)), "Fraction(2, 1)"), (1, (1, False), "False"), (True, (1,), "True")],
+        ids=["float", "half", "float-degree", "fraction-degree", "string", "integral-float",
+             "integral-fraction", "bool", "bool-degree"],
     )
     def test_classes_reject_non_integer_entries(self, a, r, bad):
-        with pytest.raises(ValueError, match=rf"class coefficient {re.escape(bad)} is not an integer"):
+        # one rule, lattice.exact_ints: an integral Fraction or a bool is
+        # refused too, not converted
+        with pytest.raises(TypeError, match=rf"^class coefficient {re.escape(bad)} is not an int$"):
             H2Element(a, r)
 
     def test_classes_keep_exact_int_entries_as_given(self):
@@ -484,18 +488,28 @@ class TestSerialization:
         assert type(H2Element(2, [2, 1, 0]).multiplicities) is tuple
 
     def test_classes_keep_integral_entries(self):
-        u = H2Element(Fraction(2), (Fraction(4, 2), True, 0))
+        # only an int is integral here: Fraction(2) and True, though equal
+        # to ints, are refused (test_classes_reject_non_integer_entries)
+        u = H2Element(2, (2, 1, 0))
         assert u == h2(2, 2, 1, 0)
         assert u.to_text() == "2L - 2E1 - E2"
         assert all(type(r) is int for r in u.multiplicities)
+        with pytest.raises(TypeError, match=r"^class coefficient Fraction\(2, 1\) is not an int$"):
+            H2Element(2, (Fraction(4, 2), 1, 0))
+        with pytest.raises(TypeError, match=r"^class coefficient True is not an int$"):
+            H2Element(2, (2, True, 0))
 
     @pytest.mark.parametrize("degree", [Fraction(2), Fraction(-3), True, 2])
     def test_integral_degree_becomes_an_int(self, degree):
-        # the degree is converted as the multiplicities are, so the repr and
+        # a degree is an int or refused, never converted, so the repr and
         # every intersection number are plain ints
+        if type(degree) is not int:
+            with pytest.raises(TypeError, match=rf"^class coefficient {re.escape(repr(degree))} is not an int$"):
+                H2Element(degree, (1,))
+            return
         u = H2Element(degree, (1,))
         assert type(u.degree_a) is int
-        assert repr(u) == f"H2Element(degree_a={int(degree)}, multiplicities=(1,))"
+        assert repr(u) == f"H2Element(degree_a={degree}, multiplicities=(1,))"
         square = intersection(u, u)
-        assert type(square) is int and square == int(degree) ** 2 - 1
+        assert type(square) is int and square == degree ** 2 - 1
         assert type(intersection(u, h2(3, 1))) is int
