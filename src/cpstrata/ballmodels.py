@@ -66,7 +66,7 @@ class CircleWeights:
         for pair in clean:
             if len(pair) != 2:
                 raise ValueError(f"circle weight {pair!r} is not a pair")
-        exact_ints([x for pair in clean for x in pair], "circle weight entry", f" of {clean!r}")
+        exact_ints([x for pair in clean for x in pair], "circle weight entry", lambda: f" of {clean!r}")
         if (0, 0) in clean:
             raise ValueError("degenerate circle weight (0, 0)")
         self.pairs: tuple[Pair, ...] = tuple(clean)

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import ge, mul
+from itertools import accumulate
+from operator import ge, le, mul
 from typing import Literal, Optional, Sequence, Union, get_args
 
 from .exactlp import Ineq as _Ineq
@@ -148,6 +149,25 @@ def _class_rows(n: int) -> tuple[tuple, tuple[H2Element, ...], tuple]:
     exceptional = tuple((u, u.degree_a, u.multiplicities) for u in enumerate_exceptional(n) if u.degree_a)
     walls = negative_wall_classes(n)
     return exceptional, walls, tuple((w.degree_a, w.multiplicities) for w in walls)
+
+
+@lru_cache(maxsize=None)
+def _wall_order(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(below, above) for each wall k: the earlier walls j with area_j >=
+    area_k, respectively <=, on all of c_1 >= ... >= c_n >= 0.  By Abel
+    summation that holds exactly when a_j >= a_k and each prefix sum of r_j
+    is <= that of r_k (Hardy, Littlewood and Polya, *Inequalities*, 1934,
+    section 10.2).  So the True child of wall k has no point when a wall
+    below it has bit False, the False child when one above it has bit True,
+    and the pair (j, k) certifies it.
+    """
+    rows = [(a, list(accumulate(r))) for a, r in _class_rows(n)[2]]
+    order = []
+    for k, (ak, sk) in enumerate(rows):
+        below = tuple(j for j, (a, s) in enumerate(rows[:k]) if a >= ak and all(map(le, s, sk)))
+        above = tuple(j for j, (a, s) in enumerate(rows[:k]) if a <= ak and all(map(ge, s, sk)))
+        order.append((below, above))
+    return tuple(order)
 
 
 def is_admissible(c: Capacities) -> AdmissibilityResult:
@@ -281,12 +301,14 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     """All feasible wall signatures over the sorted admissible cone, with witnesses.
 
     Depth-first over the wall bits.  The root's rows are folded once into
-    the trivial optimum of the exact LP; every other node is decided by one
-    LP step, _Simplex.with_row, which appends its wall row to the parent's
-    optimal integer tableau and re-optimizes by the dual simplex, usually in
-    a few pivots.  A child without a strictly feasible point prunes its
-    whole subtree, and its step stops as soon as the dual bound of a basis
-    shows eps* <= 0, often before any pivot.  Each full sign pattern then
+    the trivial optimum of the exact LP.  A child that the wall order rules
+    out (_wall_order) is skipped with no LP step; for n <= 5 those are all
+    the children without a strictly feasible point.  Every other child is
+    decided by one LP step, _Simplex.with_row, which appends its wall row
+    to the parent's optimal integer tableau and re-optimizes by the dual
+    simplex, usually in a few pivots; a child without a strictly feasible
+    point prunes its subtree, and its step stops as soon as the dual bound
+    of a basis shows eps* <= 0.  Each full sign pattern then
     reads its witness off its own tableau, after a few more dual steps in
     inclusive mode that restore the strict row of L - E_1 - E_2, the only
     pair class the sorted cone needs (_leaf_record); no leaf solves from the
@@ -323,6 +345,7 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     # (False row, True row) of each wall, as inequalities and scaled
     signs = [(_wall_ineq(w, False), _wall_ineq(w, True)) for w in walls]
     scaled = [tuple(scaled_row(row, n) for row in rows) for rows in signs]
+    order = _wall_order(n)
     found: list[ChamberRecord] = []
     # Depth first with an explicit stack, so no closure refers to itself and
     # the search leaves no cyclic garbage.  An entry is a feasible node: its
@@ -331,13 +354,17 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     stack = [((), root)]
     while stack:
         bits, tableau = stack.pop()
-        if len(bits) == len(walls):
+        k = len(bits)
+        if k == len(walls):
             found.append(
                 _leaf_record(n, boundary, walls, signs, strict_base, relaxed, bits, tableau)
             )
             continue
-        for positive in (False, True):
-            child = tableau.with_row(*scaled[len(bits)][positive])
+        below, above = order[k]
+        for positive, forcing in ((False, above), (True, below)):
+            if any(bits[j] != positive for j in forcing):
+                continue
+            child = tableau.with_row(*scaled[k][positive])
             if child is not None:
                 stack.append((bits + (positive,), child))
     return tuple(sorted(found, key=lambda rec: rec.signature.bits, reverse=True))

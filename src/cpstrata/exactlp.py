@@ -40,7 +40,8 @@ Fractions appear only when the optimal vertex is read off.  A row that is
 not nvars ints is refused before it reaches a tableau.
 
 A solved tableau is never mutated, so chamber enumeration keeps each
-node's tableau and decides every child by one more step of the same fold.
+node's tableau and decides every child that the wall order leaves open
+(chambers._wall_order) by one more step of the same fold.
 A fold may also start from such a tableau instead of the trivial optimum
 (the start argument of interior_tableau and feasible_point): a chamber
 leaf's witness is read off the descent's tableau with at most a few rows
@@ -216,7 +217,7 @@ def scaled_row(ineq: Ineq, nvars: int) -> tuple[list[int], int]:
     coeffs, rhs, strict = ineq
     if len(coeffs) != nvars:
         raise ValueError(f"row {ineq!r} has {len(coeffs)} coefficients, expected {nvars}")
-    exact_ints((*coeffs, rhs), "entry", f" of row {ineq!r}")
+    exact_ints((*coeffs, rhs), "entry", lambda: f" of row {ineq!r}")
     return [*coeffs, 1 if strict else 0], rhs
 
 

@@ -31,7 +31,7 @@ import re
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -155,14 +155,20 @@ class GeneratorTable:
 
     # ---- packed monomials
 
-    def _check_degree(self, q: int) -> None:
-        """Raise ValueError unless every monomial of degree q packs."""
+    def _check_degree(self, q: int) -> float:
+        """Raise ValueError unless every monomial of degree q packs; else
+        return the top degree through which every monomial packs (inf when
+        every exponent is capped), which is >= q."""
+        top = inf
         for name, d, cap in zip(self.names, self.degrees, self._caps):
-            if cap is None and q // d > _FREE_MAX:
-                raise ValueError(
-                    f"degree {q} is out of range: exponents of {name} "
-                    f"pack only up to {_FREE_MAX}"
-                )
+            if cap is None:
+                if q // d > _FREE_MAX:
+                    raise ValueError(
+                        f"degree {q} is out of range: exponents of {name} "
+                        f"pack only up to {_FREE_MAX}"
+                    )
+                top = min(top, d * (_FREE_MAX + 1) - 1)
+        return top
 
     def _pack(self, mono: Monomial) -> int:
         return sum(e << s for e, s in zip(mono, self._shifts))
@@ -202,6 +208,9 @@ class GPolynomial:
     __slots__ = ("table", "terms")
 
     # ---- constructors
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("GPolynomial has no public constructor: use zero, constant, generator or from_word")
 
     @classmethod
     def _wrap(cls, table: GeneratorTable, terms: dict[int, Fraction]) -> "GPolynomial":
@@ -495,6 +504,8 @@ class PresentedAlgebra:
 
         self._basis = GroebnerBasis(table, rels)
         self._frames: dict[int, GradedBasis] = {}
+        # every degree up to this one packs (GeneratorTable._check_degree)
+        self._packs_through: float = 0
 
     def graded_basis(self, q: int) -> GradedBasis:
         frame = self._frames.get(q)
@@ -507,7 +518,8 @@ class PresentedAlgebra:
         return frame
 
     def _build_frame(self, q: int) -> GradedBasis:
-        self.table._check_degree(q)
+        if q > self._packs_through:
+            self._packs_through = self.table._check_degree(q)
         # in increasing degree: a frame takes standard monomials from below,
         # and the frames kept are those of degrees 0 .. len - 1
         for p in range(len(self._frames), q):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 MAX_BLOWUPS = 8
 
@@ -167,13 +167,14 @@ def exact_rationals(values: Iterable, what: str, where: str = "") -> tuple[Fract
     return tuple(out)
 
 
-def exact_ints(values: Iterable, what: str, where: str = "") -> tuple[int, ...]:
+def exact_ints(values: Iterable, what: str, where: Optional[Callable[[], str]] = None) -> tuple[int, ...]:
     """values as a tuple of ints (exactly int: a bool is refused); a
-    refused value is named as "{what} {value!r}{where}"."""
+    refused value is named as "{what} {value!r}{where()}", and where is
+    called only then, so its text is never formatted on the good path."""
     vals = tuple(values)
     for v in vals:
         if type(v) is not int:
-            raise TypeError(f"{what} {v!r}{where} is not an int")
+            raise TypeError(f"{what} {v!r}{where() if where else ''} is not an int")
     return vals
 
 

@@ -837,8 +837,9 @@ class TestWarmDescent:
         assert (len(leaf_rows), len(leaf_pivots)) == (41, 10)
 
     def test_lp_steps_pinned_and_wall_rows_built_once(self, monkeypatch):
-        # n=3..5 in both modes: 1,101 appended rows (32 root rows, 1,028
-        # children, 41 leaf rows) and 470 pivots.  Each call builds and
+        # n=3..5 in both modes: 663 appended rows (32 root rows, the 590 of
+        # the 1,028 children that wall dominance leaves to the LP, 41 leaf
+        # rows) and 201 pivots.  Each call builds and
         # scales the two sign rows of every wall once: 88 wall rows over the
         # six calls, so 32 + 88 + 41 = 161 rows are scaled
         counts = Counter()
@@ -862,8 +863,79 @@ class TestWarmDescent:
                 walls = counts["walls"]
                 enumerate_chambers(n, boundary)
                 assert counts["walls"] - walls == 2 * len(negative_wall_classes(n))
-        assert (counts["with_row"], counts["pivot"]) == (1101, 470)
+        assert (counts["with_row"], counts["pivot"]) == (663, 201)
         assert (counts["walls"], counts["scaled"]) == (88, 161)
+
+    @pytest.mark.parametrize("n,boundary", sorted(TREE_SIZES))
+    def test_dominance_skips_exactly_the_pruned_children(self, n, boundary, monkeypatch):
+        # the LP oracle decides every child of every feasible node; the
+        # children that the wall order rules out are exactly those it
+        # prunes, 438 in total, so the descent's own steps prune none
+        walls = negative_wall_classes(n)
+        order = chambers._wall_order(n)
+        rows = [
+            [exactlp.scaled_row(chambers._wall_ineq(w, sign), n) for sign in (False, True)]
+            for w in walls
+        ]
+        pruned, skipped = set(), set()
+        stack = [((), exactlp.interior_tableau(chambers._admissibility_ineqs(n, boundary), n))]
+        while stack:
+            bits, tableau = stack.pop()
+            if len(bits) == len(walls):
+                continue
+            below, above = order[len(bits)]
+            for positive in (False, True):
+                child_bits = bits + (positive,)
+                # True needs every wall below it True, False every wall above it False
+                if any(bits[j] != positive for j in (below if positive else above)):
+                    skipped.add(child_bits)
+                child = tableau.with_row(*rows[len(bits)][positive])
+                if child is None:
+                    pruned.add(child_bits)
+                else:
+                    stack.append((child_bits, child))
+        assert skipped == pruned
+        assert len(pruned) == self.TREE_SIZES[n, boundary][1]
+        results = []
+        real_with_row = exactlp._Simplex.with_row
+
+        def recording(lp, a, b):
+            results.append(real_with_row(lp, a, b))
+            return results[-1]
+
+        monkeypatch.setattr(exactlp._Simplex, "with_row", recording)
+        enumerate_chambers(n, boundary)
+        assert results and None not in results
+
+
+class TestWallOrder:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_order_matches_areas_at_the_extreme_rays(self, n):
+        # c_1 >= ... >= c_n >= 0 is the cone over the rays (1, 0, ...),
+        # (1, 1, 0, ...), ..., (1, ..., 1), so the affine area_j - area_k is
+        # >= 0 on all of it exactly when it is at c = 0 (a_j >= a_k) and
+        # does not fall along any ray
+        walls = negative_wall_classes(n)
+        rays = [(1,) * p + (0,) * (n - p) for p in range(1, n + 1)]
+
+        def dominates(j, k):  # area_j >= area_k on the whole cone
+            rj, rk = walls[j].multiplicities, walls[k].multiplicities
+            return walls[j].degree_a >= walls[k].degree_a and all(
+                sum(map(int.__mul__, rj, ray)) <= sum(map(int.__mul__, rk, ray)) for ray in rays
+            )
+
+        order = chambers._wall_order(n)
+        assert len(order) == len(walls)
+        for k, (below, above) in enumerate(order):
+            assert below == tuple(j for j in range(k) if dominates(j, k))
+            assert above == tuple(j for j in range(k) if dominates(k, j))
+
+    def test_classification_does_not_build_the_order(self):
+        chambers._wall_order.cache_clear()
+        point = caps("2/5,2/5,3/10,1/5,1/10")
+        assert is_admissible(point)
+        chamber_signature(point)
+        assert chambers._wall_order.cache_info().currsize == 0
 
 
 def simplify_reference(point, ineqs):

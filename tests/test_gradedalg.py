@@ -234,8 +234,13 @@ class TestEqualityAndHash:
         assert P(ODD, "beta") != P(TORUS, "T1")
 
     def test_no_public_constructor(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"use zero, constant, generator or from_word$"):
             GPolynomial(TORUS, [((1, 0), 1)])
+
+    def test_no_argument_call_fails_at_once(self):
+        # not at the first use of an unset slot
+        with pytest.raises(TypeError, match=r"use zero, constant, generator or from_word$"):
+            GPolynomial()
 
 
 class TestExactCoefficients:

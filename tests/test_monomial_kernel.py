@@ -679,6 +679,32 @@ def test_out_of_range_degree_raises_before_any_frame():
         iemb_model(4, "C_4", degree_cap=70000)
 
 
+def test_packing_checked_once_per_new_top_degree(monkeypatch):
+    # a check vouches for every degree through the top that packs, so the
+    # frames below it are built unchecked, and only a frame past it is
+    # checked again
+    checked = []
+    real = GeneratorTable._check_degree
+
+    def counting(table, q):
+        checked.append(q)
+        return real(table, q)
+
+    monkeypatch.setattr(GeneratorTable, "_check_degree", counting)
+    # every exponent of kriz(2,3) is capped: DgaSpec checks its top degree
+    # 1001 and the first frame the cohomology builds is checked, no other
+    cohomology_ranks(kriz_model(KrizParams(2, 3), 1000))
+    assert len(checked) == 2
+    checked.clear()
+    algebra = PresentedAlgebra(GeneratorTable(("T", "beta"), (2, 3)), ())
+    for q in range(1001):
+        algebra.graded_basis(q)
+    assert checked == [1]  # T packs through degree 2 * 32768 - 1
+    with pytest.raises(ValueError, match="degree 65536 .* T "):
+        algebra.graded_basis(2 * FREE_MAX + 2)
+    assert checked == [1, 2 * FREE_MAX + 2]
+
+
 def monomials_by_degree(table, top):
     """reference_monomials for every degree through top, from one pass over
     the exponent box."""
