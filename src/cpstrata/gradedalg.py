@@ -71,7 +71,8 @@ class GeneratorTable:
     # unbounded) and odd flag, and the packing: each field's shift, mask and
     # unit, the bias that lifts a capped field past its cap onto its guard
     # bit, the guard bits of the capped and of the uncapped fields, and the
-    # odd fields' exponent bits.
+    # odd fields' exponent bits; and the top degree through which every
+    # monomial packs (inf when every exponent is capped).
 
     def __init__(
         self,
@@ -129,6 +130,9 @@ class GeneratorTable:
             _guard=guard,
             _free_guard=free,
             _odd_bits=sum(1 << s for s, o in zip(shifts, odd) if o),
+            _packs_through=min(
+                (d * (_FREE_MAX + 1) - 1 for d, cap in zip(degrees, caps) if cap is None), default=inf
+            ),
         )
 
     @property
@@ -155,20 +159,15 @@ class GeneratorTable:
 
     # ---- packed monomials
 
-    def _check_degree(self, q: int) -> float:
-        """Raise ValueError unless every monomial of degree q packs; else
-        return the top degree through which every monomial packs (inf when
-        every exponent is capped), which is >= q."""
-        top = inf
-        for name, d, cap in zip(self.names, self.degrees, self._caps):
-            if cap is None:
-                if q // d > _FREE_MAX:
+    def _check_degree(self, q: int) -> None:
+        """Raise ValueError unless every monomial of degree q packs."""
+        if q > self._packs_through:
+            for name, d, cap in zip(self.names, self.degrees, self._caps):
+                if cap is None and q // d > _FREE_MAX:
                     raise ValueError(
                         f"degree {q} is out of range: exponents of {name} "
                         f"pack only up to {_FREE_MAX}"
                     )
-                top = min(top, d * (_FREE_MAX + 1) - 1)
-        return top
 
     def _pack(self, mono: Monomial) -> int:
         return sum(e << s for e, s in zip(mono, self._shifts))
@@ -504,8 +503,6 @@ class PresentedAlgebra:
 
         self._basis = GroebnerBasis(table, rels)
         self._frames: dict[int, GradedBasis] = {}
-        # every degree up to this one packs (GeneratorTable._check_degree)
-        self._packs_through: float = 0
 
     def graded_basis(self, q: int) -> GradedBasis:
         frame = self._frames.get(q)
@@ -518,8 +515,7 @@ class PresentedAlgebra:
         return frame
 
     def _build_frame(self, q: int) -> GradedBasis:
-        if q > self._packs_through:
-            self._packs_through = self.table._check_degree(q)
+        self.table._check_degree(q)
         # in increasing degree: a frame takes standard monomials from below,
         # and the frames kept are those of degrees 0 .. len - 1
         for p in range(len(self._frames), q):

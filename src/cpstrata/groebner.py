@@ -20,11 +20,11 @@ A frame lists only the standard monomials of its degree q.  Each is
 m = s * x for x its last generator and s standard in degree q - deg x; it
 is kept when every m / x_j is standard one generator down, and it leads no
 basis element found in degree q.  Any other monomial that a residue meets is an
-ideal monomial mu.  It takes its supplier g, a basis element whose leading
-monomial divides it, from the first generator x_j whose quotient mu / x_j
-is an ideal monomial, and its echelon row g * (mu / LM g) is built on first
-use.  Which g supplies mu changes only intermediate integers: the standard
-monomials and every residue depend only on the ideal and the order.
+ideal monomial mu, and its echelon row g * (mu / LM g) is built on first
+use from the first basis element g whose leading monomial divides mu.  The
+choice of g changes only intermediate integers: the standard monomials and
+every residue depend only on the ideal and the order.  So a frame, once
+built, reads only its own standard set and the basis, never another frame.
 """
 
 from __future__ import annotations
@@ -89,47 +89,35 @@ def _ambient_counts(table: GeneratorTable, length: int) -> list[int]:
 class _Ideal(dict):
     """A frame's echelon rows by ideal monomial, each built on its first lookup.
 
-    standard is the frame's set of standard monomials, lead maps an ideal
-    monomial to the basis element that supplies it, and below holds per
-    generator x the _Ideal of the frame deg x lower (None below degree 0).
-    As the rows of the frame's SparseReducer it holds a pivot at every
-    monomial that is not standard, so the reducer's own residue clears
-    against it.
+    standard is the frame's set of standard monomials.  As the rows of the
+    frame's SparseReducer it holds a pivot at every monomial that is not
+    standard, so the reducer's own residue clears against it.  The row of
+    an ideal monomial mu is the first basis element whose leading monomial
+    divides mu, times the quotient: a leading monomial's last generator
+    divides mu, so only the buckets of mu's generators are scanned, and then
+    the unit ideal's, whose leading monomial 1 has no generator.
     """
 
-    __slots__ = ("basis", "standard", "lead", "below")
+    __slots__ = ("basis", "standard")
 
-    def __init__(self, basis: "GroebnerBasis", standard: set, below: tuple):
+    def __init__(self, basis: "GroebnerBasis", standard: set):
         super().__init__()
-        self.basis, self.standard, self.lead, self.below = basis, standard, {}, below
-
-    def supplier(self, mu: int) -> int:
-        """The basis element that supplies the ideal monomial mu: mu / x_j's,
-        for x_j the first generator whose quotient is an ideal monomial,
-        down to a monomial whose supplier is known; cached along the way."""
-        basis, ideal, path = self.basis, self, []
-        units = basis.table._units
-        while True:
-            k = ideal.lead.get(mu)
-            if k is not None:
-                break
-            path.append((ideal.lead, mu))
-            for j in _support(units, basis._owner, mu):
-                lower = mu - units[j]
-                if lower not in ideal.below[j].standard:
-                    ideal, mu = ideal.below[j], lower
-                    break
-        for lead, m in path:
-            lead[m] = k
-        return k
+        self.basis, self.standard = basis, standard
 
     def __contains__(self, mu) -> bool:
         return mu not in self.standard
 
     def __missing__(self, mu: int) -> dict:
-        lm, terms = self.basis.elements[self.supplier(mu)]
-        row = self[mu] = SparseReducer._primitive(_times(self.basis.table, terms, mu - lm))
-        return row
+        basis = self.basis
+        table, buckets, guards = basis.table, basis._by_last, basis._guards
+        top = mu | guards
+        for j in _support(table._units, basis._owner, mu) + [-1]:
+            for lm, terms in buckets[j]:
+                # lm divides mu when no field of mu - lm borrows its guard bit
+                if (top - lm) & guards == guards:
+                    row = self[mu] = SparseReducer._primitive(_times(table, terms, mu - lm))
+                    return row
+        raise KeyError(mu)
 
 
 class GroebnerBasis:
@@ -139,8 +127,10 @@ class GroebnerBasis:
     with a positive leading coefficient.  Syzygies not yet reduced wait in
     _pending by degree as index pairs (j, k): elements j and k when k >= 0,
     else element j times the power of generator ~k that kills its leading
-    monomial.  Nothing here refers to a frame, so the frames, which refer
-    to the basis, make no cycle.
+    monomial.  _by_last holds the elements again, by the last generator of
+    their leading monomial, with the extra bucket -1 for leading monomial 1.
+    Nothing here refers to a frame, so the frames, which refer to the
+    basis, make no cycle.
     """
 
     def __init__(self, table: GeneratorTable, relations: Iterable[GPolynomial]):
@@ -153,6 +143,8 @@ class GroebnerBasis:
             self._relations.setdefault(r.degree(), []).append(integer_row(r.terms)[1])
         self._pending: dict[int, list[tuple[int, int]]] = {}
         self._owner = [j for j in reversed(range(table.n)) for _ in range(table._masks[j].bit_length())]
+        self._by_last: list[list[tuple[int, Terms]]] = [[] for _ in range(table.n + 1)]
+        self._guards = table._guard | table._free_guard
         self._by_degree: dict[int, list[int]] = {}
         self._ambient: list[int] = []  # monomial counts by degree, from 0
         for i, d in enumerate(table.degrees):
@@ -162,8 +154,7 @@ class GroebnerBasis:
         """The degree-q frame; frames must hold every frame below q."""
         table, units = self.table, self.table._units
         bias, guard = table._bias, table._guard
-        below = tuple(frames[q - d].reducer.rows if d <= q else None for d in table.degrees)
-        stds = [None if b is None else b.standard for b in below]
+        stds = [frames[q - d].reducer.rows.standard if d <= q else None for d in table.degrees]
         standard = {0} if q == 0 else set()
         # each candidate m = s * x_i once, x_i its last generator; it is
         # kept when every m / x_j is standard, and dropped below if it leads
@@ -185,7 +176,7 @@ class GroebnerBasis:
                             break
                     else:
                         standard.add(m)
-        rows = _Ideal(self, standard, below)
+        rows = _Ideal(self, standard)
         reducer = SparseReducer(rows)
         for terms, shift in self._candidates(q):
             _, r = reducer.residue(_times(table, terms, shift))
@@ -194,7 +185,7 @@ class GroebnerBasis:
                 p = max(r)
                 rows[p] = r
                 standard.discard(p)
-                rows.lead[p] = self._adjoin(q, p, tuple(r.items()))
+                self._adjoin(q, p, tuple(r.items()))
         monomials = tuple(sorted(standard))
         return GradedBasis(q, monomials, self._ambient_count(q) - len(monomials), reducer)
 
@@ -226,9 +217,9 @@ class GroebnerBasis:
                 yield terms, top - lm
                 yield tk, top - lk
 
-    def _adjoin(self, q: int, lm: int, terms: tuple[tuple[int, int], ...]) -> int:
+    def _adjoin(self, q: int, lm: int, terms: tuple[tuple[int, int], ...]) -> None:
         """Append an element of degree q, leading monomial lm, and queue its
-        syzygies; returns its index."""
+        syzygies."""
         table = self.table
         k = len(self.elements)
         exponents = table._unpack(lm)
@@ -240,5 +231,6 @@ class GroebnerBasis:
             if e and cap is not None:
                 self._pending.setdefault(q + (cap + 1 - e) * d, []).append((k, ~i))
         self._exponents.append(exponents)
-        self.elements.append((lm, _terms(table, terms)))
-        return k
+        element = (lm, _terms(table, terms))
+        self.elements.append(element)
+        self._by_last[self._owner[(lm & -lm).bit_length() - 1] if lm else -1].append(element)

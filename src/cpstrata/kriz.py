@@ -27,6 +27,11 @@ from .dga import DgaSpec
 from .gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra
 from .lattice import exact_ints
 
+# the model writes m pair relations and an (m + 1)-term diagonal per pair,
+# whatever the cap, so m is bounded before anything is built: kriz(4096, 9)
+# holds 147,456 pair relations
+MAX_M = 4096
+
 
 @dataclass(frozen=True)
 class KrizParams:
@@ -40,6 +45,8 @@ class KrizParams:
         exact_ints((self.k,), "k")
         if self.m < 1:
             raise ValueError(f"complex dimension m must be >= 1, got {self.m}")
+        if self.m > MAX_M:
+            raise ValueError(f"complex dimension m must be <= {MAX_M}, got {self.m}")
         if self.k < 1:
             raise ValueError(f"point count k must be >= 1, got {self.k}")
         if self.k > 9:

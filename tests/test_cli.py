@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cpstrata import ballmodels, chambers, verify
+from cpstrata import ballmodels, chambers, cli, verify
 from cpstrata.cli import RunConfig, canonical_json, main, parse_weights
 from cpstrata.dga import cohomology_ranks, complete_through_cap
 from cpstrata.gradedalg import PresentedAlgebra
@@ -448,6 +448,13 @@ class TestKriz:
         assert code == 2
         assert out == ""
         assert "--cap" in err
+
+    def test_huge_m_exits_two_before_any_model(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "kriz_model", lambda *a, **k: pytest.fail("a model was built"))
+        code, out, err = run(capsys, "kriz", "--m", "1000000", "--k", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: complex dimension m must be <= 4096, got 1000000\n"
 
 
 class TestFrozenPayloads:

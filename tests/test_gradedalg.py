@@ -637,7 +637,7 @@ class TestOnePassResidue:
         cases = list(column_residues())
         assert len(cases) == 163
         # no clear of these residues scales the row: den stays 1
-        assert self.assert_same_clears(monkeypatch, cases) == (337, 0)
+        assert self.assert_same_clears(monkeypatch, cases) == (338, 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_rows_over_inserted_rows(self, monkeypatch, seed):

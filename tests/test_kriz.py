@@ -49,6 +49,14 @@ class TestParams:
         with pytest.raises(ValueError):
             KrizParams(1, 10)
 
+    def test_huge_m_refused_before_any_model(self, monkeypatch):
+        # the model is linear in m whatever the cap, so m is bounded at once
+        monkeypatch.setattr(kriz, "kriz_table", lambda p: pytest.fail("a table was built"))
+        for m in (4097, 10**6):
+            with pytest.raises(ValueError, match=rf"^complex dimension m must be <= 4096, got {m}$"):
+                KrizParams(m, 3)
+        assert KrizParams(4096, 9).m == 4096
+
     @pytest.mark.parametrize("bad", [True, False, 2.0, "2", None])
     def test_non_int_fields_rejected(self, bad):
         with pytest.raises(TypeError, match=rf"^m {bad!r} is not an int$"):

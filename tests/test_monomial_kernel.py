@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpstrata import groebner
 from cpstrata.ballmodels import (
     _circle_algebra,
     bstab_presentation,
@@ -563,9 +564,10 @@ def test_completion_adjoins_every_kind_of_syzygy(monkeypatch):
     assert {"relation", "pair", "odd", "nilpotent"} <= set(kinds)
 
 
-def found_in(algebra, frame):
-    elements = algebra._basis.elements
-    return {m: k for m, k in frame.reducer.rows.lead.items() if elements[k][0] == m}
+def found_in(algebra, q):
+    """The basis elements found in degree q: index by leading monomial."""
+    degree = algebra.table.monomial_degree
+    return {lm: k for k, (lm, _) in enumerate(algebra._basis.elements) if degree(lm) == q}
 
 
 @pytest.mark.parametrize("seed", COMPLETION_SEEDS)
@@ -578,10 +580,84 @@ def test_first_access_at_the_top_matches_in_order(seed):
         a, b = top_first.graded_basis(q), in_order.graded_basis(q)
         assert a.monomials == b.monomials
         assert a.ideal_dimension == b.ideal_dimension
-        # the basis elements found in degree q, by leading monomial (lead
-        # also caches the supplier of each ideal monomial a residue met)
-        assert found_in(top_first, a) == found_in(in_order, b)
+        # the same basis elements are found in degree q, and each leads an
+        # ideal monomial of its frame
+        found = found_in(top_first, q)
+        assert found == found_in(in_order, q)
+        assert not set(found) & set(a.monomials)
     assert top_first._basis.elements == in_order._basis.elements
+
+
+# ------------------------------------------ echelon rows by divisibility
+
+
+def test_unit_ideal_has_empty_frames():
+    # the unit ideal's leading monomial 1 has no last generator, so its
+    # bucket is scanned for every ideal monomial
+    table = GeneratorTable(("x", "y"), (2, 3))
+    A = PresentedAlgebra(table, [GPolynomial.constant(table, 1)])
+    for q in range(9):
+        frame = A.graded_basis(q)
+        assert frame.monomials == ()
+        assert frame.ideal_dimension == len(reference_monomials(table, q))
+    assert [lm for lm, _ in A._basis.elements] == [0]
+    x, y = (GPolynomial.generator(table, name) for name in ("x", "y"))
+    # each meets the unit bucket after empty ones; y has no generator 0
+    for p in (y, x, x * y, x * x * x * y, GPolynomial.constant(table, 3)):
+        assert A.ideal_member(p)
+
+
+def test_frames_read_no_other_frame():
+    # a residue in frame q reads only frame q's standard set and the basis:
+    # with every lower frame's standard set gone, the column residues of
+    # frames 13 and 14 come out as on a whole copy of the model
+    D, whole = (kriz_model(KrizParams(2, 4), degree_cap=14) for _ in range(2))
+    D.algebra.graded_basis(14)
+    for q in range(13):
+        D.algebra._frames[q].reducer.rows.standard = None
+    images = {
+        q: [_monomial_differential(whole, mono) for mono in whole.algebra.graded_basis(q - 1).monomials]
+        for q in (13, 14)
+    }
+    assert sum(map(len, images.values())) == 56
+    for q, column_images in images.items():
+        frame, reference = D.algebra.graded_basis(q), whole.algebra.graded_basis(q)
+        assert [frame.reducer.residue(image) for image in column_images] == [
+            reference.reducer.residue(image) for image in column_images
+        ]
+
+
+def test_rows_built_and_divisibility_tests(monkeypatch):
+    # the echelon rows a rank pass builds, and the divisibility tests their
+    # bucket scans make, on kriz(2,4) and the (4, C_4) circle model at cap 14
+    counts = {"rows": 0, "tests": 0}
+
+    class CountedBucket(list):
+        def __iter__(self):
+            for element in super().__iter__():
+                counts["tests"] += 1
+                yield element
+
+    init, missing = GroebnerBasis.__init__, groebner._Ideal.__missing__
+
+    def counted_init(basis, *args):
+        init(basis, *args)
+        basis._by_last = [CountedBucket() for _ in basis._by_last]
+
+    def counted_missing(ideal, mu):
+        counts["rows"] += 1
+        return missing(ideal, mu)
+
+    monkeypatch.setattr(GroebnerBasis, "__init__", counted_init)
+    monkeypatch.setattr(groebner._Ideal, "__missing__", counted_missing)
+    seen = []
+    for D in (kriz_model(KrizParams(2, 4), degree_cap=14), iemb_model(4, "C_4", degree_cap=14)):
+        # a fresh algebra: the circle algebras are shared through a cache
+        D = DgaSpec(PresentedAlgebra(D.table, D.algebra.relations), D.values, D.degree_cap)
+        cohomology_ranks(D)
+        seen.append(dict(counts))
+        counts.update(rows=0, tests=0)
+    assert seen == [{"rows": 305, "tests": 631}, {"rows": 149, "tests": 343}]
 
 
 # ------------------------------------------------ packed fields and frames
@@ -680,9 +756,9 @@ def test_out_of_range_degree_raises_before_any_frame():
 
 
 def test_packing_checked_once_per_new_top_degree(monkeypatch):
-    # a check vouches for every degree through the top that packs, so the
-    # frames below it are built unchecked, and only a frame past it is
-    # checked again
+    # the table computes the top degree that packs once; each frame is
+    # checked once, when it is built, against it, and only a frame past it
+    # is refused
     checked = []
     real = GeneratorTable._check_degree
 
@@ -692,17 +768,20 @@ def test_packing_checked_once_per_new_top_degree(monkeypatch):
 
     monkeypatch.setattr(GeneratorTable, "_check_degree", counting)
     # every exponent of kriz(2,3) is capped: DgaSpec checks its top degree
-    # 1001 and the first frame the cohomology builds is checked, no other
+    # 1001, and each frame 0..1001 the cohomology builds is checked once
     cohomology_ranks(kriz_model(KrizParams(2, 3), 1000))
-    assert len(checked) == 2
+    assert len(checked) == 1003
+    assert checked[0] == 1001 and sorted(checked[1:]) == list(range(1002))
     checked.clear()
     algebra = PresentedAlgebra(GeneratorTable(("T", "beta"), (2, 3)), ())
+    assert algebra.table._packs_through == 2 * (FREE_MAX + 1) - 1
     for q in range(1001):
         algebra.graded_basis(q)
-    assert checked == [1]  # T packs through degree 2 * 32768 - 1
+    assert checked == list(range(1001))
     with pytest.raises(ValueError, match="degree 65536 .* T "):
         algebra.graded_basis(2 * FREE_MAX + 2)
-    assert checked == [1, 2 * FREE_MAX + 2]
+    assert checked[1001:] == [2 * FREE_MAX + 2]
+    assert sorted(algebra._frames) == list(range(1001))
 
 
 def monomials_by_degree(table, top):
