@@ -6,7 +6,12 @@ the areas of the negative wall classes cut the admissible set into convex
 chambers.  A given c is classified in integers: with m the common denominator
 and k = m*c, an area a - sum r_i c_i has the sign of a*m - sum r_i k_i and the
 volume margin that of m^2 - sum k_i^2, so no Fraction is built per class; the
-class tables are read as int rows (a, r), built once per n.  All chambers are
+class tables are read as int rows (a, r), built once per n.  Admissibility is
+certified on the sorted k by the exceptional rows whose r is nonincreasing,
+0, 1, 1, 1, 2, 2, 3 and 6 rows for n = 1..8 instead of all 0, 1, 3, 6, 11,
+21, 49 and 232 classes of positive degree (the rearrangement inequality); the
+same rows bound the chamber LP, and the scan over every class runs only to
+name the violator of an inadmissible c.  All chambers are
 enumerated by exact rational feasibility checks (a simplex with a slack
 variable standing in for strict inequalities; no floating point anywhere).
 
@@ -138,17 +143,21 @@ def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fr
 
 
 @lru_cache(maxsize=None)
-def _class_rows(n: int) -> tuple[tuple, tuple[H2Element, ...], tuple]:
-    """The class tables of n as int rows: (exceptional, walls, wall rows).
+def _class_rows(n: int) -> tuple[tuple, tuple, tuple[H2Element, ...], tuple]:
+    """The class tables of n as int rows: (exceptional, certificate, walls,
+    wall rows).
 
     exceptional holds (u, a, r) for every exceptional class u = aL - sum r_i E_i
     with a > 0, in enumeration order: the basis classes E_i have area c_i,
     which Capacities keeps positive, so they never decide admissibility.
+    certificate holds (a, r) for those whose r is nonincreasing, in the same
+    order: 0, 1, 1, 1, 2, 2, 3 and 6 rows for n = 1..8 (_certified).
     wall rows holds (a, r) for each wall.
     """
     exceptional = tuple((u, u.degree_a, u.multiplicities) for u in enumerate_exceptional(n) if u.degree_a)
+    certificate = tuple((a, r) for _, a, r in exceptional if all(map(ge, r, r[1:])))
     walls = negative_wall_classes(n)
-    return exceptional, walls, tuple((w.degree_a, w.multiplicities) for w in walls)
+    return exceptional, certificate, walls, tuple((w.degree_a, w.multiplicities) for w in walls)
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +170,7 @@ def _wall_order(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     below it has bit False, the False child when one above it has bit True,
     and the pair (j, k) certifies it.
     """
-    rows = [(a, list(accumulate(r))) for a, r in _class_rows(n)[2]]
+    rows = [(a, list(accumulate(r))) for a, r in _class_rows(n)[3]]
     order = []
     for k, (ak, sk) in enumerate(rows):
         below = tuple(j for j, (a, s) in enumerate(rows[:k]) if a >= ak and all(map(le, s, sk)))
@@ -170,25 +179,61 @@ def _wall_order(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(order)
 
 
-def is_admissible(c: Capacities) -> AdmissibilityResult:
-    """Strict positivity on every exceptional class plus the volume bound."""
-    m, ks = c.scaled
+_ADMISSIBLE = AdmissibilityResult(True)
+
+
+def _certified(m: int, ks: Sequence[int], certificate: Sequence[tuple]) -> bool:
+    """Whether c = k/m, with k sorted nonincreasing, is admissible, from the
+    certificate rows of _class_rows(n) and the volume margin alone.
+
+    The exceptional classes are closed under permuting the E_i, so every
+    class has the sorted rearrangement r* of its r among the certificate
+    rows, with the same a, and r.k <= r*.k for a sorted k (Hardy, Littlewood
+    and Polya, *Inequalities*, 1934, section 10.2).  So the rows all pass
+    exactly when every exceptional class has positive area.
+    """
+    for a, r in certificate:
+        if a * m <= sum(map(mul, r, ks)):
+            return False
+    return scaled_volume_margin(m, ks) > 0
+
+
+def _violator(m: int, ks: Sequence[int]) -> Union[H2Element, str]:
+    """The first exceptional class, in enumeration order, whose area at
+    c = k/m (k as given) is <= 0, else "volume": the lexicographic scan
+    that names what an uncertified vector violates."""
     for u, a, r in _class_rows(len(ks))[0]:
         if a * m <= sum(map(mul, r, ks)):
-            return AdmissibilityResult(False, u)
-    if scaled_volume_margin(m, ks) <= 0:
-        return AdmissibilityResult(False, "volume")
-    return AdmissibilityResult(True)
+            return u
+    return "volume"
+
+
+def is_admissible(c: Capacities) -> AdmissibilityResult:
+    """Strict positivity on every exceptional class plus the volume bound.
+
+    Decided on the sorted k by the certificate rows, 2 at n = 5 and 6 at
+    n = 8 instead of the 11 and 232 classes of positive degree (_certified);
+    only an inadmissible c is scanned over every class, for its violator.
+    """
+    m, ks = c.scaled
+    if _certified(m, sorted(ks, reverse=True), _class_rows(len(ks))[1]):
+        return _ADMISSIBLE
+    return AdmissibilityResult(False, _violator(m, ks))
 
 
 def chamber_signature(c: Capacities) -> ChamberSignature:
-    """Wall bits of the canonically sorted capacities; requires admissibility."""
-    verdict = is_admissible(c)
-    if not verdict:
-        raise AdmissibilityError(verdict.violator)
-    m, ks = c.scaled
-    ks = sorted(ks, reverse=True)
-    _, walls, rows = _class_rows(len(ks))
+    """Wall bits of the canonically sorted capacities; requires admissibility.
+
+    The sorted k that the wall bits read is certified as is_admissible
+    certifies it, so an admissible c costs no scan over every class; an
+    inadmissible one raises AdmissibilityError naming is_admissible's
+    violator.
+    """
+    m, unsorted = c.scaled
+    ks = sorted(unsorted, reverse=True)
+    _, certificate, walls, rows = _class_rows(len(ks))
+    if not _certified(m, ks, certificate):
+        raise AdmissibilityError(_violator(m, unsorted))
     return ChamberSignature(walls, tuple([a * m > sum(map(mul, r, ks)) for a, r in rows]))
 
 
@@ -215,12 +260,11 @@ def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
 
     Every row is integral, so coefficients and right-hand sides are ints,
     the only rows exactlp takes; the cone rows force c > 0, so its x >= 0
-    loses no point.  A class gives a row only if its multiplicities r are
-    nonincreasing: the classes are closed under permuting the E_i, so each
-    r has its sorted rearrangement r* among them, with the same a and so
-    the same strictness, and on the sorted cone r.c <= r*.c (Hardy,
-    Littlewood and Polya, *Inequalities*, 1934, section 10.2).  The region
-    and its eps-program are unchanged, from 2, 3, 4, 5, 7, 8, 10, 14 rows
+    loses no point.  The class rows are the certificate rows of
+    _class_rows, those whose multiplicities r are nonincreasing: each class
+    has its sorted rearrangement r* among them, with the same a and so the
+    same strictness, and on the sorted cone r.c <= r*.c (_certified).  The
+    region and its eps-program are unchanged, from 2, 3, 4, 5, 7, 8, 10, 14 rows
     for n = 1..8 instead of 2, 3, 6, 10, 16, 27, 56, 240.  The volume
     bound is quadratic; for n in 2..5 it is implied by the strict linear
     constraints (the supremum of sum c_i^2 over the closed linear region is
@@ -245,9 +289,8 @@ def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
     # the basis classes E_i are left out of _class_rows: area = c_i > 0
     # already follows; the one degree 1 class kept is the pair class
     # L - E_1 - E_2, whose strictness the inclusive convention relaxes
-    for _, a, r in _class_rows(n)[0]:
-        if all(map(ge, r, r[1:])):
-            row(r, a, not (boundary == "inclusive" and a == 1))
+    for a, r in _class_rows(n)[1]:
+        row(r, a, not (boundary == "inclusive" and a == 1))
     if n == 1:
         row([1], 1, True)  # exact linearization of the volume bound
     return ineqs

@@ -215,11 +215,16 @@ def differential(D: DgaSpec, p: GPolynomial) -> GPolynomial:
 
 def check_d_squared(D: DgaSpec) -> None:
     """d(d(g)) must vanish in the quotient for every generator g of degree
-    at most the cap; raises DifferentialError at the first that fails."""
+    at most the cap; raises DifferentialError at the first that fails.  A
+    value none of whose monomials holds a generator with a value has d = 0
+    and is skipped."""
     for name, d in zip(D.table.names, D.table.degrees):
         if name not in D.values or d > D.degree_cap:
             continue
-        if _d_residue(D, integer_row(D.values[name].terms)[1].items())[1]:
+        terms = D.values[name].terms
+        if not any(m & D._valued for m in terms):
+            continue
+        if _d_residue(D, integer_row(terms)[1].items())[1]:
             # d of the value, not of the generator: a generator of bound 1 is 0
             dd = differential(D, D.values[name])
             raise DifferentialError(
@@ -237,9 +242,13 @@ def check_ideal_stability(D: DgaSpec) -> None:
     listed relation r, and for every nilpotence bound N on a generator x
     with a value: the relation x^N = 0, with d(x^N) = N x^(N-1) d(x) for an
     even x.  An odd x squares to zero whatever d(x) is, so only a bound of
-    1 on it, the relation x = 0, asks that d(x) be in I.
+    1 on it, the relation x = 0, asks that d(x) be in I.  A relation none
+    of whose monomials holds a generator with a value has d(r) = 0 and is
+    skipped before its degree is read.
     """
     for r in D.algebra.relations:
+        if not any(m & D._valued for m in r.terms):
+            continue
         if r.degree() <= D.degree_cap and _d_residue(D, integer_row(r.terms)[1].items())[1]:
             raise DifferentialError(f"ideal not d-stable at relation {r.to_text()}")
     table = D.table

@@ -32,7 +32,6 @@ from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf, lcm
-from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lattice import exact_ints, exact_rationals
@@ -70,9 +69,10 @@ class GeneratorTable:
     # equality and hash ignore them: each generator's exponent cap (None if
     # unbounded) and odd flag, and the packing: each field's shift, mask and
     # unit, the bias that lifts a capped field past its cap onto its guard
-    # bit, the guard bits of the capped and of the uncapped fields, and the
-    # odd fields' exponent bits; and the top degree through which every
-    # monomial packs (inf when every exponent is capped).
+    # bit, the guard bits of the capped and of the uncapped fields, the odd
+    # fields' exponent bits, and the generator whose field holds each bit;
+    # and the top degree through which every monomial packs (inf when every
+    # exponent is capped).
 
     def __init__(
         self,
@@ -130,6 +130,7 @@ class GeneratorTable:
             _guard=guard,
             _free_guard=free,
             _odd_bits=sum(1 << s for s, o in zip(shifts, odd) if o),
+            _owner=tuple(j for j in reversed(range(len(names))) for _ in range(masks[j].bit_length())),
             _packs_through=min(
                 (d * (_FREE_MAX + 1) - 1 for d, cap in zip(degrees, caps) if cap is None), default=inf
             ),
@@ -146,7 +147,15 @@ class GeneratorTable:
             raise ValueError(f"unknown generator {name!r}") from None
 
     def monomial_degree(self, key: int) -> int:
-        return sum(map(mul, self._unpack(key), self.degrees))
+        """The degree of a packed monomial, from its set fields only."""
+        owner, shifts, degrees = self._owner, self._shifts, self.degrees
+        degree = 0
+        while key:
+            j = owner[key.bit_length() - 1]
+            shift = shifts[j]
+            degree += (key >> shift) * degrees[j]
+            key &= (1 << shift) - 1
+        return degree
 
     def monomial_text(self, key: int) -> str:
         factors = []

@@ -61,7 +61,7 @@ def _times(table: GeneratorTable, terms: Terms, shift: int) -> dict:
     return row
 
 
-def _support(units: tuple[int, ...], owner: list[int], key: int) -> list[int]:
+def _support(units: tuple[int, ...], owner: tuple[int, ...], key: int) -> list[int]:
     """The generators of a packed monomial, ascending; owner maps a bit to
     the generator whose field holds it."""
     out = []
@@ -111,7 +111,7 @@ class _Ideal(dict):
         basis = self.basis
         table, buckets, guards = basis.table, basis._by_last, basis._guards
         top = mu | guards
-        for j in _support(table._units, basis._owner, mu) + [-1]:
+        for j in _support(table._units, table._owner, mu) + [-1]:
             for lm, terms in buckets[j]:
                 # lm divides mu when no field of mu - lm borrows its guard bit
                 if (top - lm) & guards == guards:
@@ -142,7 +142,6 @@ class GroebnerBasis:
         for r in relations:
             self._relations.setdefault(r.degree(), []).append(integer_row(r.terms)[1])
         self._pending: dict[int, list[tuple[int, int]]] = {}
-        self._owner = [j for j in reversed(range(table.n)) for _ in range(table._masks[j].bit_length())]
         self._by_last: list[list[tuple[int, Terms]]] = [[] for _ in range(table.n + 1)]
         self._guards = table._guard | table._free_guard
         self._by_degree: dict[int, list[int]] = {}
@@ -163,7 +162,7 @@ class GroebnerBasis:
             if d > q:
                 continue
             for s in frames[q - d].monomials:
-                support = _support(units, self._owner, s)
+                support = _support(units, table._owner, s)
                 last = support[-1] if support else -1
                 for i in gens:
                     if i < last:
@@ -233,4 +232,4 @@ class GroebnerBasis:
         self._exponents.append(exponents)
         element = (lm, _terms(table, terms))
         self.elements.append(element)
-        self._by_last[self._owner[(lm & -lm).bit_length() - 1] if lm else -1].append(element)
+        self._by_last[table._owner[(lm & -lm).bit_length() - 1] if lm else -1].append(element)

@@ -97,11 +97,12 @@ class Capacities:
         if not vals:
             raise ValueError("need at least one capacity")
         _check_n(len(vals))
-        if any(v.numerator <= 0 for v in vals):
+        ratios = [v.as_integer_ratio() for v in vals]
+        if any(p <= 0 for p, _ in ratios):
             raise ValueError(f"capacities must be strictly positive, got {vals}")
         object.__setattr__(self, "values", vals)
-        m = lcm(*[v.denominator for v in vals])
-        object.__setattr__(self, "scaled", (m, tuple([v.numerator * (m // v.denominator) for v in vals])))
+        m = lcm(*[q for _, q in ratios])
+        object.__setattr__(self, "scaled", (m, tuple([p * (m // q) for p, q in ratios])))
 
     @property
     def n(self) -> int:

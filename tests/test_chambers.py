@@ -258,6 +258,112 @@ class TestIntegerKernel:
         assert [w.to_text() for w, bit in zip(sig.walls, sig.bits) if bit] == ["L - E2 - E3 - E4"]
 
 
+def scan_oracle(values):
+    """(violator, bits) by a lexicographic scan over every exceptional class,
+    in integers over the values' own common denominator: the first class
+    with area <= 0, else "volume" when 1 - sum c_i^2 <= 0, else None and
+    the wall bits of the sorted values."""
+    n = len(values)
+    m = lcm(*(v.denominator for v in values))
+    ks = [v.numerator * (m // v.denominator) for v in values]
+    for u in sorted(enumerate_exceptional(n)):
+        if u.degree_a * m <= sum(r * k for r, k in zip(u.multiplicities, ks)):
+            return u, None
+    if m * m <= sum(k * k for k in ks):
+        return "volume", None
+    ks.sort(reverse=True)
+    walls = negative_wall_classes(n)
+    return None, tuple(w.degree_a * m > sum(r * k for r, k in zip(w.multiplicities, ks)) for w in walls)
+
+
+def sphere_point(rng, n):
+    """A rational point with positive entries and sum c_i^2 = 1 exactly:
+    the inverse stereographic image (2t, |t|^2 - 1) / (|t|^2 + 1) of a
+    rational t > 0 with |t|^2 > 1 (c = 1 for n = 1)."""
+    if n == 1:
+        return [F(1)]
+    while True:
+        t = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n - 1)]
+        s = sum(x * x for x in t)
+        if s > 1:
+            return [2 * x / (s + 1) for x in t] + [(s - 1) / (s + 1)]
+
+
+def oracle_vectors(rng, n, count):
+    """count seeded capacity vectors over n, unsorted: random draws at four
+    scales, vectors with tied entries, vectors moved onto the zero locus of
+    an exceptional or wall class, and points of volume margin exactly 0."""
+    classes = [u for u in enumerate_exceptional(n) + negative_wall_classes(n) if u.degree_a]
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        top = rng.choice((F(1, 3), F(1, 2), F(2, 3), F(1)))
+        values = [top * F(rng.randint(1, d), d) for d in (rng.randint(1, 24) for _ in range(n))]
+        if kind == 1:
+            values = ([values[0]] * rng.randint(1, n) + values[1:])[:n]
+        elif kind == 2 and classes:
+            u = rng.choice(classes)
+            j = rng.choice([i for i, r in enumerate(u.multiplicities) if r > 0])
+            rest = sum(c * r for i, (c, r) in enumerate(zip(values, u.multiplicities)) if i != j)
+            cj = (u.degree_a - rest) / u.multiplicities[j]
+            if cj <= 0:
+                continue
+            values[j] = cj
+        elif kind == 3:
+            values = sphere_point(rng, n)
+        rng.shuffle(values)
+        out.append(values)
+    return out
+
+
+class TestCertificateOracle:
+    """is_admissible and chamber_signature certify admissibility by the
+    sorted-cone rows; verdict, violator and bits must equal the scan over
+    every class."""
+
+    CERTIFICATE = {1: 0, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 3, 8: 6}
+    LP_ROWS = {1: 2, 2: 3, 3: 4, 4: 5, 5: 7, 6: 8, 7: 10, 8: 14}
+
+    def test_row_counts_pinned(self):
+        for n in range(1, 9):
+            certificate = chambers._class_rows(n)[1]
+            assert len(certificate) == self.CERTIFICATE[n]
+            for boundary in ("strict", "inclusive"):
+                rows = chambers._admissibility_ineqs(n, boundary)
+                assert len(rows) == self.LP_ROWS[n]
+                # after the n cone rows, one row per certificate row
+                assert [(coeffs, rhs) for coeffs, rhs, _ in rows[n : n + len(certificate)]] == [
+                    (r, a) for a, r in certificate
+                ]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_full_scan(self, n):
+        rng = random.Random(3400 + n)
+        seen = Counter()
+        for values in oracle_vectors(rng, n, 200):
+            c = Capacities(values)
+            violator, bits = scan_oracle(values)
+            verdict = is_admissible(c)
+            assert (bool(verdict), verdict.violator) == (violator is None, violator), values
+            if violator is None:
+                assert verdict is is_admissible(Capacities((F(1, 100),)))  # one shared result
+                assert chamber_signature(c).bits == bits, values
+                seen["admissible"] += 1
+            else:
+                with pytest.raises(AdmissibilityError) as e:
+                    chamber_signature(c)
+                assert e.value.violator == violator, values
+                seen["volume" if violator == "volume" else "class"] += 1
+            m, ks = c.scaled
+            if any(u.degree_a * m == sum(map(int.__mul__, u.multiplicities, ks))
+                   for u in enumerate_exceptional(n) + negative_wall_classes(n) if u.degree_a):
+                seen["zero area"] += 1
+            if c.volume_margin() == 0:
+                seen["zero volume"] += 1
+        assert seen["admissible"] and seen["zero volume"], seen
+        assert seen["volume"] if n == 1 else seen["class"] and seen["zero area"], seen
+
+
 class TestClassification:
     def test_table_example(self):
         assert chamber_label(caps("2/5,2/5,3/10,1/5")) == "C_2"

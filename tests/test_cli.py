@@ -255,18 +255,29 @@ class TestClassifyPayloads:
         assert json.loads(CLASSIFY["1/4,1/2,1/4"]["json"])["label"] == "big"
 
     def test_one_admissibility_pass_per_query(self, capsys, monkeypatch):
-        # admissible, inadmissible on a class, inadmissible on the volume
-        passes = []
-        real = chambers.is_admissible
+        # admissible, inadmissible on a class, inadmissible on the volume:
+        # one certificate pass per query, and the scan over every class
+        # only for the two inadmissible ones
+        passes, scans = [], []
+        real_certified, real_violator = chambers._certified, chambers._violator
 
-        def counting(caps):
-            passes.append(caps)
-            return real(caps)
+        def certified(m, ks, certificate):
+            passes.append(ks)
+            return real_certified(m, ks, certificate)
 
-        monkeypatch.setattr(chambers, "is_admissible", counting)
-        for capacities in ("1/3,1/3,1/3,1/3", "1/2,1/2,1/2", "11/10"):
-            run_json(capsys, "chamber", "classify", "--capacities", capacities, "--json")
+        def violator(m, ks):
+            scans.append(ks)
+            return real_violator(m, ks)
+
+        monkeypatch.setattr(chambers, "_certified", certified)
+        monkeypatch.setattr(chambers, "_violator", violator)
+        verdicts = [
+            run_json(capsys, "chamber", "classify", "--capacities", capacities, "--json")["admissible"]
+            for capacities in ("1/3,1/3,1/3,1/3", "1/2,1/2,1/2", "11/10")
+        ]
+        assert verdicts == [True, False, False]
         assert len(passes) == 3
+        assert scans == [(1, 1, 1), (11,)]
 
     @pytest.mark.parametrize("capacities", sorted(CLASSIFY))
     def test_stdout_byte_identical(self, capsys, tmp_path, capacities):
