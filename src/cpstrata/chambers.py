@@ -13,7 +13,9 @@ certified on the sorted k by the exceptional rows whose r is nonincreasing,
 same rows bound the chamber LP, and the scan over every class runs only to
 name the violator of an inadmissible c.  All chambers are
 enumerated by exact rational feasibility checks (a simplex with a slack
-variable standing in for strict inequalities; no floating point anywhere).
+variable standing in for strict inequalities; no floating point anywhere),
+and each chamber's witness is admitted by the rule that classifies c: the
+certificate rows, the volume margin and the wall bits.
 
 Conventions: capacities are sorted nonincreasing before any wall evaluation,
 and an area tie (= 0) counts as the nonpositive side of the wall, matching the
@@ -26,11 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from operator import ge, le, mul
 from typing import Literal, Optional, Sequence, Union, get_args
 
 from .exactlp import Ineq as _Ineq
-from .exactlp import _Simplex, feasible_point, interior_tableau, scaled_row
+from .exactlp import _Simplex, feasible_point, interior_tableau
 from .lattice import (
     Capacities,
     H2Element,
@@ -116,28 +119,6 @@ def _rounded(nums: list[tuple[int, int]], q: int) -> list[int]:
     return ks
 
 
-def _simplify_point(point: tuple[Fraction, ...], ineqs: list[_Ineq]) -> tuple[Fraction, ...]:
-    """Small-denominator feasible point near the given deep point.
-
-    The slack-maximizing point sits away from every boundary, so snapping all
-    coordinates to a common small denominator usually stays inside; the first
-    q whose rounding passes the exact membership check wins.  If no q <= 64
-    does, the exact point itself is kept.  The check runs on the numerators
-    k_i = round(x_i * q), taken in integers (_rounded): sum a_i k_i < b * q
-    (<= for closed rows).
-    """
-    nums = [(x.numerator, x.denominator) for x in point]
-    for q in range(1, 65):
-        ks = _rounded(nums, q)
-        for coeffs, rhs, strict in ineqs:
-            lhs = sum(map(mul, coeffs, ks))
-            if lhs > rhs * q or (strict and lhs == rhs * q):
-                break
-        else:
-            return tuple(Fraction(k, q) for k in ks)
-    return point
-
-
 # ---------------------------------------------------------------------------
 # admissibility and classification
 
@@ -198,6 +179,12 @@ def _certified(m: int, ks: Sequence[int], certificate: Sequence[tuple]) -> bool:
     return scaled_volume_margin(m, ks) > 0
 
 
+def _bits(m: int, ks: Sequence[int], rows: Sequence[tuple]) -> tuple[bool, ...]:
+    """The wall bits of c = k/m: a*m > r.k for each wall row (a, r) of
+    _class_rows, with k sorted nonincreasing."""
+    return tuple([a * m > sum(map(mul, r, ks)) for a, r in rows])
+
+
 def _violator(m: int, ks: Sequence[int]) -> Union[H2Element, str]:
     """The first exceptional class, in enumeration order, whose area at
     c = k/m (k as given) is <= 0, else "volume": the lexicographic scan
@@ -234,7 +221,7 @@ def chamber_signature(c: Capacities) -> ChamberSignature:
     _, certificate, walls, rows = _class_rows(len(ks))
     if not _certified(m, ks, certificate):
         raise AdmissibilityError(_violator(m, unsorted))
-    return ChamberSignature(walls, tuple([a * m > sum(map(mul, r, ks)) for a, r in rows]))
+    return ChamberSignature(walls, _bits(m, ks, rows))
 
 
 def chamber_label(c: Capacities) -> str:
@@ -269,9 +256,9 @@ def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
     bound is quadratic; for n in 2..5 it is implied by the strict linear
     constraints (the supremum of sum c_i^2 over the closed linear region is
     1, attained only on excluded faces), and for n=1 it linearizes exactly
-    to c_1 < 1.  Witnesses are volume-checked after the fact, so a
-    hypothetical n >= 6 failure would surface as an error, not a wrong
-    answer.
+    to c_1 < 1.  A witness is admitted only by _certified, volume margin
+    included (_simplify_point), so a hypothetical n >= 6 failure would
+    surface as an error, not a wrong answer.
     """
     ineqs: list[_Ineq] = []
     zero = [0] * n
@@ -296,19 +283,33 @@ def _admissibility_ineqs(n: int, boundary: Boundary) -> list[_Ineq]:
     return ineqs
 
 
-def _wall_ineq(u: H2Element, positive: bool) -> _Ineq:
-    coeffs = tuple(u.multiplicities)
-    if positive:  # area > 0  <=>  sum r_i c_i < a
-        return (coeffs, u.degree_a, True)
-    return (tuple(-a for a in coeffs), -u.degree_a, False)
+def _simplify_point(point: tuple[Fraction, ...], bits: tuple[bool, ...]) -> tuple[Fraction, ...]:
+    """A small-denominator point near point, which is sorted nonincreasing,
+    meets the strict linear admissibility rows and has wall bits bits.
+
+    The first rounding k = round(x * q) (_rounded), for q = 1..64 and then
+    the lcm of point's denominators (the exact point), with k_n > 0 that
+    passes _certified and has wall bits bits (_bits), the rule that
+    classifies any c, wins; rounding is monotone, so k stays sorted.  An
+    exact point that fails violates the volume bound, which the linear rows
+    then do not imply, and raises ArithmeticError.
+    """
+    nums = [(x.numerator, x.denominator) for x in point]
+    _, certificate, _, rows = _class_rows(len(point))
+    for q in (*range(1, 65), lcm(*[den for _, den in nums])):
+        ks = _rounded(nums, q)
+        if ks[-1] > 0 and _certified(q, ks, certificate) and _bits(q, ks, rows) == bits:
+            return tuple([Fraction(k, q) for k in ks])
+    raise ArithmeticError(
+        f"witness {point} violates the volume bound; the linear relaxation "
+        f"is not exact for n={len(point)}"
+    )
 
 
 def _leaf_record(
     n: int,
     boundary: Boundary,
     walls: Sequence[H2Element],
-    signs: Sequence[tuple[_Ineq, _Ineq]],
-    strict_base: list[_Ineq],
     relaxed: list[_Ineq],
     bits: tuple[bool, ...],
     tableau: _Simplex,
@@ -316,11 +317,11 @@ def _leaf_record(
     """The record of a feasible full sign pattern, with a simplified witness.
 
     tableau is the leaf's optimal tableau from the descent: the admissibility
-    rows of the boundary mode followed by one row per wall, signs[k][bit]
-    for wall k.  The witness is read off it after folding in relaxed, the
-    strict versions of the rows that the boundary mode relaxes (none in
-    strict mode), so it is strictly admissible in either mode; it is then
-    simplified over the strict admissibility and wall rows.
+    rows of the boundary mode followed by one sign row per wall.  The
+    witness is read off it after folding in relaxed, the strict row of
+    L - E_1 - E_2 that inclusive mode relaxes (none in strict mode), so it
+    is strictly admissible in either mode; it is then simplified by the
+    classifier's own rule (_simplify_point).
     """
     sig = ChamberSignature(walls, bits)
     deep = feasible_point(relaxed, n, tableau)
@@ -329,15 +330,8 @@ def _leaf_record(
             f"sign pattern {sig.bit_string()} at n={n} ({boundary}) was "
             f"feasible on descent but has no strictly admissible point"
         )
-    pt = _simplify_point(deep, strict_base + [rows[b] for rows, b in zip(signs, bits)])
-    cap = Capacities(pt)
-    margin = cap.volume_margin()
-    if margin <= 0:
-        raise ArithmeticError(
-            f"witness {pt} violates the volume bound; the linear relaxation "
-            f"is not exact for n={n}"
-        )
-    return ChamberRecord(sig, cap, label_from_signature(n, sig))
+    witness = Capacities(_simplify_point(deep, bits))
+    return ChamberRecord(sig, witness, label_from_signature(n, sig))
 
 
 def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRecord, ...]:
@@ -355,8 +349,8 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
     reads its witness off its own tableau, after a few more dual steps in
     inclusive mode that restore the strict row of L - E_1 - E_2, the only
     pair class the sorted cone needs (_leaf_record); no leaf solves from the
-    trivial optimum.  Both sign rows of every wall are built and scaled once
-    per call.
+    trivial optimum.  Both sign rows of every wall are built once per call,
+    from the int wall rows of _class_rows.
 
     The boundary convention decides which sign patterns count as feasible;
     witnesses are drawn from the strictly admissible part of each pattern
@@ -378,16 +372,14 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
             f"chamber enumeration supports n in 1..{MAX_ENUMERATE_N}, got {n}: for "
             f"n >= 6 the linearized volume bound is not known to be exact"
         )
-    walls = negative_wall_classes(n)
-    base = _admissibility_ineqs(n, boundary)
-    strict_base = base if boundary == "strict" else _admissibility_ineqs(n, "strict")
-    relaxed = [row for row in strict_base if row not in base]
-    root = interior_tableau(base, n)
+    root = interior_tableau(_admissibility_ineqs(n, boundary), n)
     if root is None:
         return ()
-    # (False row, True row) of each wall, as inequalities and scaled
-    signs = [(_wall_ineq(w, False), _wall_ineq(w, True)) for w in walls]
-    scaled = [tuple(scaled_row(row, n) for row in rows) for rows in signs]
+    _, certificate, walls, rows = _class_rows(n)
+    relaxed = [(r, a, True) for a, r in certificate if a == 1] if boundary == "inclusive" else []
+    # (False row, True row) of each wall over z = (c, eps): -r.c <= -a and
+    # r.c + eps <= a, that is area <= 0 and area > 0
+    sides = [(([-x for x in r] + [0], -a), ([*r, 1], a)) for a, r in rows]
     order = _wall_order(n)
     found: list[ChamberRecord] = []
     # Depth first with an explicit stack, so no closure refers to itself and
@@ -399,15 +391,13 @@ def enumerate_chambers(n: int, boundary: Boundary = "strict") -> tuple[ChamberRe
         bits, tableau = stack.pop()
         k = len(bits)
         if k == len(walls):
-            found.append(
-                _leaf_record(n, boundary, walls, signs, strict_base, relaxed, bits, tableau)
-            )
+            found.append(_leaf_record(n, boundary, walls, relaxed, bits, tableau))
             continue
         below, above = order[k]
         for positive, forcing in ((False, above), (True, below)):
             if any(bits[j] != positive for j in forcing):
                 continue
-            child = tableau.with_row(*scaled[k][positive])
+            child = tableau.with_row(*sides[k][positive])
             if child is not None:
                 stack.append((bits + (positive,), child))
     return tuple(sorted(found, key=lambda rec: rec.signature.bits, reverse=True))

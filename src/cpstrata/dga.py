@@ -273,7 +273,7 @@ class CohomologyReport:
     degree_cap: int
 
     def rank_list(self, upto: Optional[int] = None) -> list[int]:
-        top = self.degree_cap if upto is None else upto
+        top = self.degree_cap if upto is None else exact_ints((upto,), "degree")[0]
         if not 0 <= top <= self.degree_cap:
             raise ValueError(f"degree {top} is outside the ranks computed, 0..{self.degree_cap}")
         return [self.ranks[q] for q in range(top + 1)]

@@ -45,8 +45,9 @@ node's tableau and decides every child that the wall order leaves open
 A fold may also start from such a tableau instead of the trivial optimum
 (the start argument of interior_tableau and feasible_point): a chamber
 leaf's witness is read off the descent's tableau with at most a few rows
-more, never solved afresh.  A row appended many times is checked once by
-scaled_row and appended by with_row; the tableaux share it.
+more, never solved afresh.  A row appended many times, such as a chamber
+wall row, is built once, as int lists that the wall class already
+checked, and appended by with_row; the tableaux share it.
 """
 
 from __future__ import annotations

@@ -514,8 +514,10 @@ class PresentedAlgebra:
         self._frames: dict[int, GradedBasis] = {}
 
     def graded_basis(self, q: int) -> GradedBasis:
-        frame = self._frames.get(q)
+        # a bool or a float would find the frame its value equals: refused
+        frame = self._frames.get(q) if type(q) is int else None
         if frame is None:
+            exact_ints((q,), "degree")
             # not thread-safe: every new frame extends the one basis that
             # all frames share
             frame = self._build_frame(q)

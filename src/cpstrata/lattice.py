@@ -108,11 +108,6 @@ class Capacities:
     def n(self) -> int:
         return len(self.values)
 
-    def volume_margin(self) -> Fraction:
-        """1 - sum c_i^2, positive exactly when the packing fits by volume."""
-        m, ks = self.scaled
-        return Fraction(scaled_volume_margin(m, ks), m * m)
-
     @classmethod
     def parse(cls, text: str) -> "Capacities":
         """Comma-separated rational strings, each stripped of surrounding space."""

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,12 @@ from cpstrata.chambers import (
     is_admissible,
 )
 from cpstrata.exactlp import feasible_point
-from cpstrata.lattice import Capacities, enumerate_exceptional, negative_wall_classes
+from cpstrata.lattice import (
+    Capacities,
+    enumerate_exceptional,
+    negative_wall_classes,
+    scaled_volume_margin,
+)
 from test_lattice import area
 
 F = Fraction
@@ -51,8 +57,27 @@ def rows_of(constraints):
     return rows
 
 
+def simplify_rows(point, ineqs):
+    """The row-based witness simplification that chamber leaves once ran,
+    kept as an oracle: the first q <= 64 whose rounding k = round(x * q)
+    (chambers._rounded) meets every row in integers, sum a_i k_i < b * q
+    (<= for closed rows), else the exact point itself.
+    """
+    nums = [(x.numerator, x.denominator) for x in point]
+    for q in range(1, 65):
+        ks = chambers._rounded(nums, q)
+        for coeffs, rhs, strict in ineqs:
+            lhs = sum(map(mul, coeffs, ks))
+            if lhs > rhs * q or (strict and lhs == rhs * q):
+                break
+        else:
+            return tuple(F(k, q) for k in ks)
+    return point
+
+
 def solve(nvars, constraints):
-    """A chamber leaf's witness path: solve exactly, simplify, rows as given.
+    """A witness path over any rows: solve exactly, simplify by the row
+    oracle, rows as given.
 
     None when the system is infeasible; a point found is checked against
     every row.
@@ -61,7 +86,7 @@ def solve(nvars, constraints):
     deep = feasible_point(rows, nvars)
     if deep is None:
         return None
-    pt = chambers._simplify_point(deep, rows)
+    pt = simplify_rows(deep, rows)
     for coeffs, rhs, strict in rows:
         lhs = sum(a * x for a, x in zip(coeffs, pt))
         assert lhs < rhs or (not strict and lhs == rhs), f"{pt} violates {coeffs}, {rhs}"
@@ -240,7 +265,8 @@ class TestIntegerKernel:
         c = Capacities(values)
         for u in enumerate_exceptional(len(values))[:12] + negative_wall_classes(len(values))[:12]:
             assert area(c, u) == u.degree_a - sum(x * r for x, r in zip(values, u.multiplicities))
-        assert c.volume_margin() == 1 - sum(x * x for x in values)
+        m, ks = c.scaled
+        assert F(scaled_volume_margin(m, ks), m * m) == 1 - sum(x * x for x in values)
 
     @pytest.mark.parametrize(
         "text,violator",
@@ -358,7 +384,7 @@ class TestCertificateOracle:
             if any(u.degree_a * m == sum(map(int.__mul__, u.multiplicities, ks))
                    for u in enumerate_exceptional(n) + negative_wall_classes(n) if u.degree_a):
                 seen["zero area"] += 1
-            if c.volume_margin() == 0:
+            if scaled_volume_margin(m, ks) == 0:
                 seen["zero volume"] += 1
         assert seen["admissible"] and seen["zero volume"], seen
         assert seen["volume"] if n == 1 else seen["class"] and seen["zero area"], seen
@@ -680,6 +706,19 @@ class TestWitnessQuality:
                 assert area(rec.witness, u) > 0
 
 
+def wall_ineq(w, positive):
+    """One side of wall w as the descent folds it: area > 0 is the strict
+    row r.c < a, area <= 0 the closed row -r.c <= -a."""
+    r, a = w.multiplicities, w.degree_a
+    return (tuple(r), a, True) if positive else (tuple(-x for x in r), -a, False)
+
+
+def z_row(ineq, n):
+    """The (z-row, rhs) that exactlp appends for one inequality, as tuples."""
+    a, b = exactlp.scaled_row(ineq, n)
+    return tuple(a), b
+
+
 class TestRowsAsGiven:
     # the root and the leaves hand the LP the admissibility and wall rows as
     # built: no row is constant and no two are positive multiples of each
@@ -693,7 +732,7 @@ class TestRowsAsGiven:
         for n, count in self.ROW_COUNTS.items():
             rows = chambers._admissibility_ineqs(n, boundary)
             rows += [
-                chambers._wall_ineq(w, positive)
+                wall_ineq(w, positive)
                 for w in negative_wall_classes(n)
                 for positive in (False, True)
             ]
@@ -782,7 +821,9 @@ class TestSortedConeRows:
 class TestLpPrecondition:
     # exactlp solves over x >= 0 and takes int rows only.  Chamber systems
     # meet both: the sorted cone's rows -c_n < 0 and c_{i+1} - c_i <= 0
-    # force every capacity positive, and every row folded is all ints
+    # force every capacity positive, and every row appended is all ints:
+    # an admissibility row of the mode, the strict row it relaxes, or one
+    # side of a wall
     @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_cone_rows_present_and_folded_rows_all_ints(self, n, boundary, monkeypatch):
@@ -791,17 +832,24 @@ class TestLpPrecondition:
         for i in range(n - 1):
             co = tuple(1 if j == i + 1 else -1 if j == i else 0 for j in range(n))
             assert (co, 0, False) in rows
-        folded, real = [], exactlp.scaled_row
+        appended, real = [], exactlp._Simplex.with_row
 
-        def recording(ineq, nvars):
-            folded.append(ineq)
-            return real(ineq, nvars)
+        def recording(lp, a, b):
+            appended.append((tuple(a), b))
+            return real(lp, a, b)
 
-        monkeypatch.setattr(exactlp, "scaled_row", recording)
-        monkeypatch.setattr(chambers, "scaled_row", recording)
+        monkeypatch.setattr(exactlp._Simplex, "with_row", recording)
         enumerate_chambers(n, boundary)
-        assert set(rows) <= set(folded)
-        assert all(type(x) is int for coeffs, rhs, _ in folded for x in (*coeffs, rhs))
+        strict = chambers._admissibility_ineqs(n, "strict")
+        admissibility = {z_row(row, n) for row in rows + strict}
+        sides = {
+            z_row(wall_ineq(w, positive), n)
+            for w in negative_wall_classes(n)
+            for positive in (False, True)
+        }
+        assert {z_row(row, n) for row in rows} <= set(appended)
+        assert set(appended) <= admissibility | sides
+        assert all(type(x) is int for a, b in appended for x in (*a, b))
 
 
 def holds(ineq, point):
@@ -858,7 +906,7 @@ class TestWarmDescent:
                 leaves.add(bits)
                 continue
             for positive in (False, True):
-                extra = chambers._wall_ineq(walls[len(bits)], positive)
+                extra = wall_ineq(walls[len(bits)], positive)
                 child_rows = rows + [extra]
                 before = len(pivots)
                 child = exactlp.interior_tableau([extra], n, tableau)
@@ -945,10 +993,25 @@ class TestWarmDescent:
     def test_lp_steps_pinned_and_wall_rows_built_once(self, monkeypatch):
         # n=3..5 in both modes: 663 appended rows (32 root rows, the 590 of
         # the 1,028 children that wall dominance leaves to the LP, 41 leaf
-        # rows) and 201 pivots.  Each call builds and
-        # scales the two sign rows of every wall once: 88 wall rows over the
-        # six calls, so 32 + 88 + 41 = 161 rows are scaled
+        # rows) and 201 pivots.  Only the 32 + 41 = 73 root and leaf rows
+        # pass scaled_row; each call builds the two sign rows of every wall
+        # once, so every child step appends one of those row objects: one
+        # object per wall side, and every side is appended, 88 over the six
+        # calls
         counts = Counter()
+        scaled, wall_rows = [], {}
+        real_scaled, real_with_row = exactlp.scaled_row, exactlp._Simplex.with_row
+
+        def scaling(ineq, nvars):
+            row = real_scaled(ineq, nvars)
+            scaled.append(row[0])
+            return row
+
+        def appending(lp, a, b):
+            counts["with_row"] += 1
+            if not any(a is row for row in scaled):
+                wall_rows.setdefault((tuple(a), b), set()).add(id(a))
+            return real_with_row(lp, a, b)
 
         def counting(name, real):
             def wrapper(*args):
@@ -958,19 +1021,21 @@ class TestWarmDescent:
             return wrapper
 
         monkeypatch.setattr(exactlp._Simplex, "_pivot", counting("pivot", exactlp._Simplex._pivot))
-        monkeypatch.setattr(
-            exactlp._Simplex, "with_row", counting("with_row", exactlp._Simplex.with_row)
-        )
-        monkeypatch.setattr(exactlp, "scaled_row", counting("scaled", exactlp.scaled_row))
-        monkeypatch.setattr(chambers, "scaled_row", exactlp.scaled_row)
-        monkeypatch.setattr(chambers, "_wall_ineq", counting("walls", chambers._wall_ineq))
+        monkeypatch.setattr(exactlp._Simplex, "with_row", appending)
+        monkeypatch.setattr(exactlp, "scaled_row", scaling)
         for n in (3, 4, 5):
             for boundary in ("strict", "inclusive"):
-                walls = counts["walls"]
                 enumerate_chambers(n, boundary)
-                assert counts["walls"] - walls == 2 * len(negative_wall_classes(n))
+                # the row objects of one call are alive together, so ids
+                # tell them apart
+                assert all(len(ids) == 1 for ids in wall_rows.values())
+                assert len(wall_rows) == 2 * len(negative_wall_classes(n))
+                counts["wall rows"] += len(wall_rows)
+                wall_rows.clear()
+                counts["scaled"] += len(scaled)
+                scaled.clear()
         assert (counts["with_row"], counts["pivot"]) == (663, 201)
-        assert (counts["walls"], counts["scaled"]) == (88, 161)
+        assert (counts["wall rows"], counts["scaled"]) == (88, 73)
 
     @pytest.mark.parametrize("n,boundary", sorted(TREE_SIZES))
     def test_dominance_skips_exactly_the_pruned_children(self, n, boundary, monkeypatch):
@@ -980,7 +1045,7 @@ class TestWarmDescent:
         walls = negative_wall_classes(n)
         order = chambers._wall_order(n)
         rows = [
-            [exactlp.scaled_row(chambers._wall_ineq(w, sign), n) for sign in (False, True)]
+            [exactlp.scaled_row(wall_ineq(w, sign), n) for sign in (False, True)]
             for w in walls
         ]
         pruned, skipped = set(), set()
@@ -1045,7 +1110,7 @@ class TestWallOrder:
 
 
 def simplify_reference(point, ineqs):
-    """_simplify_point as it was: round to Fractions, check them row by row."""
+    """simplify_rows over Fractions: round to Fractions, check them row by row."""
     for q in range(1, 65):
         cand = tuple(F(round(x * q), q) for x in point)
         if all(holds(row, cand) for row in ineqs):
@@ -1075,6 +1140,9 @@ def rows_around(rng, point, count, as_fractions):
 
 
 class TestSimplifyPoint:
+    # simplify_rows, the row oracle of TestWitnessRule, against its Fraction
+    # reference; and the integer rounding that both it and the witness rule
+    # read
     @pytest.mark.parametrize("as_fractions", [False, True])
     def test_matches_fraction_reference_on_random_points(self, as_fractions):
         rng = random.Random(5)
@@ -1083,7 +1151,7 @@ class TestSimplifyPoint:
             nvars = rng.randint(1, 4)
             point = tuple(F(rng.randint(-300, 300), rng.randint(1, 97)) for _ in range(nvars))
             rows = rows_around(rng, point, rng.randint(1, 5), as_fractions)
-            got = chambers._simplify_point(point, rows)
+            got = simplify_rows(point, rows)
             assert got == simplify_reference(point, rows)
             assert all(type(x) is F for x in got)
             winners.add("exact" if got is point else max(x.denominator for x in got))
@@ -1128,6 +1196,103 @@ class TestSimplifyPoint:
     def test_half_way_rounds_to_even(self):
         # 5/2 rounds to 2 at q=1, which the closed row x <= 2 admits;
         # rounding half up would give 3, and no q up to 64 would pass
-        assert chambers._simplify_point((F(5, 2),), [((1,), 2, False)]) == (F(2),)
-        assert chambers._simplify_point((F(7, 2),), [((1,), 4, False)]) == (F(4),)
-        assert chambers._simplify_point((F(-5, 2),), [((-1,), 2, False)]) == (F(-2),)
+        assert simplify_rows((F(5, 2),), [((1,), 2, False)]) == (F(2),)
+        assert simplify_rows((F(7, 2),), [((1,), 4, False)]) == (F(4),)
+        assert simplify_rows((F(-5, 2),), [((-1,), 2, False)]) == (F(-2),)
+        # the witness rule: 5/6 is 5/2 at q=3 and rounds to 2, and 2/3 is
+        # admissible; half up would give 3/3, on the volume bound, and then
+        # 3/4 at q=4
+        assert chambers._simplify_point((F(5, 6),), ()) == (F(2, 3),)
+
+
+def sorted_points(rng, count):
+    """Nonincreasing rational points with ties, some entries half way at a
+    q <= 64 (odd multiples of 1/(2q)), some negative."""
+    for _ in range(count):
+        entries = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.4:
+                entries.append(F(2 * rng.randint(-20, 60) + 1, 2 * rng.randint(1, 64)))
+            else:
+                entries.append(F(rng.randint(-50, 10**4), rng.randint(1, 10**3)))
+            if rng.random() < 0.3:
+                entries.append(entries[-1])
+        yield tuple(sorted(entries, reverse=True))
+
+
+class TestWitnessRule:
+    # a chamber witness is the first rounding of the leaf's LP point that
+    # the classifier itself admits: k_n > 0, _certified and the wall bits
+    # from _bits
+    def test_rounding_keeps_a_nonincreasing_point_nonincreasing(self):
+        # the witness rule tests no cone row: round() is monotone, ties
+        # included, so a sorted point stays sorted at every q
+        rng = random.Random(35)
+        ties = halves = 0
+        for point in sorted_points(rng, 300):
+            nums = [(x.numerator, x.denominator) for x in point]
+            ties += len(set(point)) < len(point)
+            for q in range(1, 65):
+                ks = chambers._rounded(nums, q)
+                assert ks == sorted(ks, reverse=True), (point, q)
+                halves += any((x * q).denominator == 2 for x in point)
+        assert ties > 50 and halves > 200
+
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    def test_every_witness_matches_the_row_oracle(self, boundary, monkeypatch):
+        # the row oracle over the strict admissibility rows and the leaf's
+        # wall sides, with the volume bound checked afterwards, picks the
+        # same witness as the classifier's rule, leaf by leaf, n = 1..5
+        calls, real = [], chambers._simplify_point
+
+        def recording(point, bits):
+            calls.append((point, bits, real(point, bits)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(chambers, "_simplify_point", recording)
+        for n in range(1, 6):
+            calls.clear()
+            records = enumerate_chambers(n, boundary)
+            walls, strict = negative_wall_classes(n), chambers._admissibility_ineqs(n, "strict")
+            assert sorted(bits for _, bits, _ in calls) == sorted(r.signature.bits for r in records)
+            for point, bits, got in calls:
+                rows = strict + [wall_ineq(w, bit) for w, bit in zip(walls, bits)]
+                want = simplify_rows(point, rows)
+                assert sum(x * x for x in want) < 1
+                assert got == want, (n, bits)
+            witnesses = {r.signature.bits: r.witness.values for r in records}
+            assert all(witnesses[bits] == got for _, bits, got in calls)
+
+    def test_wall_bits_reject_a_rounding(self):
+        # at q=3 the point rounds to (1, 1, 1)/3, admissible but on the wall
+        # L - E1 - E2 - E3, so its bit is False; q=4 keeps the bit True
+        point = (F(7, 20), F(3, 10), F(3, 10))
+        assert chambers._bits(3, [1, 1, 1], chambers._class_rows(3)[3]) == (False,)
+        assert chambers._certified(3, [1, 1, 1], chambers._class_rows(3)[1])
+        assert chambers._simplify_point(point, (True,)) == (F(1, 4),) * 3
+
+    def test_a_failing_exact_point_raises(self):
+        # c = 1 meets no volume bound at any q, the exact point included
+        with pytest.raises(ArithmeticError, match="volume bound"):
+            chambers._simplify_point((F(1),), ())
+
+    def test_classifier_and_witness_step_share_one_rule(self, monkeypatch):
+        # chamber_signature and every leaf read the wall bits from _bits and
+        # admissibility from _certified
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(chambers, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(chambers, name, wrapper)
+
+        counting("_bits")
+        counting("_certified")
+        chamber_signature(caps("2/5,2/5,3/10,1/5"))
+        assert calls == Counter(_bits=1, _certified=1)
+        records = enumerate_chambers(4)
+        assert calls["_bits"] >= 1 + len(records) and calls["_certified"] >= 1 + len(records)

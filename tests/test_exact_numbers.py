@@ -15,10 +15,10 @@ import pytest
 
 from cpstrata.ballmodels import CircleWeights
 from cpstrata.confgeom import ProjectivePoint, apply_pgl
-from cpstrata.dga import DgaSpec
+from cpstrata.dga import CohomologyReport, DgaSpec, cohomology_ranks
 from cpstrata.gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra
 from cpstrata.exactlp import scaled_row
-from cpstrata.kriz import KrizParams, relabeled_model
+from cpstrata.kriz import KrizParams, kriz_model, relabeled_model
 from cpstrata.lattice import Capacities, H2Element
 
 
@@ -36,6 +36,10 @@ numbers.Rational.register(Ratio)
 
 TORUS = GeneratorTable(("T1", "T2"), (2, 2))
 E1 = ProjectivePoint((1, 0, 0))
+# frames 0..4 built, so a value that equals a built degree meets the cache
+TORUS_ALGEBRA = PresentedAlgebra(TORUS, ())
+TORUS_ALGEBRA.graded_basis(4)
+TORUS_RANKS = CohomologyReport({0: 1, 1: 0, 2: 2}, 2)
 
 # (entry, name in messages, call on one value)
 RATIONAL_ENTRIES = [
@@ -56,6 +60,9 @@ INT_ENTRIES = [
     ("class-multiplicity", "class coefficient", lambda v: H2Element(1, (1, v))),
     ("lp-row-entry", "entry", lambda v: scaled_row(((1, v), 0, False), 2)),
     ("point-label", "point label", lambda v: relabeled_model(KrizParams(2, 2), [1, v])),
+    ("frame-degree", "degree", lambda v: TORUS_ALGEBRA.graded_basis(v)),
+    ("quotient-degree", "degree", lambda v: TORUS_ALGEBRA.quotient_dimension(v)),
+    ("rank-list-degree", "degree", lambda v: TORUS_RANKS.rank_list(v)),
 ]
 INEXACT = [("bool", True), ("float", 2.5), ("decimal", Decimal("0.5")), ("foreign-rational", Ratio(2))]
 # strings that Fraction and int() read but the gates refuse
@@ -81,3 +88,21 @@ def test_inexact_value_is_refused_naming_the_entry(call, what, value, error, rea
     with pytest.raises(error, match=rf"^{re.escape(f'{what} {value!r}')}.*{re.escape(reason)}$"):
         call(value)
 
+
+
+def test_degrees_equal_to_an_int_are_refused_on_kriz_2_3():
+    # True and 2.0 hash and compare as the frames 1 and 2 already built, and
+    # 40.0 lies past every frame: each is refused by name, not served from
+    # the frame cache or left to fail inside range()
+    D = kriz_model(KrizParams(2, 3))
+    report = cohomology_ranks(D)
+    algebra = D.algebra
+    assert algebra.graded_basis(2) is algebra.graded_basis(2)
+    for value in (True, 2.0):
+        with pytest.raises(TypeError, match=rf"^degree {value!r} is not an int$"):
+            algebra.graded_basis(value)
+    with pytest.raises(TypeError, match=r"^degree 40\.0 is not an int$"):
+        algebra.quotient_dimension(40.0)
+    with pytest.raises(TypeError, match=r"^degree True is not an int$"):
+        report.rank_list(True)
+    assert report.rank_list(1) == [1, 0]

@@ -11,6 +11,7 @@ import pytest
 from cpstrata import chambers, exactlp
 from cpstrata.exactlp import feasible_point, interior_tableau
 from cpstrata.lattice import negative_wall_classes
+from test_chambers import wall_ineq
 
 F = Fraction
 
@@ -884,7 +885,7 @@ def test_lockstep_with_full_dictionary_on_every_chamber_node(n, boundary, lockst
             assert pair is not None
             continue
         for positive in (False, True):
-            row = chambers._wall_ineq(walls[len(bits)], positive)
+            row = wall_ineq(walls[len(bits)], positive)
             child = lockstep.step(*pair, exactlp.scaled_row(row, n))
             if child is not None:
                 stack.append((bits + (positive,), child))

@@ -10,8 +10,9 @@ substitution constructions it replaced.
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -26,7 +27,7 @@ from cpstrata.dga import (
     differential,
     substitute,
 )
-from cpstrata.gradedalg import GPolynomial, PresentedAlgebra
+from cpstrata.gradedalg import GPolynomial, PresentedAlgebra, integer_row
 from cpstrata.kriz import (
     KrizParams,
     default_cap,
@@ -464,6 +465,56 @@ class TestClosedForms:
         top = 4 * m + 1
         rep = cohomology_ranks(kriz_model(KrizParams(m, 2), degree_cap=top))
         assert rep.rank_list() == padded(law, top)
+
+
+def point_permutation(table, k, sigma):
+    """The images of the generators of E(m, k) under the point permutation
+    a -> sigma[a - 1]: x_a -> x_sigma(a) and G_ab -> G_sigma(a)sigma(b)."""
+    s = dict(zip(range(1, k + 1), sigma))
+    images = {f"x{a}": GPolynomial.generator(table, f"x{s[a]}") for a in range(1, k + 1)}
+    for a, b in point_pairs(k):
+        images[g_name(a, b)] = GPolynomial.generator(table, g_name(s[a], s[b]))
+    return images
+
+
+class TestLefschetzNumbers:
+    """S_k acts freely on Conf_k(CP^m), so by the Hopf trace formula
+    L(sigma) = sum_q (-1)^q tr(sigma | A^q) is 0 for sigma != id, and
+    chi = (m+1)m...(m+2-k) for sigma = id.  Each trace is read from the
+    frames alone: sigma(mu) by dga.substitute for every standard monomial
+    mu, reduced to its normal form by the frame's residue, whose mu entry
+    is the diagonal entry.  This checks the frames and that sigma maps the
+    ideal into itself; it does not check the elimination."""
+
+    @pytest.mark.parametrize("m, k", [(1, 3), (1, 4), (2, 3), (2, 4), (3, 3)])
+    def test_lefschetz_numbers_at_cap_2mk(self, m, k):
+        top = 2 * m * k
+        A = kriz_model(KrizParams(m, k), degree_cap=top).algebra
+        table = A.table
+        # A is zero in the frames just above the cap, so the complex ends there
+        assert [A.quotient_dimension(q) for q in range(top + 1, top + 2 * m + 1)] == [0] * (2 * m)
+        rest = tuple(range(4, k + 1))
+        for sigma, law in [
+            ((1, 2, 3, *rest), prod(m + 1 - i for i in range(k))),
+            ((2, 1, 3, *rest), 0),
+            ((2, 3, 1, *rest), 0),
+        ]:
+            images = point_permutation(table, k, sigma)
+            assert all(A.ideal_member(substitute(r, images, table)) for r in A.relations)
+            lefschetz = 0
+            for q in range(top + 1):
+                frame, trace = A.graded_basis(q), Fraction(0)
+                for mono in frame.monomials:
+                    image = substitute(GPolynomial._wrap(table, {mono: Fraction(1)}), images, table)
+                    if image.is_zero:
+                        continue
+                    mult, row = integer_row(image.terms)
+                    den, normal = frame.reducer.residue(row)
+                    trace += Fraction(normal.get(mono, 0), den * mult)
+                if sigma[:2] == (1, 2):
+                    assert trace == frame.quotient_dimension
+                lefschetz += (-1) ** q * trace
+            assert lefschetz == law, sigma
 
 
 class TestLargeCaps:

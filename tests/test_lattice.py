@@ -335,6 +335,46 @@ class TestWallClasses:
         assert len(want) == count
         assert [u for u in negative_wall_classes(n) if intersection(u, u) == -2] == want
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_sphere_sweep_finds_no_class_outside_the_list(self, n):
+        """Every class aL - sum r_i E_i with 0 <= a <= 8, every r_i >= 0,
+        (a-1)(a-2) = sum r_i(r_i - 1) (genus 0 by adjunction) and square
+        <= -2 is a wall of the list up to permuting the E_i, or has a = 0.
+        A class with a = 0 is -sum r_i E_i with some r_i = 2: its area is
+        negative at every capacity vector, so it bounds no chamber.  The
+        sweep reaches every sorted shape of the list, so for a >= 1 the two
+        sets are equal.
+
+        Left unproved: classes with a > 8, classes with a negative
+        multiplicity, and classes that are not spheres, that is, that fail
+        the adjunction equation.
+        """
+
+        def multiplicities(slots, total, top):
+            # nonincreasing r of length slots, r_i <= top, sum r_i(r_i - 1) = total
+            if slots == 0:
+                if total == 0:
+                    yield ()
+                return
+            for r in range(top, -1, -1):
+                if r * (r - 1) <= total:
+                    for rest in multiplicities(slots - 1, total - r * (r - 1), r):
+                        yield (r, *rest)
+
+        listed = {
+            (u.degree_a, tuple(sorted(u.multiplicities, reverse=True)))
+            for u in negative_wall_classes(n)
+        }
+        swept = set()
+        for a in range(9):
+            for r in multiplicities(n, (a - 1) * (a - 2), 8):  # r(r - 1) <= 42 forces r <= 7
+                if a * a - sum(x * x for x in r) <= -2:
+                    swept.add((a, r))
+        spheres_of_degree_0 = {(a, r) for a, r in swept if a == 0}
+        assert all(r[0] == 2 and r.count(2) == 1 for _, r in spheres_of_degree_0)
+        assert len(spheres_of_degree_0) == n
+        assert swept - spheres_of_degree_0 == listed
+
     def test_n3_wall_is_outside_the_orbit_of_e1_minus_e2(self):
         # at n = 3 the roots are A_2 x A_1: the six E_i - E_j, and the
         # wall L - E1 - E2 - E3 with its negative, a second orbit

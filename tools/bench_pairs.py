@@ -6,8 +6,10 @@
 For each workload (all of BENCHMARK.json's, in its order, unless named),
 runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` from
 each checkout in turn, the parent first in even pairs and the change first
-in odd ones, with T the change's ``run_seconds``.  Give the two checkouts
-paths of equal length: peak RSS moves with the path.  Writes the
+in odd ones, with T the change's ``run_seconds``.  The two checkouts'
+resolved paths must be of equal length, since peak RSS moves with the
+path, and --pairs must be 2 or more; either is refused before any run
+starts.  Writes the
 ``end_to_end``, ``failures``, ``src_lines`` and ``method`` blocks of the
 BENCH file; any other key an existing --out file holds is kept.
 """
@@ -67,7 +69,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
@@ -75,8 +77,15 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be 2 or more, got {args.pairs}: quartiles need two runs per side")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(checkouts["parent"])) != len(str(checkouts["change"])):
+        parser.error(
+            f"resolved paths of unequal length, {checkouts['parent']} and {checkouts['change']}: "
+            "peak RSS moves with the path"
+        )
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
