@@ -14,9 +14,11 @@ verify_presentation decides coboundary membership inside the boundaries
 the ranks were read from, so it cannot disagree with the ranks.
 
 d(f) modulo the ideal has one route, _d_residue: the integer terms of d
-summed over those of f and reduced in the frame one degree up, unless every
-monomial of the image is standard there already (a set test), when the
-image is its own residue.  The columns of d take it, one monomial each,
+summed over those of f, taken to the frame one degree up.  When that frame
+is monomial (groebner: every basis element up to its degree is one term)
+the image is restricted to the standard monomials; otherwise it is its own
+residue when every monomial is standard there already (a set test), and
+is reduced when not.  The columns of d take it, one monomial each,
 and so do the checks that d^2 = 0 and d(I) is in I, which run before every
 cohomology computation and raise DifferentialError naming the failing
 generator or relation, and the cocycle test of a presentation.  A closed
@@ -189,8 +191,12 @@ def _d_residue(
     The columns of d pass their target; the checks and the cocycle test
     leave it to be looked up from the image, so a zero d(f) builds no
     frame.  A monomial's image comes fresh from _monomial_differential, not
-    copied through _d_sum, and an image whose monomials are all standard in
-    the target (a set test) is its own residue, returned unreduced.
+    copied through _d_sum.  On a monomial target, whose echelon rows are all
+    {mu: 1}, the residue is the image restricted to the standard monomials,
+    with no reduction: the image is fresh, so its other entries are deleted
+    in place rather than copied around.  Elsewhere an image whose monomials
+    are all standard (a set test) is its own residue, returned unreduced,
+    and any other is reduced.
     """
     image = _monomial_differential(D, f) if type(f) is int else _d_sum(D, f)
     if not image:
@@ -198,7 +204,13 @@ def _d_residue(
     if target is None:
         target = D.algebra.graded_basis(D.table.monomial_degree(next(iter(image))))
     # a frame's reducer rows (groebner._Ideal) hold its standard monomials
-    if target.reducer.rows.standard.issuperset(image):
+    rows = target.reducer.rows
+    standard = rows.standard
+    if rows.monomial:  # every echelon row is {mu: 1}: restrict, not reduce
+        for m in image.keys() - standard:
+            del image[m]
+        return 1, image
+    if standard.issuperset(image):
         return 1, image
     return target.reducer.residue(image)
 

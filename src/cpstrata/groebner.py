@@ -25,6 +25,14 @@ use from the first basis element g whose leading monomial divides mu.  The
 choice of g changes only intermediate integers: the standard monomials and
 every residue depend only on the ideal and the order.  So a frame, once
 built, reads only its own standard set and the basis, never another frame.
+
+A finished frame also records whether every basis element of degree at
+most q is a single term.  Elements of higher degree divide no degree-q
+monomial, so the flag is exact when it is set: every echelon row of the
+frame is {mu: 1}, and a normal form there is the polynomial restricted to
+the standard monomials (Cox, Little and O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2 section 4).  The wedge algebras of the circle models,
+whose relations are products T_i*T_j, flag every frame.
 """
 
 from __future__ import annotations
@@ -95,14 +103,15 @@ class _Ideal(dict):
     an ideal monomial mu is the first basis element whose leading monomial
     divides mu, times the quotient: a leading monomial's last generator
     divides mu, so only the buckets of mu's generators are scanned, and then
-    the unit ideal's, whose leading monomial 1 has no generator.
+    the unit ideal's, whose leading monomial 1 has no generator.  monomial
+    is set when the frame is finished: every row is then one monomial.
     """
 
-    __slots__ = ("basis", "standard")
+    __slots__ = ("basis", "standard", "monomial")
 
     def __init__(self, basis: "GroebnerBasis", standard: set):
         super().__init__()
-        self.basis, self.standard = basis, standard
+        self.basis, self.standard, self.monomial = basis, standard, False
 
     def __contains__(self, mu) -> bool:
         return mu not in self.standard
@@ -129,6 +138,7 @@ class GroebnerBasis:
     else element j times the power of generator ~k that kills its leading
     monomial.  _by_last holds the elements again, by the last generator of
     their leading monomial, with the extra bucket -1 for leading monomial 1.
+    monomial is cleared when an element of more than one term is adjoined.
     Nothing here refers to a frame, so the frames, which refer to the
     basis, make no cycle.
     """
@@ -136,6 +146,7 @@ class GroebnerBasis:
     def __init__(self, table: GeneratorTable, relations: Iterable[GPolynomial]):
         self.table = table
         self.elements: list[tuple[int, Terms]] = []
+        self.monomial = True
         self._exponents: list[Monomial] = []  # the elements' leading monomials, unpacked
         # degree -> integer terms of the input relations of that degree
         self._relations: dict[int, list] = {}
@@ -185,6 +196,7 @@ class GroebnerBasis:
                 rows[p] = r
                 standard.discard(p)
                 self._adjoin(q, p, tuple(r.items()))
+        rows.monomial = self.monomial
         monomials = tuple(sorted(standard))
         return GradedBasis(q, monomials, self._ambient_count(q) - len(monomials), reducer)
 
@@ -221,6 +233,8 @@ class GroebnerBasis:
         syzygies."""
         table = self.table
         k = len(self.elements)
+        if len(terms) > 1:
+            self.monomial = False
         exponents = table._unpack(lm)
         # every lcm lies above q: no earlier leading monomial divides lm
         for j, other in enumerate(self._exponents):

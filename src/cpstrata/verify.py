@@ -5,10 +5,14 @@ expected and computed values as plain strings so reports serialize
 reproducibly; wall-clock timings are kept off to the side and never
 take part in report comparison.  A value that several checks of one
 suite read is computed once, by a functools.cache thunk made inside the
-suite function, so nothing is shared across suites or runs; a raised
-exception is not cached, so every check that reads a failing value
-reports the same error.  The suite names are part of the
-command-line surface: chambers, thm13, eq71, eq75, ab-iso, kriz, conf.
+suite function.  Cohomology ranks are read through Recorder.ranks, which
+solves each distinct DGA once per run: run_suites("all") hands one dict
+of reports to every suite, so the suites of one run share them, and
+nothing is kept across runs.  Only reports are kept, never a model or an
+algebra.  A raised exception is cached nowhere, so every check that
+reads a failing value reports the same error.  The suite names are part
+of the command-line surface: chambers, thm13, eq71, eq75, ab-iso, kriz,
+conf.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
+from typing import Optional
 
 from . import ballmodels
 from .chambers import chamber_label, enumerate_chambers
 from .confgeom import ProjectivePoint, _det3, apply_pgl, collinear, cross_ratio, stratum
-from .dga import cohomology_ranks, verify_presentation
+from .dga import CohomologyReport, DgaSpec, cohomology_ranks, verify_presentation
 from .kriz import KrizParams, kriz_model, relabeled_model
 from .lattice import Capacities, enumerate_exceptional, negative_wall_classes
 
@@ -90,8 +95,21 @@ def _text(value) -> str:
 
 
 class Recorder:
-    def __init__(self) -> None:
+    """The checks of one suite, in order, and the cohomology reports of its
+    run by DGA, a dict that the suites of one run may share."""
+
+    def __init__(self, reports: Optional[dict] = None) -> None:
         self.checks: list[Check] = []
+        self.reports = {} if reports is None else reports
+
+    def ranks(self, D: DgaSpec) -> CohomologyReport:
+        """cohomology_ranks(D), solved once per run for equal generators,
+        relations, values and cap; a raised exception is not kept."""
+        key = (D.table, D.algebra.relations, tuple(sorted(D.values.items())), D.degree_cap)
+        report = self.reports.get(key)
+        if report is None:
+            report = self.reports[key] = cohomology_ranks(D)
+        return report
 
     def check(self, name: str, expected, thunk) -> None:
         start = time.perf_counter()
@@ -146,7 +164,7 @@ def suite_thm13(rec: Recorder) -> None:
         rec.check(
             f"rank table ({n}, {label})",
             row,
-            lambda: cohomology_ranks(model()).rank_list(9),
+            lambda: rec.ranks(model()).rank_list(9),
         )
         rec.check(
             f"presentation check ({n}, {label})",
@@ -156,7 +174,7 @@ def suite_thm13(rec: Recorder) -> None:
     rec.check(
         "rank table (4, C_5) through cap 14",
         CONF4_ROW,
-        lambda: cohomology_ranks(ballmodels.iemb_model(4, "C_5")).rank_list(),
+        lambda: rec.ranks(ballmodels.iemb_model(4, "C_5")).rank_list(),
     )
     for r in (1, 2, 3, 4):
         sets = [pool[:r] for pool in _WEIGHT_POOLS]
@@ -164,7 +182,7 @@ def suite_thm13(rec: Recorder) -> None:
             f"weight independence C_{r} across three weight sets",
             True,
             lambda r=r, s=sets: ballmodels.weight_independence_check(
-                4, f"C_{r}", s
+                4, f"C_{r}", s, rec.ranks
             ),
         )
 
@@ -189,7 +207,7 @@ def suite_eq71(rec: Recorder) -> None:
 
 
 def suite_eq75(rec: Recorder) -> None:
-    ranks = cache(lambda: cohomology_ranks(kriz_model(KrizParams(2, 4))))
+    ranks = cache(lambda: rec.ranks(kriz_model(KrizParams(2, 4))))
     rec.check(
         "four-point configuration ranks at cap 14",
         CONF4_ROW,
@@ -227,34 +245,34 @@ def suite_ab_iso(rec: Recorder) -> None:
 
 
 def suite_kriz(rec: Recorder) -> None:
-    conf3 = cache(lambda: cohomology_ranks(kriz_model(KrizParams(2, 3))))
+    conf3 = cache(lambda: rec.ranks(kriz_model(KrizParams(2, 3))))
     rec.check("three-point configuration ranks", CONF3_ROW, lambda: conf3().rank_list())
     for w in SMALL_BALL_WEIGHTS:
         rec.check(
             f"three small balls match the configuration ranks, weight {w}",
             CONF3_ROW,
-            lambda w=w: cohomology_ranks(
+            lambda w=w: rec.ranks(
                 ballmodels.iemb_model(3, "small", [w])
             ).rank_list(10),
         )
     rec.check(
         "two-point configuration ranks (surface case m=2)",
         FLAG_ROW,
-        lambda: cohomology_ranks(kriz_model(KrizParams(2, 2))).rank_list(),
+        lambda: rec.ranks(kriz_model(KrizParams(2, 2))).rank_list(),
     )
     for m in (1, 2, 3):
         want = [1 if q % 2 == 0 and q <= 2 * m else 0 for q in range(11)]
         rec.check(
             f"one-point model reproduces projective {m}-space",
             want,
-            lambda m=m: cohomology_ranks(
+            lambda m=m: rec.ranks(
                 kriz_model(KrizParams(m, 1), degree_cap=10)
             ).rank_list(),
         )
     def relabel3() -> bool:
         base = conf3().ranks
         for perm in permutations((1, 2, 3)):
-            moved = cohomology_ranks(relabeled_model(KrizParams(2, 3), perm))
+            moved = rec.ranks(relabeled_model(KrizParams(2, 3), perm))
             if moved.ranks != base:
                 return False
         return True
@@ -262,11 +280,11 @@ def suite_kriz(rec: Recorder) -> None:
     rec.check("relabeling invariance, three points, all 6 orders", True, relabel3)
 
     def relabel4() -> bool:
-        base = cohomology_ranks(
+        base = rec.ranks(
             kriz_model(KrizParams(2, 4), degree_cap=8)
         ).ranks
         for perm in ((2, 1, 3, 4), (4, 3, 2, 1), (2, 3, 4, 1)):
-            moved = cohomology_ranks(
+            moved = rec.ranks(
                 relabeled_model(KrizParams(2, 4), perm, degree_cap=8)
             )
             if moved.ranks != base:
@@ -387,7 +405,9 @@ class SuiteReport:
         return sum(c.seconds for c in self.checks)
 
 
-def run_suite(name: str) -> SuiteReport:
+def run_suite(name: str, reports: Optional[dict] = None) -> SuiteReport:
+    """Run one suite; reports is the dict of cohomology reports it may
+    share with the other suites of its run (a fresh one when None)."""
     try:
         fn = SUITES[name]
     except KeyError:
@@ -395,14 +415,15 @@ def run_suite(name: str) -> SuiteReport:
             f"unknown suite {name!r}; choose from "
             + ", ".join(sorted(SUITES) + ["all"])
         ) from None
-    rec = Recorder()
+    rec = Recorder(reports)
     fn(rec)
     return SuiteReport(name, tuple(rec.checks))
 
 
 def run_suites(name: str) -> list[SuiteReport]:
     if name == "all":
-        return [run_suite(s) for s in sorted(SUITES)]
+        reports: dict = {}  # shared by the suites of this run, and dropped with it
+        return [run_suite(s, reports) for s in sorted(SUITES)]
     return [run_suite(name)]
 
 

@@ -17,7 +17,24 @@ def test_summary_of_fixed_runs():
         "change": {"median": 2.5, "q1": 2.0, "q3": 3.0, "iqr": 1.0, "runs": change},
         "change_lower_pairs": "3/5",
         "median_change_pct": -16.67,
+        "meets_gain_rule": False,
     }
+
+
+@pytest.mark.parametrize(
+    "deltas,meets",
+    [
+        ([-0.5] * 10, True),  # lower in 10/10, the median 0.5 below
+        ([-0.5] * 9 + [0.1], True),  # lower in 9/10 still counts
+        ([-0.5] * 8 + [0.1] * 2, False),  # lower in 8/10 does not
+        ([-0.4] * 10, False),  # lower in 10/10, by less than the parent's IQR
+    ],
+)
+def test_gain_rule(deltas, meets):
+    parent = [4.0, 4.1, 4.2, 4.3, 4.4, 4.5, 4.6, 4.7, 4.8, 4.9]
+    summary = bench_pairs.summarize(parent, [p + d for p, d in zip(parent, deltas)])
+    assert summary["parent"]["iqr"] == 0.45
+    assert summary["meets_gain_rule"] is meets
 
 
 def test_ties_count_for_neither_side_and_values_round_to_five_places():

@@ -571,7 +571,10 @@ class TestVerify:
         assert "4/4 checks passed" in out
 
     def test_json_report_shape(self, capsys):
-        for suite in ("eq75", "ab-iso"):
+        # each suite run alone, with no report shared, gives its entry of
+        # the whole run's payload
+        assert set(VERIFY_ALL["suites"]) == set(verify.SUITES)
+        for suite in sorted(verify.SUITES):
             code, out, err = run(capsys, "verify", suite, "--json")
             assert code == 0
             payload = json.loads(out)
@@ -580,6 +583,37 @@ class TestVerify:
             assert set(payload["suites"]) == {suite}
             assert "timings" in payload
             assert payload["suites"][suite] == VERIFY_ALL["suites"][suite]
+
+    def test_each_distinct_dga_is_solved_once_per_run(self, monkeypatch):
+        keys = []
+        original = verify.cohomology_ranks
+
+        def counted(D):
+            keys.append((D.table, D.algebra.relations, tuple(sorted(D.values.items())), D.degree_cap))
+            return original(D)
+
+        monkeypatch.setattr(verify, "cohomology_ranks", counted)
+        reports = verify.run_suites("all")
+        # 42 solves of these 34 DGAs when each suite solved its own
+        assert len(keys) == len(set(keys)) == 34
+        assert all(r.passed for r in reports)
+        verify.run_suites("all")  # nothing is kept across runs
+        assert len(keys) == 68
+
+    def test_a_failed_solve_is_not_kept(self, monkeypatch):
+        calls = []
+
+        def broken(D):
+            calls.append(D)
+            raise RuntimeError("no ranks today")
+
+        monkeypatch.setattr(verify, "cohomology_ranks", broken)
+        rec = verify.Recorder()
+        D = kriz_model(KrizParams(1, 1))
+        for _ in range(2):
+            rec.check("ranks", [1], lambda: rec.ranks(D).rank_list(0))
+        assert len(calls) == 2 and not rec.reports
+        assert {c.computed for c in rec.checks} == {"error: RuntimeError: no ranks today"}
 
     def test_ab_iso_check_runs_once_per_suite(self, monkeypatch):
         calls = []

@@ -73,6 +73,17 @@ def two_circle_wedge_model():
     )
 
 
+def monomial_then_binomial_model():
+    # T1*T2 in degree 4 and T1^3 - T2^3 in degree 6, the T_i closed: the
+    # frames below degree 6 are monomial, those from 6 on are not
+    table = GeneratorTable(names=("T1", "T2", "beta", "gamma"), degrees=(2, 2, 3, 5))
+    return DgaSpec(
+        PresentedAlgebra(table, (P(table, "T1*T2"), P(table, "T1^3 - T2^3"))),
+        {"beta": P(table, "T1^2 + 2*T2^2"), "gamma": P(table, "T2^3")},
+        degree_cap=10,
+    )
+
+
 def two_point_model():
     # two planar points: nilpotent even generators, one odd connecting class
     table = GeneratorTable(
@@ -393,6 +404,7 @@ ONE_PATH_MODELS = {
         for k in (1, 2, 3, 4)
     },
     "flag": flag_model,
+    "monomial then binomial": monomial_then_binomial_model,
     "two-circle wedge": two_circle_wedge_model,
     "two-point": two_point_model,
 }
@@ -426,6 +438,33 @@ class TestOnePath:
                 table, [(m, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))) for m in picks]
             )
             assert one_path_residue(D, p) == reference_residue(D, p), p.to_text()
+
+    @pytest.mark.parametrize(
+        "build,flags",
+        [
+            (monomial_then_binomial_model, [True] * 6 + [False] * 6),
+            (lambda: kriz_model(KrizParams(2, 3)), [True] * 5 + [False] * 7),
+            (lambda: iemb_model(4, "C_4"), [True] * 14),
+        ],
+        ids=["monomial then binomial", "kriz(2,3)", "iemb(4,C_4)"],
+    )
+    def test_monomial_frames_restrict_and_the_others_reduce(self, build, flags, monkeypatch):
+        # a frame is flagged while every basis element up to its degree is
+        # one term; with every frame built ahead, the solve reduces only in
+        # the frames that are not
+        D = build()
+        assert [D.algebra.graded_basis(q).reducer.rows.monomial for q in range(D.degree_cap + 2)] == flags
+        reduced = []
+        residue = SparseReducer.residue
+
+        def counted(reducer, row):
+            reduced.append(reducer.rows.monomial)
+            return residue(reducer, row)
+
+        monkeypatch.setattr(SparseReducer, "residue", counted)
+        cohomology_ranks(D)
+        assert True not in reduced
+        assert bool(reduced) == (False in flags)
 
     def test_random_images_reach_nonzero_residues(self):
         D = flag_model()

@@ -657,7 +657,9 @@ def test_rows_built_and_divisibility_tests(monkeypatch):
         cohomology_ranks(D)
         seen.append(dict(counts))
         counts.update(rows=0, tests=0)
-    assert seen == [{"rows": 305, "tests": 631}, {"rows": 149, "tests": 343}]
+    # the circle model's frames are monomial: its columns restrict and build
+    # no row, and only the Buchberger pass of its completion looks one up
+    assert seen == [{"rows": 305, "tests": 631}, {"rows": 5, "tests": 7}]
 
 
 # ------------------------------------------------ packed fields and frames

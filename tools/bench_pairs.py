@@ -11,7 +11,10 @@ resolved paths must be of equal length, since peak RSS moves with the
 path, and --pairs must be 2 or more; either is refused before any run
 starts.  Writes the
 ``end_to_end``, ``failures``, ``src_lines`` and ``method`` blocks of the
-BENCH file; any other key an existing --out file holds is kept.
+BENCH file; any other key an existing --out file holds is kept.  Each
+metric's ``meets_gain_rule`` is true when the change read lower in at
+least 9/10 of the pairs and its median is lower than the parent's by
+more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -39,18 +42,22 @@ def side_summary(runs: list[float]) -> dict:
 
 
 def summarize(parent: list[float], change: list[float]) -> dict:
-    """One metric of one workload over pairs run in order: each side's
-    summary, the pairs in which the change read lower (a tie counts for
-    neither side) and the change of the median in percent."""
+    """One metric of one workload over pairs run in order, lower being
+    better: each side's summary, the pairs in which the change read lower
+    (a tie counts for neither side), the change of the median in percent,
+    and whether that is a gain: lower in at least 9/10 of the pairs, with
+    the median lower by more than the parent's interquartile range."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two or more pairs, one run per side each")
     lower = sum(c < p for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     return {
         "parent": side_summary(parent),
         "change": side_summary(change),
         "change_lower_pairs": f"{lower}/{len(parent)}",
         "median_change_pct": round(100 * (c_med - p_med) / p_med, 2),
+        "meets_gain_rule": 10 * lower >= 9 * len(parent) and p_med - c_med > q3 - q1,
     }
 
 
