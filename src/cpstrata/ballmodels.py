@@ -26,22 +26,21 @@ the torus (degree 7, with relations eta*T1, eta*T2); a torus with no free
 circle has no eta.
 
 This module builds those models, the frozen presentations their
-cohomology is checked against, the stabilizer cohomology rings, the
-weight-independence sweep, and the comparison of the three-small-balls
-answer with the Ashraf-Berceanu presentation of the configuration space
-of three points.
+cohomology is checked against, the stabilizer cohomology rings, and the
+map of the Ashraf-Berceanu ring of three points in the plane onto the
+three-small-balls answer, which dga.verify_presentation checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .dga import CohomologyReport, DgaSpec, cohomology_ranks, substitute
+from .dga import DgaSpec, VerificationReport, substitute, verify_presentation
 from .gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra, SparseReducer, integer_row
 from .kriz import KrizParams, kriz_model
 from .lattice import exact_ints
@@ -344,27 +343,7 @@ def iemb_presentation(
 
 
 # ---------------------------------------------------------------------------
-# Verification sweeps
-
-def weight_independence_check(
-    n: int,
-    chamber: str,
-    weight_sets: Sequence[WeightsLike],
-    solve: Optional[Callable[[DgaSpec], CohomologyReport]] = None,
-) -> bool:
-    """True iff the cohomology ranks agree across all given weight sets;
-    solve gives the ranks of a model, cohomology_ranks when None."""
-    if len(weight_sets) < 2:
-        raise ValueError("weight independence needs at least two weight sets")
-    reference: Optional[list[int]] = None
-    for w in weight_sets:
-        ranks = (solve or cohomology_ranks)(iemb_model(n, chamber, w)).ranks
-        if reference is None:
-            reference = ranks
-        elif ranks != reference:
-            return False
-    return True
-
+# The Ashraf-Berceanu ring
 
 def ab_presentation() -> PresentedAlgebra:
     """The Ashraf-Berceanu ring of three points in the projective plane."""
@@ -380,26 +359,18 @@ def ab_presentation() -> PresentedAlgebra:
     return PresentedAlgebra(table, relations)
 
 
-@dataclass(frozen=True)
-class AbIsoReport:
-    ok: bool
-    source_dims: tuple[int, ...]
-    target_dims: tuple[int, ...]
-    images: tuple[tuple[str, str], ...]
-    failures: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def ab_isomorphism_check() -> AbIsoReport:
+def ab_isomorphism_check() -> tuple[VerificationReport, tuple[tuple[str, str], ...]]:
     """Map the three-point configuration ring onto the small-balls answer.
 
     Uses the weight pair (1, 1) for the third circle, the one case where
-    the rescaling constant sqrt(m3 / 3) is rational (namely 1).  Checks
-    that every source relation maps into the target ideal, that the
-    degree-2 images span, and that the graded dimensions agree through
-    degree 12, which together force a ring isomorphism.
+    the rescaling constant sqrt(m3 / 3) is rational (namely 1).  The
+    target ring is a DGA with d = 0 and cap 12, so verify_presentation
+    checks that every source relation maps into the target ideal and that
+    the graded dimensions agree through degree 12.  The three degree-2
+    images must also span: verify_presentation has no injectivity test,
+    and the span is what makes the map onto, which with equal dimensions
+    forces a ring isomorphism.  Returns the report and, per source
+    relation, the texts of the relation and its image.
     """
     source = ab_presentation()
     target, _ = iemb_presentation(3, "small", [(1, 1)])
@@ -411,35 +382,13 @@ def ab_isomorphism_check() -> AbIsoReport:
         "alpha3": -t1 - t2 + t3,
         "zeta": eta,
     }
-
-    failures: list[str] = []
-    image_pairs: list[tuple[str, str]] = []
-    for rel in source.relations:
-        img = substitute(rel, images, tt)
-        image_pairs.append((rel.to_text(), img.to_text()))
-        if not target.ideal_member(img):
-            failures.append(
-                f"image of {rel.to_text()} is not a target ideal member"
-            )
-
-    # The three degree-2 images must span the degree-2 part.
+    report = verify_presentation(DgaSpec(target, {}, 12), source, images)
     span = SparseReducer()
     for name in ("alpha1", "alpha2", "alpha3"):
         span.insert(integer_row(images[name].terms)[1])
     if span.rank != 3:
-        failures.append("degree-2 images do not span")
-
-    source_dims = tuple(source.quotient_dimension(q) for q in range(13))
-    target_dims = tuple(target.quotient_dimension(q) for q in range(13))
-    if source_dims != target_dims:
-        failures.append(
-            f"graded dimensions differ: {list(source_dims)} vs {list(target_dims)}"
-        )
-
-    return AbIsoReport(
-        ok=not failures,
-        source_dims=source_dims,
-        target_dims=target_dims,
-        images=tuple(image_pairs),
-        failures=tuple(failures),
+        report = replace(report, ok=False, failures=report.failures + ("degree-2 images do not span",))
+    texts = tuple(
+        (rel.to_text(), substitute(rel, images, tt).to_text()) for rel in source.relations
     )
+    return report, texts

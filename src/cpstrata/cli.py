@@ -175,7 +175,7 @@ def _cmd_chamber_enumerate(args) -> int:
     }
     lines = [f"{len(records)} chambers at n={args.n} ({args.boundary} boundary)"]
     lines += [
-        f"  {r.to_json_dict()['bits']}  {r.label or '-'}  witness "
+        f"  {r.signature.bit_string()}  {r.label or '-'}  witness "
         + ",".join(r.witness.to_json_list())
         for r in records
     ]

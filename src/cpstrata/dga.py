@@ -503,11 +503,15 @@ def verify_presentation(
     P: PresentedAlgebra,
     gen_map: Mapping[str, GPolynomial],
 ) -> VerificationReport:
-    """Certify that P presents the cohomology ring of D up to the cap.
+    """Check the generator map gen_map from P into D up to the cap.
 
-    Passes iff every generator of P maps to a cocycle of its own degree,
-    every relation of P maps into im(d) + ideal, and the graded dimensions
-    of P agree with the computed ranks degree by degree.
+    Passes iff every generator of P maps to a cocycle of its own degree
+    (or to zero), every relation of P maps into im(d) + ideal, and the
+    graded dimensions of P equal the ranks of D degree by degree.  So the
+    map induces a ring map P -> H*(D) between spaces of equal dimensions;
+    nothing tests that it is injective, and a zero generator map passes
+    whenever the dimensions agree.  With d = 0, im(d) + ideal is the
+    ideal of D and the ranks are the dimensions of its quotient.
     """
     failures: list[str] = []
     table = P.table

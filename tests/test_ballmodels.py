@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from cpstrata import ballmodels, dga, groebner
 from cpstrata.ballmodels import (
-    AbIsoReport,
     CircleWeights,
     ab_isomorphism_check,
     ab_presentation,
@@ -23,10 +22,10 @@ from cpstrata.ballmodels import (
     free_weight_count,
     iemb_model,
     iemb_presentation,
-    weight_independence_check,
 )
 from cpstrata.dga import (
     DgaSpec,
+    VerificationReport,
     _QuotientDifferential,
     cohomology_ranks,
     cohomology_representatives,
@@ -36,6 +35,7 @@ from cpstrata.dga import (
 )
 from cpstrata.gradedalg import GeneratorTable, GPolynomial, PresentedAlgebra, SparseReducer
 from cpstrata.kriz import KrizParams, kriz_model, relabeled_model
+from cpstrata.verify import Recorder
 from polytext import P
 from test_monomial_kernel import reference_monomials
 
@@ -356,25 +356,30 @@ class TestBstabPresentation:
         }
 
 
+def same_ranks(n, chamber, sets):
+    """Recorder.same_ranks over the models of one chamber, one per weight set."""
+    return Recorder().same_ranks(iemb_model(n, chamber, w) for w in sets)
+
+
 class TestWeightIndependence:
     def test_small_three_balls_sweep(self):
         sets = [[(1, 0)], [(1, 1)], [(2, -1)], [(3, 5)]]
-        assert weight_independence_check(3, "small", sets) is True
+        assert same_ranks(3, "small", sets) is True
 
     def test_one_circle_chamber_sweep(self):
         sets = [[(1, 0)], [(1, 1)], [(5, 2)]]
-        assert weight_independence_check(4, "C_1", sets) is True
+        assert same_ranks(4, "C_1", sets) is True
         for w in sets:
             ranks = cohomology_ranks(iemb_model(4, "C_1", w)).rank_list(7)
             assert ranks == [1, 0, 1, 0, 0, 1, 0, 1]
 
     def test_two_circle_chamber_sweep(self):
         sets = [[(1, 1), (1, 1)], [(1, 0), (0, 1)], [(2, 1), (1, -3)]]
-        assert weight_independence_check(4, "C_2", sets) is True
+        assert same_ranks(4, "C_2", sets) is True
 
-    def test_needs_two_sets(self):
-        with pytest.raises(ValueError):
-            weight_independence_check(4, "C_1", [[(1, 1)]])
+    def test_fewer_than_two_models_agree_vacuously(self):
+        assert same_ranks(4, "C_1", [[(1, 1)]]) is True
+        assert same_ranks(4, "C_1", []) is True
 
     @given(
         a=st.integers(min_value=-4, max_value=4),
@@ -695,17 +700,19 @@ class TestAbIsomorphism:
         assert dims == CONF3_DIMS
 
     def test_check_passes(self):
-        report = ab_isomorphism_check()
-        assert isinstance(report, AbIsoReport)
+        report, _ = ab_isomorphism_check()
+        assert isinstance(report, VerificationReport)
         assert bool(report) is True
         assert report.failures == ()
-        assert list(report.source_dims[:10]) == CONF3_DIMS
-        assert report.source_dims == report.target_dims
+        # (degree, source dim, target dim) through the cap 12
+        assert [q for q, _, _ in report.dims] == list(range(13))
+        assert [dp for _, dp, _ in report.dims[:10]] == CONF3_DIMS
+        assert all(dp == dt for _, dp, dt in report.dims)
 
     def test_quadratic_relation_image(self):
-        report = ab_isomorphism_check()
+        _, texts = ab_isomorphism_check()
         target, _ = iemb_presentation(3, "small", [(1, 1)])
-        images = dict(report.images)
+        images = dict(texts)
         key = "alpha1^2 + alpha1*alpha2 + alpha2^2"
         assert key in images
         got = P(target.table, images[key])
@@ -717,9 +724,9 @@ class TestAbIsomorphism:
         assert target.ideal_member(got)
 
     def test_zeta_relation_image(self):
-        report = ab_isomorphism_check()
+        _, texts = ab_isomorphism_check()
         target, _ = iemb_presentation(3, "small", [(1, 1)])
-        images = dict(report.images)
+        images = dict(texts)
         key = "alpha1*zeta - alpha2*zeta"
         got = P(target.table, images[key])
         want = P(target.table, "T1*eta - T2*eta")
@@ -727,11 +734,33 @@ class TestAbIsomorphism:
         assert target.ideal_member(got)
 
     def test_all_seven_images_are_ideal_members(self):
-        report = ab_isomorphism_check()
+        _, texts = ab_isomorphism_check()
         target, _ = iemb_presentation(3, "small", [(1, 1)])
-        assert len(report.images) == 7
-        for _, image_text in report.images:
+        assert [rel for rel, _ in texts] == [r.to_text() for r in ab_presentation().relations]
+        for _, image_text in texts:
             assert target.ideal_member(P(target.table, image_text))
+
+    def test_wrong_image_fails_naming_the_relation(self):
+        # alpha1 -> T1: alpha1^2 + alpha1*alpha2 + alpha2^2 goes to -2*T3^2
+        # modulo the target ideal, and T3^2 is no member
+        target, _ = iemb_presentation(3, "small", [(1, 1)])
+        tt = target.table
+        t1, t2, t3, eta = (GPolynomial.generator(tt, g) for g in tt.names)
+        images = {"alpha1": t1, "alpha2": t2 + t3, "alpha3": -t1 - t2 + t3, "zeta": eta}
+        report = verify_presentation(DgaSpec(target, {}, 12), ab_presentation(), images)
+        assert not report
+        assert report.failures == (
+            "relation alpha1^2 + alpha1*alpha2 + alpha2^2 does not map into im(d) + ideal",
+        )
+
+    def test_zero_map_passes_verify_presentation(self):
+        # verify_presentation has no injectivity test: the zero map sends
+        # every relation to 0 and the dimensions agree, so it passes; the
+        # degree-2 span rule is what rules such a map out
+        target, _ = iemb_presentation(3, "small", [(1, 1)])
+        source = ab_presentation()
+        zero = {name: GPolynomial.zero(target.table) for name in source.table.names}
+        assert verify_presentation(DgaSpec(target, {}, 12), source, zero)
 
 
 def beyond_relations(algebra, top):

@@ -297,6 +297,22 @@ class TestChamberEnumerate:
         labels = {c["label"] for c in payload["chambers"]}
         assert labels == {"big", "small"}
 
+    @pytest.mark.parametrize("boundary", ["strict", "inclusive"])
+    def test_text_output_at_three(self, capsys, tmp_path, boundary):
+        config = tmp_path / "text.json"
+        config.write_text('{"format": "text"}')
+        code, out, err = run(
+            capsys, "chamber", "enumerate", "--n", "3", "--boundary", boundary, "--config", str(config)
+        )
+        assert code == 0, err
+        assert out == (
+            f"2 chambers at n=3 ({boundary} boundary)\n"
+            "  T  small  witness 1/4,1/4,1/4\n"
+            "  F  big  witness 1/3,1/3,1/3\n"
+        )
+        payload = run_json(capsys, "chamber", "enumerate", "--n", "3", "--boundary", boundary)
+        assert [(c["bits"], c["label"]) for c in payload["chambers"]] == [("T", "small"), ("F", "big")]
+
     def test_six_balls_fail_fast(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "chamber", "enumerate", "--n", "6")
@@ -614,6 +630,28 @@ class TestVerify:
             rec.check("ranks", [1], lambda: rec.ranks(D).rank_list(0))
         assert len(calls) == 2 and not rec.reports
         assert {c.computed for c in rec.checks} == {"error: RuntimeError: no ranks today"}
+
+    def test_same_ranks_stops_at_the_first_difference(self, monkeypatch):
+        # CP^1 twice, then CP^2, whose H^4 differs, then CP^3, never built
+        built, solved = [], []
+        original = verify.cohomology_ranks
+
+        def counted(D):
+            solved.append(D)
+            return original(D)
+
+        def models():
+            for m in (1, 1, 2, 3):
+                built.append(m)
+                yield kriz_model(KrizParams(m, 1), degree_cap=6)
+
+        monkeypatch.setattr(verify, "cohomology_ranks", counted)
+        rec = verify.Recorder()
+        assert rec.same_ranks(models()) is False
+        assert built == [1, 1, 2]
+        assert len(solved) == len(rec.reports) == 2  # the second CP^1 is read from the run's reports
+        assert rec.same_ranks(kriz_model(KrizParams(1, 1), degree_cap=6) for _ in range(3)) is True
+        assert len(solved) == 2
 
     def test_ab_iso_check_runs_once_per_suite(self, monkeypatch):
         calls = []

@@ -25,7 +25,7 @@ from cpstrata.gradedalg import (
     TableMismatchError,
     integer_row,
 )
-from cpstrata import cli, dga
+from cpstrata import cli, dga, verify
 from cpstrata.dga import (
     CohomologyReport,
     DgaSpec,
@@ -42,7 +42,7 @@ from cpstrata.dga import (
     substitute,
     verify_presentation,
 )
-from cpstrata.ballmodels import iemb_model, iemb_presentation, weight_independence_check
+from cpstrata.ballmodels import iemb_model, iemb_presentation
 from cpstrata.kriz import KrizParams, kriz_model
 from polytext import P, from_exponents
 from test_monomial_kernel import SEEDS, random_dga, reference_monomials
@@ -716,8 +716,8 @@ def presentation_check():
 RANKS_ONLY = {
     "cohomology_ranks": lambda: lambda: cohomology_ranks(kriz_model(KrizParams(2, 3))).ranks,
     "verify_presentation": presentation_check,
-    "weight_independence_check": lambda: lambda: weight_independence_check(
-        4, "C_2", [[(1, 2), (3, -1)], [(2, 1), (1, 4)], [(1, 1), (1, 1)]]
+    "Recorder.same_ranks": lambda: lambda: verify.Recorder().same_ranks(
+        iemb_model(4, "C_2", w) for w in [[(1, 2), (3, -1)], [(2, 1), (1, 4)], [(1, 1), (1, 1)]]
     ),
     "cli kriz": lambda: lambda: cli.main(["kriz", "--m", "2", "--k", "4", "--json"]) == 0,
 }
